@@ -1,8 +1,8 @@
 """Exact eigenvalue theory of the perfect matching association scheme.
 
-Closed-form and interpolated eigenvalue tables, spectral gaps, merge-ratio
-laws and quotient/diameter analyses, all cross-checked against a brute-force
-oracle over perfect matchings of K_{2n}.
+Eigenvalue tables from zonal polynomials, closed-form and interpolated
+columns, spectral gaps, merge-ratio laws and quotient/diameter analyses, all
+cross-checked against a brute-force oracle over perfect matchings of K_{2n}.
 """
 
 __version__ = "0.1.0"
@@ -43,6 +43,7 @@ from .symfunc import (
     monomial_basis,
     parse_power_sum_expr,
     parse_polyt,
+    zonal_power_sums,
 )
 from .matchings import (
     DiameterResult,
@@ -90,10 +91,12 @@ from .spectra import (
     zonal_check,
 )
 from .tables import (
+    DEFAULT_ZONAL_MAX_N,
     ConjectureVerdict,
     EigTable,
     build_table_formulas,
     build_table_oracle,
+    build_table_zonal,
     derangement_spectrum,
     gap_scan,
     second_largest,

@@ -1,8 +1,11 @@
 """Command-line surface: tables, verification runs, gaps, diameters, fits.
 
 Exit codes: 0 pass, 1 verification failure, 2 unsupported request or parse
-error, 3 internal ambiguity.  Oracle tables are cached on disk keyed by
-(n, seed, code version); cache writes are atomic.
+error, 3 internal ambiguity.  Every command that reads a full table gets
+the zonal table, cached on disk keyed by (n, code version); cache writes
+are atomic.  The brute-force oracle serves only ``table --source oracle``
+(uncached, seeded by --seed) and the intersection numbers behind
+``verify scheme-axioms``.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from .spectra import (
 )
 from .symfunc import fit_e_mu
 from .tables import (
+    DEFAULT_ZONAL_MAX_N,
     EigTable,
     build_table_formulas,
     build_table_oracle,
+    build_table_zonal,
     gap_scan,
     verify_column_orthogonality,
     verify_conjecture,
@@ -75,9 +80,7 @@ class Config:
 
 
 def _cache_path(config: Config, n: int) -> str:
-    return os.path.join(
-        config.data_dir, f"table_n{n}_seed{config.seed}_v{__version__}.json"
-    )
+    return os.path.join(config.data_dir, f"table_n{n}_v{__version__}.json")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -94,26 +97,23 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def oracle_table_cached(config: Config, n: int) -> EigTable:
-    """Oracle table via the on-disk cache; recomputed on any version change."""
+    """The full table for n via the on-disk cache, built by
+    ``build_table_zonal`` on a miss and keyed by (n, code version).
+
+    The name predates the zonal engine and is kept because the benchmark
+    (``bench/workloads.py`` set-up, ``bench/spans.py``) calls it by name.
+    Raises GuardExceeded above DEFAULT_ZONAL_MAX_N.
+    """
     path = _cache_path(config, n)
     if os.path.exists(path):
         with open(path) as fh:
             payload = json.load(fh)
-        if (
-            payload.get("code_version") == __version__
-            and payload.get("seed") == config.seed
-            and payload.get("n") == n
-        ):
+        if payload.get("code_version") == __version__ and payload.get("n") == n:
             return EigTable.from_json_obj(payload["table"])
-    table = build_table_oracle(n, seed=config.seed, max_n=config.max_oracle_n)
+    table = build_table_zonal(n)
     payload = {
         "code_version": __version__,
-        "seed": config.seed,
         "n": n,
-        "guards": {
-            "max_oracle_n": config.max_oracle_n,
-            "max_diameter_n": config.max_diameter_n,
-        },
         "table": table.to_json_obj(),
     }
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
@@ -122,12 +122,10 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
 
 def _build_table(config: Config, n: int, source: str) -> EigTable:
     if source == "oracle":
-        return oracle_table_cached(config, n)
+        return build_table_oracle(n, seed=config.seed, max_n=config.max_oracle_n)
     if source == "formulas":
         return build_table_formulas(n)
-    if n <= min(7, config.max_oracle_n):
-        return oracle_table_cached(config, n)
-    return build_table_formulas(n)
+    return oracle_table_cached(config, n)
 
 
 def _emit(table: EigTable, fmt: str, out: str | None) -> None:
@@ -168,7 +166,10 @@ def cmd_table(args, config: Config) -> int:
     try:
         table = _build_table(config, n, args.source)
     except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = ""
+        if args.source != "oracle":
+            hint = "; --source formulas prints the closed-form cells"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except AmbiguousRowAssignment as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -284,12 +285,8 @@ def _gap_for(config: Config, mu: Partition, force: bool) -> tuple[int, str]:
         return report.gap, report.source
     except ValueError:
         pass  # no closed form; fall back to a full table
-    if mu.n <= min(7, config.max_oracle_n):
-        report = gap_report(mu, table=oracle_table_cached(config, mu.n))
-        return report.gap, report.source
-    raise GuardExceeded(
-        f"no closed form covers {mu} and n={mu.n} exceeds the oracle guard"
-    )
+    report = gap_report(mu, table=oracle_table_cached(config, mu.n))
+    return report.gap, report.source
 
 
 def cmd_gap(args, config: Config) -> int:
@@ -356,11 +353,6 @@ def cmd_fit(args, config: Config) -> int:
     data = []
     try:
         for n in range(lo, hi + 1):
-            if n > config.max_oracle_n:
-                raise GuardExceeded(
-                    f"fit data for n={n} exceeds the oracle guard"
-                    f" (max_oracle_n={config.max_oracle_n})"
-                )
             table = oracle_table_cached(config, n)
             mu = Partition(prefix.parts + (1,) * (n - prefix.n))
             data.append((n, table.column(mu)))
@@ -418,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Eigenvalue tables and spectral gaps of the perfect"
         " matching association scheme, with brute-force cross-checks.",
     )
-    parser.add_argument("--data-dir", help="cache directory for oracle tables")
-    parser.add_argument("--seed", type=int, default=0, help="oracle RNG seed")
+    parser.add_argument("--data-dir", help="cache directory for zonal tables")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="oracle RNG seed (--source oracle)"
+    )
     parser.add_argument("--max-oracle-n", type=int, help="oracle guard override")
     parser.add_argument("--max-diameter-n", type=int, help="BFS guard override")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -427,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="build and print an eigenvalue table")
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument(
-        "--source", choices=("auto", "oracle", "formulas"), default="auto"
+        "--source",
+        choices=("auto", "zonal", "oracle", "formulas"),
+        default="auto",
+        help=f"auto and zonal: the full zonal table (n <= {DEFAULT_ZONAL_MAX_N})",
     )
     p_table.add_argument("--format", choices=("csv", "json", "pretty"))
     p_table.add_argument("--out")

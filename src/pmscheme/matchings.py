@@ -103,6 +103,14 @@ def _base_partner(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _guard_enumeration(what: str, n: int, max_n: int) -> None:
+    if not 1 <= n <= max_n:
+        raise GuardExceeded(
+            f"{what} guarded to 1 <= n <= {max_n} (asked {n})",
+            estimate=f"(2n-1)!! = {double_factorial(2 * n - 1)} matchings",
+        )
+
+
 def _iter_partners(n: int) -> Iterator[tuple[int, ...]]:
     m = 2 * n
     partner = [-1] * m
@@ -127,11 +135,7 @@ def _iter_partners(n: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_matchings(n: int, max_n: int = 9) -> Iterator[Matching]:
     """All (2n-1)!! matchings, smallest-unmatched-vertex order."""
-    if not 1 <= n <= max_n:
-        raise GuardExceeded(
-            f"matching enumeration guarded to 1 <= n <= {max_n} (asked {n})",
-            estimate=f"(2n-1)!! = {double_factorial(2 * n - 1)} matchings",
-        )
+    _guard_enumeration("matching enumeration", n, max_n)
     for partner in _iter_partners(n):
         yield Matching(partner)
 
@@ -180,17 +184,7 @@ def representative(mu: Partition) -> Matching:
 
 def rank(matching: Matching) -> int:
     """Mixed-radix rank in the enumeration order."""
-    partner = matching.partner
-    m = len(partner)
-    alive = list(range(m))
-    r = 0
-    while alive:
-        u = alive.pop(0)
-        v = partner[u]
-        digit = alive.index(v)
-        r = r * len(alive) + digit
-        alive.remove(v)
-    return r
+    return _rank_partner(matching.partner)
 
 
 def unrank(r: int, n: int) -> Matching:
@@ -325,7 +319,7 @@ def quotient_counts_all(
         a_counts[ta] = a_counts.get(ta, 0) + 1
         tb = _relation_parts(outside, q)
         b_counts[tb] = b_counts.get(tb, 0) + 1
-    degrees = degree_histogram(n)
+    degrees = degree_histogram(n, max_n=max_n)
     out = {}
     for mu in generate_partitions(n):
         a = a_counts.get(mu.parts, 0)
@@ -339,13 +333,16 @@ def quotient_counts(mu: Partition, max_n: int = DEFAULT_ORACLE_MAX_N) -> Quotien
     return quotient_counts_all(mu.n, max_n=max_n)[mu]
 
 
-def quotient_counts_from(p: Matching) -> dict[Partition, int]:
+def quotient_counts_from(
+    p: Matching, max_n: int = DEFAULT_ORACLE_MAX_N
+) -> dict[Partition, int]:
     """Relation histogram of the matchings through edge {1,2} as seen from p.
 
     Used to confirm that the two-block partition really is equitable: the
     histogram must not depend on which matching of a block p is.
     """
     n = p.n
+    _guard_enumeration("quotient histogram", n, max_n)
     counts: dict[tuple[int, ...], int] = {}
     for q in _pm12_iter(n):
         t = _relation_parts(p.partner, q)
@@ -353,9 +350,14 @@ def quotient_counts_from(p: Matching) -> dict[Partition, int]:
     return {Partition(t): c for t, c in counts.items()}
 
 
-@cache
-def degree_histogram(n: int) -> dict[Partition, int]:
+def degree_histogram(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> dict[Partition, int]:
     """Relation histogram of all matchings against the base matching."""
+    _guard_enumeration("degree histogram", n, max_n)
+    return _degree_histogram(n)
+
+
+@cache
+def _degree_histogram(n: int) -> dict[Partition, int]:
     base = _base_partner(n)
     counts: dict[tuple[int, ...], int] = {}
     for r in _iter_partners(n):
@@ -364,9 +366,9 @@ def degree_histogram(n: int) -> dict[Partition, int]:
     return {Partition(t): c for t, c in counts.items()}
 
 
-def degree_count(mu: Partition) -> int:
+def degree_count(mu: Partition, max_n: int = DEFAULT_ORACLE_MAX_N) -> int:
     """Number of matchings mu-related to the base matching, by enumeration."""
-    return degree_histogram(mu.n).get(mu, 0)
+    return degree_histogram(mu.n, max_n=max_n).get(mu, 0)
 
 
 class DiameterResult:

@@ -406,7 +406,8 @@ def gap_report(mu: Partition, table=None, force: bool = False) -> GapReport:
 
     Closed-form and table sources report true second eigenvalues; the hook
     product assumes the second eigenvalue sits on [n-1,1] and is tagged as
-    conjectured.
+    conjectured.  It is not used for [3,1], the conjecture's n = 4
+    exception, which needs a table.
     """
     n = mu.n
     if n < 2 or mu.parts == (1,) * n:
@@ -427,8 +428,11 @@ def gap_report(mu: Partition, table=None, force: bool = False) -> GapReport:
             return GapReport(n, mu, valency(mu), second, gap, (hook_row,), tag)
         except BelowFamilyThreshold:
             pass
-    if len(prefix) == 1 and 1 <= n - prefix.parts[0] <= n - 2:
-        gap = hook_gap(n, n - prefix.parts[0])
+    ell = n - prefix.n
+    # The hook product assumes the conjecture, so only where its hypothesis
+    # holds: the same applicability rule as tables.verify_conjecture.
+    if len(prefix) == 1 and 1 <= ell <= n - 2 and (ell >= 2 or n != 4):
+        gap = hook_gap(n, ell)
         second = valency(mu) - gap
         return GapReport(
             n, mu, valency(mu), second, gap, (hook_row,), "conjectured-hook"

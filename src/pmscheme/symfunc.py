@@ -12,11 +12,21 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import exactalg
-from .errors import FitInconsistent, FitUnderdetermined
-from .partitions import Partition, content, generate_partitions, successors
+from .errors import FitInconsistent, FitUnderdetermined, SchemeError
+from .partitions import (
+    Dominance,
+    Partition,
+    content,
+    dominance_compare,
+    generate_partitions,
+    successors,
+)
 
 
 class PolyT:
@@ -446,3 +456,135 @@ def _column_as_mapping(n: int, col: DataColumn) -> dict[Partition, Fraction]:
             f"column for n={n} has {len(values)} values, expected {len(lams)}"
         )
     return {lam: Fraction(v) for lam, v in zip(lams, values)}
+
+
+# --------------------------------------------------------------------------
+# Zonal polynomials J_lam^(2) in the power-sum basis
+
+
+def _merge_counts(parts_list: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """R[i][j]: the number of maps f from the parts of rho_i to the parts of
+    rho_j with every part of rho_j the sum of the rho_i parts sent to it, so
+    that p_rho = sum_mu R[rho][mu] m_mu.
+
+    The recursion places the parts of rho largest first into the remaining
+    capacities of mu's parts; capacities are kept sorted with zeros dropped,
+    and slots of equal capacity are counted once times their multiplicity.
+    Its memo lives only as long as this call.
+    """
+
+    @lru_cache(maxsize=None)
+    def count(rest: tuple[int, ...], caps: tuple[int, ...]) -> int:
+        if not rest:
+            return 0 if caps else 1
+        head, tail = rest[0], rest[1:]
+        total = 0
+        k = 0
+        while k < len(caps) and caps[k] >= head:
+            c = caps[k]
+            mult = 1
+            while k + mult < len(caps) and caps[k + mult] == c:
+                mult += 1
+            left = caps[:k] + caps[k + 1 :]
+            if c > head:
+                left = tuple(sorted(left + (c - head,), reverse=True))
+            total += mult * count(tail, left)
+            k += mult
+        return total
+
+    return [[count(rho, mu) for mu in parts_list] for rho in parts_list]
+
+
+def _z(parts: tuple[int, ...]) -> int:
+    """z_rho = prod_i i^(m_i) m_i!, the centralizer order of cycle type rho."""
+    out = 1
+    mult: dict[int, int] = {}
+    for p in parts:
+        mult[p] = mult.get(p, 0) + 1
+        out *= p * mult[p]
+    return out
+
+
+def _jack_scale(lam: Partition) -> int:
+    """prod over boxes s of (2 a(s) + l(s) + 1): J_lam^(2) over P_lam^(2)."""
+    conj = lam.conjugate().parts
+    out = 1
+    for i, row in enumerate(lam.parts):
+        for j in range(row):
+            out *= 2 * (row - j - 1) + (conj[j] - i - 1) + 1
+    return out
+
+
+def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
+    """Power-sum coefficients of every zonal polynomial J_lam^(2) of degree n.
+
+    The result maps lam to {rho: coefficient of p_rho in J_lam^(2)}, both in
+    canonical order.  Each monomial m_mu is written in power sums by
+    inverting the merge-count matrix; Gram-Schmidt then runs on the m_mu
+    under <p_rho, p_sigma> = delta z_rho 2^len(rho), in increasing dominance,
+    and each result is scaled by prod_s (2a(s) + l(s) + 1).  Projections
+    are only taken onto mu dominated by lam (the others vanish), and every
+    vector is an integer vector over a common denominator.  A coefficient
+    that is not an integer raises SchemeError.
+    """
+    lams = generate_partitions(n)
+    parts_list = [lam.parts for lam in lams]
+    size = len(parts_list)
+    merges = _merge_counts(parts_list)
+    weights = [_z(rho) * 2 ** len(rho) for rho in parts_list]
+
+    # m_lam = mono[i] / mono_den[i]; R is lower triangular in canonical order.
+    mono: list[list[int]] = []
+    mono_den: list[int] = []
+    for i in range(size):
+        den = 1
+        for j in range(i):
+            if merges[i][j]:
+                den = lcm(den, mono_den[j])
+        vec = [0] * size
+        vec[i] = den
+        for j in range(i):
+            r = merges[i][j]
+            if r:
+                f = r * (den // mono_den[j])
+                vec = [v - f * x for v, x in zip(vec, mono[j])]
+        den *= merges[i][i]
+        g = reduce(gcd, vec, den)
+        mono.append([v // g for v in vec])
+        mono_den.append(den // g)
+
+    zonal: dict[int, list[int]] = {}
+    weighted: dict[int, list[int]] = {}
+    norms: dict[int, int] = {}
+    for i in reversed(range(size)):
+        lam = lams[i]
+        num = mono[i]
+        coeffs: list[tuple[int, Fraction]] = []
+        for j in zonal:
+            if dominance_compare(lams[j], lam) is Dominance.LESS:
+                ip = sum(map(mul, num, weighted[j]))
+                if ip:
+                    coeffs.append((j, Fraction(ip, norms[j])))
+        common = 1
+        for _, c in coeffs:
+            common = lcm(common, c.denominator)
+        vec = [common * v for v in num]
+        for j, c in coeffs:
+            f = c.numerator * (common // c.denominator)
+            vec = [v - f * x for v, x in zip(vec, zonal[j])]
+        scale = Fraction(_jack_scale(lam), mono_den[i] * common)
+        out = []
+        for v in vec:
+            q = v * scale
+            if q.denominator != 1:
+                raise SchemeError(
+                    f"zonal polynomial J_{lam}^(2) has a"
+                    f" non-integer power-sum coefficient {q}"
+                )
+            out.append(int(q))
+        zonal[i] = out
+        weighted[i] = [w * x for w, x in zip(weights, out)]
+        norms[i] = sum(map(mul, out, weighted[i]))
+    return {
+        lams[i]: {lams[k]: zonal[i][k] for k in range(size)} for i in range(size)
+    }

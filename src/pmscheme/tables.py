@@ -1,11 +1,15 @@
-"""Eigenvalue tables built two independent ways, plus table-level verifiers.
+"""Eigenvalue tables built three ways, plus table-level verifiers.
 
-The oracle route recovers every eigenvalue from the intersection numbers of
-the scheme: the intersection matrices commute, a random small-integer
-combination separates the common eigenvectors, and each eigenvector row is
-read off componentwise.  The formula route fills whatever closed forms cover.
-Cells never come from guessing: a row that cannot be matched to a unique
-eigenspace index is a hard error.
+The zonal route is the production engine: the entry on eigenspace lam and
+relation mu is the coefficient of p_mu in the zonal polynomial J_lam^(2),
+computed exactly in ``symfunc``.  The oracle route is the independent
+check: it recovers every eigenvalue from the brute-force intersection
+numbers of the scheme (the intersection matrices commute, a random
+small-integer combination separates the common eigenvectors, and each
+eigenvector row is read off componentwise).  The formula route fills
+whatever closed forms cover.  Cells never come from guessing: a row that
+cannot be matched to a unique eigenspace index is a hard error, and every
+built table passes ``_check_table`` or raises SchemeError.
 """
 
 from __future__ import annotations
@@ -17,7 +21,12 @@ import random
 from fractions import Fraction
 
 from . import exactalg
-from .errors import AmbiguousRowAssignment, IncompleteTable, SchemeError
+from .errors import (
+    AmbiguousRowAssignment,
+    GuardExceeded,
+    IncompleteTable,
+    SchemeError,
+)
 from .matchings import IntersectionData, intersection_numbers
 from .partitions import (
     Partition,
@@ -27,9 +36,18 @@ from .partitions import (
     parse_partition,
 )
 from .spectra import phi_n11, trace_identity_check, valency
-from .symfunc import CATALOG_PREFIXES, PowerSumExpr, e_catalog, eval_expr
+from .symfunc import (
+    CATALOG_PREFIXES,
+    PowerSumExpr,
+    e_catalog,
+    eval_expr,
+    zonal_power_sums,
+)
 
 _MAX_COMBO_ATTEMPTS = 60
+# The largest n timed in BENCH_zonal.json, where it builds in 0.45 s; larger
+# n are untimed.
+DEFAULT_ZONAL_MAX_N = 14
 
 
 class EigTable:
@@ -137,21 +155,45 @@ class EigTable:
 
 
 def _check_table(table: EigTable) -> None:
+    """Raise SchemeError unless the filled cells pass the table invariants:
+    identity column all ones, top row the valencies, dimensions summing to
+    (2n-1)!!, and the trace identity on every complete column."""
     n = table.n
     identity = Partition((1,) * n)
     top = Partition((n,))
     for lam in table.rows:
         v = table.value(lam, identity)
-        if v is not None:
-            assert v == 1, "identity column must be all ones"
+        if v is not None and v != 1:
+            raise SchemeError(f"identity column must be all ones, bad at {lam}")
     for mu in table.columns:
         v = table.value(top, mu)
-        if v is not None:
-            assert v == valency(mu), f"top row must hold valencies, bad at {mu}"
-    assert sum(table.dims) == double_factorial(2 * n - 1)
+        if v is not None and v != valency(mu):
+            raise SchemeError(f"top row must hold valencies, bad at {mu}")
+    if sum(table.dims) != double_factorial(2 * n - 1):
+        raise SchemeError(f"dimensions do not sum to (2n-1)!! for n={n}")
     for mu in table.columns:
-        if table.has_column(mu):
-            assert trace_identity_check(n, mu, table), f"trace identity fails at {mu}"
+        if table.has_column(mu) and not trace_identity_check(n, mu, table):
+            raise SchemeError(f"trace identity fails at {mu}")
+
+
+def build_table_zonal(n: int, max_n: int = DEFAULT_ZONAL_MAX_N) -> EigTable:
+    """Full eigenvalue table from the zonal polynomials J_lam^(2).
+
+    (S_2n, H_n) is a Gelfand pair and valency(mu) = |H_n| / z_{2mu}, so the
+    coefficient of p_mu in J_lam^(2) is exactly the eigenvalue of relation
+    mu on eigenspace lam (Macdonald, Symmetric Functions and Hall
+    Polynomials, VII.2).  Every column is tagged "zonal".
+    """
+    if not 2 <= n <= max_n:
+        raise GuardExceeded(f"zonal table guarded to 2 <= n <= {max_n} (asked {n})")
+    values = {
+        (lam, mu): phi
+        for lam, row in zonal_power_sums(n).items()
+        for mu, phi in row.items()
+    }
+    table = EigTable(n, values, {mu: "zonal" for mu in generate_partitions(n)})
+    _check_table(table)
+    return table
 
 
 def build_table_oracle(

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pmscheme import DEFAULT_ZONAL_MAX_N, __version__
 from pmscheme.cli import main
 
 
@@ -197,3 +198,43 @@ def test_env_guard_override(tmp_path, capsys, monkeypatch):
     code = main(["table", "--n", "4", "--source", "oracle"])
     err = capsys.readouterr().err
     assert code == 2 and "guard" in err
+
+
+def test_gap_hook_exception_reads_the_table(run):
+    # n = 4 is the conjecture's exception: the hook product would say 28
+    code, out, err = run("gap", "--mu", "[3,1]", "--verbose")
+    assert code == 0 and out == "24\n"
+    assert "source: table" in err
+
+
+def test_table_sources_zonal_and_oracle(run):
+    code, out, _ = run("table", "--n", "6", "--source", "zonal", "--format", "csv")
+    assert code == 0 and out == _golden(6)
+    code, out, _ = run(
+        "--seed", "7", "table", "--n", "4", "--source", "oracle", "--format", "csv"
+    )
+    assert code == 0 and out == _golden(4)
+    # the oracle route is uncached; only the zonal table for n = 6 is on disk
+    assert os.listdir(run.data_dir) == ["table_n6_v" + __version__ + ".json"]
+
+
+def test_table_n8_auto_is_complete(run):
+    code, out, err = run("table", "--n", "8", "--format", "json")
+    assert code == 0
+    assert "partial" not in err
+    payload = json.loads(out)
+    assert all(v is not None for row in payload["values"] for v in row)
+    assert set(payload["provenance"].values()) == {"zonal"}
+    assert len(payload["provenance"]) == len(payload["columns"]) == 22
+
+
+def test_table_auto_above_zonal_guard_exits_2(run):
+    code, out, err = run("table", "--n", str(DEFAULT_ZONAL_MAX_N + 1))
+    assert code == 2 and out == ""
+    assert "guard" in err and "--source formulas" in err
+
+
+def test_verify_scheme_axioms_n5(run):
+    code, out, _ = run("verify", "scheme-axioms", "--n", "5")
+    assert code == 0
+    assert out.startswith("scheme axioms n=5: PASS (structure constants ok")

@@ -193,3 +193,19 @@ def test_diameter_guard():
         diameter(P([2] + [1] * 8))
     with pytest.raises(GuardExceeded):
         diameter(P([2, 1, 1]), max_n=3)
+
+
+def test_enumerating_helpers_are_guarded():
+    # degree_count([10]) would otherwise enumerate 654,729,075 matchings
+    with pytest.raises(GuardExceeded):
+        degree_count(P([10]))
+    with pytest.raises(GuardExceeded):
+        degree_histogram(9)
+    with pytest.raises(GuardExceeded):
+        quotient_counts_from(base_matching(9))
+    with pytest.raises(GuardExceeded):
+        degree_count(P([2, 1, 1]), max_n=3)
+    with pytest.raises(GuardExceeded):
+        quotient_counts_from(base_matching(4), max_n=3)
+    assert degree_count(P([2, 1, 1]), max_n=4) == valency(P([2, 1, 1]))
+

@@ -21,8 +21,9 @@ from pmscheme import (
     parse_power_sum_expr,
     parse_polyt,
     successors,
+    zonal_power_sums,
 )
-from pmscheme.errors import FitInconsistent, FitUnderdetermined
+from pmscheme.errors import FitInconsistent, FitUnderdetermined, SchemeError
 
 P = Partition
 P1 = PowerSumExpr({P([1]): PolyT([1])})
@@ -222,3 +223,25 @@ def test_fit_error_reporting():
     col7 = [eval_expr(expr, lam) for lam in generate_partitions(7)]
     with pytest.raises(FitInconsistent):
         fit_e_mu(prefix, cols, holdout=(7, col7))
+
+
+def test_zonal_power_sums_small():
+    # J_2 = p_1^2 + 2 p_2 and J_11 = p_1^2 - p_2
+    assert zonal_power_sums(2) == {
+        P([2]): {P([2]): 2, P([1, 1]): 1},
+        P([1, 1]): {P([2]): -1, P([1, 1]): 1},
+    }
+    # J_(n) carries the valencies; J_(1^n) = n! e_n, whose coefficient of
+    # p_rho is (-1)^(n - len(rho)) n! / z_rho
+    z = zonal_power_sums(5)
+    assert z[P([5])][P([3, 2])] == 160
+    assert z[P([1] * 5)][P([3, 2])] == -120 // 6
+
+
+def test_zonal_non_integer_coefficient_raises(monkeypatch):
+    from pmscheme import symfunc
+
+    # without the (2a + l + 1) scaling, P_2 = (1/3) p_1^2 + (2/3) p_2
+    monkeypatch.setattr(symfunc, "_jack_scale", lambda lam: 1)
+    with pytest.raises(SchemeError):
+        zonal_power_sums(2)

@@ -1,12 +1,16 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
 from pmscheme import (
+    DEFAULT_ZONAL_MAX_N,
     EigTable,
     Partition,
     build_table_formulas,
     build_table_oracle,
+    build_table_zonal,
     derangement_spectrum,
     double_factorial,
     gap_scan,
@@ -19,7 +23,7 @@ from pmscheme import (
     verify_conjecture,
     verify_structure_constants,
 )
-from pmscheme.errors import IncompleteTable
+from pmscheme.errors import GuardExceeded, IncompleteTable
 
 P = Partition
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -173,3 +177,73 @@ def test_gap_scan_picks_flip_family(oracle_table):
         assert gaps[flip] == 2 * n - 1
         assert min(gaps.values()) == gaps[flip]
         assert [m for m, g in gaps.items() if g == gaps[flip]] == [flip]
+
+
+def test_zonal_csv_matches_goldens():
+    for n in range(2, 8):
+        assert build_table_zonal(n).to_csv_text() == _golden_csv(n)
+
+
+def test_zonal_equals_oracle_n8(oracle_table):
+    zonal, oracle = build_table_zonal(8), oracle_table(8)
+    assert zonal.rows == oracle.rows
+    assert zonal.grid() == oracle.grid()
+    assert zonal.dims == oracle.dims
+
+
+def test_zonal_beyond_oracle_is_complete_and_orthogonal():
+    for n in (9, 11):
+        table = build_table_zonal(n)
+        assert table.is_complete()
+        assert table.provenance == {mu: "zonal" for mu in table.columns}
+        assert verify_column_orthogonality(table)
+        assert verify_conjecture(table).overall
+
+
+def test_zonal_guard_refuses_before_any_work(monkeypatch):
+    from pmscheme import tables
+
+    def fail(n):
+        raise AssertionError("the zonal algebra ran past the guard")
+
+    monkeypatch.setattr(tables, "zonal_power_sums", fail)
+    with pytest.raises(GuardExceeded):
+        build_table_zonal(DEFAULT_ZONAL_MAX_N + 1)
+    with pytest.raises(GuardExceeded):
+        build_table_zonal(1)
+    with pytest.raises(GuardExceeded):
+        build_table_zonal(5, max_n=4)
+
+
+_DOCTORED_CHECK = """
+from pmscheme import EigTable, Partition
+from pmscheme.errors import SchemeError
+from pmscheme.tables import _check_table
+
+P = Partition
+values = {
+    (P([2]), P([1, 1])): 1, (P([2]), P([2])): 2,
+    (P([1, 1]), P([1, 1])): 1, (P([1, 1]), P([2])): 5,
+}
+try:
+    _check_table(EigTable(2, values, {}))
+except SchemeError as exc:
+    print("refused:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_check_table_refuses_under_python_O():
+    # python -O strips assert statements; the table checks must still refuse.
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _DOCTORED_CHECK],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("refused: trace identity fails at [2]")
