@@ -46,14 +46,12 @@ from .symfunc import (
     zonal_power_sums,
 )
 from .matchings import (
-    DiameterResult,
     IntersectionData,
     Matching,
     QuotientMatrix,
     base_matching,
     degree_count,
     degree_histogram,
-    diameter,
     enumerate_matchings,
     intersection_numbers,
     parse_matching,
@@ -93,12 +91,15 @@ from .spectra import (
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
     ConjectureVerdict,
+    DiameterResult,
     EigTable,
     build_table_formulas,
     build_table_oracle,
     build_table_zonal,
     derangement_spectrum,
+    diameter,
     gap_scan,
+    intersection_matrix,
     second_largest,
     second_largest_abs,
     verify_column_orthogonality,

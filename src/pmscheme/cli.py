@@ -3,9 +3,10 @@
 Exit codes: 0 pass, 1 verification failure, 2 unsupported request or parse
 error, 3 internal ambiguity.  Every command that reads a full table gets
 the zonal table, cached on disk keyed by (n, code version); cache writes
-are atomic.  The brute-force oracle serves only ``table --source oracle``
-(uncached, seeded by --seed) and the intersection numbers behind
-``verify scheme-axioms``.
+are atomic.  ``diameter`` and ``scan --with-diameters`` derive
+relation-graph diameters from that table.  The brute-force oracle serves
+only ``table --source oracle`` (uncached, seeded by --seed) and the
+intersection numbers behind ``verify scheme-axioms``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .errors import AmbiguousRowAssignment, GuardExceeded, SchemeError
 from .matchings import (
-    DEFAULT_DIAMETER_MAX_N,
     DEFAULT_ORACLE_MAX_N,
-    diameter,
     double_factorial,
     intersection_numbers,
 )
@@ -41,6 +40,7 @@ from .tables import (
     build_table_formulas,
     build_table_oracle,
     build_table_zonal,
+    diameter,
     gap_scan,
     verify_column_orthogonality,
     verify_conjecture,
@@ -66,16 +66,11 @@ class Config:
             os.environ.get("PMSCHEME_MAX_ORACLE_N", DEFAULT_ORACLE_MAX_N)
         )
     )
-    max_diameter_n: int = field(
-        default_factory=lambda: int(
-            os.environ.get("PMSCHEME_MAX_DIAMETER_N", DEFAULT_DIAMETER_MAX_N)
-        )
-    )
     fmt: str = "pretty"
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_oracle_n < 2 or self.max_diameter_n < 2:
+        if self.max_oracle_n < 2:
             raise ValueError("resource guards must be at least 2")
 
 
@@ -102,21 +97,33 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
 
     The name predates the zonal engine and is kept because the benchmark
     (``bench/workloads.py`` set-up, ``bench/spans.py``) calls it by name.
-    Raises GuardExceeded above DEFAULT_ZONAL_MAX_N.
+    Raises GuardExceeded above DEFAULT_ZONAL_MAX_N.  A cache file that
+    cannot be read or parsed is rebuilt and overwritten, and a cache that
+    cannot be written is skipped; either prints a note on stderr.
     """
     path = _cache_path(config, n)
     if os.path.exists(path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("code_version") == __version__ and payload.get("n") == n:
-            return EigTable.from_json_obj(payload["table"])
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            if payload["code_version"] == __version__ and payload["n"] == n:
+                return EigTable.from_json_obj(payload["table"])
+        except (
+            OSError, ValueError, KeyError, TypeError, AttributeError, SchemeError
+        ) as exc:
+            print(
+                f"note: rebuilding unreadable cache {path}: {exc!r}", file=sys.stderr
+            )
     table = build_table_zonal(n)
     payload = {
         "code_version": __version__,
         "n": n,
         "table": table.to_json_obj(),
     }
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    try:
+        _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        print(f"note: table for n={n} not cached: {exc}", file=sys.stderr)
     return table
 
 
@@ -128,17 +135,12 @@ def _build_table(config: Config, n: int, source: str) -> EigTable:
     return oracle_table_cached(config, n)
 
 
-def _emit(table: EigTable, fmt: str, out: str | None) -> None:
+def _render(table: EigTable, fmt: str) -> str:
     if fmt == "csv":
-        text = table.to_csv_text()
-    elif fmt == "json":
-        text = table.to_json_text()
-    else:
-        text = table.pretty()
-    if out:
-        _atomic_write(os.path.abspath(out), text)
-    else:
-        sys.stdout.write(text)
+        return table.to_csv_text()
+    if fmt == "json":
+        return table.to_json_text()
+    return table.pretty()
 
 
 def _parse_prefix(text: str) -> Partition:
@@ -179,7 +181,15 @@ def cmd_table(args, config: Config) -> int:
             f"note: table for n={n} is partial (closed-form cells only)",
             file=sys.stderr,
         )
-    _emit(table, args.format or config.fmt, args.out)
+    text = _render(table, args.format or config.fmt)
+    if not args.out:
+        sys.stdout.write(text)
+        return EXIT_PASS
+    try:
+        _atomic_write(os.path.abspath(args.out), text)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     return EXIT_PASS
 
 
@@ -279,9 +289,9 @@ def cmd_verify(args, config: Config) -> int:
     return EXIT_UNSUPPORTED
 
 
-def _gap_for(config: Config, mu: Partition, force: bool) -> tuple[int, str]:
+def _gap_for(config: Config, mu: Partition) -> tuple[int, str]:
     try:
-        report = gap_report(mu, force=force)
+        report = gap_report(mu)
         return report.gap, report.source
     except ValueError:
         pass  # no closed form; fall back to a full table
@@ -305,7 +315,7 @@ def cmd_gap(args, config: Config) -> int:
         print(f"error: {mu} has no spectral gap to report", file=sys.stderr)
         return EXIT_UNSUPPORTED
     try:
-        gap, source = _gap_for(config, mu, args.force)
+        gap, source = _gap_for(config, mu)
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -322,9 +332,9 @@ def cmd_diameter(args, config: Config) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     try:
-        result = diameter(mu, max_n=config.max_diameter_n)
+        result = diameter(oracle_table_cached(config, mu.n), mu)
     except GuardExceeded as exc:
-        print(f"error: {exc} ({exc.estimate})", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     if result.connected:
         print(result.diameter)
@@ -378,29 +388,17 @@ def cmd_scan(args, config: Config) -> int:
     best = min(gaps, key=lambda m: (gaps[m], m.parts))
     print(f"smallest gap: {best} ({gaps[best]})")
     if args.with_diameters:
-        guard = min(config.max_diameter_n, 5 if not args.force_diameters else n)
-        results = {}
-        for mu in table.columns:
-            if mu.parts == (1,) * n:
-                continue
-            if n > guard:
-                print(
-                    f"note: diameter scan skipped (n={n} above scan guard {guard})",
-                    file=sys.stderr,
-                )
-                break
-            results[mu] = diameter(mu, max_n=guard)
-        if results:
-            connected = {m: r.diameter for m, r in results.items() if r.connected}
-            if connected:
-                worst = max(connected.values())
-                ties = ", ".join(
-                    str(m) for m in table.columns if connected.get(m) == worst
-                )
-                print(f"largest diameter: {ties} ({worst})")
-            for m, r in results.items():
-                if not r.connected:
-                    print(f"  {m}: disconnected ({r.reached}/{r.n_vertices})")
+        results = [diameter(table, mu) for mu in gaps]
+        connected = {r.mu: r.diameter for r in results if r.connected}
+        if connected:
+            worst = max(connected.values())
+            ties = ", ".join(
+                str(m) for m in table.columns if connected.get(m) == worst
+            )
+            print(f"largest diameter: {ties} ({worst})")
+        for r in results:
+            if not r.connected:
+                print(f"  {r.mu}: disconnected ({r.reached}/{r.n_vertices})")
     return EXIT_PASS
 
 
@@ -415,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="oracle RNG seed (--source oracle)"
     )
     parser.add_argument("--max-oracle-n", type=int, help="oracle guard override")
-    parser.add_argument("--max-diameter-n", type=int, help="BFS guard override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="build and print an eigenvalue table")
@@ -441,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap = sub.add_parser("gap", help="spectral gap of one relation")
     p_gap.add_argument("--mu", required=True)
     p_gap.add_argument("--n", type=int)
-    p_gap.add_argument("--force", action="store_true")
     p_gap.add_argument("--verbose", action="store_true")
 
     p_diam = sub.add_parser("diameter", help="diameter of one relation graph")
@@ -454,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="per-column gap scan of a full table")
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--with-diameters", action="store_true")
-    p_scan.add_argument("--force-diameters", action="store_true")
 
     return parser
 
@@ -470,8 +465,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["data_dir"] = args.data_dir
     if args.max_oracle_n is not None:
         overrides["max_oracle_n"] = args.max_oracle_n
-    if args.max_diameter_n is not None:
-        overrides["max_diameter_n"] = args.max_diameter_n
     try:
         config = Config(**overrides)
     except ValueError as exc:

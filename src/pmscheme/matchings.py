@@ -3,10 +3,10 @@
 Matchings are fixed-point-free involutions of {0, ..., 2n-1} stored as a
 partner tuple; text and edge forms use 1-based vertices.  Enumeration pairs
 the smallest unmatched vertex with each available partner in increasing
-order, which also defines the mixed-radix rank/unrank bijection used by the
-BFS diameter computation.  All counting loops are sequential and
-deterministic; they could be sharded over rank ranges without changing any
-result since every accumulation is an integer sum.
+order, which also defines the mixed-radix rank/unrank bijection used to
+sample matchings.  All counting loops are sequential and deterministic; they
+could be sharded over rank ranges without changing any result since every
+accumulation is an integer sum.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .partitions import (
 )
 
 DEFAULT_ORACLE_MAX_N = 8
-DEFAULT_DIAMETER_MAX_N = 7
 
 
 class Matching:
@@ -369,90 +368,6 @@ def _degree_histogram(n: int) -> dict[Partition, int]:
 def degree_count(mu: Partition, max_n: int = DEFAULT_ORACLE_MAX_N) -> int:
     """Number of matchings mu-related to the base matching, by enumeration."""
     return degree_histogram(mu.n, max_n=max_n).get(mu, 0)
-
-
-class DiameterResult:
-    __slots__ = ("mu", "connected", "diameter", "reached", "n_vertices")
-
-    def __init__(self, mu, connected, diameter, reached, n_vertices):
-        self.mu = mu
-        self.connected = connected
-        self.diameter = diameter
-        self.reached = reached
-        self.n_vertices = n_vertices
-
-    def __repr__(self) -> str:
-        if self.connected:
-            return f"DiameterResult({self.mu}, diameter={self.diameter})"
-        return (
-            f"DiameterResult({self.mu}, disconnected, "
-            f"reached {self.reached} of {self.n_vertices})"
-        )
-
-
-def _perm_to(q: tuple[int, ...]) -> tuple[int, ...]:
-    """A vertex permutation sending the base matching onto q.
-
-    The sorted edge list of the base matching is mapped endpoint-wise onto
-    the sorted edge list of q; any such permutation works because neighbor
-    sets are orbit-defined.
-    """
-    perm = [0] * len(q)
-    pos = 0
-    for v, p in enumerate(q):
-        if v < p:
-            perm[pos] = v
-            perm[pos + 1] = p
-            pos += 2
-    return tuple(perm)
-
-
-def diameter(mu: Partition, max_n: int = DEFAULT_DIAMETER_MAX_N) -> DiameterResult:
-    """Eccentricity of the base matching in the relation graph by BFS.
-
-    The graph is vertex-transitive, so this equals the diameter.  Neighbors
-    of a vertex q are sigma(N0) where N0 is the precomputed neighbor list of
-    the base matching and sigma maps the base matching onto q.
-    """
-    n = mu.n
-    if not 1 <= n <= max_n:
-        raise GuardExceeded(
-            f"diameter BFS guarded to n <= {max_n} (asked {n})",
-            estimate=f"one visited byte per vertex: {double_factorial(2 * n - 1)} bytes",
-        )
-    m = 2 * n
-    n_vertices = double_factorial(2 * n - 1)
-    base = _base_partner(n)
-    target = mu.parts
-    neighbors0 = [
-        r for r in _iter_partners(n) if _relation_parts(base, r) == target
-    ]
-    visited = bytearray(n_vertices)
-    start = Matching(base)
-    visited[rank(start)] = 1
-    frontier = [base]
-    reached = 1
-    depth = 0
-    while frontier:
-        nxt = []
-        for q in frontier:
-            perm = _perm_to(q)
-            for r in neighbors0:
-                image = [0] * m
-                for v in range(m):
-                    image[perm[v]] = perm[r[v]]
-                key = _rank_partner(image)
-                if not visited[key]:
-                    visited[key] = 1
-                    reached += 1
-                    nxt.append(tuple(image))
-        if not nxt:
-            break
-        depth += 1
-        frontier = nxt
-    if reached == n_vertices:
-        return DiameterResult(mu, True, depth, reached, n_vertices)
-    return DiameterResult(mu, False, None, reached, n_vertices)
 
 
 def _rank_partner(partner) -> int:

@@ -400,7 +400,7 @@ class GapReport:
         assert self.valency >= self.second_eig
 
 
-def gap_report(mu: Partition, table=None, force: bool = False) -> GapReport:
+def gap_report(mu: Partition, table=None) -> GapReport:
     """Assemble a GapReport from a complete table column when one is given,
     falling back to the closed-form families and then to the hook product.
 
@@ -423,9 +423,10 @@ def gap_report(mu: Partition, table=None, force: bool = False) -> GapReport:
     prefix = Partition([p for p in mu.parts if p > 1])
     if prefix.parts in _FAMILY_FORMS:
         try:
-            second, gap = family_second_eig(prefix, n, force=force)
-            tag = "closed-form" if n >= family_threshold(prefix) else "forced-closed-form"
-            return GapReport(n, mu, valency(mu), second, gap, (hook_row,), tag)
+            second, gap = family_second_eig(prefix, n)
+            return GapReport(
+                n, mu, valency(mu), second, gap, (hook_row,), "closed-form"
+            )
         except BelowFamilyThreshold:
             pass
     ell = n - prefix.n

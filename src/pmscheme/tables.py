@@ -9,7 +9,8 @@ small-integer combination separates the common eigenvectors, and each
 eigenvector row is read off componentwise).  The formula route fills
 whatever closed forms cover.  Cells never come from guessing: a row that
 cannot be matched to a unique eigenspace index is a hard error, and every
-built table passes ``_check_table`` or raises SchemeError.
+built table passes ``_check_table`` or raises SchemeError.  A complete table
+also gives the intersection numbers and the relation-graph diameters.
 """
 
 from __future__ import annotations
@@ -245,18 +246,23 @@ def build_table_oracle(
             for r in range(d)
         ]
         kernel = exactalg.kernel_basis(shifted)
-        assert len(kernel) == 1, "distinct roots must give one-dimensional kernels"
+        if len(kernel) != 1:
+            raise SchemeError(
+                f"root {tau} has a {len(kernel)}-dimensional kernel, want 1"
+            )
         u = kernel[0]
         j0 = next(i for i, x in enumerate(u) if x != 0)
         row = []
         for bm in bmats:
             phi = sum(Fraction(bm[j0][s]) * u[s] for s in range(d)) / u[j0]
-            assert phi.denominator == 1
+            if phi.denominator != 1:
+                raise SchemeError(f"non-integer eigenvalue {phi} at root {tau}")
             row.append(int(phi))
         mult = Fraction(n_points) / sum(
             Fraction(phi * phi, v) for phi, v in zip(row, data.valencies)
         )
-        assert mult.denominator == 1
+        if mult.denominator != 1:
+            raise SchemeError(f"non-integer multiplicity {mult} at root {tau}")
         eigenrows.append((row, int(mult)))
 
     assignment = _assign_rows(n, rels, eigenrows)
@@ -352,10 +358,11 @@ def build_table_formulas(
         mu = Partition(prefix.parts + (1,) * (n - prefix.n))
         for lam in rows:
             phi = eval_expr(expr, lam)
-            assert phi.denominator == 1
+            if phi.denominator != 1:
+                raise SchemeError(f"non-integer value {phi} at ({lam}, {mu})")
             existing = values.get((lam, mu))
-            if existing is not None:
-                assert existing == int(phi), f"formula clash at ({lam}, {mu})"
+            if existing is not None and existing != phi:
+                raise SchemeError(f"formula clash at ({lam}, {mu})")
             values[(lam, mu)] = int(phi)
         provenance[mu] = tag
     table = EigTable(n, values, provenance)
@@ -485,3 +492,83 @@ def gap_scan(table: EigTable) -> dict[Partition, int]:
         value, _ = second_largest(table, mu)
         out[mu] = valency(mu) - value
     return out
+
+
+def intersection_matrix(table: EigTable, mu: Partition) -> list[list[int]]:
+    """Intersection numbers of relation mu from a complete table.
+
+    Entry (c, i) is p^c_{i mu} = sum_lam f_lam phi(i) phi(mu) phi(c) /
+    ((2n-1)!! v_c) (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 2.2),
+    with relations indexed like ``IntersectionData.relations``, so the result
+    equals ``intersection_numbers(n).b_matrix(j)`` for mu = relations[j].
+    Raises SchemeError unless every entry is a nonnegative integer.
+    """
+    rels = table.rows  # the partitions of n in descending order
+    cols = [table.column(r) for r in rels]
+    weights = [f * phi for f, phi in zip(table.dims, table.column(mu))]
+    total = double_factorial(2 * table.n - 1)
+    out = []
+    for rel_c, col_c in zip(rels, cols):
+        scaled = [w * phi for w, phi in zip(weights, col_c)]
+        denom = total * valency(rel_c)
+        row = []
+        for rel_i, col_i in zip(rels, cols):
+            num = sum(s * phi for s, phi in zip(scaled, col_i))
+            if num < 0 or num % denom:
+                raise SchemeError(
+                    f"p^{rel_c}_({rel_i}, {mu}) = {Fraction(num, denom)} is not"
+                    " a nonnegative integer"
+                )
+            row.append(num // denom)
+        out.append(row)
+    return out
+
+
+class DiameterResult:
+    """Relation-graph diameter, or the matchings reached when disconnected."""
+
+    __slots__ = ("mu", "connected", "diameter", "reached", "n_vertices")
+
+    def __init__(self, mu, connected, diameter, reached, n_vertices):
+        self.mu = mu
+        self.connected = connected
+        self.diameter = diameter
+        self.reached = reached
+        self.n_vertices = n_vertices
+
+    def __repr__(self) -> str:
+        if self.connected:
+            return f"DiameterResult({self.mu}, diameter={self.diameter})"
+        return (
+            f"DiameterResult({self.mu}, disconnected, "
+            f"reached {self.reached} of {self.n_vertices})"
+        )
+
+
+def diameter(table: EigTable, mu: Partition) -> DiameterResult:
+    """Diameter of the relation graph of mu by BFS over relation classes.
+
+    The stabiliser of the base matching is transitive on each relation
+    class, so a class-c matching has a mu-neighbour in class i exactly when
+    p^c_{i mu} > 0, and the class distances are the graph distances from the
+    base matching.  The graph is vertex-transitive, so the largest of them
+    is the diameter.  ``reached`` counts matchings: the valencies of the
+    reached classes.
+    """
+    matrix = intersection_matrix(table, mu)
+    d = len(matrix)
+    dist = {d - 1: 0}  # the identity class [1^n] is last
+    frontier = [d - 1]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i, count in enumerate(matrix[c]):
+                if count > 0 and i not in dist:
+                    dist[i] = dist[c] + 1
+                    nxt.append(i)
+        frontier = nxt
+    reached = sum(valency(table.rows[i]) for i in dist)
+    n_vertices = double_factorial(2 * table.n - 1)
+    if len(dist) == d:
+        return DiameterResult(mu, True, max(dist.values()), reached, n_vertices)
+    return DiameterResult(mu, False, None, reached, n_vertices)

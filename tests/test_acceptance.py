@@ -248,7 +248,7 @@ def test_c10_delta_closed_forms():
 
 def test_c11_diameter_and_gap_scan(oracle_table):
     for n in range(3, 7):
-        res = diameter(P([2] + [1] * (n - 2)))
+        res = diameter(oracle_table(n), P([2] + [1] * (n - 2)))
         assert res.connected and res.diameter == n - 1
     for n in (5, 6, 7):
         gaps = gap_scan(oracle_table(n))

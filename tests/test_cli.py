@@ -114,12 +114,26 @@ def test_gap_command(run):
     assert code == 2 and "disagrees" in err
 
 
+def test_gap_below_family_threshold_reads_the_table(run):
+    for mu, gap in (("[2,2]", 5), ("[3,2,1]", 840), ("[5]", 360)):
+        code, out, err = run("gap", "--mu", mu, "--verbose")
+        assert code == 0 and out == f"{gap}\n", mu
+        assert "source: table" in err
+    code, _, _ = run("gap", "--mu", "[2,2]", "--force")
+    assert code == 2
+
+
 def test_diameter_command(run):
     code, out, _ = run("diameter", "--mu", "[2,1^3]")
     assert code == 0 and out.strip() == "4"
     code, out, _ = run("diameter", "--mu", "[1^4]")
-    assert code == 0 and out.startswith("disconnected")
-    code, _, err = run("diameter", "--mu", "[2,1^9]")
+    assert code == 0 and out == "disconnected (reached 1 of 105)\n"
+    code, out, _ = run("diameter", "--mu", "[2,1^9]")
+    assert code == 0 and out.strip() == "10"
+    code, out, err = run("diameter", "--mu", "[2,1^13]")
+    assert code == 2 and out == ""
+    assert "guard" in err and "()" not in err
+    code, _, _ = run("diameter", "--mu", "[1]")
     assert code == 2
 
 
@@ -144,6 +158,9 @@ def test_scan_with_diameters(run):
     code, out, _ = run("scan", "--n", "5", "--with-diameters")
     assert code == 0
     assert "largest diameter: [2,1,1,1] (4)" in out
+    code, out, err = run("scan", "--n", "6", "--with-diameters")
+    assert code == 0 and err == ""
+    assert "largest diameter: [2,1,1,1,1] (5)" in out
 
 
 def test_byte_identical_runs(run):
@@ -238,3 +255,42 @@ def test_verify_scheme_axioms_n5(run):
     code, out, _ = run("verify", "scheme-axioms", "--n", "5")
     assert code == 0
     assert out.startswith("scheme axioms n=5: PASS (structure constants ok")
+
+
+def test_unwritable_data_dir_answers_from_built_table(tmp_path, capsys):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    code = main(["--data-dir", str(blocker), "table", "--n", "4", "--format", "csv"])
+    out = capsys.readouterr()
+    assert code == 0 and out.out == _golden(4)
+    assert out.err.startswith("note: table for n=4 not cached")
+
+
+def test_unwritable_out_exits_2(run, tmp_path):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    code, out, err = run("table", "--n", "3", "--out", str(blocker / "t3.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out")
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: text.replace('"table"', '"tabel"'),
+    ],
+    ids=["truncated", "missing-key"],
+)
+def test_unparsable_cache_is_rebuilt(run, damage):
+    code, _, _ = run("table", "--n", "4", "--format", "csv")
+    path = os.path.join(run.data_dir, f"table_n4_v{__version__}.json")
+    with open(path) as fh:
+        good = fh.read()
+    with open(path, "w") as fh:
+        fh.write(damage(good))
+    code, out, err = run("table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == _golden(4)
+    assert err.startswith("note: rebuilding unreadable cache")
+    with open(path) as fh:
+        assert fh.read() == good

@@ -6,6 +6,7 @@ from pmscheme import (
     Matching,
     Partition,
     base_matching,
+    build_table_zonal,
     degree_count,
     degree_histogram,
     diameter,
@@ -170,29 +171,30 @@ def test_quotient_equitability_sampled():
 
 
 def test_diameter_flip_graph():
-    for n in range(3, 6):
-        res = diameter(P([2] + [1] * (n - 2)))
+    # table-derived: tables.diameter on the zonal table
+    for n in range(3, 13):
+        res = diameter(build_table_zonal(n), P([2] + [1] * (n - 2)))
         assert res.connected and res.diameter == n - 1
 
 
 def test_diameter_identity_disconnected():
-    res = diameter(P([1, 1, 1, 1]))
+    res = diameter(build_table_zonal(4), P([1, 1, 1, 1]))
     assert not res.connected
     assert res.reached == 1
     assert res.n_vertices == 105
 
 
 def test_diameter_other_relations():
-    assert diameter(P([2, 2])).diameter == 3
-    assert diameter(P([4])).diameter == 2
-    assert diameter(P([3, 1])).diameter == 2
+    table = build_table_zonal(4)
+    assert diameter(table, P([2, 2])).diameter == 3
+    assert diameter(table, P([4])).diameter == 2
+    assert diameter(table, P([3, 1])).diameter == 2
 
 
 def test_diameter_guard():
+    # the only limit is the zonal table's guard
     with pytest.raises(GuardExceeded):
-        diameter(P([2] + [1] * 8))
-    with pytest.raises(GuardExceeded):
-        diameter(P([2, 1, 1]), max_n=3)
+        diameter(build_table_zonal(15), P([2] + [1] * 13))
 
 
 def test_enumerating_helpers_are_guarded():

@@ -222,8 +222,8 @@ def test_gap_report_sources(oracle_table):
     assert rep.source == "closed-form"
     rep = gap_report(P([6, 1]))
     assert rep.gap == 24960 and rep.source == "conjectured-hook"
-    rep = gap_report(P([3, 2]), force=True)
-    assert rep.source == "forced-closed-form"
+    with pytest.raises(ValueError):
+        gap_report(P([3, 2]))  # below the family threshold, no table given
     rep = gap_report(P([2, 2]), table=oracle_table(4))
     assert rep.gap == 5 and rep.witness_rows == (P([2, 2]),) and rep.source == "table"
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from pmscheme import (
     double_factorial,
     gap_scan,
     generate_partitions,
+    intersection_matrix,
     second_largest,
     second_largest_abs,
     trace_identity_check,
@@ -23,7 +24,7 @@ from pmscheme import (
     verify_conjecture,
     verify_structure_constants,
 )
-from pmscheme.errors import GuardExceeded, IncompleteTable
+from pmscheme.errors import GuardExceeded, IncompleteTable, SchemeError
 
 P = Partition
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -247,3 +248,50 @@ def test_check_table_refuses_under_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("refused: trace identity fails at [2]")
+
+
+_FORMULA_CLASH = """
+from pmscheme import Partition, build_table_formulas, e_catalog
+from pmscheme.errors import SchemeError
+
+try:
+    build_table_formulas(5, extra={Partition([2]): e_catalog(Partition([3]))})
+except SchemeError as exc:
+    print("refused:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_formula_clash_refused_under_python_O():
+    # an extra expression disagreeing with a catalog column must not
+    # overwrite it, also when asserts are stripped
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _FORMULA_CLASH],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("refused: formula clash at ([5], [2,1,1,1])")
+
+
+def test_intersection_matrix_matches_brute_force(idata):
+    for n in range(2, 7):
+        table = build_table_zonal(n)
+        data = idata(n)
+        for j, mu in enumerate(data.relations):
+            assert intersection_matrix(table, mu) == data.b_matrix(j), (n, mu)
+
+
+def test_intersection_matrix_refuses_a_changed_cell():
+    table = build_table_zonal(4)
+    for r in range(len(table.rows)):
+        for c in range(len(table.columns)):
+            obj = table.to_json_obj()
+            obj["values"][r][c] += 1
+            with pytest.raises(SchemeError):
+                intersection_matrix(EigTable.from_json_obj(obj), P([2, 1, 1]))
