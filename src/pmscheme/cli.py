@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import AmbiguousRowAssignment, GuardExceeded, SchemeError
-from .matchings import (
-    DEFAULT_ORACLE_MAX_N,
-    double_factorial,
-    intersection_numbers,
-)
+from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
 from .ratios import all_merges, gap_ratio_report, tau_ratio, valency_ratio
 from .spectra import (
@@ -66,7 +62,6 @@ class Config:
             os.environ.get("PMSCHEME_MAX_ORACLE_N", DEFAULT_ORACLE_MAX_N)
         )
     )
-    fmt: str = "pretty"
     seed: int = 0
 
     def __post_init__(self):
@@ -149,29 +144,24 @@ def _parse_prefix(text: str) -> Partition:
     return Partition(int(x) for x in text.split(","))
 
 
+def _guard_error(exc: GuardExceeded) -> str:
+    """The refusal line, with the guard's cost estimate when it has one."""
+    return f"error: {exc} ({exc.estimate})" if exc.estimate else f"error: {exc}"
+
+
 def cmd_table(args, config: Config) -> int:
     n = args.n
     if n < 2:
         print(f"error: tables need n >= 2, got {n}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    if args.source == "oracle" and n > config.max_oracle_n:
-        est = double_factorial(2 * n - 1)
-        print(
-            f"error: oracle table for n={n} exceeds the guard"
-            f" (max_oracle_n={config.max_oracle_n});"
-            f" it would classify {est} matchings"
-            f" ({est * len(generate_partitions(n))} relation computations)."
-            " Raise --max-oracle-n to override.",
-            file=sys.stderr,
-        )
-        return EXIT_UNSUPPORTED
     try:
         table = _build_table(config, n, args.source)
     except GuardExceeded as exc:
-        hint = ""
-        if args.source != "oracle":
+        if args.source == "oracle":
+            hint = "; raise --max-oracle-n to override"
+        else:
             hint = "; --source formulas prints the closed-form cells"
-        print(f"error: {exc}{hint}", file=sys.stderr)
+        print(_guard_error(exc) + hint, file=sys.stderr)
         return EXIT_UNSUPPORTED
     except AmbiguousRowAssignment as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -181,7 +171,7 @@ def cmd_table(args, config: Config) -> int:
             f"note: table for n={n} is partial (closed-form cells only)",
             file=sys.stderr,
         )
-    text = _render(table, args.format or config.fmt)
+    text = _render(table, args.format)
     if not args.out:
         sys.stdout.write(text)
         return EXIT_PASS
@@ -280,7 +270,7 @@ def cmd_verify(args, config: Config) -> int:
             )
             return EXIT_PASS if ok else EXIT_FAIL
     except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_guard_error(exc), file=sys.stderr)
         return EXIT_UNSUPPORTED
     except AmbiguousRowAssignment as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -423,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=f"auto and zonal: the full zonal table (n <= {DEFAULT_ZONAL_MAX_N})",
     )
-    p_table.add_argument("--format", choices=("csv", "json", "pretty"))
+    p_table.add_argument(
+        "--format", choices=("csv", "json", "pretty"), default="pretty"
+    )
     p_table.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="run a verification")

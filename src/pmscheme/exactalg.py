@@ -2,14 +2,15 @@
 
 Small dense systems only (dimension <= number of partitions of n, so a few
 dozen); everything uses Fraction / int arithmetic, no floating point.
+Characteristic polynomials come from Faddeev-LeVerrier and their integer
+roots from a Newton descent in integers; neither divides inexactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .errors import FitInconsistent, FitUnderdetermined
+from .errors import FitInconsistent, FitUnderdetermined, SchemeError
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -99,7 +100,8 @@ def charpoly(mat: list[list[int]]) -> list[int]:
                 m[i][i] += c
             m = _mat_mul(mat, m)
         tr = sum(m[i][i] for i in range(d))
-        assert tr % k == 0
+        if tr % k:
+            raise SchemeError(f"trace {tr} of step {k} is not divisible by {k}")
         c = -tr // k
         coeffs[d - k] = c
     return coeffs
@@ -118,76 +120,37 @@ def poly_eval(coeffs: list[int], x: int) -> int:
     return out
 
 
-def _poly_derivative(coeffs: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _poly_divmod_q(num: list[Fraction], den: list[Fraction]):
-    num = num[:]
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(x != 0 for x in num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        f = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        q[shift] = f
-        for i, dc in enumerate(den):
-            num[shift + i] -= f * dc
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = a[:], b[:]
-    while b and any(x != 0 for x in b):
-        _, r = _poly_divmod_q(a, b)
-        a, b = b, r
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def squarefree_part(coeffs: list[int]) -> list[int]:
-    """p / gcd(p, p') for a monic integer polynomial; result is monic integer."""
-    fr = [Fraction(c) for c in coeffs]
-    dr = [Fraction(c) for c in _poly_derivative(coeffs)]
-    g = _poly_gcd_q(fr, dr)
-    q, rem = _poly_divmod_q(fr, g)
-    assert not rem
-    den_lcm = 1
-    for x in q:
-        den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
-    assert den_lcm == 1, "monic rational divisor of a monic integer poly is integral"
-    return [int(x) for x in q]
-
-
 def distinct_integer_roots(coeffs: list[int], bound: int) -> list[int] | None:
-    """All roots of a monic integer polynomial, if it splits into distinct
-    integer roots with |root| <= bound; None otherwise.
+    """All roots of a monic integer polynomial, ascending, if it splits into
+    distinct integer roots with |root| <= bound; None otherwise.
 
-    Candidates are pre-filtered by divisibility of the constant term of the
-    squarefree part, so the scan over [-bound, bound] is a cheap mod per value.
+    Integer Newton descent from bound + 1: above the largest root of a
+    polynomial with only real roots p > 0 and p' > 0, and x - ceil(p/p')
+    never steps past an integer root.  Each root found is divided out by
+    synthetic division and the descent resumes from it on the quotient.
+    Meeting p < 0 or p' <= 0 (a repeated root has p' = 0), a root above
+    bound, or a step below -bound means the polynomial does not split so.
     """
-    deg = len(coeffs) - 1
-    sf = squarefree_part(coeffs)
-    if len(sf) - 1 != deg:
-        return None  # repeated eigenvalue; caller retries
-    roots = []
-    work = sf
-    if work[0] == 0:
-        roots.append(0)
-        work = work[1:]
-        assert work[0] != 0  # squarefree, so x divides at most once
-    const = work[0]
-    for r in range(-bound, bound + 1):
-        if r == 0 or const % r != 0:
+    roots: list[int] = []
+    work = coeffs
+    x = bound + 1
+    while len(work) > 1:
+        p = dp = 0
+        for c in reversed(work):
+            dp = dp * x + p
+            p = p * x + c
+        if p < 0 or dp <= 0:
+            return None
+        if p == 0:
+            if x > bound:
+                return None
+            roots.append(x)
+            quotient = [work[-1]]
+            for c in reversed(work[1:-1]):
+                quotient.append(quotient[-1] * x + c)
+            work = quotient[::-1]
             continue
-        if poly_eval(work, r) == 0:
-            roots.append(r)
-    if len(roots) != deg:
-        return None
-    roots.sort()
-    return roots
+        x -= -(-p // dp)
+        if x < -bound:
+            return None
+    return roots[::-1]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, Iterator
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, SchemeError
 from .partitions import (
     CycleType,
     Partition,
@@ -248,7 +248,8 @@ def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> Intersect
     reps = [representative(mu) for mu in relations]
     base = _base_partner(n)
     for mu, rep in zip(relations, reps):
-        assert _relation_parts(base, rep.partner) == mu.parts
+        if _relation_parts(base, rep.partner) != mu.parts:
+            raise SchemeError(f"representative {rep} is not in relation {mu}")
     rep_partners = [rep.partner for rep in reps]
     p = [[[0] * d for _ in range(d)] for _ in range(d)]
     for r in _iter_partners(n):
@@ -259,7 +260,8 @@ def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> Intersect
     valencies = [sum(p[0][i]) for i in range(d)]
     for k in range(d):
         for i in range(d):
-            assert sum(p[k][i]) == valencies[i], "row sums must be valencies"
+            if sum(p[k][i]) != valencies[i]:
+                raise SchemeError(f"row sum p[{k}][{i}] is not the valency")
     return IntersectionData(n, relations, reps, p, valencies)
 
 

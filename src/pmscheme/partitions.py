@@ -13,6 +13,8 @@ from functools import cache
 from math import factorial
 from typing import Iterable, Iterator
 
+from .errors import SchemeError
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers.
@@ -253,7 +255,8 @@ def frobenius_dim(lam: Partition) -> int:
     den = 1
     for e in ells:
         den *= factorial(e)
-    assert num % den == 0
+    if num % den:
+        raise SchemeError(f"Frobenius formula gives a non-integer dimension for {lam}")
     return num // den
 
 
@@ -266,9 +269,11 @@ def dim_hook(lam: Partition) -> int:
     shape = lam.double()
     num = factorial(shape.n)
     den = _hook_product(shape)
-    assert num % den == 0
+    if num % den:
+        raise SchemeError(f"hook formula gives a non-integer dimension for {lam}")
     f = num // den
-    assert f == frobenius_dim(lam)
+    if f != frobenius_dim(lam):
+        raise SchemeError(f"hook and Frobenius dimensions of {lam} disagree")
     return f
 
 
@@ -311,6 +316,16 @@ def irr_char(shape: Partition, cycle_type: Partition) -> int:
         )
     cycles = tuple(sorted(cycle_type.parts, reverse=True))
     return _mn_char(shape.parts, cycles)
+
+
+def z2(mu: Partition) -> int:
+    """z_mu 2^len(mu) = prod of m! (2 v)^m over the part values v of mu with
+    multiplicity m: the norm of p_mu under the zonal inner product, and
+    2^n n! / valency(mu)."""
+    out = 1
+    for value, m in mu.multiplicities().items():
+        out *= factorial(m) * (2 * value) ** m
+    return out
 
 
 def double_factorial(m: int) -> int:

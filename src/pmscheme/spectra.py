@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, SchemeError
 from .matchings import base_matching, relation, representative
 from .partitions import (
     Partition,
@@ -20,19 +20,18 @@ from .partitions import (
     generate_partitions,
     irr_char,
     successors,
+    z2,
 )
 from .symfunc import delta_eval, e_catalog, eval_expr
 
 
 def valency(mu: Partition) -> int:
-    """Degree of the relation graph of mu: 2^n n! over the product of
-    m_i! (2 mu_i)^(m_i) across distinct part values."""
+    """Degree of the relation graph of mu: 2^n n! over z2(mu), the product
+    of m_i! (2 mu_i)^(m_i) across distinct part values."""
     n = mu.n
     if n < 1:
         raise ValueError("valency needs a partition of n >= 1")
-    den = 1
-    for value, m in mu.multiplicities().items():
-        den *= factorial(m) * (2 * value) ** m
+    den = z2(mu)
     num = 2**n * factorial(n)
     assert num % den == 0
     return num // den
@@ -135,11 +134,14 @@ def family_second_eig(
     if n < threshold and not force:
         raise BelowFamilyThreshold(prefix, n, threshold)
     second, gap = second_f(n), gap_f(n)
-    assert second.denominator == 1 and gap.denominator == 1
+    if second.denominator != 1 or gap.denominator != 1:
+        raise SchemeError(f"family {prefix} closed form is not integral at n={n}")
     second, gap = int(second), int(gap)
     mu = FamilySpec(prefix).mu(n)
-    assert second == phi_n11(mu)
-    assert gap == valency(mu) - second
+    if second != phi_n11(mu):
+        raise SchemeError(f"family {prefix} second eigenvalue misses phi_n11 at n={n}")
+    if gap != valency(mu) - second:
+        raise SchemeError(f"family {prefix} gap misses valency - second at n={n}")
     return second, gap
 
 
@@ -157,16 +159,13 @@ def hook_gap(n: int, ell: int) -> int:
     Verified on the spot against the counting closed forms for the quotient
     blocks and against valency - phi_n11.
     """
-    if not 1 <= ell <= n - 2:
-        raise ValueError(f"hook [n-ell, 1^ell] needs 1 <= ell <= n-2, got ell={ell}")
+    a, b = hook_quotient_closed_forms(n, ell)
     out = 2 * n - 1
     e = 2 * n - 4
     while e >= 2 * ell + 2:
         out *= e
         e -= 2
     mu = Partition((n - ell,) + (1,) * ell)
-    a = comb(n - 1, ell - 1) * double_factorial(2 * n - 2 * ell - 2)
-    b = comb(n - 2, ell) * double_factorial(2 * n - 2 * ell - 4)
     v = valency(mu)
     assert v == comb(n, ell) * double_factorial(2 * n - 2 * ell - 2)
     assert out == v - (a - b)
@@ -218,10 +217,7 @@ def degbou(mu: Partition) -> DimensionBound:
     """Dimension bound for eigenspaces whose eigenvalue is at least the one
     on [n-1,1] in absolute value."""
     n = mu.n
-    prod = 1
-    for value, m in mu.multiplicities().items():
-        prod *= factorial(m) * (2 * value) ** m
-    coeff = 4 * prod
+    coeff = 4 * z2(mu)
     scale = 10**6
     root = isqrt(n**3 * scale * scale)
     if root * root < n**3 * scale * scale:
@@ -396,8 +392,10 @@ class GapReport:
     source: str
 
     def __post_init__(self):
-        assert self.gap == self.valency - self.second_eig
-        assert self.valency >= self.second_eig
+        if self.gap != self.valency - self.second_eig:
+            raise SchemeError(f"gap of {self.mu} is not valency - second eigenvalue")
+        if self.valency < self.second_eig:
+            raise SchemeError(f"second eigenvalue of {self.mu} exceeds the valency")
 
 
 def gap_report(mu: Partition, table=None) -> GapReport:

@@ -26,6 +26,7 @@ from .partitions import (
     dominance_compare,
     generate_partitions,
     successors,
+    z2,
 )
 
 
@@ -495,16 +496,6 @@ def _merge_counts(parts_list: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return [[count(rho, mu) for mu in parts_list] for rho in parts_list]
 
 
-def _z(parts: tuple[int, ...]) -> int:
-    """z_rho = prod_i i^(m_i) m_i!, the centralizer order of cycle type rho."""
-    out = 1
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-        out *= p * mult[p]
-    return out
-
-
 def _jack_scale(lam: Partition) -> int:
     """prod over boxes s of (2 a(s) + l(s) + 1): J_lam^(2) over P_lam^(2)."""
     conj = lam.conjugate().parts
@@ -531,7 +522,7 @@ def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
     parts_list = [lam.parts for lam in lams]
     size = len(parts_list)
     merges = _merge_counts(parts_list)
-    weights = [_z(rho) * 2 ** len(rho) for rho in parts_list]
+    weights = [z2(lam) for lam in lams]
 
     # m_lam = mono[i] / mono_den[i]; R is lower triangular in canonical order.
     mono: list[list[int]] = []

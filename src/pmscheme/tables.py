@@ -3,14 +3,15 @@
 The zonal route is the production engine: the entry on eigenspace lam and
 relation mu is the coefficient of p_mu in the zonal polynomial J_lam^(2),
 computed exactly in ``symfunc``.  The oracle route is the independent
-check: it recovers every eigenvalue from the brute-force intersection
-numbers of the scheme (the intersection matrices commute, a random
-small-integer combination separates the common eigenvectors, and each
-eigenvector row is read off componentwise).  The formula route fills
-whatever closed forms cover.  Cells never come from guessing: a row that
-cannot be matched to a unique eigenspace index is a hard error, and every
-built table passes ``_check_table`` or raises SchemeError.  A complete table
-also gives the intersection numbers and the relation-graph diameters.
+check and needs only the brute-force intersection numbers of the scheme:
+every table row is a left eigenvector of each intersection matrix, so a
+random small-integer combination with distinct integer eigenvalues has the
+rows as its one-dimensional left kernels, and each row is labelled by its
+multiplicity and its flip entry.  The formula route fills whatever closed
+forms cover.  Cells never come from guessing: a row that cannot be matched
+to a unique eigenspace index is a hard error, and every built table passes
+``_check_table`` or raises SchemeError.  A complete table also gives the
+intersection numbers and the relation-graph diameters.
 """
 
 from __future__ import annotations
@@ -205,12 +206,16 @@ def build_table_oracle(
 ) -> EigTable:
     """Full eigenvalue table from the brute-force intersection numbers.
 
-    A random combination B of the intersection matrices is formed with
-    small seeded coefficients; its characteristic polynomial must split into
-    distinct integer roots (fresh coefficients otherwise).  Each root's exact
-    kernel vector carries every eigenvalue; rows are matched to eigenspace
-    indices by dimension, with exact catalog predictions breaking ties.
+    phi_i phi_j = sum_k p^k_ij phi_k makes every table row a left
+    eigenvector of each intersection matrix B_i, with eigenvalue phi_i.  A
+    combination C of the B_i with small seeded coefficients must have a
+    characteristic polynomial with distinct integer roots (fresh
+    coefficients otherwise); the row of root tau is then the kernel of
+    (C - tau I)^T, scaled to 1 at the identity relation [1^n].  Rows are
+    matched to eigenspace indices by dimension and flip eigenvalue.
     """
+    if n < 2:
+        raise ValueError("tables need n >= 2")
     if data is None:
         data = (
             intersection_numbers(n)
@@ -225,11 +230,12 @@ def build_table_oracle(
     roots = None
     for _ in range(_MAX_COMBO_ATTEMPTS):
         coeffs = [rng.randint(-9, 9) for _ in range(d)]
-        combo = [
-            [sum(c * bm[r][s] for c, bm in zip(coeffs, bmats)) for s in range(d)]
+        # the transpose of C = sum_i c_i B_i
+        combo_t = [
+            [sum(c * bm[s][r] for c, bm in zip(coeffs, bmats)) for s in range(d)]
             for r in range(d)
         ]
-        poly = exactalg.charpoly(combo)
+        poly = exactalg.charpoly(combo_t)
         roots = exactalg.distinct_integer_roots(poly, bound)
         if roots is not None:
             break
@@ -242,7 +248,7 @@ def build_table_oracle(
     eigenrows: list[tuple[list[int], int]] = []
     for tau in roots:
         shifted = [
-            [Fraction(combo[r][s] - (tau if r == s else 0)) for s in range(d)]
+            [Fraction(combo_t[r][s] - (tau if r == s else 0)) for s in range(d)]
             for r in range(d)
         ]
         kernel = exactalg.kernel_basis(shifted)
@@ -251,13 +257,12 @@ def build_table_oracle(
                 f"root {tau} has a {len(kernel)}-dimensional kernel, want 1"
             )
         u = kernel[0]
-        j0 = next(i for i, x in enumerate(u) if x != 0)
-        row = []
-        for bm in bmats:
-            phi = sum(Fraction(bm[j0][s]) * u[s] for s in range(d)) / u[j0]
-            if phi.denominator != 1:
-                raise SchemeError(f"non-integer eigenvalue {phi} at root {tau}")
-            row.append(int(phi))
+        if u[-1] == 0:
+            raise SchemeError(f"root {tau} has a row vanishing at [1^n]")
+        row = [x / u[-1] for x in u]
+        if any(phi.denominator != 1 for phi in row):
+            raise SchemeError(f"non-integer eigenvalue in {row} at root {tau}")
+        row = [int(phi) for phi in row]
         mult = Fraction(n_points) / sum(
             Fraction(phi * phi, v) for phi, v in zip(row, data.valencies)
         )
@@ -275,6 +280,13 @@ def build_table_oracle(
     return table
 
 
+def _flip_eigenvalue(lam: Partition) -> int:
+    """sum_i lam_i (lam_i - i): the eigenvalue of the flip relation
+    [2,1^(n-2)] on eigenspace lam (Diaconis and Holmes, Random walks on
+    trees and matchings, 2002)."""
+    return sum(part * (part - i) for i, part in enumerate(lam.parts, start=1))
+
+
 def _assign_rows(
     n: int,
     rels: list[Partition],
@@ -282,31 +294,22 @@ def _assign_rows(
 ) -> dict[Partition, list[int]]:
     """Match eigenvector rows to eigenspace indices.
 
-    Dimension decides when unique; otherwise the exact values predicted on
-    the catalog columns with prefixes [2] and [3] must single out one
-    candidate, and anything still ambiguous is a hard error.
+    A row's multiplicity and flip entry must equal (dim_hook(lam),
+    _flip_eigenvalue(lam)) for exactly one lam, which no other row took;
+    these keys tell every lam apart for n <= 14.  Anything else is a hard
+    error.
     """
-    tie_cols: list[tuple[int, PowerSumExpr]] = []
-    for prefix in (Partition((2,)), Partition((3,))):
-        if prefix.n <= n:
-            mu = Partition(prefix.parts + (1,) * (n - prefix.n))
-            if mu in rels:
-                tie_cols.append((rels.index(mu), e_catalog(prefix)))
+    flip = rels.index(Partition((2,) + (1,) * (n - 2)))
+    by_key: dict[tuple[int, int], list[Partition]] = {}
+    for lam in generate_partitions(n):
+        by_key.setdefault((dim_hook(lam), _flip_eigenvalue(lam)), []).append(lam)
     out: dict[Partition, list[int]] = {}
     for row, mult in eigenrows:
-        candidates = [lam for lam in generate_partitions(n) if dim_hook(lam) == mult]
-        if len(candidates) > 1:
-            filtered = []
-            for lam in candidates:
-                if all(
-                    eval_expr(expr, lam) == row[idx] for idx, expr in tie_cols
-                ):
-                    filtered.append(lam)
-            candidates = filtered
+        candidates = by_key.get((mult, row[flip]), [])
         if len(candidates) != 1:
             raise AmbiguousRowAssignment(
-                f"eigenvector row with multiplicity {mult} matches "
-                f"{len(candidates)} eigenspace indices",
+                f"eigenvector row with multiplicity {mult} and flip entry"
+                f" {row[flip]} matches {len(candidates)} eigenspace indices",
                 candidates=candidates,
             )
         lam = candidates[0]

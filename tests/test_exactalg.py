@@ -10,7 +10,6 @@ from pmscheme.exactalg import (
     kernel_basis,
     poly_eval,
     solve_unique,
-    squarefree_part,
 )
 
 F = Fraction
@@ -34,16 +33,70 @@ def test_charpoly_matches_root_products():
             assert poly_eval(poly, r) == 0
 
 
+def _from_roots(roots):
+    """Ascending coefficients of the monic polynomial prod (x - r)."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def _roots_by_scan(coeffs, bound):
+    # a monic polynomial of degree d with d distinct integer roots is their product
+    roots = [x for x in range(-bound, bound + 1) if poly_eval(coeffs, x) == 0]
+    return roots if len(roots) == len(coeffs) - 1 else None
+
+
 def test_squarefree_and_roots():
     # (x-1)^2 (x+3) = x^3 + x^2 - 5x + 3
     poly = [3, -5, 1, 1]
-    assert squarefree_part(poly) == [-3, 2, 1]  # (x-1)(x+3)
     assert distinct_integer_roots(poly, 10) is None  # repeated root rejected
     # (x-2)(x+1)x = x^3 - x^2 - 2x
     assert distinct_integer_roots([0, -2, -1, 1], 5) == [-1, 0, 2]
     assert distinct_integer_roots([-2, -1, 1], 5) == [-1, 2]
     # irreducible over the integers
     assert distinct_integer_roots([1, 0, 1], 5) is None
+    # a root at bound + 1, where the descent starts, and one at -bound - 1
+    assert distinct_integer_roots(_from_roots([6, -1]), 5) is None
+    assert distinct_integer_roots(_from_roots([6, -1]), 6) == [-1, 6]
+    assert distinct_integer_roots(_from_roots([-6, 1]), 5) is None
+    assert distinct_integer_roots(_from_roots([-6, 1]), 6) == [-6, 1]
+    assert distinct_integer_roots(_from_roots([5, -5]), 5) == [-5, 5]
+    # repeated largest root, repeated inner root, double zero root
+    assert distinct_integer_roots(_from_roots([3, 3, -1]), 10) is None
+    assert distinct_integer_roots(_from_roots([4, 1, 1, -2]), 10) is None
+    assert distinct_integer_roots(_from_roots([0, 0, 2]), 10) is None
+    assert distinct_integer_roots(_from_roots([0, 2]), 10) == [0, 2]
+    # no real roots; real but not integer; a non-real pair beside integer roots
+    assert distinct_integer_roots([7, 0, 3, 0, 1], 50) is None
+    assert distinct_integer_roots([-2, 0, 1], 50) is None
+    # (x^2 + 1)(x - 2)(x + 3)
+    assert distinct_integer_roots([-6, 1, -5, 1, 1], 50) is None
+    assert distinct_integer_roots([1], 3) == []
+    assert distinct_integer_roots([-7, 1], 1000) == [7]
+
+
+def test_newton_roots_fuzz_against_scan():
+    rng = random.Random(20021)
+    bound = 12
+    found = 0
+    for _ in range(12000):
+        kind = rng.randrange(3)
+        if kind == 2:
+            coeffs = [rng.randint(-40, 40) for _ in range(rng.randint(0, 5))] + [1]
+        else:
+            degree = rng.randint(1, 6)
+            roots = [rng.randint(-bound - 2, bound + 2) for _ in range(degree)]
+            if rng.random() < 0.3:
+                roots.append(rng.choice(roots))
+            coeffs = _from_roots(roots)
+            if kind == 1:
+                i = rng.randrange(len(coeffs) - 1)
+                coeffs[i] += rng.choice((-2, -1, 1, 2))
+        got = distinct_integer_roots(coeffs, bound)
+        assert got == _roots_by_scan(coeffs, bound), coeffs
+        found += got is not None
+    assert found > 2000  # the fuzz reaches the success path often
 
 
 def test_solve_unique_and_errors():

@@ -12,6 +12,7 @@ from pmscheme import (
     build_table_oracle,
     build_table_zonal,
     derangement_spectrum,
+    dim_hook,
     double_factorial,
     gap_scan,
     generate_partitions,
@@ -50,9 +51,13 @@ def test_oracle_matches_transcription(oracle_table):
             assert got_dim == dim
 
 
-def test_oracle_csv_bytes(oracle_table):
+def test_oracle_csv_bytes(oracle_table, idata):
     for n in range(2, 6):
         assert oracle_table(n).to_csv_text() == _golden_csv(n)
+    for n in range(2, 8):
+        for seed in (1, 2, 3):
+            table = build_table_oracle(n, seed=seed, data=idata(n))
+            assert table.to_csv_text() == _golden_csv(n), (n, seed)
 
 
 def test_oracle_deterministic_and_seed_independent(idata):
@@ -167,8 +172,42 @@ def test_row_assignment_ambiguity_is_hard_error():
         _assign_rows(2, rels, [([1, 2], 7)])
     assert exc.value.candidates == ()
     # two rows claiming the same eigenspace index
-    with pytest.raises(AmbiguousRowAssignment):
-        _assign_rows(2, rels, [([1, 2], 1), ([1, 2], 1)])
+    with pytest.raises(AmbiguousRowAssignment, match="two eigenvector rows"):
+        _assign_rows(2, rels, [([2, 1], 1), ([2, 1], 1)])
+
+
+def test_row_assignment_refuses_a_wrong_flip_entry():
+    from pmscheme.errors import AmbiguousRowAssignment
+    from pmscheme.tables import _assign_rows
+
+    table = build_table_zonal(4)
+    rels = list(reversed(table.columns))
+    eigenrows = [
+        ([table.value(lam, mu) for mu in rels], dim)
+        for lam, dim in zip(table.rows, table.dims)
+    ]
+    assert list(_assign_rows(4, rels, eigenrows)) == table.rows
+    flip = rels.index(P([2, 1, 1]))
+    # flip entries 12, 5, 2, -1, -6; [2,2] and [1^4] both have dimension 14,
+    # so -6 on the [2,2] row takes the [1^4] label a second time
+    cases = ((P([2, 2]), 5), (P([2, 2]), 3), (P([2, 2]), -6), (P([1, 1, 1, 1]), -5))
+    for lam, wrong in cases:
+        rows = [(row[:], dim) for row, dim in eigenrows]
+        row = rows[table.rows.index(lam)][0]
+        assert row[flip] != wrong
+        row[flip] = wrong
+        with pytest.raises(AmbiguousRowAssignment):
+            _assign_rows(4, rels, rows)
+
+
+def test_row_keys_are_distinct_and_give_the_flip_column():
+    from pmscheme.tables import _flip_eigenvalue
+
+    for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
+        table = build_table_zonal(n)
+        keys = [(dim_hook(lam), _flip_eigenvalue(lam)) for lam in table.rows]
+        assert len(set(keys)) == len(keys), n
+        assert [flip for _, flip in keys] == table.column(P([2] + [1] * (n - 2)))
 
 
 def test_gap_scan_picks_flip_family(oracle_table):

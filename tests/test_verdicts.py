@@ -1,0 +1,82 @@
+"""Checks that carry verdicts raise SchemeError; none is a bare assert.
+
+``python -O`` strips assert statements, so a verdict resting on one would
+silently pass there.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+
+
+def test_no_assert_in_oracle_modules():
+    for name in ("exactalg", "matchings", "tables", "partitions"):
+        path = os.path.join(SRC, "pmscheme", f"{name}.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{name}.py has assert statements at lines {lines}"
+
+
+_DOCTORED_VERDICTS = """
+from fractions import Fraction
+
+from pmscheme import Partition, matchings, partitions, spectra
+from pmscheme.errors import SchemeError
+from pmscheme.exactalg import charpoly
+
+P = Partition
+real_representative = matchings.representative
+
+
+def wrong_representative(mu):
+    return real_representative(P([1] * mu.n) if mu.parts[0] > 1 else P([mu.n]))
+
+
+def wrong_frobenius(lam):
+    return 0
+
+
+cases = [
+    ("charpoly", lambda: charpoly([[Fraction(1, 2)]])),
+    ("representative", lambda: matchings.intersection_numbers(3)),
+    ("dim_hook", lambda: partitions.dim_hook(P([5, 3]))),
+    ("family_second_eig", lambda: spectra.family_second_eig(P([2]), 9)),
+    ("gap_report", lambda: spectra.GapReport(4, P([2, 1, 1]), 12, 5, 8, (), "t")),
+]
+matchings.representative = wrong_representative
+partitions.frobenius_dim = wrong_frobenius
+spectra.phi_n11 = lambda mu: 0
+for name, call in cases:
+    try:
+        call()
+    except SchemeError as exc:
+        print(f"{name}: refused: {exc}")
+    else:
+        print(f"{name}: accepted")
+"""
+
+
+def test_verdicts_refuse_under_python_O():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _DOCTORED_VERDICTS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "charpoly",
+        "representative",
+        "dim_hook",
+        "family_second_eig",
+        "gap_report",
+    ]
+    assert all(": refused: " in line for line in lines), lines
