@@ -2,8 +2,9 @@
 
 Small dense systems only (dimension <= number of partitions of n, so a few
 dozen); everything uses Fraction / int arithmetic, no floating point.
-Characteristic polynomials come from Faddeev-LeVerrier and their integer
-roots from a Newton descent in integers; neither divides inexactly.
+Characteristic polynomials come from Faddeev-LeVerrier, their integer
+roots from a Newton descent in integers, and quotients by x - r from
+synthetic division; none divides inexactly.
 """
 
 from __future__ import annotations
@@ -108,16 +109,20 @@ def charpoly(mat: list[list[int]]) -> list[int]:
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    d = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def synthetic_division(coeffs: list[int], r: int) -> tuple[list[int], int]:
+    """(q, p(r)) with p = (x - r) q + p(r); coefficients ascending."""
+    acc = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        acc.append(acc[-1] * r + c)
+    return acc[-2::-1], acc[-1]
+
+
 def poly_eval(coeffs: list[int], x: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+    return synthetic_division(coeffs, x)[1]
 
 
 def distinct_integer_roots(coeffs: list[int], bound: int) -> list[int] | None:
@@ -145,10 +150,7 @@ def distinct_integer_roots(coeffs: list[int], bound: int) -> list[int] | None:
             if x > bound:
                 return None
             roots.append(x)
-            quotient = [work[-1]]
-            for c in reversed(work[1:-1]):
-                quotient.append(quotient[-1] * x + c)
-            work = quotient[::-1]
+            work, _ = synthetic_division(work, x)
             continue
         x -= -(-p // dp)
         if x < -bound:

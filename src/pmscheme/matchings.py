@@ -286,10 +286,10 @@ class QuotientMatrix:
 
 
 def _pm12_iter(n: int) -> Iterator[tuple[int, ...]]:
-    """Matchings containing the edge {1,2} (0-based edge (0,1))."""
-    for partner in _iter_partners(n):
-        if partner[0] == 1:
-            yield partner
+    """Matchings containing the edge {1,2} (0-based edge (0,1)): the edge
+    beside each matching of the other 2n - 2 vertices, in enumeration order."""
+    for rest in _iter_partners(n - 1):
+        yield (1, 0) + tuple(v + 2 for v in rest)
 
 
 def _first_outside_pm12(n: int) -> tuple[int, ...]:
@@ -311,22 +311,15 @@ def quotient_counts_all(
             f"quotient counts guarded to 2 <= n <= {max_n} (asked {n})",
             estimate=f"{double_factorial(2 * n - 3)} matchings through the fixed edge",
         )
-    base = _base_partner(n)
-    outside = _first_outside_pm12(n)
-    a_counts: dict[tuple[int, ...], int] = {}
-    b_counts: dict[tuple[int, ...], int] = {}
-    for q in _pm12_iter(n):
-        ta = _relation_parts(base, q)
-        a_counts[ta] = a_counts.get(ta, 0) + 1
-        tb = _relation_parts(outside, q)
-        b_counts[tb] = b_counts.get(tb, 0) + 1
+    a_counts = quotient_counts_from(base_matching(n), max_n=max_n)
+    b_counts = quotient_counts_from(Matching(_first_outside_pm12(n)), max_n=max_n)
     degrees = degree_histogram(n, max_n=max_n)
-    out = {}
-    for mu in generate_partitions(n):
-        a = a_counts.get(mu.parts, 0)
-        b = b_counts.get(mu.parts, 0)
-        out[mu] = QuotientMatrix(mu, a, b, degrees.get(mu, 0))
-    return out
+    return {
+        mu: QuotientMatrix(
+            mu, a_counts.get(mu, 0), b_counts.get(mu, 0), degrees.get(mu, 0)
+        )
+        for mu in generate_partitions(n)
+    }
 
 
 def quotient_counts(mu: Partition, max_n: int = DEFAULT_ORACLE_MAX_N) -> QuotientMatrix:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IncompleteTable, SchemeError
-from .partitions import Dominance, Partition, dominance_compare
+from .partitions import Partition
 from .spectra import (
     family_second_eig,
     family_threshold,
@@ -114,13 +114,6 @@ def tau_ratio(spec: MergeSpec) -> Fraction | None:
     return Fraction(phi_n11(spec.merged), denom)
 
 
-def merge_dominates(spec: MergeSpec) -> bool:
-    return dominance_compare(spec.merged, spec.mu) in (
-        Dominance.GREATER,
-        Dominance.EQUAL,
-    )
-
-
 @dataclass(frozen=True)
 class RatioReport:
     spec: MergeSpec
@@ -201,11 +194,6 @@ def gap_ratio_report(spec: MergeSpec, table=None) -> RatioReport:
         ratios_agree=ratios_agree,
         matches_formula=v_ratio == cp,
     )
-
-
-def gaps_available(spec: MergeSpec, table=None) -> bool:
-    report = gap_ratio_report(spec, table)
-    return report.gap_ratio is not None
 
 
 def require_gap_ratio(spec: MergeSpec, table=None) -> RatioReport:

@@ -33,7 +33,8 @@ def valency(mu: Partition) -> int:
         raise ValueError("valency needs a partition of n >= 1")
     den = z2(mu)
     num = 2**n * factorial(n)
-    assert num % den == 0
+    if num % den:
+        raise SchemeError(f"valency of {mu} is not an integer: {num}/{den}")
     return num // den
 
 
@@ -44,7 +45,8 @@ def phi_n11(mu: Partition) -> int:
         raise ValueError("phi_n11 needs n >= 2")
     num = valency(mu) * ((2 * n - 1) * mu.r1() - n)
     den = 2 * n * (n - 1)
-    assert num % den == 0, "eigenvalue formula must give an integer"
+    if num % den:
+        raise SchemeError(f"phi_n11({mu}) is not an integer: {num}/{den}")
     return num // den
 
 
@@ -167,9 +169,12 @@ def hook_gap(n: int, ell: int) -> int:
         e -= 2
     mu = Partition((n - ell,) + (1,) * ell)
     v = valency(mu)
-    assert v == comb(n, ell) * double_factorial(2 * n - 2 * ell - 2)
-    assert out == v - (a - b)
-    assert out == v - phi_n11(mu)
+    if v != comb(n, ell) * double_factorial(2 * n - 2 * ell - 2):
+        raise SchemeError(f"valency {v} of {mu} disagrees with its hook form")
+    if out != v - (a - b):
+        raise SchemeError(f"hook gap {out} of {mu} disagrees with v - (a - b)")
+    if out != v - phi_n11(mu):
+        raise SchemeError(f"hook gap {out} of {mu} disagrees with v - phi_n11")
     return out
 
 
@@ -297,7 +302,8 @@ def small_dim_eigenspaces(n: int) -> list[Partition]:
     cutoff = comb(2 * n, 3) - comb(2 * n, 2)
     small = [lam for lam in generate_partitions(n) if dim_hook(lam) < cutoff]
     expected = [Partition((n,)), Partition((n - 1, 1))]
-    assert small == expected, f"unexpected small eigenspaces {small}"
+    if small != expected:
+        raise SchemeError(f"unexpected small eigenspaces {small}")
     return small
 
 
@@ -369,7 +375,8 @@ def zonal_check(mu: Partition, lam: Partition, max_n: int = 5) -> Fraction:
 def _coset_rep(mu: Partition) -> tuple[int, ...]:
     """A permutation carrying the base matching to a mu-related matching."""
     q = representative(mu)
-    assert relation(base_matching(mu.n), q).parts == mu.parts
+    if relation(base_matching(mu.n), q).parts != mu.parts:
+        raise SchemeError(f"representative {q} is not in relation {mu}")
     perm = [0] * (2 * mu.n)
     pos = 0
     for v, p in enumerate(q.partner):
@@ -473,7 +480,8 @@ def verify_induction_step(prefix: Partition, n: int) -> InductionReport:
             slack = rhs - (eval_expr(expr, lam_plus) - base_val)
             if best is None or slack < best[0]:
                 best = (slack, lam, i)
-    assert best is not None
+    if best is None:
+        raise SchemeError(f"no eigenspace index below [{n}] to step from")
     slack, wl, wi = best
     return InductionReport(prefix, n, rhs, slack >= 0, slack, (wl, wi))
 
@@ -490,6 +498,8 @@ def max_min_valency(n: int) -> tuple[int, Partition, int, Partition]:
             vmax, amax = v, mu
         if vmin is None or v < vmin:
             vmin, amin = v, mu
-    assert vmax == double_factorial(2 * n - 2) and amax == Partition((n,))
-    assert vmin == 1 and amin == Partition((1,) * n)
+    if vmax != double_factorial(2 * n - 2) or amax != Partition((n,)):
+        raise SchemeError(f"largest valency {vmax} at {amax}, want (2n-2)!! at [{n}]")
+    if vmin != 1 or amin != Partition((1,) * n):
+        raise SchemeError(f"smallest valency {vmin} at {amin}, want 1 at [1^{n}]")
     return vmax, amax, vmin, amin

@@ -25,6 +25,7 @@ from .partitions import (
     content,
     dominance_compare,
     generate_partitions,
+    parse_partition,
     successors,
     z2,
 )
@@ -200,7 +201,7 @@ def parse_power_sum_expr(text: str) -> PowerSumExpr:
             raise ValueError(f"expected ')*p' at position {close} of {text!r}")
         open_b = close + 3
         close_b = s.index("]", open_b)
-        mono = _parse_bracket_parts(s[open_b : close_b + 1])
+        mono = parse_partition(s[open_b : close_b + 1])
         terms[mono] = terms.get(mono, PolyT()) + poly
         pos = close_b + 1
         if pos < len(s):
@@ -208,12 +209,6 @@ def parse_power_sum_expr(text: str) -> PowerSumExpr:
                 raise ValueError(f"expected ' + ' at position {pos} of {text!r}")
             pos += 3
     return PowerSumExpr(terms)
-
-
-def _parse_bracket_parts(text: str) -> Partition:
-    from .partitions import parse_partition
-
-    return parse_partition(text)
 
 
 def eval_expr(f: PowerSumExpr, lam: Partition) -> Fraction:

@@ -6,12 +6,13 @@ computed exactly in ``symfunc``.  The oracle route is the independent
 check and needs only the brute-force intersection numbers of the scheme:
 every table row is a left eigenvector of each intersection matrix, so a
 random small-integer combination with distinct integer eigenvalues has the
-rows as its one-dimensional left kernels, and each row is labelled by its
-multiplicity and its flip entry.  The formula route fills whatever closed
-forms cover.  Cells never come from guessing: a row that cannot be matched
-to a unique eigenspace index is a hard error, and every built table passes
-``_check_table`` or raises SchemeError.  A complete table also gives the
-intersection numbers and the relation-graph diameters.
+rows as its left eigenvectors, all read off one integer Krylov sequence,
+and each row is labelled by its multiplicity and its flip entry.  The
+formula route fills whatever closed forms cover.  Cells never come from
+guessing: a row that cannot be matched to a unique eigenspace index is a
+hard error, and every built table passes ``_check_table`` or raises
+SchemeError.  A complete table also gives the intersection numbers and the
+relation-graph diameters.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     IncompleteTable,
     SchemeError,
 )
-from .matchings import IntersectionData, intersection_numbers
+from .matchings import DEFAULT_ORACLE_MAX_N, IntersectionData, intersection_numbers
 from .partitions import (
     Partition,
     dim_hook,
@@ -202,40 +203,35 @@ def build_table_oracle(
     n: int,
     seed: int = 0,
     data: IntersectionData | None = None,
-    max_n: int | None = None,
+    max_n: int = DEFAULT_ORACLE_MAX_N,
 ) -> EigTable:
     """Full eigenvalue table from the brute-force intersection numbers.
 
     phi_i phi_j = sum_k p^k_ij phi_k makes every table row a left
     eigenvector of each intersection matrix B_i, with eigenvalue phi_i.  A
     combination C of the B_i with small seeded coefficients must have a
-    characteristic polynomial with distinct integer roots (fresh
-    coefficients otherwise); the row of root tau is then the kernel of
-    (C - tau I)^T, scaled to 1 at the identity relation [1^n].  Rows are
-    matched to eigenspace indices by dimension and flip eigenvalue.
+    characteristic polynomial chi with distinct integer roots (fresh
+    coefficients otherwise).  By Cayley-Hamilton, u = e q(C), with
+    q = chi / (x - tau) and e the unit vector at the identity relation
+    [1^n], satisfies u C = tau u, so the row of root tau is u read off the
+    Krylov rows e C^m (m < d) and scaled to 1 at [1^n].  u C = tau u is
+    checked exactly.  Rows are matched to eigenspace indices by dimension
+    and flip eigenvalue.
     """
     if n < 2:
         raise ValueError("tables need n >= 2")
     if data is None:
-        data = (
-            intersection_numbers(n)
-            if max_n is None
-            else intersection_numbers(n, max_n=max_n)
-        )
+        data = intersection_numbers(n, max_n=max_n)
     rels = data.relations
     d = len(rels)
-    bmats = [data.b_matrix(i) for i in range(d)]
     rng = random.Random(seed)
     bound = 1 + 9 * sum(data.valencies)
     roots = None
     for _ in range(_MAX_COMBO_ATTEMPTS):
         coeffs = [rng.randint(-9, 9) for _ in range(d)]
-        # the transpose of C = sum_i c_i B_i
-        combo_t = [
-            [sum(c * bm[s][r] for c, bm in zip(coeffs, bmats)) for s in range(d)]
-            for r in range(d)
-        ]
-        poly = exactalg.charpoly(combo_t)
+        # C = sum_i c_i B_i: entry (k, j) is sum_i c_i p^k_ij
+        combo = [_row_times(coeffs, pk) for pk in data.p]
+        poly = exactalg.charpoly(combo)
         roots = exactalg.distinct_integer_roots(poly, bound)
         if roots is not None:
             break
@@ -244,25 +240,19 @@ def build_table_oracle(
             f"no separating combination found in {_MAX_COMBO_ATTEMPTS} attempts"
         )
 
+    krylov = [[0] * (d - 1) + [1]]
+    for _ in range(d - 1):
+        krylov.append(_row_times(krylov[-1], combo))
     n_points = double_factorial(2 * n - 1)
     eigenrows: list[tuple[list[int], int]] = []
     for tau in roots:
-        shifted = [
-            [Fraction(combo_t[r][s] - (tau if r == s else 0)) for s in range(d)]
-            for r in range(d)
-        ]
-        kernel = exactalg.kernel_basis(shifted)
-        if len(kernel) != 1:
-            raise SchemeError(
-                f"root {tau} has a {len(kernel)}-dimensional kernel, want 1"
-            )
-        u = kernel[0]
-        if u[-1] == 0:
-            raise SchemeError(f"root {tau} has a row vanishing at [1^n]")
-        row = [x / u[-1] for x in u]
-        if any(phi.denominator != 1 for phi in row):
-            raise SchemeError(f"non-integer eigenvalue in {row} at root {tau}")
-        row = [int(phi) for phi in row]
+        q, _ = exactalg.synthetic_division(poly, tau)
+        u = _row_times(q, krylov)
+        if _row_times(u, combo) != [tau * x for x in u]:
+            raise SchemeError(f"root {tau} gives no left eigenvector")
+        if u[-1] == 0 or any(x % u[-1] for x in u):
+            raise SchemeError(f"root {tau} gives no integral row that is 1 at [1^n]")
+        row = [x // u[-1] for x in u]
         mult = Fraction(n_points) / sum(
             Fraction(phi * phi, v) for phi, v in zip(row, data.valencies)
         )
@@ -278,6 +268,11 @@ def build_table_oracle(
     table = EigTable(n, values, {mu: "oracle" for mu in rels})
     _check_table(table)
     return table
+
+
+def _row_times(u: list[int], mat: list[list[int]]) -> list[int]:
+    """The row vector u times the matrix mat."""
+    return [sum(x * y for x, y in zip(u, col)) for col in zip(*mat)]
 
 
 def _flip_eigenvalue(lam: Partition) -> int:

@@ -10,6 +10,7 @@ from pmscheme.exactalg import (
     kernel_basis,
     poly_eval,
     solve_unique,
+    synthetic_division,
 )
 
 F = Fraction
@@ -78,6 +79,7 @@ def test_squarefree_and_roots():
 
 def test_newton_roots_fuzz_against_scan():
     rng = random.Random(20021)
+    div_rng = random.Random(1986)
     bound = 12
     found = 0
     for _ in range(12000):
@@ -96,6 +98,11 @@ def test_newton_roots_fuzz_against_scan():
         got = distinct_integer_roots(coeffs, bound)
         assert got == _roots_by_scan(coeffs, bound), coeffs
         found += got is not None
+        # synthetic division: (x - r) q + p(r) == p
+        r = div_rng.randint(-bound - 2, bound + 2)
+        q, rem = synthetic_division(coeffs, r)
+        product = [a - r * b for a, b in zip([0] + q, q + [0])]
+        assert [product[0] + rem] + product[1:] == coeffs, (coeffs, r)
     assert found > 2000  # the fuzz reaches the success path often
 
 

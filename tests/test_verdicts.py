@@ -5,6 +5,7 @@ silently pass there.
 """
 
 import ast
+import glob
 import os
 import subprocess
 import sys
@@ -14,23 +15,27 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 
 
 def test_no_assert_in_oracle_modules():
-    for name in ("exactalg", "matchings", "tables", "partitions"):
-        path = os.path.join(SRC, "pmscheme", f"{name}.py")
+    paths = sorted(glob.glob(os.path.join(SRC, "pmscheme", "*.py")))
+    names = {os.path.basename(path) for path in paths}
+    assert {"exactalg.py", "matchings.py", "spectra.py", "tables.py"} <= names
+    for path in paths:
         with open(path) as fh:
             tree = ast.parse(fh.read(), filename=path)
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert lines == [], f"{name}.py has assert statements at lines {lines}"
+        assert lines == [], f"{path} has assert statements at lines {lines}"
 
 
 _DOCTORED_VERDICTS = """
 from fractions import Fraction
 
-from pmscheme import Partition, matchings, partitions, spectra
+from pmscheme import Partition, exactalg, matchings, partitions, spectra, tables
 from pmscheme.errors import SchemeError
 from pmscheme.exactalg import charpoly
 
 P = Partition
 real_representative = matchings.representative
+real_roots = exactalg.distinct_integer_roots
+data3 = matchings.intersection_numbers(3)
 
 
 def wrong_representative(mu):
@@ -41,16 +46,24 @@ def wrong_frobenius(lam):
     return 0
 
 
+def wrong_roots(poly, bound):
+    roots = real_roots(poly, bound)
+    return roots[:-1] + [roots[-1] + 1]
+
+
 cases = [
     ("charpoly", lambda: charpoly([[Fraction(1, 2)]])),
     ("representative", lambda: matchings.intersection_numbers(3)),
     ("dim_hook", lambda: partitions.dim_hook(P([5, 3]))),
     ("family_second_eig", lambda: spectra.family_second_eig(P([2]), 9)),
     ("gap_report", lambda: spectra.GapReport(4, P([2, 1, 1]), 12, 5, 8, (), "t")),
+    ("hook_gap", lambda: spectra.hook_gap(5, 2)),
+    ("oracle_root", lambda: tables.build_table_oracle(3, data=data3)),
 ]
 matchings.representative = wrong_representative
 partitions.frobenius_dim = wrong_frobenius
 spectra.phi_n11 = lambda mu: 0
+exactalg.distinct_integer_roots = wrong_roots
 for name, call in cases:
     try:
         call()
@@ -78,5 +91,8 @@ def test_verdicts_refuse_under_python_O():
         "dim_hook",
         "family_second_eig",
         "gap_report",
+        "hook_gap",
+        "oracle_root",
     ]
     assert all(": refused: " in line for line in lines), lines
+    assert "no left eigenvector" in lines[-1], lines[-1]
