@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import __version__
 from .errors import AmbiguousRowAssignment, GuardExceeded, SchemeError
@@ -93,8 +94,9 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
     The name predates the zonal engine and is kept because the benchmark
     (``bench/workloads.py`` set-up, ``bench/spans.py``) calls it by name.
     Raises GuardExceeded above DEFAULT_ZONAL_MAX_N.  A cache file that
-    cannot be read or parsed is rebuilt and overwritten, and a cache that
-    cannot be written is skipped; either prints a note on stderr.
+    cannot be read or parsed, or whose table fails the checks that
+    ``EigTable.from_json_obj`` runs, is rebuilt and overwritten, and a cache
+    that cannot be written is skipped; either prints a note on stderr.
     """
     path = _cache_path(config, n)
     if os.path.exists(path):
@@ -183,21 +185,32 @@ def cmd_table(args, config: Config) -> int:
     return EXIT_PASS
 
 
+def _print_verdict(args, obj: dict, text: str) -> None:
+    """With --json, print obj as one JSON object led by the verify kind and
+    n (obj holds "overall" and the kind's own fields); else print text."""
+    if args.json:
+        print(json.dumps({"kind": args.kind, "n": args.n, **obj}, indent=2))
+    else:
+        print(text)
+
+
 def cmd_verify(args, config: Config) -> int:
     kind = args.kind
     try:
         if kind == "conjecture":
             table = oracle_table_cached(config, args.n)
             verdict = verify_conjecture(table)
-            if args.json:
-                print(json.dumps(verdict.to_json_obj(), indent=2))
-            else:
-                for entry in verdict.per_column:
-                    if entry["applicable"]:
-                        mark = "ok" if entry["holds"] else "FAIL"
-                        rows = ", ".join(str(l) for l in entry["rows"])
-                        print(f"  {entry['mu']}: second largest on {{{rows}}} [{mark}]")
-                print(f"conjecture n={args.n}: {'PASS' if verdict.overall else 'FAIL'}")
+            lines = []
+            for entry in verdict.per_column:
+                if entry["applicable"]:
+                    mark = "ok" if entry["holds"] else "FAIL"
+                    rows = ", ".join(str(l) for l in entry["rows"])
+                    lines.append(
+                        f"  {entry['mu']}: second largest on {{{rows}}} [{mark}]"
+                    )
+            word = "PASS" if verdict.overall else "FAIL"
+            lines.append(f"conjecture n={args.n}: {word}")
+            _print_verdict(args, verdict.to_json_obj(), "\n".join(lines))
             return EXIT_PASS if verdict.overall else EXIT_FAIL
 
         if kind == "trace":
@@ -208,20 +221,34 @@ def cmd_verify(args, config: Config) -> int:
                 if not trace_identity_check(args.n, mu, table)
             ]
             if bad:
-                print(f"trace identity n={args.n}: FAIL at {bad}")
-                return EXIT_FAIL
-            print(f"trace identity n={args.n}: PASS ({len(table.columns)} columns)")
-            return EXIT_PASS
+                text = f"trace identity n={args.n}: FAIL at {bad}"
+            else:
+                text = f"trace identity n={args.n}: PASS ({len(table.columns)} columns)"
+            obj = {
+                "overall": not bad,
+                "columns": len(table.columns),
+                "failed": [str(mu) for mu in bad],
+            }
+            _print_verdict(args, obj, text)
+            return EXIT_FAIL if bad else EXIT_PASS
 
         if kind == "induction":
             prefix = _parse_prefix(args.family)
             report = verify_induction_step(prefix, args.n)
             word = "PASS" if report.passed else "FAIL"
-            print(
+            text = (
                 f"induction step family {prefix} at n={args.n}: {word}"
                 f" (min slack {report.min_slack} at lam={report.witness[0]},"
                 f" row {report.witness[1]})"
             )
+            obj = {
+                "overall": report.passed,
+                "family": str(prefix),
+                "rhs": str(report.rhs),
+                "min_slack": str(report.min_slack),
+                "witness": {"lam": str(report.witness[0]), "row": report.witness[1]},
+            }
+            _print_verdict(args, obj, text)
             return EXIT_PASS if report.passed else EXIT_FAIL
 
         if kind == "ratios":
@@ -242,15 +269,22 @@ def cmd_verify(args, config: Config) -> int:
                     if not report.matches_formula:
                         mismatched_constant = True
             if failures:
-                print(f"ratio laws n={n}: FAIL ({len(failures)} merges disagree)")
-                return EXIT_FAIL
-            print(f"ratio laws n={n}: PASS ({checked} merges, valency == tau)")
-            if mismatched_constant:
-                print(
-                    "NOTE: the closed-form merge constant is half the measured"
-                    " ratio on every checked merge; reports carry both values."
-                )
-            return EXIT_PASS
+                text = f"ratio laws n={n}: FAIL ({len(failures)} merges disagree)"
+            else:
+                text = f"ratio laws n={n}: PASS ({checked} merges, valency == tau)"
+                if mismatched_constant:
+                    text += (
+                        "\nNOTE: the closed-form merge constant is half the measured"
+                        " ratio on every checked merge; reports carry both values."
+                    )
+            obj = {
+                "overall": not failures,
+                "merges": checked,
+                "failed": [f"{s.mu} parts {s.i},{s.j}" for s in failures],
+                "merge_constant_matches": not mismatched_constant,
+            }
+            _print_verdict(args, obj, text)
+            return EXIT_FAIL if failures else EXIT_PASS
 
         if kind == "scheme-axioms":
             n = args.n
@@ -262,12 +296,19 @@ def cmd_verify(args, config: Config) -> int:
                 trace_identity_check(n, mu, table) for mu in table.columns
             )
             ok = ok_struct and ok_orth and ok_trace
-            print(
+            text = (
                 f"scheme axioms n={n}: {'PASS' if ok else 'FAIL'}"
                 f" (structure constants {'ok' if ok_struct else 'FAIL'},"
                 f" orthogonality {'ok' if ok_orth else 'FAIL'},"
                 f" trace {'ok' if ok_trace else 'FAIL'})"
             )
+            obj = {
+                "overall": ok,
+                "structure_constants": ok_struct,
+                "orthogonality": ok_orth,
+                "trace": ok_trace,
+            }
+            _print_verdict(args, obj, text)
             return EXIT_PASS if ok else EXIT_FAIL
     except GuardExceeded as exc:
         print(_guard_error(exc), file=sys.stderr)
@@ -392,7 +433,10 @@ def cmd_scan(args, config: Config) -> int:
     return EXIT_PASS
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="pmscheme",
         description="Eigenvalue tables and spectral gaps of the perfect"

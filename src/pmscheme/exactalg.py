@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals and integer polynomial roots.
 
 Small dense systems only (dimension <= number of partitions of n, so a few
-dozen); everything uses Fraction / int arithmetic, no floating point.
-Characteristic polynomials come from Faddeev-LeVerrier, their integer
-roots from a Newton descent in integers, and quotients by x - r from
-synthetic division; none divides inexactly.
+dozen), in exact arithmetic with no floating point.  Row reduction clears
+each row's denominators and eliminates in integers, keeping every row
+primitive, and makes Fractions only for its result.  Characteristic
+polynomials come from Faddeev-LeVerrier, their integer roots from a Newton
+descent in integers, and quotients by x - r from synthetic division; none
+divides inexactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FitInconsistent, FitUnderdetermined, SchemeError
 
@@ -17,9 +20,24 @@ Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [row[:] for row in rows]
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    Entries may be int or Fraction.  Every integer row stays a nonzero
+    multiple of the row a rational Gauss-Jordan elimination would hold
+    (eliminating row i by pivot row r is p * row_i - row_i[c] * row_r), so
+    the pivots are the same and dividing each pivot row by its pivot gives
+    the unique RREF.  Zero rows come last, as Fraction(0) entries.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     if not m:
         return m, []
     ncols = len(m[0])
@@ -30,17 +48,19 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = _primitive([p * a - f * b for a, b in zip(m[i], top)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out += [[Fraction(0)] * ncols for _ in range(len(m) - r)]
+    return out, pivots
 
 
 def solve_unique(a: Matrix, b: Vector) -> Vector:

@@ -214,20 +214,31 @@ def content(lam: Partition) -> ContentVector:
     return ContentVector(shape, tuple(values))
 
 
-def successors(lam: Partition) -> list[tuple[Partition, int]]:
-    """All partitions of n+1 reachable by growing one row, with the row index.
+def addable_rows(lam: Partition) -> list[int]:
+    """Rows (1-based, ascending) where lam can grow by one box.
 
-    Row indices are 1-based; i = len(lam) + 1 denotes a new row of length 1.
-    Growing row i >= 2 is admissible only when lam[i-2] > lam[i-1].
+    Row i = len(lam) + 1 is a new row of length 1; growing row i >= 2 is
+    admissible only when lam[i-2] > lam[i-1].
     """
-    k = len(lam)
+    parts = lam.parts
+    return [
+        i
+        for i in range(1, len(parts) + 2)
+        if i == 1 or i == len(parts) + 1 or parts[i - 2] > parts[i - 1]
+    ]
+
+
+def successors(lam: Partition) -> list[tuple[Partition, int]]:
+    """All partitions of n+1 reachable by growing one row, with the row
+    index, in the order of ``addable_rows``."""
+    parts = lam.parts
     out: list[tuple[Partition, int]] = []
-    for i in range(1, k + 2):
-        if i == k + 1:
-            out.append((Partition(lam.parts + (1,)), i))
-        elif i == 1 or lam.parts[i - 2] > lam.parts[i - 1]:
-            grown = lam.parts[: i - 1] + (lam.parts[i - 1] + 1,) + lam.parts[i:]
-            out.append((Partition(grown), i))
+    for i in addable_rows(lam):
+        if i == len(parts) + 1:
+            grown = parts + (1,)
+        else:
+            grown = parts[: i - 1] + (parts[i - 1] + 1,) + parts[i:]
+        out.append((Partition(grown), i))
     return out
 
 

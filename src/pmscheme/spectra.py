@@ -15,14 +15,15 @@ from .errors import GuardExceeded, SchemeError
 from .matchings import base_matching, relation, representative
 from .partitions import (
     Partition,
+    addable_rows,
     dim_hook,
     double_factorial,
     generate_partitions,
     irr_char,
-    successors,
     z2,
 )
-from .symfunc import delta_eval, e_catalog, eval_expr
+from .symfunc import combine, content_power_sums, e_catalog
+from .symfunc import eval_expr  # noqa: F401  (bench/spans.py traces spectra.eval_expr)
 
 
 def valency(mu: Partition) -> int:
@@ -458,32 +459,56 @@ class InductionReport:
     witness: tuple[Partition, int]
 
 
+def _growth_increments(expr, lam: Partition, here, grown) -> list[tuple[int, int]]:
+    """(row i, den * (f(lam grown in row i) - f(lam))) for each addable row.
+
+    here and grown are ``expr.at_t`` at t = 2n and 2n + 2.  Growing row i
+    of lam adds the boxes of contents c = 2 lam_i - i + 1 and c + 1 to 2*lam,
+    so each p_k of the grown shape is p_k(lam) + c^k + (c + 1)^k.
+    """
+    sums = content_power_sums(lam, expr.kmax)
+    base = combine(here, sums)
+    parts = lam.parts + (0,)
+    out = []
+    for i in addable_rows(lam):
+        c = 2 * parts[i - 1] - i + 1
+        bigger = [s + c**k + (c + 1) ** k for k, s in enumerate(sums)]
+        out.append((i, combine(grown, bigger) - base))
+    return out
+
+
 def verify_induction_step(prefix: Partition, n: int) -> InductionReport:
     """Check that no one-row growth of any lam != [n] increases the family
     eigenvalue by more than the growth at [n-1,1] does.
 
     The right-hand side is the increment at lam = [n-1,1], i = 1; the scan
-    covers every partition of n except [n] and every admissible row.  The
-    minimum-slack reduction is order-independent.
+    covers every partition of n except [n] and every admissible row, in
+    canonical order and rows ascending, and the witness is the first
+    minimum.  Each lam is evaluated once and each growth from lam's power
+    sums plus the two new contents; slacks are compared as integers over
+    the expression's common denominator.
     """
     if n < max(prefix.n, 2):
         raise ValueError(f"induction step needs n >= {max(prefix.n, 2)}")
     expr = e_catalog(prefix)
-    rhs = delta_eval(expr, Partition((n - 1, 1)), 1)
-    best: tuple[Fraction, Partition, int] | None = None
+    here, grown = expr.at_t(2 * n), expr.at_t(2 * n + 2)
+    rhs = dict(_growth_increments(expr, Partition((n - 1, 1)), here, grown))[1]
+    best: tuple[int, Partition, int] | None = None
     top = Partition((n,))
     for lam in generate_partitions(n):
         if lam == top:
             continue
-        base_val = eval_expr(expr, lam)
-        for lam_plus, i in successors(lam):
-            slack = rhs - (eval_expr(expr, lam_plus) - base_val)
+        for i, inc in _growth_increments(expr, lam, here, grown):
+            slack = rhs - inc
             if best is None or slack < best[0]:
                 best = (slack, lam, i)
     if best is None:
         raise SchemeError(f"no eigenspace index below [{n}] to step from")
     slack, wl, wi = best
-    return InductionReport(prefix, n, rhs, slack >= 0, slack, (wl, wi))
+    den = expr.den
+    return InductionReport(
+        prefix, n, Fraction(rhs, den), slack >= 0, Fraction(slack, den), (wl, wi)
+    )
 
 
 def max_min_valency(n: int) -> tuple[int, Partition, int, Partition]:

@@ -5,7 +5,10 @@ p_{lam_1} p_{lam_2} ... , with p of the empty partition meaning the constant 1
 (this matches the catalog's closed forms; the alternative reading
 p_0 = number of variables would shift every constant term).  Evaluating at a
 partition lam substitutes t = 2n and each p_k by the sum of k-th powers of the
-contents of the doubled shape 2*lam.
+contents of the doubled shape 2*lam.  Evaluation and fitting run in integers
+(an expression carries its coefficients over one common denominator, and
+content power sums are summed from cached rows); a Fraction is made only
+for a result.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +25,6 @@ from .errors import FitInconsistent, FitUnderdetermined, SchemeError
 from .partitions import (
     Dominance,
     Partition,
-    content,
     dominance_compare,
     generate_partitions,
     parse_partition,
@@ -138,9 +140,15 @@ def _tpoly(*coeffs) -> PolyT:
 
 
 class PowerSumExpr:
-    """Map from monomial index (a Partition) to PolyT coefficient."""
+    """Map from monomial index (a Partition) to PolyT coefficient.
 
-    __slots__ = ("terms",)
+    On construction the expression also builds its integer form: ``den``, the
+    least common denominator of all coefficients, and ``int_terms``, one
+    (integer coefficients of den * poly ascending in t, monomial parts) pair
+    per term.  ``kmax`` is the largest power-sum index any monomial uses.
+    """
+
+    __slots__ = ("terms", "den", "int_terms", "kmax")
 
     def __init__(self, terms: Mapping[Partition, PolyT] | None = None):
         clean: dict[Partition, PolyT] = {}
@@ -150,7 +158,26 @@ class PowerSumExpr:
                     poly = _tpoly(poly)
                 if not poly.is_zero():
                     clean[mono] = poly
+        den = lcm(*(c.denominator for p in clean.values() for c in p.coeffs))
+        int_terms = tuple(
+            (tuple(c.numerator * (den // c.denominator) for c in p.coeffs), m.parts)
+            for m, p in clean.items()
+        )
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_terms", int_terms)
+        kmax = max((m.parts[0] for m in clean if m.parts), default=0)
+        object.__setattr__(self, "kmax", kmax)
+
+    def at_t(self, t: int) -> list[tuple[int, tuple[int, ...]]]:
+        """den * f with t fixed: (integer coefficient, monomial parts) pairs."""
+        out = []
+        for coeffs, parts in self.int_terms:
+            v = 0
+            for c in reversed(coeffs):
+                v = v * t + c
+            out.append((v, parts))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSumExpr is immutable")
@@ -211,22 +238,49 @@ def parse_power_sum_expr(text: str) -> PowerSumExpr:
     return PowerSumExpr(terms)
 
 
+@lru_cache(maxsize=4096)
+def _row_power_sums(i: int, length: int, kmax: int) -> tuple[int, ...]:
+    """Sums of c^k, k = 0..kmax, over the contents c of row i (1-based) of
+    a doubled shape whose row i has 2 * length boxes."""
+    sums = [0] * (kmax + 1)
+    for c in range(1 - i, 2 * length - i + 1):
+        x = 1
+        for k in range(kmax + 1):
+            sums[k] += x
+            x *= c
+    return tuple(sums)
+
+
+def content_power_sums(lam: Partition, kmax: int) -> list[int]:
+    """[p_0, ..., p_kmax] of the contents of 2*lam (p_0 = 2n), row by row."""
+    sums = [0] * (kmax + 1)
+    for i, part in enumerate(lam.parts, start=1):
+        for k, s in enumerate(_row_power_sums(i, part, kmax)):
+            sums[k] += s
+    return sums
+
+
+def combine(terms: Sequence[tuple[int, tuple[int, ...]]], sums: Sequence[int]) -> int:
+    """sum of coefficient * prod(sums[k] for k in parts) over (coefficient,
+    parts) pairs such as ``PowerSumExpr.at_t`` gives."""
+    total = 0
+    for v, parts in terms:
+        for k in parts:
+            v *= sums[k]
+        total += v
+    return total
+
+
 def eval_expr(f: PowerSumExpr, lam: Partition) -> Fraction:
-    """Evaluate f at the contents of 2*lam, with t = 2n (boxes of 2*lam)."""
+    """Evaluate f at the contents of 2*lam, with t = 2n (boxes of 2*lam).
+
+    The sum runs in integers over f's common denominator; the one Fraction
+    is the result.
+    """
     if lam.n < 1:
         raise ValueError("evaluation needs a nonempty partition")
-    cv = content(lam)
-    t = 2 * lam.n
-    powers: dict[int, int] = {}
-    total = Fraction(0)
-    for mono, poly in f.terms.items():
-        val = poly(t)
-        for k in mono.parts:
-            if k not in powers:
-                powers[k] = cv.power_sum(k)
-            val *= powers[k]
-        total += val
-    return total
+    num = combine(f.at_t(2 * lam.n), content_power_sums(lam, f.kmax))
+    return Fraction(num, f.den)
 
 
 _CATALOG: dict[tuple[int, ...], dict[tuple[int, ...], PolyT]] = {
@@ -388,10 +442,12 @@ def fit_e_mu(
     data holds (n, column) pairs where a column maps each partition of n (or
     lists values in canonical descending row order) to the eigenvalue of the
     relation prefix + 1^(n - |prefix|) on that eigenspace.  One stacked linear
-    system over the rationals is solved for all polynomial coefficients at
-    once; degree bounds are capped at (#distinct n - 1), the highest degree
-    the data can pin down.  The result is re-evaluated against every supplied
-    point, and against the holdout column when given.
+    system is solved for all polynomial coefficients at once: its rows are
+    the integers t^d * p_mono(lam), which ``exactalg.solve_unique`` reduces
+    fraction-free.  Degree bounds are capped at (#distinct n - 1), the
+    highest degree the data can pin down.  The result is re-evaluated
+    against every supplied point, and against the holdout column when
+    given.
     """
     basis = monomial_basis(prefix)
     points = [(n, _column_as_mapping(n, col)) for n, col in data]
@@ -403,22 +459,15 @@ def fit_e_mu(
     for mono, bound in basis.entries:
         for d in range(min(bound, cap) + 1):
             unknowns.append((mono, d))
-    needed_powers = {p for m, _ in unknowns for p in m.parts}
-    rows: list[list[Fraction]] = []
+    kmax = max((m.parts[0] for m, _ in unknowns if m.parts), default=0)
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
     for n, column in points:
         t = 2 * n
         for lam in generate_partitions(n):
-            cv = content(lam)
-            powers = {k: cv.power_sum(k) for k in needed_powers}
-            row = []
-            for mono, d in unknowns:
-                v = Fraction(t) ** d
-                for k in mono.parts:
-                    v *= powers[k]
-                row.append(v)
-            rows.append(row)
-            rhs.append(Fraction(column[lam]))
+            sums = content_power_sums(lam, kmax)
+            rows.append([t**d * prod(sums[k] for k in m.parts) for m, d in unknowns])
+            rhs.append(column[lam])
     solution = exactalg.solve_unique(rows, rhs)
     terms: dict[Partition, list[Fraction]] = {}
     for (mono, d), c in zip(unknowns, solution):

@@ -10,9 +10,9 @@ rows as its left eigenvectors, all read off one integer Krylov sequence,
 and each row is labelled by its multiplicity and its flip entry.  The
 formula route fills whatever closed forms cover.  Cells never come from
 guessing: a row that cannot be matched to a unique eigenspace index is a
-hard error, and every built table passes ``_check_table`` or raises
-SchemeError.  A complete table also gives the intersection numbers and the
-relation-graph diameters.
+hard error, and every table built or loaded from JSON passes
+``_check_table`` or raises SchemeError.  A complete table also gives the
+intersection numbers and the relation-graph diameters.
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ class EigTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EigTable":
+        """Inverse of ``to_json_obj``; the table must pass ``_check_table``
+        (SchemeError otherwise), so a doctored cache file is refused."""
         n = obj["n"]
         rows = [parse_partition(s) for s in obj["rows"]]
         columns = [parse_partition(s) for s in obj["columns"]]
@@ -137,6 +139,7 @@ class EigTable:
         table = cls(n, values, provenance)
         if table.rows != rows or table.columns != columns:
             raise SchemeError("serialized table is not in canonical order")
+        _check_table(table)
         return table
 
     def pretty(self) -> str:

@@ -294,3 +294,122 @@ def test_unparsable_cache_is_rebuilt(run, damage):
     assert err.startswith("note: rebuilding unreadable cache")
     with open(path) as fh:
         assert fh.read() == good
+
+
+def _doctor_cache(run, n, edit):
+    """Fill the cache for n, then apply edit(table_obj) to the cached file."""
+    run("table", "--n", str(n), "--format", "csv")
+    path = os.path.join(run.data_dir, f"table_n{n}_v{__version__}.json")
+    with open(path) as fh:
+        good = fh.read()
+    payload = json.loads(good)
+    edit(payload["table"])
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    return path, good
+
+
+def _bump(row_label, column_label):
+    def edit(obj):
+        r = obj["rows"].index(row_label)
+        c = obj["columns"].index(column_label)
+        obj["values"][r][c] += 1
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _bump("[2,1,1,1,1,1]", "[3,2,1,1]"),
+        _bump("[7]", "[3,2,1,1]"),
+        _bump("[4,3]", "[1,1,1,1,1,1,1]"),
+    ],
+    ids=["inner-cell", "top-row", "identity-column"],
+)
+def test_doctored_cache_cell_is_rebuilt(run, edit):
+    path, good = _doctor_cache(run, 7, edit)
+    code, out, err = run("table", "--n", "7", "--format", "csv")
+    assert code == 0 and out == _golden(7)
+    assert err.startswith("note: rebuilding unreadable cache")
+    with open(path) as fh:
+        assert fh.read() == good
+    code, out, err = run("gap", "--mu", "[3,2,1,1]")
+    assert code == 0 and err == ""
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    from pmscheme import cli as climod
+
+    seen = []
+    build = climod._build_table
+
+    def spy(config, n, source):
+        seen.append((config.seed, config.data_dir))
+        return build(config, n, source)
+
+    monkeypatch.setattr(climod, "_build_table", spy)
+    dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
+    argv_a = ["--seed", "7", "--data-dir", dir_a, "table", "--n", "4"]
+    assert main(argv_a + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == _golden(4)
+    assert main(["--data-dir", dir_b, "table", "--n", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    assert main(["--data-dir", dir_b, "table", "--n", "3"]) == 0
+    assert capsys.readouterr().out.split()[0] == "lam\\mu"
+    assert seen == [(7, dir_a), (0, dir_b), (0, dir_b)]
+    assert os.listdir(dir_a) == [f"table_n4_v{__version__}.json"]
+    assert os.listdir(dir_b) == [f"table_n3_v{__version__}.json"]
+
+    assert main(["--data-dir", dir_b, "table", "--n", "3", "--format", "xml"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["--data-dir", dir_b, "gap", "--mu", "[2,1]"]) == 0
+    assert capsys.readouterr().out == "5\n"
+
+    helps = []
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: pmscheme")
+    assert climod.build_parser() is climod.build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["conjecture", "--n", "5"], {"columns"}),
+        (["trace", "--n", "5"], {"columns", "failed"}),
+        (
+            ["induction", "--family", "3,2", "--n", "15"],
+            {"family", "rhs", "min_slack", "witness"},
+        ),
+        (["ratios", "--n", "6"], {"merges", "failed", "merge_constant_matches"}),
+        (
+            ["scheme-axioms", "--n", "4"],
+            {"structure_constants", "orthogonality", "trace"},
+        ),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else "",
+)
+def test_verify_json_every_kind(run, argv, fields):
+    code, text, _ = run("verify", *argv)
+    code_json, out, _ = run("verify", *argv, "--json")
+    assert code == code_json == 0
+    payload = json.loads(out)
+    assert payload["kind"] == argv[0]
+    assert payload["n"] == int(argv[argv.index("--n") + 1])
+    assert payload["overall"] is True
+    assert set(payload) == {"kind", "n", "overall"} | fields
+    assert not text.startswith("{") and ": PASS" in text
+
+
+def test_verify_induction_json_fields(run):
+    code, out, _ = run("verify", "induction", "--family", "3,2", "--n", "15", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == "[3,2]"
+    assert payload["min_slack"] == "0"
+    assert payload["witness"] == {"lam": "[14,1]", "row": 1}
+    code, out, _ = run("verify", "induction", "--family", "2,2", "--n", "4", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["overall"] is False
