@@ -1,4 +1,4 @@
-"""Measure the zonal table engine and write BENCH_zonal.json.
+"""Measure the benchmark workloads and the table engines; write BENCH_*.json.
 
     python3 scripts/bench_zonal.py --parent DIR [--seeds 1 2 ... 10]
                                    [--workloads cold_tables ...]
@@ -9,6 +9,8 @@ unpacked with ``git archive``).  For every seed and workload the script runs
 ``python3 bench/run.py --workload W --seed S --seconds 8 --trace 0`` once in
 DIR and once in this checkout, alternating which runs first, and records
 each run's end-to-end metrics and their medians per side.  It then times
+``matchings.intersection_numbers(n)`` for n = 5..8 once per checkout, each
+in a fresh subprocess (alternating which side runs first), and
 ``build_table_zonal(n)`` for n = 2..14 in this process (three builds each,
 median reported), with ``max_n`` raised for any n above the default guard.
 """
@@ -34,6 +36,15 @@ WORKLOADS = ("cold_tables", "table_assembly", "warm_queries", "diameters")
 METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
 ZONAL_NS = range(2, 15)
 ZONAL_REPEATS = 3
+ORACLE_NS = range(5, 9)
+ORACLE_TIMER = """
+import sys, time
+sys.path.insert(0, "src")
+from pmscheme.matchings import intersection_numbers
+t0 = time.perf_counter()
+intersection_numbers(int(sys.argv[1]))
+print(time.perf_counter() - t0)
+"""
 
 
 def bench_run(checkout: Path, workload: str, seed: int) -> dict:
@@ -74,6 +85,21 @@ def compare(parent: Path, workloads: list[str], seeds: list[int]) -> dict:
     return out
 
 
+def oracle_times(parent: Path) -> dict:
+    """Seconds for intersection_numbers(n), one fresh process per side and n."""
+    out = {"parent": {}, "change": {}}
+    for k, n in enumerate(ORACLE_NS):
+        sides = [("parent", parent), ("change", ROOT)]
+        for side, checkout in sides if k % 2 == 0 else reversed(sides):
+            done = subprocess.run(
+                [sys.executable, "-c", ORACLE_TIMER, str(n)],
+                cwd=checkout, capture_output=True, text=True, check=True,
+            )
+            out[side][str(n)] = float(done.stdout)
+        print("intersection_numbers", n, {s: out[s][str(n)] for s in out}, file=sys.stderr)
+    return out
+
+
 def zonal_times() -> dict:
     out = {}
     for n in ZONAL_NS:
@@ -96,10 +122,14 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {
         "command": "python3 bench/run.py --workload W --seed S --seconds 8 --trace 0",
-        "units": "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB",
+        "units": (
+            "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
+            "intersection_numbers_s, build_table_zonal_s: wall-clock seconds"
+        ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
         "workloads": compare(args.parent.resolve(), args.workloads, args.seeds),
+        "intersection_numbers_s": oracle_times(args.parent.resolve()),
         "build_table_zonal_s": zonal_times(),
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
     }

@@ -94,9 +94,10 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
     The name predates the zonal engine and is kept because the benchmark
     (``bench/workloads.py`` set-up, ``bench/spans.py``) calls it by name.
     Raises GuardExceeded above DEFAULT_ZONAL_MAX_N.  A cache file that
-    cannot be read or parsed, or whose table fails the checks that
-    ``EigTable.from_json_obj`` runs, is rebuilt and overwritten, and a cache
-    that cannot be written is skipped; either prints a note on stderr.
+    cannot be read or parsed, whose table fails the checks that
+    ``EigTable.from_json_obj`` runs, or whose table is not complete, is
+    rebuilt and overwritten, and a cache that cannot be written is skipped;
+    either prints a note on stderr.
     """
     path = _cache_path(config, n)
     if os.path.exists(path):
@@ -104,7 +105,12 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
             with open(path) as fh:
                 payload = json.load(fh)
             if payload["code_version"] == __version__ and payload["n"] == n:
-                return EigTable.from_json_obj(payload["table"])
+                table = EigTable.from_json_obj(payload["table"])
+                # the grid is rows x columns by now, so a null cell is the
+                # only way to be incomplete (and cheaper than is_complete)
+                if any(None in row for row in payload["table"]["values"]):
+                    raise SchemeError("cached table is not complete")
+                return table
         except (
             OSError, ValueError, KeyError, TypeError, AttributeError, SchemeError
         ) as exc:

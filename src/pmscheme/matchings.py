@@ -4,9 +4,10 @@ Matchings are fixed-point-free involutions of {0, ..., 2n-1} stored as a
 partner tuple; text and edge forms use 1-based vertices.  Enumeration pairs
 the smallest unmatched vertex with each available partner in increasing
 order, which also defines the mixed-radix rank/unrank bijection used to
-sample matchings.  All counting loops are sequential and deterministic; they
-could be sharded over rank ranges without changing any result since every
-accumulation is an integer sum.
+sample matchings.  Every count (intersection numbers, degree and quotient
+histograms) comes from one depth-first enumeration that grows the union of
+each reference matching with the partial matching edge by edge, so no
+finished union is walked again.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _iter_partners(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def enumerate_matchings(n: int, max_n: int = 9) -> Iterator[Matching]:
+def enumerate_matchings(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> Iterator[Matching]:
     """All (2n-1)!! matchings, smallest-unmatched-vertex order."""
     _guard_enumeration("matching enumeration", n, max_n)
     for partner in _iter_partners(n):
@@ -208,6 +209,121 @@ def unrank(r: int, n: int) -> Matching:
     return Matching(partner)
 
 
+@cache
+def _cycle_codes(n: int):
+    """Integer codes for the multisets of cycle half-lengths closed so far.
+
+    Codes 0..d-1 are the relations of K_{2n} in canonical order; the partial
+    multisets (sum below n) follow.  ``add[c][h]`` closes one more cycle of
+    half-length h and ``sub`` undoes it.  With ``rem`` q-edges still on open
+    paths, ``close[c]`` closes the single path left (``close[c] = c`` when
+    nothing is open) and ``split[c][h]`` closes two paths carrying h and
+    rem - h q-edges.
+    """
+    states = [mu.parts for mu in generate_partitions(n)] + [()]
+    for s in range(1, n):
+        states.extend(mu.parts for mu in generate_partitions(s))
+    code = {t: c for c, t in enumerate(states)}
+    add = [[-1] * (n + 1) for _ in states]
+    sub = [[-1] * (n + 1) for _ in states]
+    for c, t in enumerate(states):
+        for h in range(1, n - sum(t) + 1):
+            grown = code[tuple(sorted(t + (h,), reverse=True))]
+            add[c][h] = grown
+            sub[grown][h] = c
+    close, split = [], []
+    for c, t in enumerate(states):
+        rem = n - sum(t)
+        close.append(add[c][rem] if rem else c)
+        split.append([add[add[c][h]][rem - h] if 0 < h < rem else -1 for h in range(n + 1)])
+    return code[()], add, sub, close, split
+
+
+def _union_counts(
+    refs: list[tuple[int, ...]], primary: int, first_edge: tuple[int, int] | None = None
+) -> list[list[list[int]]]:
+    """Joint relation counts over all matchings r, by one enumeration.
+
+    ``counts[t][i][j]`` is the number of matchings r (through ``first_edge``
+    when given) with relation(refs[primary], r) = relations[i] and
+    relation(refs[t], r) = relations[j], relations in canonical order.
+
+    For each reference q, the union of q with the partial matching is a set
+    of closed cycles plus open paths whose two ends are the free vertices.
+    ``ends[f]`` is the other end of free vertex f's path, ``qcount[f]`` the
+    number of q-edges on it, and ``qcount[m]`` the code of the closed cycles.
+    Placing edge (u, v) closes u's path into a cycle when v is its other end
+    and otherwise joins the two paths; undoing it restores both far ends from
+    ``ends[u]`` and ``ends[v]``, which placing leaves untouched.  With four
+    free vertices left, the three completions are counted at once: pairing u
+    with the far end of its path closes two cycles, the other two partners
+    close one cycle through all the q-edges left.
+    """
+    m = len(refs[0])
+    d = len(generate_partitions(m // 2))
+    empty, add, sub, close, split = _cycle_codes(m // 2)
+    tracks = [(list(q), [1] * m + [empty]) for q in refs]
+    counts = [[[0] * d for _ in range(d)] for _ in refs]
+    rows = list(zip(tracks, counts))
+    base_ends, base_qcount = tracks[primary]
+
+    def place(u: int, v: int) -> None:
+        for ends, qcount in tracks:
+            a = ends[u]
+            if a == v:
+                qcount[m] = add[qcount[m]][qcount[u]]
+            else:
+                b = ends[v]
+                length = qcount[u] + qcount[v]
+                ends[a], ends[b] = b, a
+                qcount[a] = qcount[b] = length
+
+    def unplace(u: int, v: int) -> None:
+        for ends, qcount in tracks:
+            a = ends[u]
+            if a == v:
+                qcount[m] = sub[qcount[m]][qcount[u]]
+            else:
+                b = ends[v]
+                ends[a], ends[b] = u, v
+                qcount[a], qcount[b] = qcount[u], qcount[v]
+
+    def walk(free: tuple[int, ...]) -> None:
+        if len(free) <= 2:
+            i = close[base_qcount[m]]
+            for (_, qcount), pk in rows:
+                pk[i][close[qcount[m]]] += 1
+            return
+        u = free[0]
+        if len(free) == 4:
+            c = base_qcount[m]
+            x0, split0, merged0 = base_ends[u], split[c][base_qcount[u]], close[c]
+            for (ends, qcount), pk in rows:
+                c = qcount[m]
+                split_j, merged_j = split[c][qcount[u]], close[c]
+                row = pk[merged0]
+                if ends[u] == x0:
+                    pk[split0][split_j] += 1
+                    row[merged_j] += 2
+                else:
+                    pk[split0][merged_j] += 1
+                    row[split_j] += 1
+                    row[merged_j] += 1
+            return
+        rest = free[1:]
+        for k, v in enumerate(rest):
+            place(u, v)
+            walk(rest[:k] + rest[k + 1:])
+            unplace(u, v)
+
+    free = tuple(range(m))
+    if first_edge is not None:
+        place(*first_edge)
+        free = tuple(w for w in free if w not in first_edge)
+    walk(free)
+    return counts
+
+
 class IntersectionData:
     """Relations, representatives and intersection numbers of the scheme.
 
@@ -235,28 +351,27 @@ class IntersectionData:
 
 
 def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> IntersectionData:
-    """Classify every matching against the base matching and one
-    representative per relation, accumulating the full p table."""
+    """Count p[k][i][j] over all (2n-1)!! matchings in one enumeration.
+
+    One incremental counter per representative (the base matching is the
+    representative of [1^n]) follows how its union with the partial
+    matching grows: each placed edge joins two open paths or closes a
+    cycle of known half-length in O(1) and is undone on backtracking, so
+    no finished union is walked.  See ``_union_counts``.
+    """
     if not 1 <= n <= max_n:
         raise GuardExceeded(
             f"intersection numbers guarded to n <= {max_n} (asked {n})",
             estimate=f"{double_factorial(2 * n - 1)} matchings x {len(generate_partitions(n))} relations",
         )
     relations = list(generate_partitions(n))
-    index = {mu.parts: i for i, mu in enumerate(relations)}
     d = len(relations)
     reps = [representative(mu) for mu in relations]
     base = _base_partner(n)
     for mu, rep in zip(relations, reps):
         if _relation_parts(base, rep.partner) != mu.parts:
             raise SchemeError(f"representative {rep} is not in relation {mu}")
-    rep_partners = [rep.partner for rep in reps]
-    p = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for r in _iter_partners(n):
-        i = index[_relation_parts(base, r)]
-        for k in range(d):
-            j = index[_relation_parts(r, rep_partners[k])]
-            p[k][i][j] += 1
+    p = _union_counts([rep.partner for rep in reps], primary=d - 1)
     valencies = [sum(p[0][i]) for i in range(d)]
     for k in range(d):
         for i in range(d):
@@ -283,13 +398,6 @@ class QuotientMatrix:
 
     def eigenvalues(self) -> tuple[int, int]:
         return (self.valency, self.a - self.b)
-
-
-def _pm12_iter(n: int) -> Iterator[tuple[int, ...]]:
-    """Matchings containing the edge {1,2} (0-based edge (0,1)): the edge
-    beside each matching of the other 2n - 2 vertices, in enumeration order."""
-    for rest in _iter_partners(n - 1):
-        yield (1, 0) + tuple(v + 2 for v in rest)
 
 
 def _first_outside_pm12(n: int) -> tuple[int, ...]:
@@ -337,11 +445,7 @@ def quotient_counts_from(
     """
     n = p.n
     _guard_enumeration("quotient histogram", n, max_n)
-    counts: dict[tuple[int, ...], int] = {}
-    for q in _pm12_iter(n):
-        t = _relation_parts(p.partner, q)
-        counts[t] = counts.get(t, 0) + 1
-    return {Partition(t): c for t, c in counts.items()}
+    return _histogram(_union_counts([p.partner], 0, first_edge=(0, 1))[0], n)
 
 
 def degree_histogram(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> dict[Partition, int]:
@@ -352,12 +456,14 @@ def degree_histogram(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> dict[Partitio
 
 @cache
 def _degree_histogram(n: int) -> dict[Partition, int]:
-    base = _base_partner(n)
-    counts: dict[tuple[int, ...], int] = {}
-    for r in _iter_partners(n):
-        t = _relation_parts(base, r)
-        counts[t] = counts.get(t, 0) + 1
-    return {Partition(t): c for t, c in counts.items()}
+    return _histogram(_union_counts([_base_partner(n)], 0)[0], n)
+
+
+def _histogram(counts: list[list[int]], n: int) -> dict[Partition, int]:
+    """The nonzero diagonal of a one-reference count, keyed by relation."""
+    return {
+        mu: counts[i][i] for i, mu in enumerate(generate_partitions(n)) if counts[i][i]
+    }
 
 
 def degree_count(mu: Partition, max_n: int = DEFAULT_ORACLE_MAX_N) -> int:

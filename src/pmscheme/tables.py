@@ -125,13 +125,18 @@ class EigTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EigTable":
-        """Inverse of ``to_json_obj``; the table must pass ``_check_table``
-        (SchemeError otherwise), so a doctored cache file is refused."""
+        """Inverse of ``to_json_obj``; the ``values`` grid must be rows x
+        columns (null marks an unfilled cell) and the table must pass
+        ``_check_table`` (SchemeError otherwise), so a doctored cache file
+        is refused."""
         n = obj["n"]
         rows = [parse_partition(s) for s in obj["rows"]]
         columns = [parse_partition(s) for s in obj["columns"]]
+        grid = obj["values"]
+        if len(grid) != len(rows) or any(len(row) != len(columns) for row in grid):
+            raise SchemeError("serialized values grid is not rows x columns")
         values: dict[tuple[Partition, Partition], int] = {}
-        for lam, row in zip(rows, obj["values"]):
+        for lam, row in zip(rows, grid):
             for mu, v in zip(columns, row):
                 if v is not None:
                     values[(lam, mu)] = v

@@ -274,13 +274,35 @@ def test_unwritable_out_exits_2(run, tmp_path):
     assert err.startswith("error: cannot write --out")
 
 
+def _edit_values(edit):
+    """Damage that applies edit(values grid) to the cached n = 4 table."""
+
+    def damage(text):
+        payload = json.loads(text)
+        edit(payload["table"]["values"])
+        return json.dumps(payload, indent=2) + "\n"
+
+    return damage
+
+
+def _cut_two_cells(values):
+    # the row [2,1,1] of the n = 4 table loses its last two cells
+    values[3] = values[3][:-2]
+
+
+def _null_cell(values):
+    values[2][1] = None
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         lambda text: text[: len(text) // 2],
         lambda text: text.replace('"table"', '"tabel"'),
+        _edit_values(_cut_two_cells),
+        _edit_values(_null_cell),
     ],
-    ids=["truncated", "missing-key"],
+    ids=["truncated", "missing-key", "short-row", "null-cell"],
 )
 def test_unparsable_cache_is_rebuilt(run, damage):
     code, _, _ = run("table", "--n", "4", "--format", "csv")

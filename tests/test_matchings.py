@@ -36,6 +36,8 @@ def test_enumeration_counts():
 def test_enumeration_guard():
     with pytest.raises(GuardExceeded):
         list(enumerate_matchings(10))
+    with pytest.raises(GuardExceeded, match="n <= 8"):
+        next(enumerate_matchings(9))
     with pytest.raises(GuardExceeded):
         list(enumerate_matchings(0))
 
@@ -126,6 +128,87 @@ def test_intersection_numbers_small(idata):
     for k in range(len(data4.relations)):
         for i, mu in enumerate(data4.relations):
             assert sum(data4.p[k][i]) == valency(mu)
+
+
+def _reference_partners(n):
+    """Every matching of K_{2n} as a partner tuple, smallest vertex first."""
+    m = 2 * n
+    partner = [-1] * m
+
+    def rec(start):
+        u = start
+        while u < m and partner[u] != -1:
+            u += 1
+        if u == m:
+            yield tuple(partner)
+            return
+        for v in range(u + 1, m):
+            if partner[v] == -1:
+                partner[u] = v
+                partner[v] = u
+                yield from rec(u + 1)
+                partner[u] = -1
+                partner[v] = -1
+
+    yield from rec(0)
+
+
+def _reference_parts(p, q):
+    """Cycle half-lengths of the union of p and q, by walking it."""
+    m = len(p)
+    seen = bytearray(m)
+    parts = []
+    for v0 in range(m):
+        if seen[v0]:
+            continue
+        length = 0
+        v = v0
+        while not seen[v]:
+            seen[v] = 1
+            w = p[v]
+            seen[w] = 1
+            v = q[w]
+            length += 1
+        parts.append(length)
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
+def _reference_histogram(p, partners):
+    counts = {}
+    for r in partners:
+        t = _reference_parts(p, r)
+        counts[t] = counts.get(t, 0) + 1
+    return {P(t): c for t, c in counts.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_incremental_counts_match_union_walks(n, idata):
+    """The incremental counter agrees with walking every union: intersection
+    numbers, valencies, the degree histogram and quotient histograms from
+    the base and three other matchings."""
+    data = idata(n)
+    index = {mu.parts: i for i, mu in enumerate(data.relations)}
+    d = len(data.relations)
+    base = base_matching(n).partner
+    reps = [rep.partner for rep in data.reps]
+    p = [[[0] * d for _ in range(d)] for _ in range(d)]
+    partners = list(_reference_partners(n))
+    for r in partners:
+        i = index[_reference_parts(base, r)]
+        for k in range(d):
+            p[k][i][index[_reference_parts(r, reps[k])]] += 1
+    assert data.p == p
+    degrees = _reference_histogram(base, partners)
+    assert data.valencies == [degrees[mu] for mu in data.relations]
+    assert degree_histogram(n) == degrees
+
+    through_12 = [r for r in partners if r[0] == 1]
+    total = double_factorial(2 * n - 1)
+    ranks = [0] + random.Random(8).sample(range(1, total), min(3, total - 1))
+    for r in ranks:
+        q = unrank(r, n)
+        assert quotient_counts_from(q) == _reference_histogram(q.partner, through_12)
 
 
 def test_quotient_examples():
