@@ -1,18 +1,21 @@
 """Measure the benchmark workloads and the table engines; write BENCH_*.json.
 
-    python3 scripts/bench_zonal.py --parent DIR [--seeds 1 2 ... 10]
+    python3 scripts/bench_zonal.py --parent DIR --out BENCH_name.json
+                                   [--seeds 1 2 ... 10]
                                    [--workloads cold_tables ...]
-                                   [--out BENCH_zonal.json]
 
 DIR is a source checkout of the commit to compare against (for example one
 unpacked with ``git archive``).  For every seed and workload the script runs
 ``python3 bench/run.py --workload W --seed S --seconds 8 --trace 0`` once in
 DIR and once in this checkout, alternating which runs first, and records
-each run's end-to-end metrics and their medians per side.  It then times
-``matchings.intersection_numbers(n)`` for n = 5..8 once per checkout, each
-in a fresh subprocess (alternating which side runs first), and
-``build_table_zonal(n)`` for n = 2..14 in this process (three builds each,
-median reported), with ``max_n`` raised for any n above the default guard.
+each run's end-to-end metrics and their medians per side.  Each run gets
+its own empty ``PMSCHEME_DATA_DIR``, removed afterwards, so a workload
+that passes no ``--data-dir`` neither reads nor fills the user's cache.
+It then times ``matchings.intersection_numbers(n)`` for n = 5..8 once per
+checkout, each in a fresh subprocess (alternating which side runs first),
+and ``build_table_zonal(n)`` for n = 2..14 in this process (three builds
+each, median reported), with ``max_n`` raised for any n above the default
+guard.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,11 +52,13 @@ print(time.perf_counter() - t0)
 
 
 def bench_run(checkout: Path, workload: str, seed: int) -> dict:
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", "8", "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    )
+    with tempfile.TemporaryDirectory(prefix="pmscheme-bench-") as data_dir:
+        done = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", "8", "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, check=True,
+            env={**os.environ, "PMSCHEME_DATA_DIR": data_dir},
+        )
     details_line, result_line = done.stdout.strip().splitlines()[-2:]
     result = json.loads(result_line)
     return {
@@ -117,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_zonal.json")
+    parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     report = {

@@ -95,9 +95,10 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
     (``bench/workloads.py`` set-up, ``bench/spans.py``) calls it by name.
     Raises GuardExceeded above DEFAULT_ZONAL_MAX_N.  A cache file that
     cannot be read or parsed, whose table fails the checks that
-    ``EigTable.from_json_obj`` runs, or whose table is not complete, is
-    rebuilt and overwritten, and a cache that cannot be written is skipped;
-    either prints a note on stderr.
+    ``EigTable.from_json_obj`` runs (labels, grid shape, table invariants),
+    or whose table has an unfilled cell (``is_complete``), is rebuilt and
+    overwritten, and a cache that cannot be written is skipped; either
+    prints a note on stderr.
     """
     path = _cache_path(config, n)
     if os.path.exists(path):
@@ -106,9 +107,7 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
                 payload = json.load(fh)
             if payload["code_version"] == __version__ and payload["n"] == n:
                 table = EigTable.from_json_obj(payload["table"])
-                # the grid is rows x columns by now, so a null cell is the
-                # only way to be incomplete (and cheaper than is_complete)
-                if any(None in row for row in payload["table"]["values"]):
+                if not table.is_complete():
                     raise SchemeError("cached table is not complete")
                 return table
         except (
@@ -319,6 +318,9 @@ def cmd_verify(args, config: Config) -> int:
     except GuardExceeded as exc:
         print(_guard_error(exc), file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ValueError as exc:  # a bad --family or --n
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except AmbiguousRowAssignment as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
@@ -404,7 +406,7 @@ def cmd_fit(args, config: Config) -> int:
             mu = Partition(prefix.parts + (1,) * (n - prefix.n))
             data.append((n, table.column(mu)))
         expr = fit_e_mu(prefix, data)
-    except (GuardExceeded, SchemeError) as exc:
+    except (GuardExceeded, SchemeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     print(expr.to_text())

@@ -8,11 +8,13 @@ every table row is a left eigenvector of each intersection matrix, so a
 random small-integer combination with distinct integer eigenvalues has the
 rows as its left eigenvectors, all read off one integer Krylov sequence,
 and each row is labelled by its multiplicity and its flip entry.  The
-formula route fills whatever closed forms cover.  Cells never come from
-guessing: a row that cannot be matched to a unique eigenspace index is a
-hard error, and every table built or loaded from JSON passes
-``_check_table`` or raises SchemeError.  A complete table also gives the
-intersection numbers and the relation-graph diameters.
+formula route fills whatever closed forms cover.  Each route fills one
+rows x columns grid, None marking a cell it left unfilled, and ``EigTable``
+holds that grid.  Cells never come from guessing: a row that cannot be
+matched to a unique eigenspace index is a hard error, and every table built
+or loaded from JSON passes ``_check_table`` or raises SchemeError.  A
+complete table also gives the intersection numbers and the relation-graph
+diameters.
 """
 
 from __future__ import annotations
@@ -55,41 +57,52 @@ DEFAULT_ZONAL_MAX_N = 14
 
 class EigTable:
     """Matrix of eigenvalues: rows are eigenspace indices in canonical
-    descending order, columns are relations in ascending order."""
+    descending order, columns are relations in ascending order.
+
+    The cells are one rows x columns grid, None marking an unfilled cell;
+    a grid of any other shape raises SchemeError.  The table keeps its own
+    copy of the grid and reads the columns and the set of complete
+    columns off it once, so ``column``, ``has_column`` and ``is_complete``
+    are lookups.
+    """
 
     def __init__(
         self,
         n: int,
-        values: dict[tuple[Partition, Partition], int],
+        grid: list[list[int | None]],
         provenance: dict[Partition, str],
     ):
         self.n = n
         self.rows: list[Partition] = list(generate_partitions(n))
         self.columns: list[Partition] = list(reversed(self.rows))
         self.dims: list[int] = [dim_hook(lam) for lam in self.rows]
-        self._values = values
+        width = len(self.columns)
+        if len(grid) != len(self.rows) or any(len(row) != width for row in grid):
+            raise SchemeError("values grid is not rows x columns")
+        self._grid = [list(row) for row in grid]
+        self._row_at = {lam: r for r, lam in enumerate(self.rows)}
+        self._cols = dict(zip(self.columns, map(list, zip(*self._grid))))
+        self._complete = {mu for mu, col in self._cols.items() if None not in col}
         self.provenance = provenance
 
     def value(self, lam: Partition, mu: Partition) -> int | None:
-        return self._values.get((lam, mu))
+        col = self._cols.get(mu)
+        r = self._row_at.get(lam)
+        return None if col is None or r is None else col[r]
 
     def column(self, mu: Partition) -> list[int]:
-        col = [self._values.get((lam, mu)) for lam in self.rows]
-        if any(v is None for v in col):
+        if mu not in self._complete:
             raise IncompleteTable(f"column {mu} is not fully populated")
-        return col  # type: ignore[return-value]
+        return list(self._cols[mu])
 
     def has_column(self, mu: Partition) -> bool:
-        return all((lam, mu) in self._values for lam in self.rows)
+        return mu in self._complete
 
     def is_complete(self) -> bool:
-        return all(self.has_column(mu) for mu in self.columns)
+        return len(self._complete) == len(self.columns)
 
     def grid(self) -> list[list[int | None]]:
-        return [
-            [self._values.get((lam, mu)) for mu in self.columns]
-            for lam in self.rows
-        ]
+        return [list(row) for row in self._grid]
 
     def to_csv_text(self) -> str:
         """Canonical CSV: header lambda\\mu + columns + Dim, one row per
@@ -97,13 +110,9 @@ class EigTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lambda\\mu"] + [str(mu) for mu in self.columns] + ["Dim"])
-        for lam, dim in zip(self.rows, self.dims):
-            cells: list[str | int] = [str(lam)]
-            for mu in self.columns:
-                v = self._values.get((lam, mu))
-                cells.append("" if v is None else v)
-            cells.append(dim)
-            writer.writerow(cells)
+        for lam, dim, row in zip(self.rows, self.dims, self._grid):
+            cells = ["" if v is None else v for v in row]
+            writer.writerow([str(lam)] + cells + [dim])
         return buf.getvalue()
 
     def to_json_obj(self) -> dict:
@@ -125,38 +134,25 @@ class EigTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EigTable":
-        """Inverse of ``to_json_obj``; the ``values`` grid must be rows x
-        columns (null marks an unfilled cell) and the table must pass
-        ``_check_table`` (SchemeError otherwise), so a doctored cache file
-        is refused."""
-        n = obj["n"]
-        rows = [parse_partition(s) for s in obj["rows"]]
-        columns = [parse_partition(s) for s in obj["columns"]]
-        grid = obj["values"]
-        if len(grid) != len(rows) or any(len(row) != len(columns) for row in grid):
-            raise SchemeError("serialized values grid is not rows x columns")
-        values: dict[tuple[Partition, Partition], int] = {}
-        for lam, row in zip(rows, grid):
-            for mu, v in zip(columns, row):
-                if v is not None:
-                    values[(lam, mu)] = v
+        """Inverse of ``to_json_obj``.  The row and column labels must be
+        the canonical ones spelled as ``str`` spells them, the ``values``
+        grid rows x columns (null marks an unfilled cell), and the table
+        must pass ``_check_table``; SchemeError otherwise, so a doctored
+        cache file is refused."""
         provenance = {parse_partition(s): p for s, p in obj["provenance"].items()}
-        table = cls(n, values, provenance)
-        if table.rows != rows or table.columns != columns:
+        table = cls(obj["n"], obj["values"], provenance)
+        labels = [str(lam) for lam in table.rows]
+        if obj["rows"] != labels or obj["columns"] != labels[::-1]:
             raise SchemeError("serialized table is not in canonical order")
         _check_table(table)
         return table
 
     def pretty(self) -> str:
         header = ["lam\\mu"] + [str(mu) for mu in self.columns] + ["Dim"]
-        body = []
-        for lam, dim in zip(self.rows, self.dims):
-            row = [str(lam)]
-            for mu in self.columns:
-                v = self._values.get((lam, mu))
-                row.append("." if v is None else str(v))
-            row.append(str(dim))
-            body.append(row)
+        body = [
+            [str(lam)] + ["." if v is None else str(v) for v in row] + [str(dim)]
+            for lam, dim, row in zip(self.rows, self.dims, self._grid)
+        ]
         widths = [max(len(r[c]) for r in [header] + body) for c in range(len(header))]
         lines = [
             "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
@@ -170,14 +166,10 @@ def _check_table(table: EigTable) -> None:
     identity column all ones, top row the valencies, dimensions summing to
     (2n-1)!!, and the trace identity on every complete column."""
     n = table.n
-    identity = Partition((1,) * n)
-    top = Partition((n,))
-    for lam in table.rows:
-        v = table.value(lam, identity)
+    for lam, v in zip(table.rows, table._cols[Partition((1,) * n)]):
         if v is not None and v != 1:
             raise SchemeError(f"identity column must be all ones, bad at {lam}")
-    for mu in table.columns:
-        v = table.value(top, mu)
+    for mu, v in zip(table.columns, table._grid[0]):
         if v is not None and v != valency(mu):
             raise SchemeError(f"top row must hold valencies, bad at {mu}")
     if sum(table.dims) != double_factorial(2 * n - 1):
@@ -197,12 +189,9 @@ def build_table_zonal(n: int, max_n: int = DEFAULT_ZONAL_MAX_N) -> EigTable:
     """
     if not 2 <= n <= max_n:
         raise GuardExceeded(f"zonal table guarded to 2 <= n <= {max_n} (asked {n})")
-    values = {
-        (lam, mu): phi
-        for lam, row in zonal_power_sums(n).items()
-        for mu, phi in row.items()
-    }
-    table = EigTable(n, values, {mu: "zonal" for mu in generate_partitions(n)})
+    columns = generate_partitions(n)[::-1]
+    grid = [[row[mu] for mu in columns] for row in zonal_power_sums(n).values()]
+    table = EigTable(n, grid, {mu: "zonal" for mu in columns})
     _check_table(table)
     return table
 
@@ -268,12 +257,10 @@ def build_table_oracle(
             raise SchemeError(f"non-integer multiplicity {mult} at root {tau}")
         eigenrows.append((row, int(mult)))
 
+    # rels descend and the columns ascend, so each row is reversed
     assignment = _assign_rows(n, rels, eigenrows)
-    values: dict[tuple[Partition, Partition], int] = {}
-    for lam, row in assignment.items():
-        for mu, phi in zip(rels, row):
-            values[(lam, mu)] = phi
-    table = EigTable(n, values, {mu: "oracle" for mu in rels})
+    grid = [assignment[lam][::-1] for lam in generate_partitions(n)]
+    table = EigTable(n, grid, {mu: "oracle" for mu in rels})
     _check_table(table)
     return table
 
@@ -340,19 +327,14 @@ def build_table_formulas(
     """
     if n < 2:
         raise ValueError("tables need n >= 2")
-    values: dict[tuple[Partition, Partition], int] = {}
-    provenance: dict[Partition, str] = {}
     rows = generate_partitions(n)
-    columns = list(reversed(rows))
-    identity = Partition((1,) * n)
-    for lam in rows:
-        values[(lam, identity)] = 1
-    provenance[identity] = "closed-form"
-    top = Partition((n,))
-    second = Partition((n - 1, 1))
-    for mu in columns:
-        values[(top, mu)] = valency(mu)
-        values[(second, mu)] = phi_n11(mu)
+    columns = rows[::-1]
+    # the identity column [1^n] is all ones
+    grid: list[list[int | None]] = [[1] + [None] * (len(columns) - 1) for _ in rows]
+    provenance: dict[Partition, str] = {columns[0]: "closed-form"}
+    # the top two rows are [n] and [n-1,1]
+    grid[0] = [valency(mu) for mu in columns]
+    grid[1] = [phi_n11(mu) for mu in columns]
     sources: list[tuple[Partition, PowerSumExpr, str]] = [
         (prefix, e_catalog(prefix), "closed-form") for prefix in CATALOG_PREFIXES
     ]
@@ -362,36 +344,38 @@ def build_table_formulas(
         if prefix.n > n:
             continue
         mu = Partition(prefix.parts + (1,) * (n - prefix.n))
-        for lam in rows:
+        c = columns.index(mu)
+        for lam, row in zip(rows, grid):
             phi = eval_expr(expr, lam)
             if phi.denominator != 1:
                 raise SchemeError(f"non-integer value {phi} at ({lam}, {mu})")
-            existing = values.get((lam, mu))
-            if existing is not None and existing != phi:
+            if row[c] is not None and row[c] != phi:
                 raise SchemeError(f"formula clash at ({lam}, {mu})")
-            values[(lam, mu)] = int(phi)
+            row[c] = int(phi)
         provenance[mu] = tag
-    table = EigTable(n, values, provenance)
+    table = EigTable(n, grid, provenance)
     _check_table(table)
     return table
 
 
+def _largest_off_top(
+    table: EigTable, mu: Partition, key
+) -> tuple[int, list[Partition]]:
+    """Largest key(entry) of column mu below the top row (row 0), with
+    every row attaining it."""
+    keys = [key(v) for v in table.column(mu)[1:]]
+    best = max(keys)
+    return best, [lam for lam, k in zip(table.rows[1:], keys) if k == best]
+
+
 def second_largest(table: EigTable, mu: Partition) -> tuple[int, list[Partition]]:
     """Largest column entry off the top row, with every row attaining it."""
-    col = table.column(mu)
-    top = Partition((table.n,))
-    entries = [(lam, v) for lam, v in zip(table.rows, col) if lam != top]
-    best = max(v for _, v in entries)
-    return best, [lam for lam, v in entries if v == best]
+    return _largest_off_top(table, mu, lambda v: v)
 
 
 def second_largest_abs(table: EigTable, mu: Partition) -> tuple[int, list[Partition]]:
     """Largest |entry| off the top row, with every row attaining it."""
-    col = table.column(mu)
-    top = Partition((table.n,))
-    entries = [(lam, v) for lam, v in zip(table.rows, col) if lam != top]
-    best = max(abs(v) for _, v in entries)
-    return best, [lam for lam, v in entries if abs(v) == best]
+    return _largest_off_top(table, mu, abs)
 
 
 class ConjectureVerdict:

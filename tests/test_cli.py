@@ -172,20 +172,16 @@ def test_byte_identical_runs(run):
 
 def test_verify_conjecture_failure_exits_1(run, monkeypatch):
     # a doctored 3-partition table whose [2,1] column peaks off [2,1]
-    from pmscheme import EigTable, Partition
+    from pmscheme import EigTable
     from pmscheme import cli as climod
 
-    P = Partition
-    values = {}
-    fake_rows = {
-        P([3]): [1, 6, 8],
-        P([2, 1]): [1, -3, -2],  # swapped with the bottom row
-        P([1, 1, 1]): [1, 1, 2],
-    }
-    for lam, row in fake_rows.items():
-        for mu, v in zip([P([1, 1, 1]), P([2, 1]), P([3])], row):
-            values[(lam, mu)] = v
-    doctored = EigTable(3, values, {})
+    # rows [3], [2,1], [1,1,1]; columns [1,1,1], [2,1], [3]
+    grid = [
+        [1, 6, 8],
+        [1, -3, -2],  # swapped with the bottom row
+        [1, 1, 2],
+    ]
+    doctored = EigTable(3, grid, {})
     monkeypatch.setattr(climod, "oracle_table_cached", lambda cfg, n: doctored)
     code = main(["verify", "conjecture", "--n", "3"])
     assert code == 1
@@ -358,6 +354,38 @@ def test_doctored_cache_cell_is_rebuilt(run, edit):
         assert fh.read() == good
     code, out, err = run("gap", "--mu", "[3,2,1,1]")
     assert code == 0 and err == ""
+
+
+def test_cache_row_label_in_exponent_form_is_rebuilt(run):
+    # "[2,1^2]" parses to the canonical row [2,1,1] but is not how the
+    # cache spells it, so the file is not one this code wrote
+    def respell(obj):
+        obj["rows"][obj["rows"].index("[2,1,1]")] = "[2,1^2]"
+
+    path, good = _doctor_cache(run, 4, respell)
+    code, out, err = run("table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == _golden(4)
+    assert err.startswith("note: rebuilding unreadable cache")
+    with open(path) as fh:
+        assert fh.read() == good
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "induction", "--family", "7", "--n", "9"],
+        ["verify", "induction", "--family", "3,x", "--n", "9"],
+        ["verify", "induction", "--family", "3,2", "--n", "3"],
+        ["verify", "ratios", "--n", "-1"],
+        ["fit", "--prefix", "1", "--n-range", "2:3"],
+    ],
+    ids=["family-not-in-catalog", "family-unparsable", "n-below-family",
+         "negative-n", "prefix-with-part-1"],
+)
+def test_bad_arguments_exit_2(run, argv):
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cached_parser_keeps_no_state(tmp_path, capsys, monkeypatch):

@@ -84,6 +84,42 @@ def test_formula_table_partial_and_rows():
     assert t20.value(P([19, 1]), P([2] + [1] * 18)) == 341
 
 
+def _assert_lookups_match_grid(table):
+    grid = table.grid()
+    for c, mu in enumerate(table.columns):
+        col = [row[c] for row in grid]
+        assert [table.value(lam, mu) for lam in table.rows] == col
+        assert table.has_column(mu) == (None not in col)
+        if None in col:
+            with pytest.raises(IncompleteTable):
+                table.column(mu)
+        else:
+            assert table.column(mu) == col
+    assert table.is_complete() == all(None not in row for row in grid)
+
+
+def test_grid_lookups_match_a_scan_of_the_grid():
+    for n in range(2, 21):
+        _assert_lookups_match_grid(build_table_formulas(n))
+    zonal = build_table_zonal(6)
+    assert zonal.is_complete()
+    grid = zonal.grid()
+    grid[3][5] = None
+    holed = EigTable(6, grid, zonal.provenance)
+    _assert_lookups_match_grid(holed)
+    assert not holed.is_complete()
+    assert not holed.has_column(holed.columns[5])
+    assert holed.value(holed.rows[3], holed.columns[5]) is None
+    assert zonal.value(zonal.rows[3], zonal.columns[5]) is not None
+
+
+def test_table_refuses_a_grid_that_is_not_rows_by_columns():
+    good = build_table_zonal(3).grid()
+    for grid in (good[:-1], good + [good[0]], [good[0], good[1][:-1], good[2]]):
+        with pytest.raises(SchemeError, match="not rows x columns"):
+            EigTable(3, grid, {})
+
+
 def test_route_equivalence(oracle_table):
     for n in range(2, 7):
         formulas = build_table_formulas(n)
@@ -256,17 +292,14 @@ def test_zonal_guard_refuses_before_any_work(monkeypatch):
 
 
 _DOCTORED_CHECK = """
-from pmscheme import EigTable, Partition
+from pmscheme import EigTable
 from pmscheme.errors import SchemeError
 from pmscheme.tables import _check_table
 
-P = Partition
-values = {
-    (P([2]), P([1, 1])): 1, (P([2]), P([2])): 2,
-    (P([1, 1]), P([1, 1])): 1, (P([1, 1]), P([2])): 5,
-}
+# rows [2], [1,1]; columns [1,1], [2]
+grid = [[1, 2], [1, 5]]
 try:
-    _check_table(EigTable(2, values, {}))
+    _check_table(EigTable(2, grid, {}))
 except SchemeError as exc:
     print("refused:", exc)
 else:
