@@ -90,6 +90,7 @@ from .spectra import (
 )
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
+    FORMULAS_MAX_N,
     ConjectureVerdict,
     DiameterResult,
     EigTable,

@@ -1,12 +1,21 @@
 """Command-line surface: tables, verification runs, gaps, diameters, fits.
 
-Exit codes: 0 pass, 1 verification failure, 2 unsupported request or parse
-error, 3 internal ambiguity.  Every command that reads a full table gets
-the zonal table, cached on disk keyed by (n, code version); cache writes
-are atomic.  ``diameter`` and ``scan --with-diameters`` derive
-relation-graph diameters from that table.  The brute-force oracle serves
-only ``table --source oracle`` (uncached, seeded by --seed) and the
-intersection numbers behind ``verify scheme-axioms``.
+Each subcommand's parser carries its ``cmd_*`` function as ``run``, and
+``main`` runs it inside the one ``try`` that maps a refusal to its exit
+code.  Exit codes: 0 pass, 1 verification failure, 2 unsupported request
+or parse error (``GuardExceeded``, ``ValueError``, ``FitInconsistent``,
+``FitUnderdetermined``), 3 internal ambiguity (``AmbiguousRowAssignment``);
+a refusal prints one ``error: {exc}`` line on stderr.  ``table`` alone
+prints two refusals itself: its guard line names the option that gets past
+the guard, and an ``--out`` it cannot write is reported.  The console
+script (``main_entry``) ends by SIGPIPE, silently, when stdout closes.
+
+Every command that reads a full table gets the zonal table, cached on disk
+keyed by (n, code version); cache writes are atomic.  ``diameter`` and
+``scan --with-diameters`` derive relation-graph diameters from that table.
+The brute-force oracle serves only ``table --source oracle`` (uncached,
+seeded by --seed) and the intersection numbers behind ``verify
+scheme-axioms``.
 """
 
 from __future__ import annotations
@@ -14,13 +23,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass, field
 from functools import cache
 
 from . import __version__
-from .errors import AmbiguousRowAssignment, GuardExceeded, SchemeError
+from .errors import (
+    AmbiguousRowAssignment,
+    FitInconsistent,
+    FitUnderdetermined,
+    GuardExceeded,
+    SchemeError,
+)
 from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
 from .ratios import all_merges, gap_ratio_report, tau_ratio, valency_ratio
@@ -30,7 +46,7 @@ from .spectra import (
     valency,
     verify_induction_step,
 )
-from .symfunc import fit_e_mu
+from .symfunc import fit_e_mu, monomial_basis
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
     EigTable,
@@ -151,28 +167,21 @@ def _parse_prefix(text: str) -> Partition:
     return Partition(int(x) for x in text.split(","))
 
 
-def _guard_error(exc: GuardExceeded) -> str:
-    """The refusal line, with the guard's cost estimate when it has one."""
-    return f"error: {exc} ({exc.estimate})" if exc.estimate else f"error: {exc}"
-
-
 def cmd_table(args, config: Config) -> int:
     n = args.n
     if n < 2:
-        print(f"error: tables need n >= 2, got {n}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise ValueError(f"tables need n >= 2, got {n}")
     try:
         table = _build_table(config, n, args.source)
     except GuardExceeded as exc:
+        if args.source == "formulas":
+            raise
         if args.source == "oracle":
-            hint = "; raise --max-oracle-n to override"
+            hint = "raise --max-oracle-n to override"
         else:
-            hint = "; --source formulas prints the closed-form cells"
-        print(_guard_error(exc) + hint, file=sys.stderr)
+            hint = "--source formulas prints the closed-form cells"
+        print(f"error: {exc}; {hint}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except AmbiguousRowAssignment as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
     if not table.is_complete():
         print(
             f"note: table for n={n} is partial (closed-form cells only)",
@@ -190,142 +199,135 @@ def cmd_table(args, config: Config) -> int:
     return EXIT_PASS
 
 
-def _print_verdict(args, obj: dict, text: str) -> None:
-    """With --json, print obj as one JSON object led by the verify kind and
-    n (obj holds "overall" and the kind's own fields); else print text."""
+# Each verify kind returns (obj, text): obj holds "overall" and the kind's
+# own --json fields, text is the plain verdict.
+
+
+def _verify_conjecture(args, config: Config) -> tuple[dict, str]:
+    verdict = verify_conjecture(oracle_table_cached(config, args.n))
+    lines = []
+    for entry in verdict.per_column:
+        if entry["applicable"]:
+            mark = "ok" if entry["holds"] else "FAIL"
+            rows = ", ".join(str(l) for l in entry["rows"])
+            lines.append(f"  {entry['mu']}: second largest on {{{rows}}} [{mark}]")
+    lines.append(f"conjecture n={args.n}: {'PASS' if verdict.overall else 'FAIL'}")
+    return verdict.to_json_obj(), "\n".join(lines)
+
+
+def _verify_trace(args, config: Config) -> tuple[dict, str]:
+    table = oracle_table_cached(config, args.n)
+    bad = [mu for mu in table.columns if not trace_identity_check(args.n, mu, table)]
+    if bad:
+        text = f"trace identity n={args.n}: FAIL at {bad}"
+    else:
+        text = f"trace identity n={args.n}: PASS ({len(table.columns)} columns)"
+    obj = {
+        "overall": not bad,
+        "columns": len(table.columns),
+        "failed": [str(mu) for mu in bad],
+    }
+    return obj, text
+
+
+def _verify_induction(args, config: Config) -> tuple[dict, str]:
+    if not args.family:
+        raise ValueError("verify induction needs --family")
+    prefix = _parse_prefix(args.family)
+    report = verify_induction_step(prefix, args.n)
+    text = (
+        f"induction step family {prefix} at n={args.n}:"
+        f" {'PASS' if report.passed else 'FAIL'}"
+        f" (min slack {report.min_slack} at lam={report.witness[0]},"
+        f" row {report.witness[1]})"
+    )
+    obj = {
+        "overall": report.passed,
+        "family": str(prefix),
+        "rhs": str(report.rhs),
+        "min_slack": str(report.min_slack),
+        "witness": {"lam": str(report.witness[0]), "row": report.witness[1]},
+    }
+    return obj, text
+
+
+def _verify_ratios(args, config: Config) -> tuple[dict, str]:
+    n = args.n
+    # generate_partitions refuses a negative n first, with its own message
+    heads = [mu for mu in generate_partitions(n) if mu.parts[-1:] == (1,)]
+    if n < 2:
+        raise ValueError(f"ratio laws need n >= 2, got {n}")
+    failures = []
+    mismatched_constant = False
+    checked = 0
+    for mu in heads:
+        for spec in all_merges(mu):
+            vr = valency_ratio(spec)
+            tr = tau_ratio(spec)
+            checked += 1
+            if tr is not None and vr != tr:
+                failures.append(spec)
+            if not gap_ratio_report(spec).matches_formula:
+                mismatched_constant = True
+    if failures:
+        text = f"ratio laws n={n}: FAIL ({len(failures)} merges disagree)"
+    else:
+        text = f"ratio laws n={n}: PASS ({checked} merges, valency == tau)"
+        if mismatched_constant:
+            text += (
+                "\nNOTE: the closed-form merge constant is half the measured"
+                " ratio on every checked merge; reports carry both values."
+            )
+    obj = {
+        "overall": not failures,
+        "merges": checked,
+        "failed": [f"{s.mu} parts {s.i},{s.j}" for s in failures],
+        "merge_constant_matches": not mismatched_constant,
+    }
+    return obj, text
+
+
+def _verify_scheme_axioms(args, config: Config) -> tuple[dict, str]:
+    n = args.n
+    data = intersection_numbers(n, max_n=config.max_oracle_n)
+    table = oracle_table_cached(config, n)
+    ok_struct = verify_structure_constants(table, data)
+    ok_orth = verify_column_orthogonality(table)
+    ok_trace = all(trace_identity_check(n, mu, table) for mu in table.columns)
+    ok = ok_struct and ok_orth and ok_trace
+    text = (
+        f"scheme axioms n={n}: {'PASS' if ok else 'FAIL'}"
+        f" (structure constants {'ok' if ok_struct else 'FAIL'},"
+        f" orthogonality {'ok' if ok_orth else 'FAIL'},"
+        f" trace {'ok' if ok_trace else 'FAIL'})"
+    )
+    obj = {
+        "overall": ok,
+        "structure_constants": ok_struct,
+        "orthogonality": ok_orth,
+        "trace": ok_trace,
+    }
+    return obj, text
+
+
+VERIFY_KINDS = {
+    "conjecture": _verify_conjecture,
+    "trace": _verify_trace,
+    "induction": _verify_induction,
+    "ratios": _verify_ratios,
+    "scheme-axioms": _verify_scheme_axioms,
+}
+
+
+def cmd_verify(args, config: Config) -> int:
+    """Print the verdict (with --json, one JSON object led by the kind and
+    n) and exit 0 on pass, 1 on failure."""
+    obj, text = VERIFY_KINDS[args.kind](args, config)
     if args.json:
         print(json.dumps({"kind": args.kind, "n": args.n, **obj}, indent=2))
     else:
         print(text)
-
-
-def cmd_verify(args, config: Config) -> int:
-    kind = args.kind
-    try:
-        if kind == "conjecture":
-            table = oracle_table_cached(config, args.n)
-            verdict = verify_conjecture(table)
-            lines = []
-            for entry in verdict.per_column:
-                if entry["applicable"]:
-                    mark = "ok" if entry["holds"] else "FAIL"
-                    rows = ", ".join(str(l) for l in entry["rows"])
-                    lines.append(
-                        f"  {entry['mu']}: second largest on {{{rows}}} [{mark}]"
-                    )
-            word = "PASS" if verdict.overall else "FAIL"
-            lines.append(f"conjecture n={args.n}: {word}")
-            _print_verdict(args, verdict.to_json_obj(), "\n".join(lines))
-            return EXIT_PASS if verdict.overall else EXIT_FAIL
-
-        if kind == "trace":
-            table = oracle_table_cached(config, args.n)
-            bad = [
-                mu
-                for mu in table.columns
-                if not trace_identity_check(args.n, mu, table)
-            ]
-            if bad:
-                text = f"trace identity n={args.n}: FAIL at {bad}"
-            else:
-                text = f"trace identity n={args.n}: PASS ({len(table.columns)} columns)"
-            obj = {
-                "overall": not bad,
-                "columns": len(table.columns),
-                "failed": [str(mu) for mu in bad],
-            }
-            _print_verdict(args, obj, text)
-            return EXIT_FAIL if bad else EXIT_PASS
-
-        if kind == "induction":
-            prefix = _parse_prefix(args.family)
-            report = verify_induction_step(prefix, args.n)
-            word = "PASS" if report.passed else "FAIL"
-            text = (
-                f"induction step family {prefix} at n={args.n}: {word}"
-                f" (min slack {report.min_slack} at lam={report.witness[0]},"
-                f" row {report.witness[1]})"
-            )
-            obj = {
-                "overall": report.passed,
-                "family": str(prefix),
-                "rhs": str(report.rhs),
-                "min_slack": str(report.min_slack),
-                "witness": {"lam": str(report.witness[0]), "row": report.witness[1]},
-            }
-            _print_verdict(args, obj, text)
-            return EXIT_PASS if report.passed else EXIT_FAIL
-
-        if kind == "ratios":
-            n = args.n
-            failures = []
-            mismatched_constant = False
-            checked = 0
-            for mu in generate_partitions(n):
-                if mu.parts[-1:] != (1,):
-                    continue
-                for spec in all_merges(mu):
-                    vr = valency_ratio(spec)
-                    tr = tau_ratio(spec)
-                    checked += 1
-                    if tr is not None and vr != tr:
-                        failures.append(spec)
-                    report = gap_ratio_report(spec)
-                    if not report.matches_formula:
-                        mismatched_constant = True
-            if failures:
-                text = f"ratio laws n={n}: FAIL ({len(failures)} merges disagree)"
-            else:
-                text = f"ratio laws n={n}: PASS ({checked} merges, valency == tau)"
-                if mismatched_constant:
-                    text += (
-                        "\nNOTE: the closed-form merge constant is half the measured"
-                        " ratio on every checked merge; reports carry both values."
-                    )
-            obj = {
-                "overall": not failures,
-                "merges": checked,
-                "failed": [f"{s.mu} parts {s.i},{s.j}" for s in failures],
-                "merge_constant_matches": not mismatched_constant,
-            }
-            _print_verdict(args, obj, text)
-            return EXIT_FAIL if failures else EXIT_PASS
-
-        if kind == "scheme-axioms":
-            n = args.n
-            data = intersection_numbers(n, max_n=config.max_oracle_n)
-            table = oracle_table_cached(config, n)
-            ok_struct = verify_structure_constants(table, data)
-            ok_orth = verify_column_orthogonality(table)
-            ok_trace = all(
-                trace_identity_check(n, mu, table) for mu in table.columns
-            )
-            ok = ok_struct and ok_orth and ok_trace
-            text = (
-                f"scheme axioms n={n}: {'PASS' if ok else 'FAIL'}"
-                f" (structure constants {'ok' if ok_struct else 'FAIL'},"
-                f" orthogonality {'ok' if ok_orth else 'FAIL'},"
-                f" trace {'ok' if ok_trace else 'FAIL'})"
-            )
-            obj = {
-                "overall": ok,
-                "structure_constants": ok_struct,
-                "orthogonality": ok_orth,
-                "trace": ok_trace,
-            }
-            _print_verdict(args, obj, text)
-            return EXIT_PASS if ok else EXIT_FAIL
-    except GuardExceeded as exc:
-        print(_guard_error(exc), file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ValueError as exc:  # a bad --family or --n
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except AmbiguousRowAssignment as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
-    print(f"error: unknown verify kind {kind!r}", file=sys.stderr)
-    return EXIT_UNSUPPORTED
+    return EXIT_PASS if obj["overall"] else EXIT_FAIL
 
 
 def _gap_for(config: Config, mu: Partition) -> tuple[int, str]:
@@ -339,25 +341,12 @@ def _gap_for(config: Config, mu: Partition) -> tuple[int, str]:
 
 
 def cmd_gap(args, config: Config) -> int:
-    try:
-        mu = parse_partition(args.mu)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    mu = parse_partition(args.mu)
     if args.n is not None and args.n != mu.n:
-        print(
-            f"error: --n {args.n} disagrees with {mu} (a partition of {mu.n})",
-            file=sys.stderr,
-        )
-        return EXIT_UNSUPPORTED
+        raise ValueError(f"--n {args.n} disagrees with {mu} (a partition of {mu.n})")
     if mu.parts == (1,) * mu.n or mu.n < 2:
-        print(f"error: {mu} has no spectral gap to report", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    try:
-        gap, source = _gap_for(config, mu)
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise ValueError(f"{mu} has no spectral gap to report")
+    gap, source = _gap_for(config, mu)
     print(gap)
     if args.verbose:
         print(f"source: {source}", file=sys.stderr)
@@ -365,16 +354,8 @@ def cmd_gap(args, config: Config) -> int:
 
 
 def cmd_diameter(args, config: Config) -> int:
-    try:
-        mu = parse_partition(args.mu)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    try:
-        result = diameter(oracle_table_cached(config, mu.n), mu)
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    mu = parse_partition(args.mu)
+    result = diameter(oracle_table_cached(config, mu.n), mu)
     if result.connected:
         print(result.diameter)
     else:
@@ -383,43 +364,26 @@ def cmd_diameter(args, config: Config) -> int:
 
 
 def cmd_fit(args, config: Config) -> int:
-    try:
-        prefix = _parse_prefix(args.prefix)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    prefix = _parse_prefix(args.prefix)
     try:
         lo, hi = (int(x) for x in args.n_range.split(":"))
     except ValueError:
-        print(f"error: bad --n-range {args.n_range!r}, want LO:HI", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise ValueError(f"bad --n-range {args.n_range!r}, want LO:HI") from None
     if lo < prefix.n or hi < lo:
-        print(
-            f"error: range {lo}:{hi} invalid for prefix {prefix} (min n {prefix.n})",
-            file=sys.stderr,
+        raise ValueError(
+            f"range {lo}:{hi} invalid for prefix {prefix} (min n {prefix.n})"
         )
-        return EXIT_UNSUPPORTED
+    monomial_basis(prefix)  # refuses a prefix it cannot fit before any table
     data = []
-    try:
-        for n in range(lo, hi + 1):
-            table = oracle_table_cached(config, n)
-            mu = Partition(prefix.parts + (1,) * (n - prefix.n))
-            data.append((n, table.column(mu)))
-        expr = fit_e_mu(prefix, data)
-    except (GuardExceeded, SchemeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    print(expr.to_text())
+    for n in range(lo, hi + 1):
+        mu = Partition(prefix.parts + (1,) * (n - prefix.n))
+        data.append((n, oracle_table_cached(config, n).column(mu)))
+    print(fit_e_mu(prefix, data).to_text())
     return EXIT_PASS
 
 
 def cmd_scan(args, config: Config) -> int:
-    n = args.n
-    try:
-        table = oracle_table_cached(config, n)
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    table = oracle_table_cached(config, args.n)
     gaps = gap_scan(table)
     for mu in table.columns:
         if mu in gaps:
@@ -469,39 +433,41 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json", "pretty"), default="pretty"
     )
     p_table.add_argument("--out")
+    p_table.set_defaults(run=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a verification")
-    p_verify.add_argument(
-        "kind",
-        choices=("conjecture", "trace", "induction", "ratios", "scheme-axioms"),
-    )
+    p_verify.add_argument("kind", choices=tuple(VERIFY_KINDS))
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--family", help="prefix for induction, e.g. 3,2")
     p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_gap = sub.add_parser("gap", help="spectral gap of one relation")
     p_gap.add_argument("--mu", required=True)
     p_gap.add_argument("--n", type=int)
     p_gap.add_argument("--verbose", action="store_true")
+    p_gap.set_defaults(run=cmd_gap)
 
     p_diam = sub.add_parser("diameter", help="diameter of one relation graph")
     p_diam.add_argument("--mu", required=True)
+    p_diam.set_defaults(run=cmd_diameter)
 
     p_fit = sub.add_parser("fit", help="recover a family expression from tables")
     p_fit.add_argument("--prefix", required=True)
     p_fit.add_argument("--n-range", required=True, help="LO:HI inclusive")
+    p_fit.set_defaults(run=cmd_fit)
 
     p_scan = sub.add_parser("scan", help="per-column gap scan of a full table")
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--with-diameters", action="store_true")
+    p_scan.set_defaults(run=cmd_scan)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_UNSUPPORTED if exc.code else EXIT_PASS
     overrides = {"seed": args.seed}
@@ -510,31 +476,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_oracle_n is not None:
         overrides["max_oracle_n"] = args.max_oracle_n
     try:
-        config = Config(**overrides)
-    except ValueError as exc:
+        return args.run(args, Config(**overrides))
+    except (GuardExceeded, ValueError, FitInconsistent, FitUnderdetermined) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-
-    if args.command == "table":
-        return cmd_table(args, config)
-    if args.command == "verify":
-        if args.kind == "induction" and not args.family:
-            print("error: verify induction needs --family", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        return cmd_verify(args, config)
-    if args.command == "gap":
-        return cmd_gap(args, config)
-    if args.command == "diameter":
-        return cmd_diameter(args, config)
-    if args.command == "fit":
-        return cmd_fit(args, config)
-    if args.command == "scan":
-        return cmd_scan(args, config)
-    print(f"error: unknown command {args.command!r}", file=sys.stderr)
-    return EXIT_UNSUPPORTED
+    except AmbiguousRowAssignment as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_AMBIGUOUS
 
 
 def main_entry() -> None:
+    """Console-script entry: a closed stdout ends the process by SIGPIPE,
+    silently, as it ends any Unix filter."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

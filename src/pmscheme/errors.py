@@ -12,6 +12,10 @@ class GuardExceeded(SchemeError):
         super().__init__(message)
         self.estimate = estimate
 
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{message} ({self.estimate})" if self.estimate else message
+
 
 class AmbiguousRowAssignment(SchemeError):
     """An eigenvector row could not be matched to a unique eigenspace index."""

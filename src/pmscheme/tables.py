@@ -53,6 +53,10 @@ _MAX_COMBO_ATTEMPTS = 60
 # The largest n timed in BENCH_zonal.json, where it builds in 0.45 s; larger
 # n are untimed.
 DEFAULT_ZONAL_MAX_N = 14
+# build_table_formulas fills a p(n) x p(n) grid: at n = 24 that takes
+# 0.4-0.6 s and 75 MB peak RSS (Python 3.11, 2 cores); at n = 40 the grid
+# alone would be about 1.4e9 list slots, roughly 11 GB.
+FORMULAS_MAX_N = 24
 
 
 class EigTable:
@@ -323,10 +327,15 @@ def build_table_formulas(
     columns, and the top two rows for every relation.  Other cells stay absent.
 
     extra maps additional family prefixes to fitted expressions; their
-    columns are marked with interpolated provenance.
+    columns are marked with interpolated provenance.  Raises GuardExceeded
+    above FORMULAS_MAX_N before any work.
     """
     if n < 2:
         raise ValueError("tables need n >= 2")
+    if n > FORMULAS_MAX_N:
+        raise GuardExceeded(
+            f"closed-form table guarded to n <= {FORMULAS_MAX_N} (asked {n})"
+        )
     rows = generate_partitions(n)
     columns = rows[::-1]
     # the identity column [1^n] is all ones

@@ -1,9 +1,13 @@
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from pmscheme import DEFAULT_ZONAL_MAX_N, __version__
+import pmscheme
+from pmscheme import DEFAULT_ZONAL_MAX_N, FORMULAS_MAX_N, __version__
 from pmscheme.cli import main
 
 
@@ -57,7 +61,18 @@ def test_table_out_file_and_cache_reuse(run, tmp_path):
 def test_table_guard_exit_2(run):
     code, _, err = run("table", "--n", "12", "--source", "oracle")
     assert code == 2
-    assert "guard" in err
+    assert err == (
+        "error: intersection numbers guarded to n <= 8 (asked 12)"
+        " (316234143225 matchings x 77 relations);"
+        " raise --max-oracle-n to override\n"
+    )
+    # the same guard without a hint: the estimate still follows the message
+    code, _, err = run("verify", "scheme-axioms", "--n", "9")
+    assert code == 2
+    assert err == (
+        "error: intersection numbers guarded to n <= 8 (asked 9)"
+        " (34459425 matchings x 30 relations)\n"
+    )
 
 
 def test_table_formulas_partial_note(run):
@@ -377,15 +392,57 @@ def test_cache_row_label_in_exponent_form_is_rebuilt(run):
         ["verify", "induction", "--family", "3,x", "--n", "9"],
         ["verify", "induction", "--family", "3,2", "--n", "3"],
         ["verify", "ratios", "--n", "-1"],
+        ["verify", "ratios", "--n", "0"],
+        ["verify", "ratios", "--n", "1"],
         ["fit", "--prefix", "1", "--n-range", "2:3"],
     ],
     ids=["family-not-in-catalog", "family-unparsable", "n-below-family",
-         "negative-n", "prefix-with-part-1"],
+         "negative-n", "ratios-n0", "ratios-n1", "prefix-with-part-1"],
 )
 def test_bad_arguments_exit_2(run, argv):
     code, out, err = run(*argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fit_refuses_prefix_before_reading_tables(run):
+    code, out, err = run("fit", "--prefix", "1", "--n-range", "2:5")
+    assert code == 2 and out == ""
+    assert err == "error: family prefix needs all parts >= 2\n"
+    assert not os.path.exists(run.data_dir) or os.listdir(run.data_dir) == []
+
+
+def test_table_formulas_guard(run):
+    code, out, err = run("table", "--n", "20", "--source", "formulas", "--format", "csv")
+    assert code == 0 and out.startswith("lambda\\mu,")
+    code, out, err = run("table", "--n", str(FORMULAS_MAX_N + 1), "--source", "formulas")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "guard" in err and "--source formulas" not in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_quietly_by_sigpipe(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmscheme.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write raises SIGPIPE
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "from pmscheme.cli import main_entry; main_entry()",
+                "--data-dir", str(tmp_path), "table", "--n", "3", "--format", "csv",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE
+    assert proc.stderr == b""
 
 
 def test_cached_parser_keeps_no_state(tmp_path, capsys, monkeypatch):

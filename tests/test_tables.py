@@ -6,6 +6,7 @@ import pytest
 
 from pmscheme import (
     DEFAULT_ZONAL_MAX_N,
+    FORMULAS_MAX_N,
     EigTable,
     Partition,
     build_table_formulas,
@@ -289,6 +290,17 @@ def test_zonal_guard_refuses_before_any_work(monkeypatch):
         build_table_zonal(1)
     with pytest.raises(GuardExceeded):
         build_table_zonal(5, max_n=4)
+
+
+def test_formulas_guard_refuses_before_any_work(monkeypatch):
+    from pmscheme import tables
+
+    def fail(n):
+        raise AssertionError("the closed-form grid was built past the guard")
+
+    monkeypatch.setattr(tables, "generate_partitions", fail)
+    with pytest.raises(GuardExceeded, match=f"n <= {FORMULAS_MAX_N} "):
+        build_table_formulas(FORMULAS_MAX_N + 1)
 
 
 _DOCTORED_CHECK = """
