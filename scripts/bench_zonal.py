@@ -12,10 +12,9 @@ each run's end-to-end metrics and their medians per side.  Each run gets
 its own empty ``PMSCHEME_DATA_DIR``, removed afterwards, so a workload
 that passes no ``--data-dir`` neither reads nor fills the user's cache.
 It then times ``matchings.intersection_numbers(n)`` for n = 5..8 once per
-checkout, each in a fresh subprocess (alternating which side runs first),
-and ``build_table_zonal(n)`` for n = 2..14 in this process (three builds
-each, median reported), with ``max_n`` raised for any n above the default
-guard.
+checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
+checkout, each build in a fresh subprocess of its checkout (alternating
+which side runs first), and records every run and the median per side.
 """
 
 from __future__ import annotations
@@ -28,25 +27,34 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pmscheme.tables import DEFAULT_ZONAL_MAX_N, build_table_zonal  # noqa: E402
+from pmscheme.tables import DEFAULT_ZONAL_MAX_N  # noqa: E402
 
 WORKLOADS = ("cold_tables", "table_assembly", "warm_queries", "diameters")
 METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
 ZONAL_NS = range(2, 15)
 ZONAL_REPEATS = 3
 ORACLE_NS = range(5, 9)
+# each timer runs in a checkout's root and prints the seconds of one call
 ORACLE_TIMER = """
 import sys, time
 sys.path.insert(0, "src")
 from pmscheme.matchings import intersection_numbers
 t0 = time.perf_counter()
 intersection_numbers(int(sys.argv[1]))
+print(time.perf_counter() - t0)
+"""
+ZONAL_TIMER = """
+import sys, time
+sys.path.insert(0, "src")
+from pmscheme.tables import build_table_zonal
+n = int(sys.argv[1])
+t0 = time.perf_counter()
+build_table_zonal(n, max_n=n)
 print(time.perf_counter() - t0)
 """
 
@@ -91,31 +99,23 @@ def compare(parent: Path, workloads: list[str], seeds: list[int]) -> dict:
     return out
 
 
-def oracle_times(parent: Path) -> dict:
-    """Seconds for intersection_numbers(n), one fresh process per side and n."""
-    out = {"parent": {}, "change": {}}
-    for k, n in enumerate(ORACLE_NS):
+def fresh_times(parent: Path, timer: str, ns: range, repeats: int) -> dict:
+    """Seconds the timer reports for each n, one fresh process per side, n
+    and repeat, alternating which side runs first; medians per side."""
+    runs: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    for k, n in enumerate([n for n in ns for _ in range(repeats)]):
         sides = [("parent", parent), ("change", ROOT)]
         for side, checkout in sides if k % 2 == 0 else reversed(sides):
             done = subprocess.run(
-                [sys.executable, "-c", ORACLE_TIMER, str(n)],
+                [sys.executable, "-c", timer, str(n)],
                 cwd=checkout, capture_output=True, text=True, check=True,
             )
-            out[side][str(n)] = float(done.stdout)
-        print("intersection_numbers", n, {s: out[s][str(n)] for s in out}, file=sys.stderr)
-    return out
-
-
-def zonal_times() -> dict:
-    out = {}
-    for n in ZONAL_NS:
-        times = []
-        for _ in range(ZONAL_REPEATS):
-            t0 = time.perf_counter()
-            build_table_zonal(n, max_n=max(n, DEFAULT_ZONAL_MAX_N))
-            times.append(time.perf_counter() - t0)
-        out[str(n)] = {"median_s": statistics.median(times), "runs_s": times}
-    return out
+            runs[side].setdefault(str(n), []).append(float(done.stdout))
+        print("timer", n, {s: runs[s][str(n)][-1] for s in runs}, file=sys.stderr)
+    return {
+        side: {n: {"median_s": statistics.median(ts), "runs_s": ts} for n, ts in by_n.items()}
+        for side, by_n in runs.items()
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,8 +135,12 @@ def main(argv: list[str] | None = None) -> int:
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
         "workloads": compare(args.parent.resolve(), args.workloads, args.seeds),
-        "intersection_numbers_s": oracle_times(args.parent.resolve()),
-        "build_table_zonal_s": zonal_times(),
+        "intersection_numbers_s": fresh_times(
+            args.parent.resolve(), ORACLE_TIMER, ORACLE_NS, 1
+        ),
+        "build_table_zonal_s": fresh_times(
+            args.parent.resolve(), ZONAL_TIMER, ZONAL_NS, ZONAL_REPEATS
+        ),
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

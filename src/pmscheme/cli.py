@@ -39,7 +39,7 @@ from .errors import (
 )
 from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
-from .ratios import all_merges, gap_ratio_report, tau_ratio, valency_ratio
+from .ratios import all_merges, gap_ratio_report
 from .spectra import (
     gap_report,
     trace_identity_check,
@@ -161,10 +161,15 @@ def _render(table: EigTable, fmt: str) -> str:
     return table.pretty()
 
 
-def _parse_prefix(text: str) -> Partition:
-    if text.startswith("["):
-        return parse_partition(text)
-    return Partition(int(x) for x in text.split(","))
+def _parse_prefix(text: str, option: str) -> Partition:
+    try:
+        if text.startswith("["):
+            return parse_partition(text)
+        return Partition(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"bad {option} {text!r}: want parts like 3,2 or [3,2]"
+        ) from None
 
 
 def cmd_table(args, config: Config) -> int:
@@ -233,7 +238,7 @@ def _verify_trace(args, config: Config) -> tuple[dict, str]:
 def _verify_induction(args, config: Config) -> tuple[dict, str]:
     if not args.family:
         raise ValueError("verify induction needs --family")
-    prefix = _parse_prefix(args.family)
+    prefix = _parse_prefix(args.family, "--family")
     report = verify_induction_step(prefix, args.n)
     text = (
         f"induction step family {prefix} at n={args.n}:"
@@ -262,12 +267,12 @@ def _verify_ratios(args, config: Config) -> tuple[dict, str]:
     checked = 0
     for mu in heads:
         for spec in all_merges(mu):
-            vr = valency_ratio(spec)
-            tr = tau_ratio(spec)
+            report = gap_ratio_report(spec)
             checked += 1
-            if tr is not None and vr != tr:
+            tr = report.tau_ratio
+            if tr is not None and report.valency_ratio != tr:
                 failures.append(spec)
-            if not gap_ratio_report(spec).matches_formula:
+            if not report.matches_formula:
                 mismatched_constant = True
     if failures:
         text = f"ratio laws n={n}: FAIL ({len(failures)} merges disagree)"
@@ -364,7 +369,7 @@ def cmd_diameter(args, config: Config) -> int:
 
 
 def cmd_fit(args, config: Config) -> int:
-    prefix = _parse_prefix(args.prefix)
+    prefix = _parse_prefix(args.prefix, "--prefix")
     try:
         lo, hi = (int(x) for x in args.n_range.split(":"))
     except ValueError:

@@ -17,15 +17,12 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import exactalg
 from .errors import FitInconsistent, FitUnderdetermined, SchemeError
 from .partitions import (
-    Dominance,
     Partition,
-    dominance_compare,
     generate_partitions,
     parse_partition,
     successors,
@@ -540,86 +537,53 @@ def _merge_counts(parts_list: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return [[count(rho, mu) for mu in parts_list] for rho in parts_list]
 
 
-def _jack_scale(lam: Partition) -> int:
-    """prod over boxes s of (2 a(s) + l(s) + 1): J_lam^(2) over P_lam^(2)."""
-    conj = lam.conjugate().parts
-    out = 1
-    for i, row in enumerate(lam.parts):
-        for j in range(row):
-            out *= 2 * (row - j - 1) + (conj[j] - i - 1) + 1
-    return out
-
-
 def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
     """Power-sum coefficients of every zonal polynomial J_lam^(2) of degree n.
 
     The result maps lam to {rho: coefficient of p_rho in J_lam^(2)}, both in
-    canonical order.  Each monomial m_mu is written in power sums by
-    inverting the merge-count matrix; Gram-Schmidt then runs on the m_mu
-    under <p_rho, p_sigma> = delta z_rho 2^len(rho), in increasing dominance,
-    and each result is scaled by prod_s (2a(s) + l(s) + 1).  Projections
-    are only taken onto mu dominated by lam (the others vanish), and every
-    vector is an integer vector over a common denominator.  A coefficient
-    that is not an integer raises SchemeError.
+    canonical order.  With R the merge counts, g_mu = sum_rho R[rho][mu]
+    p_rho / z2(rho) is the basis dual to the m_mu under <p_rho, p_sigma> =
+    delta z2(rho).  J_lam is m_lam plus m_nu with nu < lam, and orthogonal to
+    every J_nu with nu < lam (Macdonald, Symmetric Functions and Hall
+    Polynomials, VI.4 and VII.2), so up to scale it is the one element of
+    span{g_mu : mu >= lam} with no m_nu term for any nu > lam, the order being
+    the canonical one.  Row lam starts at g_lam times the lcm of the z2;
+    for each finished row nu in canonical order it loses the multiple that
+    clears its m_nu term (the m_nu coefficient of sum_rho x_rho p_rho is
+    sum_rho x_rho R[rho][nu]), both multipliers divided by their gcd first.
+    The row is then made primitive and scaled to 1 at p_(1^n), the identity
+    column; a coefficient that is not an integer raises SchemeError.
     """
     lams = generate_partitions(n)
-    parts_list = [lam.parts for lam in lams]
-    size = len(parts_list)
-    merges = _merge_counts(parts_list)
+    size = len(lams)
+    merges = _merge_counts([lam.parts for lam in lams])
     weights = [z2(lam) for lam in lams]
-
-    # m_lam = mono[i] / mono_den[i]; R is lower triangular in canonical order.
-    mono: list[list[int]] = []
-    mono_den: list[int] = []
-    for i in range(size):
-        den = 1
+    common = lcm(*weights)
+    # column nu of R as its nonzero (rho, R[rho][nu]); R is lower triangular
+    cols = [
+        [(k, merges[k][j]) for k in range(j, size) if merges[k][j]]
+        for j in range(size)
+    ]
+    rows: list[list[int]] = []
+    pivots: list[int] = []  # m_lam coefficient of finished row lam
+    for i, lam in enumerate(lams):
+        row = [0] * size
+        for k, r in cols[i]:
+            row[k] = r * (common // weights[k])
         for j in range(i):
-            if merges[i][j]:
-                den = lcm(den, mono_den[j])
-        vec = [0] * size
-        vec[i] = den
-        for j in range(i):
-            r = merges[i][j]
-            if r:
-                f = r * (den // mono_den[j])
-                vec = [v - f * x for v, x in zip(vec, mono[j])]
-        den *= merges[i][i]
-        g = reduce(gcd, vec, den)
-        mono.append([v // g for v in vec])
-        mono_den.append(den // g)
-
-    zonal: dict[int, list[int]] = {}
-    weighted: dict[int, list[int]] = {}
-    norms: dict[int, int] = {}
-    for i in reversed(range(size)):
-        lam = lams[i]
-        num = mono[i]
-        coeffs: list[tuple[int, Fraction]] = []
-        for j in zonal:
-            if dominance_compare(lams[j], lam) is Dominance.LESS:
-                ip = sum(map(mul, num, weighted[j]))
-                if ip:
-                    coeffs.append((j, Fraction(ip, norms[j])))
-        common = 1
-        for _, c in coeffs:
-            common = lcm(common, c.denominator)
-        vec = [common * v for v in num]
-        for j, c in coeffs:
-            f = c.numerator * (common // c.denominator)
-            vec = [v - f * x for v, x in zip(vec, zonal[j])]
-        scale = Fraction(_jack_scale(lam), mono_den[i] * common)
-        out = []
-        for v in vec:
-            q = v * scale
-            if q.denominator != 1:
-                raise SchemeError(
-                    f"zonal polynomial J_{lam}^(2) has a"
-                    f" non-integer power-sum coefficient {q}"
-                )
-            out.append(int(q))
-        zonal[i] = out
-        weighted[i] = [w * x for w, x in zip(weights, out)]
-        norms[i] = sum(map(mul, out, weighted[i]))
-    return {
-        lams[i]: {lams[k]: zonal[i][k] for k in range(size)} for i in range(size)
-    }
+            c = sum(row[k] * r for k, r in cols[j])
+            if c:
+                g = gcd(c, pivots[j])
+                a, b = pivots[j] // g, c // g
+                row = [a * x - b * y for x, y in zip(row, rows[j])]
+        g = reduce(gcd, row)
+        unit = row[-1] // g
+        if unit not in (1, -1):
+            raise SchemeError(
+                f"zonal polynomial J_{lam}^(2) has a non-integer power-sum"
+                f" coefficient: its primitive row is {unit} at p_{lams[-1]}"
+            )
+        row = [x // g * unit for x in row]
+        rows.append(row)
+        pivots.append(sum(row[k] * r for k, r in cols[i]))
+    return {lam: dict(zip(lams, row)) for lam, row in zip(lams, rows)}

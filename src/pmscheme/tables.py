@@ -50,7 +50,7 @@ from .symfunc import (
 )
 
 _MAX_COMBO_ATTEMPTS = 60
-# The largest n timed in BENCH_zonal.json, where it builds in 0.45 s; larger
+# The largest n timed in BENCH_elim.json, where it builds in 0.4 s; larger
 # n are untimed.
 DEFAULT_ZONAL_MAX_N = 14
 # build_table_formulas fills a p(n) x p(n) grid: at n = 24 that takes

@@ -386,23 +386,30 @@ def test_cache_row_label_in_exponent_form_is_rebuilt(run):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, option",
     [
-        ["verify", "induction", "--family", "7", "--n", "9"],
-        ["verify", "induction", "--family", "3,x", "--n", "9"],
-        ["verify", "induction", "--family", "3,2", "--n", "3"],
-        ["verify", "ratios", "--n", "-1"],
-        ["verify", "ratios", "--n", "0"],
-        ["verify", "ratios", "--n", "1"],
-        ["fit", "--prefix", "1", "--n-range", "2:3"],
+        (["verify", "induction", "--family", "7", "--n", "9"], None),
+        (["verify", "induction", "--family", "3,x", "--n", "9"], "--family"),
+        (["verify", "induction", "--family", "3,2", "--n", "3"], None),
+        (["verify", "ratios", "--n", "-1"], None),
+        (["verify", "ratios", "--n", "0"], None),
+        (["verify", "ratios", "--n", "1"], None),
+        (["fit", "--prefix", "1", "--n-range", "2:3"], None),
+        (["fit", "--prefix", "[3,x]", "--n-range", "3:4"], "--prefix"),
+        (["verify", "induction", "--family", "2,3", "--n", "9"], "--family"),
+        (["fit", "--prefix", "x", "--n-range", "3:4"], "--prefix"),
     ],
     ids=["family-not-in-catalog", "family-unparsable", "n-below-family",
-         "negative-n", "ratios-n0", "ratios-n1", "prefix-with-part-1"],
+         "negative-n", "ratios-n0", "ratios-n1", "prefix-with-part-1",
+         "prefix-bad-token", "family-not-decreasing", "prefix-unparsable"],
 )
-def test_bad_arguments_exit_2(run, argv):
+def test_bad_arguments_exit_2(run, argv, option):
     code, out, err = run(*argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if option is not None:
+        bad = argv[argv.index(option) + 1]
+        assert err == f"error: bad {option} {bad!r}: want parts like 3,2 or [3,2]\n"
 
 
 def test_fit_refuses_prefix_before_reading_tables(run):

@@ -241,7 +241,11 @@ def test_zonal_power_sums_small():
 def test_zonal_non_integer_coefficient_raises(monkeypatch):
     from pmscheme import symfunc
 
-    # without the (2a + l + 1) scaling, P_2 = (1/3) p_1^2 + (2/3) p_2
-    monkeypatch.setattr(symfunc, "_jack_scale", lambda lam: 1)
-    with pytest.raises(SchemeError):
+    # with z2([2]) = 3 instead of 4, the row of [2] is proportional to
+    # 8 p_2 + 3 p_1^2, so scaling it to 1 at p_1^2 leaves 8/3 at p_2
+    real_z2 = symfunc.z2
+    monkeypatch.setattr(
+        symfunc, "z2", lambda mu: 3 if mu == P([2]) else real_z2(mu)
+    )
+    with pytest.raises(SchemeError, match=r"J_\[2\]\^\(2\)"):
         zonal_power_sums(2)

@@ -122,14 +122,17 @@ def test_table_refuses_a_grid_that_is_not_rows_by_columns():
 
 
 def test_route_equivalence(oracle_table):
-    for n in range(2, 7):
+    # the closed-form cells (identity column, rows [n] and [n-1,1], catalog
+    # columns) check the oracle up to n = 6 and the zonal engine up to 14
+    for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
         formulas = build_table_formulas(n)
-        oracle = oracle_table(n)
+        routes = [build_table_zonal(n)] + ([oracle_table(n)] if n <= 6 else [])
         for lam in formulas.rows:
             for mu in formulas.columns:
                 v = formulas.value(lam, mu)
                 if v is not None:
-                    assert v == oracle.value(lam, mu)
+                    for table in routes:
+                        assert v == table.value(lam, mu), (n, lam, mu)
 
 
 def test_second_largest_examples(oracle_table):
