@@ -13,8 +13,10 @@ its own empty ``PMSCHEME_DATA_DIR``, removed afterwards, so a workload
 that passes no ``--data-dir`` neither reads nor fills the user's cache.
 It then times ``matchings.intersection_numbers(n)`` for n = 5..8 once per
 checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
-checkout, each build in a fresh subprocess of its checkout (alternating
-which side runs first), and records every run and the median per side.
+checkout, and ``tables.diameter`` over every relation of the zonal table
+for n = 6, 8, ..., 14 once per checkout, each timing in a fresh subprocess
+of its checkout (alternating which side runs first), and records every run
+and the median per side.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
 ZONAL_NS = range(2, 15)
 ZONAL_REPEATS = 3
 ORACLE_NS = range(5, 9)
+DIAMETER_NS = range(6, 15, 2)
 # each timer runs in a checkout's root and prints the seconds of one call
 ORACLE_TIMER = """
 import sys, time
@@ -55,6 +58,16 @@ from pmscheme.tables import build_table_zonal
 n = int(sys.argv[1])
 t0 = time.perf_counter()
 build_table_zonal(n, max_n=n)
+print(time.perf_counter() - t0)
+"""
+DIAMETER_TIMER = """
+import sys, time
+sys.path.insert(0, "src")
+from pmscheme.tables import build_table_zonal, diameter
+table = build_table_zonal(int(sys.argv[1]))
+t0 = time.perf_counter()
+for mu in table.columns:
+    diameter(table, mu)
 print(time.perf_counter() - t0)
 """
 
@@ -130,7 +143,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 bench/run.py --workload W --seed S --seconds 8 --trace 0",
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
-            "intersection_numbers_s, build_table_zonal_s: wall-clock seconds"
+            "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s:"
+            " wall-clock seconds"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -140,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "build_table_zonal_s": fresh_times(
             args.parent.resolve(), ZONAL_TIMER, ZONAL_NS, ZONAL_REPEATS
+        ),
+        "diameter_all_relations_s": fresh_times(
+            args.parent.resolve(), DIAMETER_TIMER, DIAMETER_NS, 1
         ),
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
     }

@@ -466,19 +466,16 @@ def verify_structure_constants(
 
 def verify_column_orthogonality(table: EigTable) -> bool:
     """Dimension-weighted products of two columns vanish unless the columns
-    coincide, where they give (2n-1)!! times the valency."""
-    n = table.n
-    total = double_factorial(2 * n - 1)
-    cols = [table.column(mu) for mu in table.columns]
-    for i, mu in enumerate(table.columns):
-        for j in range(i, len(table.columns)):
-            s = sum(
-                f * a * b for f, a, b in zip(table.dims, cols[i], cols[j])
-            )
-            expected = total * valency(mu) if i == j else 0
-            if s != expected:
-                return False
-    return True
+    coincide, where they give (2n-1)!! times the valency: the class sums of
+    f_lam phi_lam(mu) are the unit vector at mu, for every mu."""
+    try:
+        return all(
+            _class_sums(table, _weighted(table.dims, table.column(mu)))
+            == [int(c == mu) for c in table.columns]
+            for mu in table.columns
+        )
+    except SchemeError:
+        return False
 
 
 def gap_scan(table: EigTable) -> dict[Partition, int]:
@@ -493,34 +490,42 @@ def gap_scan(table: EigTable) -> dict[Partition, int]:
     return out
 
 
+def _weighted(weights: list[int], column: list[int]) -> list[int]:
+    return [w * phi for w, phi in zip(weights, column)]
+
+
+def _class_sums(table: EigTable, weights: list[int]) -> list[int]:
+    """sum_lam w_lam phi_lam(c) / ((2n-1)!! v_c) for each relation c, in
+    column order, v_c read off the top row.  For w_lam = f_lam g(phi_lam) it
+    is the entry of g(A) at the base matching and one class-c matching
+    (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 2.2), a count, so
+    SchemeError unless every value is a nonnegative integer."""
+    total = double_factorial(2 * table.n - 1)
+    out = []
+    for c, v in zip(table.columns, table._grid[0]):
+        num = sum(_weighted(weights, table.column(c)))
+        denom = total * v
+        if denom <= 0 or num < 0 or num % denom:
+            raise SchemeError(
+                f"class sum {num} / ({total} * {v}) at {c} is not a"
+                " nonnegative integer"
+            )
+        out.append(num // denom)
+    return out
+
+
 def intersection_matrix(table: EigTable, mu: Partition) -> list[list[int]]:
     """Intersection numbers of relation mu from a complete table.
 
-    Entry (c, i) is p^c_{i mu} = sum_lam f_lam phi(i) phi(mu) phi(c) /
-    ((2n-1)!! v_c) (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 2.2),
-    with relations indexed like ``IntersectionData.relations``, so the result
-    equals ``intersection_numbers(n).b_matrix(j)`` for mu = relations[j].
-    Raises SchemeError unless every entry is a nonnegative integer.
+    Entry (c, i) is p^c_{i mu}, the class sum at c of f phi(mu) phi(i), with
+    relations indexed like ``IntersectionData.relations``: the result equals
+    ``intersection_numbers(n).b_matrix(j)`` for mu = relations[j].  Raises
+    SchemeError unless every entry is a nonnegative integer.
     """
-    rels = table.rows  # the partitions of n in descending order
-    cols = [table.column(r) for r in rels]
-    weights = [f * phi for f, phi in zip(table.dims, table.column(mu))]
-    total = double_factorial(2 * table.n - 1)
-    out = []
-    for rel_c, col_c in zip(rels, cols):
-        scaled = [w * phi for w, phi in zip(weights, col_c)]
-        denom = total * valency(rel_c)
-        row = []
-        for rel_i, col_i in zip(rels, cols):
-            num = sum(s * phi for s, phi in zip(scaled, col_i))
-            if num < 0 or num % denom:
-                raise SchemeError(
-                    f"p^{rel_c}_({rel_i}, {mu}) = {Fraction(num, denom)} is not"
-                    " a nonnegative integer"
-                )
-            row.append(num // denom)
-        out.append(row)
-    return out
+    f_mu = _weighted(table.dims, table.column(mu))
+    # relations descend like the rows; class sums ascend like the columns
+    by_i = [_class_sums(table, _weighted(f_mu, table.column(i))) for i in table.rows]
+    return [list(row) for row in zip(*by_i)][::-1]
 
 
 class DiameterResult:
@@ -545,29 +550,23 @@ class DiameterResult:
 
 
 def diameter(table: EigTable, mu: Partition) -> DiameterResult:
-    """Diameter of the relation graph of mu by BFS over relation classes.
+    """Diameter of the relation graph of mu from walk counts.
 
-    The stabiliser of the base matching is transitive on each relation
-    class, so a class-c matching has a mu-neighbour in class i exactly when
-    p^c_{i mu} > 0, and the class distances are the graph distances from the
-    base matching.  The graph is vertex-transitive, so the largest of them
-    is the diameter.  ``reached`` counts matchings: the valencies of the
-    reached classes.
+    The walks of length t in I + A_mu from the base matching to one class-c
+    matching number the class sum at c of f_lam (1 + phi_lam(mu))^t.  The
+    classes with a nonzero count are those within distance t, a set that
+    only grows, so counting it ends the loop, within d steps, at the first
+    step that adds none.  The graph is vertex-transitive, so the last step
+    that adds a class is the diameter.
+    ``reached`` counts matchings: the valencies of the reached classes.
     """
-    matrix = intersection_matrix(table, mu)
-    d = len(matrix)
-    dist = {d - 1: 0}  # the identity class [1^n] is last
-    frontier = [d - 1]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i, count in enumerate(matrix[c]):
-                if count > 0 and i not in dist:
-                    dist[i] = dist[c] + 1
-                    nxt.append(i)
-        frontier = nxt
-    reached = sum(valency(table.rows[i]) for i in dist)
+    steps = [1 + phi for phi in table.column(mu)]
+    weights = list(table.dims)
+    support, t = [], -1  # t ends as the last walk length that adds a class
+    while sum(grown := [s > 0 for s in _class_sums(table, weights)]) > sum(support):
+        support, t = grown, t + 1
+        weights = _weighted(weights, steps)
+    reached = sum(valency(c) for c, hit in zip(table.columns, support) if hit)
     n_vertices = double_factorial(2 * table.n - 1)
-    if len(dist) == d:
-        return DiameterResult(mu, True, max(dist.values()), reached, n_vertices)
-    return DiameterResult(mu, False, None, reached, n_vertices)
+    connected = all(support)
+    return DiameterResult(mu, connected, t if connected else None, reached, n_vertices)

@@ -13,6 +13,7 @@ from pmscheme import (
     double_factorial,
     enumerate_matchings,
     generate_partitions,
+    intersection_matrix,
     parse_matching,
     quotient_counts,
     quotient_counts_all,
@@ -272,6 +273,52 @@ def test_diameter_other_relations():
     assert diameter(table, P([2, 2])).diameter == 3
     assert diameter(table, P([4])).diameter == 2
     assert diameter(table, P([3, 1])).diameter == 2
+
+
+def _class_bfs(rels, linked):
+    """(diameter or None when disconnected, matchings reached) of a BFS over
+    relation classes from the base matching, where linked(c, i) says that a
+    class-c matching has a neighbour in class i."""
+    start = len(rels) - 1  # relations descend, so the identity [1^n] is last
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(len(rels)):
+                if i not in dist and linked(c, i):
+                    dist[i] = dist[c] + 1
+                    nxt.append(i)
+        frontier = nxt
+    reached = sum(valency(rels[i]) for i in dist)
+    return (max(dist.values()) if len(dist) == len(rels) else None), reached
+
+
+def _assert_diameter(table, mu, expected):
+    res = diameter(table, mu)
+    assert (res.diameter, res.reached) == expected, (table.n, mu)
+    assert res.connected == (expected[0] is not None)
+    assert res.n_vertices == double_factorial(2 * table.n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_diameter_matches_brute_force_class_bfs(n, idata):
+    # the stabiliser of the base matching is transitive on each class, so a
+    # class-c matching has a mu-neighbour in class i exactly when p^c_{i mu} > 0
+    data = idata(n)
+    table = build_table_zonal(n)
+    for j, mu in enumerate(data.relations):
+        expected = _class_bfs(data.relations, lambda c, i: data.p[c][i][j] > 0)
+        _assert_diameter(table, mu, expected)
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_diameter_matches_class_bfs_over_intersection_matrix(n):
+    table = build_table_zonal(n)
+    for mu in table.rows:
+        matrix = intersection_matrix(table, mu)
+        expected = _class_bfs(table.rows, lambda c, i: matrix[c][i] > 0)
+        _assert_diameter(table, mu, expected)
 
 
 def test_diameter_guard():

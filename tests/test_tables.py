@@ -13,6 +13,7 @@ from pmscheme import (
     build_table_oracle,
     build_table_zonal,
     derangement_spectrum,
+    diameter,
     dim_hook,
     double_factorial,
     gap_scan,
@@ -181,9 +182,24 @@ def test_structure_constants(oracle_table, idata):
         assert verify_structure_constants(oracle_table(n), idata(n))
 
 
+def _doctored_n4_tables():
+    """The n = 4 table with one cell raised by 1, for each of its 25 cells,
+    built without ``_check_table`` so that the verifiers see them."""
+    table = build_table_zonal(4)
+    for r in range(len(table.rows)):
+        for c in range(len(table.columns)):
+            grid = table.grid()
+            grid[r][c] += 1
+            yield EigTable(4, grid, table.provenance)
+
+
 def test_orthogonality(oracle_table):
     for n in range(2, 7):
         assert verify_column_orthogonality(oracle_table(n))
+    doctored = list(_doctored_n4_tables())
+    assert len(doctored) == 25
+    for table in doctored:
+        assert not verify_column_orthogonality(table)
 
 
 def test_dims_sum(oracle_table):
@@ -375,10 +391,15 @@ def test_intersection_matrix_matches_brute_force(idata):
 
 
 def test_intersection_matrix_refuses_a_changed_cell():
-    table = build_table_zonal(4)
-    for r in range(len(table.rows)):
-        for c in range(len(table.columns)):
-            obj = table.to_json_obj()
-            obj["values"][r][c] += 1
-            with pytest.raises(SchemeError):
-                intersection_matrix(EigTable.from_json_obj(obj), P([2, 1, 1]))
+    for table in _doctored_n4_tables():
+        with pytest.raises(SchemeError):
+            intersection_matrix(table, P([2, 1, 1]))
+        with pytest.raises(SchemeError):
+            diameter(table, P([2, 1, 1]))
+    # a top-row cell of 0 is a valency of 0: refused, not a division by zero
+    grid = build_table_zonal(4).grid()
+    grid[0][0] = 0
+    zero = EigTable(4, grid, {})
+    with pytest.raises(SchemeError):
+        diameter(zero, P([2, 1, 1]))
+    assert not verify_column_orthogonality(zero)
