@@ -11,11 +11,11 @@ the guard, and an ``--out`` it cannot write is reported.  The console
 script (``main_entry``) ends by SIGPIPE, silently, when stdout closes.
 
 Every command that reads a full table gets the zonal table, cached on disk
-keyed by (n, code version); cache writes are atomic.  ``diameter`` and
-``scan --with-diameters`` derive relation-graph diameters from that table.
-The brute-force oracle serves only ``table --source oracle`` (uncached,
-seeded by --seed) and the intersection numbers behind ``verify
-scheme-axioms``.
+keyed by (n, code version) as its ``--format json`` text; writes are atomic.
+``diameter`` and ``scan --with-diameters`` derive relation-graph diameters
+from that table.  The brute-force oracle serves only ``table --source
+oracle`` (uncached, seeded by --seed) and the intersection numbers behind
+``verify scheme-axioms``.
 """
 
 from __future__ import annotations
@@ -66,6 +66,15 @@ EXIT_UNSUPPORTED = 2
 EXIT_AMBIGUOUS = 3
 
 
+def _env_max_oracle_n() -> int:
+    text = os.environ.get("PMSCHEME_MAX_ORACLE_N", str(DEFAULT_ORACLE_MAX_N))
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"bad PMSCHEME_MAX_ORACLE_N {text!r}: want an integer")
+
+
 @dataclass
 class Config:
     data_dir: str = field(
@@ -74,11 +83,7 @@ class Config:
             os.path.join(os.path.expanduser("~"), ".cache", "pmscheme"),
         )
     )
-    max_oracle_n: int = field(
-        default_factory=lambda: int(
-            os.environ.get("PMSCHEME_MAX_ORACLE_N", DEFAULT_ORACLE_MAX_N)
-        )
-    )
+    max_oracle_n: int = field(default_factory=_env_max_oracle_n)
     seed: int = 0
 
     def __post_init__(self):
@@ -104,28 +109,26 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def oracle_table_cached(config: Config, n: int) -> EigTable:
-    """The full table for n via the on-disk cache, built by
-    ``build_table_zonal`` on a miss and keyed by (n, code version).
-
-    The name predates the zonal engine and is kept because the benchmark
-    (``bench/workloads.py`` set-up, ``bench/spans.py``) calls it by name.
-    Raises GuardExceeded above DEFAULT_ZONAL_MAX_N.  A cache file that
-    cannot be read or parsed, whose table fails the checks that
-    ``EigTable.from_json_obj`` runs (labels, grid shape, table invariants),
-    or whose table has an unfilled cell (``is_complete``), is rebuilt and
-    overwritten, and a cache that cannot be written is skipped; either
-    prints a note on stderr.
+    """The full table for n, read from the cache file for (n, code version)
+    or built by ``build_table_zonal`` and written there (GuardExceeded above
+    DEFAULT_ZONAL_MAX_N).  The benchmark (``bench/workloads.py``,
+    ``bench/spans.py``) calls it by this name, which predates the zonal
+    engine.  The file is the table's ``to_json_text`` and is served only if
+    its ``n`` is n, ``EigTable.from_json_obj`` accepts it and the table is
+    complete.  Any other file is rebuilt and overwritten, and a cache that
+    cannot be written is skipped; either prints a note on stderr.
     """
     path = _cache_path(config, n)
     if os.path.exists(path):
         try:
             with open(path) as fh:
-                payload = json.load(fh)
-            if payload["code_version"] == __version__ and payload["n"] == n:
-                table = EigTable.from_json_obj(payload["table"])
-                if not table.is_complete():
-                    raise SchemeError("cached table is not complete")
-                return table
+                obj = json.load(fh)
+            if obj["n"] != n:
+                raise SchemeError(f"cache file holds the table for n={obj['n']!r}")
+            table = EigTable.from_json_obj(obj)
+            if not table.is_complete():
+                raise SchemeError("cached table is not complete")
+            return table
         except (
             OSError, ValueError, KeyError, TypeError, AttributeError, SchemeError
         ) as exc:
@@ -133,13 +136,8 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
                 f"note: rebuilding unreadable cache {path}: {exc!r}", file=sys.stderr
             )
     table = build_table_zonal(n)
-    payload = {
-        "code_version": __version__,
-        "n": n,
-        "table": table.to_json_obj(),
-    }
     try:
-        _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+        _atomic_write(path, table.to_json_text())
     except OSError as exc:
         print(f"note: table for n={n} not cached: {exc}", file=sys.stderr)
     return table

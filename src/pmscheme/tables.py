@@ -63,11 +63,11 @@ class EigTable:
     """Matrix of eigenvalues: rows are eigenspace indices in canonical
     descending order, columns are relations in ascending order.
 
-    The cells are one rows x columns grid, None marking an unfilled cell;
-    a grid of any other shape raises SchemeError.  The table keeps its own
-    copy of the grid and reads the columns and the set of complete
-    columns off it once, so ``column``, ``has_column`` and ``is_complete``
-    are lookups.
+    The cells are one rows x columns grid of ``int`` (not ``bool`` or
+    ``float``), None marking an unfilled cell; any other grid, or an n that
+    is not an ``int``, raises SchemeError.  The table keeps its own copy of
+    the grid and reads the columns and the set of complete columns off it
+    once, so ``column``, ``has_column`` and ``is_complete`` are lookups.
     """
 
     def __init__(
@@ -76,6 +76,8 @@ class EigTable:
         grid: list[list[int | None]],
         provenance: dict[Partition, str],
     ):
+        if type(n) is not int:
+            raise SchemeError(f"table n must be an int, got {n!r}")
         self.n = n
         self.rows: list[Partition] = list(generate_partitions(n))
         self.columns: list[Partition] = list(reversed(self.rows))
@@ -83,6 +85,8 @@ class EigTable:
         width = len(self.columns)
         if len(grid) != len(self.rows) or any(len(row) != width for row in grid):
             raise SchemeError("values grid is not rows x columns")
+        if any(type(v) is not int for row in grid for v in row if v is not None):
+            raise SchemeError("values grid holds a cell that is not an int")
         self._grid = [list(row) for row in grid]
         self._row_at = {lam: r for r, lam in enumerate(self.rows)}
         self._cols = dict(zip(self.columns, map(list, zip(*self._grid))))
@@ -140,9 +144,9 @@ class EigTable:
     def from_json_obj(cls, obj: dict) -> "EigTable":
         """Inverse of ``to_json_obj``.  The row and column labels must be
         the canonical ones spelled as ``str`` spells them, the ``values``
-        grid rows x columns (null marks an unfilled cell), and the table
-        must pass ``_check_table``; SchemeError otherwise, so a doctored
-        cache file is refused."""
+        grid rows x columns of ints (null marks an unfilled cell; ``dims``
+        is not read), and the table must pass ``_check_table``; SchemeError
+        otherwise, so a doctored cache file is refused."""
         provenance = {parse_partition(s): p for s, p in obj["provenance"].items()}
         table = cls(obj["n"], obj["values"], provenance)
         labels = [str(lam) for lam in table.rows]
@@ -167,8 +171,8 @@ class EigTable:
 
 def _check_table(table: EigTable) -> None:
     """Raise SchemeError unless the filled cells pass the table invariants:
-    identity column all ones, top row the valencies, dimensions summing to
-    (2n-1)!!, and the trace identity on every complete column."""
+    identity column all ones, top row the valencies, and the trace identity
+    on every complete column (``dims`` come from ``dim_hook``, not a file)."""
     n = table.n
     for lam, v in zip(table.rows, table._cols[Partition((1,) * n)]):
         if v is not None and v != 1:
@@ -176,8 +180,6 @@ def _check_table(table: EigTable) -> None:
     for mu, v in zip(table.columns, table._grid[0]):
         if v is not None and v != valency(mu):
             raise SchemeError(f"top row must hold valencies, bad at {mu}")
-    if sum(table.dims) != double_factorial(2 * n - 1):
-        raise SchemeError(f"dimensions do not sum to (2n-1)!! for n={n}")
     for mu in table.columns:
         if table.has_column(mu) and not trace_identity_check(n, mu, table):
             raise SchemeError(f"trace identity fails at {mu}")

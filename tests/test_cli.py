@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -228,6 +229,15 @@ def test_env_guard_override(tmp_path, capsys, monkeypatch):
     assert code == 2 and "guard" in err
 
 
+def test_bad_env_guard_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PMSCHEME_MAX_ORACLE_N", "x")
+    monkeypatch.setenv("PMSCHEME_DATA_DIR", str(tmp_path / "c3"))
+    code = main(["table", "--n", "3"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: bad PMSCHEME_MAX_ORACLE_N 'x': want an integer\n"
+
+
 def test_gap_hook_exception_reads_the_table(run):
     # n = 4 is the conjecture's exception: the hook product would say 28
     code, out, err = run("gap", "--mu", "[3,1]", "--verbose")
@@ -285,13 +295,22 @@ def test_unwritable_out_exits_2(run, tmp_path):
     assert err.startswith("error: cannot write --out")
 
 
+def _cache_file(run, n):
+    return os.path.join(run.data_dir, f"table_n{n}_v{__version__}.json")
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def _edit_values(edit):
     """Damage that applies edit(values grid) to the cached n = 4 table."""
 
     def damage(text):
-        payload = json.loads(text)
-        edit(payload["table"]["values"])
-        return json.dumps(payload, indent=2) + "\n"
+        obj = json.loads(text)
+        edit(obj["values"])
+        return json.dumps(obj, indent=2) + "\n"
 
     return damage
 
@@ -309,7 +328,7 @@ def _null_cell(values):
     "damage",
     [
         lambda text: text[: len(text) // 2],
-        lambda text: text.replace('"table"', '"tabel"'),
+        lambda text: text.replace('"values"', '"valeus"'),
         _edit_values(_cut_two_cells),
         _edit_values(_null_cell),
     ],
@@ -332,13 +351,12 @@ def test_unparsable_cache_is_rebuilt(run, damage):
 def _doctor_cache(run, n, edit):
     """Fill the cache for n, then apply edit(table_obj) to the cached file."""
     run("table", "--n", str(n), "--format", "csv")
-    path = os.path.join(run.data_dir, f"table_n{n}_v{__version__}.json")
-    with open(path) as fh:
-        good = fh.read()
-    payload = json.loads(good)
-    edit(payload["table"])
+    path = _cache_file(run, n)
+    good = _read(path)
+    obj = json.loads(good)
+    edit(obj)
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        json.dump(obj, fh)
     return path, good
 
 
@@ -383,6 +401,70 @@ def test_cache_row_label_in_exponent_form_is_rebuilt(run):
     assert err.startswith("note: rebuilding unreadable cache")
     with open(path) as fh:
         assert fh.read() == good
+
+
+def test_cache_cell_that_is_not_an_int_is_rebuilt(run):
+    # true for the identity-column 1 and 5.0 for a 5 compare equal to the
+    # ints but are not what this code writes
+    def retype(obj):
+        values = obj["values"]
+        values[1][0] = True
+        r, c = next(
+            (r, c) for r, row in enumerate(values) for c, v in enumerate(row) if v == 5
+        )
+        values[r][c] = 5.0
+
+    path, good = _doctor_cache(run, 4, retype)
+    assert "true" in _read(path) and "5.0" in _read(path)
+    code, out, err = run("table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == _golden(4)
+    assert err.startswith("note: rebuilding unreadable cache")
+    assert _read(path) == good
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["table", "--n", "4", "--format", "csv"], _golden(4)),
+        (
+            ["verify", "conjecture", "--n", "4"],
+            "  [1,1,1,1]: second largest on {[3,1], [2,2], [2,1,1], [1,1,1,1]} [ok]\n"
+            "  [2,1,1]: second largest on {[3,1]} [ok]\n"
+            "conjecture n=4: PASS\n",
+        ),
+        (["gap", "--mu", "[3,1]"], "24\n"),
+        (["diameter", "--mu", "[2,1,1]"], "3\n"),
+    ],
+    ids=["table", "verify-conjecture", "gap", "diameter"],
+)
+def test_cache_file_holding_another_n_is_rebuilt(run, argv, want):
+    # a valid n = 5 table stored as the n = 4 file answers nothing for n = 4
+    assert run(*argv) == (0, want, "")
+    path = _cache_file(run, 4)
+    good = _read(path)
+    run("table", "--n", "5", "--format", "csv")
+    shutil.copyfile(_cache_file(run, 5), path)
+    code, out, err = run(*argv)
+    assert code == 0 and out == want
+    assert err.startswith("note: rebuilding unreadable cache")
+    assert _read(path) == good
+
+
+def test_cache_file_is_the_table_json_output(run):
+    for n in range(2, 9):
+        code, out, _ = run("table", "--n", str(n), "--format", "json")
+        assert code == 0 and _read(_cache_file(run, n)) == out
+
+
+def test_table_json_out_is_a_cache_file(run, tmp_path):
+    path = _cache_file(run, 6)
+    other = str(tmp_path / "other")
+    argv = ["--data-dir", other, "table", "--n", "6", "--format", "json"]
+    assert main(argv + ["--out", path]) == 0
+    written = _read(path)
+    code, out, err = run("table", "--n", "6", "--format", "csv")
+    assert code == 0 and out == _golden(6) and err == ""
+    assert _read(path) == written
 
 
 @pytest.mark.parametrize(

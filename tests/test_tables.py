@@ -122,6 +122,16 @@ def test_table_refuses_a_grid_that_is_not_rows_by_columns():
             EigTable(3, grid, {})
 
 
+def test_table_refuses_an_n_or_cell_that_is_not_an_int():
+    for bad in (True, 1.0):
+        grid = build_table_zonal(3).grid()
+        grid[1][0] = bad
+        with pytest.raises(SchemeError, match="not an int"):
+            EigTable(3, grid, {})
+    with pytest.raises(SchemeError, match="must be an int"):
+        EigTable(3.0, build_table_zonal(3).grid(), {})
+
+
 def test_route_equivalence(oracle_table):
     # the closed-form cells (identity column, rows [n] and [n-1,1], catalog
     # columns) check the oracle up to n = 6 and the zonal engine up to 14
@@ -202,9 +212,11 @@ def test_orthogonality(oracle_table):
         assert not verify_column_orthogonality(table)
 
 
-def test_dims_sum(oracle_table):
-    for n in range(2, 7):
-        assert sum(oracle_table(n).dims) == double_factorial(2 * n - 1)
+def test_dims_sum():
+    for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
+        width = len(generate_partitions(n))
+        table = EigTable(n, [[None] * width] * width, {})
+        assert sum(table.dims) == double_factorial(2 * n - 1)
 
 
 def test_json_roundtrip(oracle_table):
