@@ -13,10 +13,12 @@ its own empty ``PMSCHEME_DATA_DIR``, removed afterwards, so a workload
 that passes no ``--data-dir`` neither reads nor fills the user's cache.
 It then times ``matchings.intersection_numbers(n)`` for n = 5..8 once per
 checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
-checkout, and ``tables.diameter`` over every relation of the zonal table
-for n = 6, 8, ..., 14 once per checkout, each timing in a fresh subprocess
-of its checkout (alternating which side runs first), and records every run
-and the median per side.
+checkout, ``tables.diameter`` over every relation of the zonal table
+for n = 6, 8, ..., 14 once per checkout, and ``build_table_oracle(n)`` for
+n = 6, 7, 8 once per checkout (the median over seeds 0..4 of one build,
+with the intersection data built before the timer starts), each timing in
+a fresh subprocess of its checkout (alternating which side runs first),
+and records every run and the median per side.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ ZONAL_NS = range(2, 15)
 ZONAL_REPEATS = 3
 ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
+ORACLE_TABLE_NS = range(6, 9)
 # each timer runs in a checkout's root and prints the seconds of one call
 ORACLE_TIMER = """
 import sys, time
@@ -69,6 +72,20 @@ t0 = time.perf_counter()
 for mu in table.columns:
     diameter(table, mu)
 print(time.perf_counter() - t0)
+"""
+ORACLE_TABLE_TIMER = """
+import statistics, sys, time
+sys.path.insert(0, "src")
+from pmscheme.matchings import intersection_numbers
+from pmscheme.tables import build_table_oracle
+n = int(sys.argv[1])
+data = intersection_numbers(n)
+times = []
+for seed in range(5):
+    t0 = time.perf_counter()
+    build_table_oracle(n, seed=seed, data=data)
+    times.append(time.perf_counter() - t0)
+print(statistics.median(times))
 """
 
 
@@ -143,8 +160,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 bench/run.py --workload W --seed S --seconds 8 --trace 0",
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
-            "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s:"
-            " wall-clock seconds"
+            "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s,"
+            " build_table_oracle_s: wall-clock seconds"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -157,6 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "diameter_all_relations_s": fresh_times(
             args.parent.resolve(), DIAMETER_TIMER, DIAMETER_NS, 1
+        ),
+        "build_table_oracle_s": fresh_times(
+            args.parent.resolve(), ORACLE_TABLE_TIMER, ORACLE_TABLE_NS, 1
         ),
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
     }

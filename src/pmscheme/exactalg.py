@@ -3,16 +3,19 @@
 Small dense systems only (dimension <= number of partitions of n, so a few
 dozen), in exact arithmetic with no floating point.  Row reduction clears
 each row's denominators and eliminates in integers, keeping every row
-primitive, and makes Fractions only for its result.  Characteristic
-polynomials come from Faddeev-LeVerrier, their integer roots from a Newton
-descent in integers, and quotients by x - r from synthetic division; none
-divides inexactly.
+primitive, and makes Fractions only for its result.  The oracle's
+characteristic polynomial is the monic relation among its Krylov rows, one
+fraction-free forward elimination and an exact integer back-substitution;
+Faddeev-LeVerrier (``charpoly``) stays as the reference the tests compare
+it with.  Integer roots come from a Newton descent in integers and
+quotients by x - r from synthetic division; none divides inexactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import FitInconsistent, FitUnderdetermined, SchemeError
 
@@ -102,6 +105,41 @@ def kernel_basis(a: Matrix) -> list[Vector]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+def krylov_polynomial(rows: list[list[int]]) -> list[int] | None:
+    """The monic integer relation sum_m q_m rows[m] = 0 among d + 1 integer
+    rows of length d, with q_d = 1; coefficients ascending.
+
+    For the Krylov rows e M^0 .. e M^d this is the minimal polynomial of e
+    under M, and equals det(xI - M) when rows 0..d-1 are independent (e is
+    cyclic).  Returns None when they are dependent.  Forward elimination on
+    the transposed system runs in integers (each eliminated row is
+    p * row_i - row_i[c] * row_r made primitive, as in ``rref``), then
+    back-substitution divides exactly; SchemeError if the relation is not
+    integral.
+    """
+    d = len(rows) - 1
+    # equation j: sum_{m<d} rows[m][j] q_m = -rows[d][j]; after step c,
+    # m[c] holds columns c..d of its row (the entries left of c are zero)
+    m = [[row[j] for row in rows[:d]] + [-rows[d][j]] for j in range(d)]
+    for c in range(d):
+        pivot = next((i for i in range(c, d) if m[i][0] != 0), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        p, *top = m[c]
+        for i in range(c + 1, d):
+            f, *row = m[i]
+            m[i] = _primitive([p * a - f * b for a, b in zip(row, top)]) if f else row
+    q = [0] * d + [1]
+    for c in reversed(range(d)):
+        p, *row = m[c]
+        num = row[-1] - sum(map(mul, row[:-1], q[c + 1 : d]))
+        if num % p:
+            raise SchemeError(f"Krylov relation is not integral at degree {c}")
+        q[c] = num // p
+    return q
 
 
 def charpoly(mat: list[list[int]]) -> list[int]:

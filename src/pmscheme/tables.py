@@ -6,15 +6,16 @@ computed exactly in ``symfunc``.  The oracle route is the independent
 check and needs only the brute-force intersection numbers of the scheme:
 every table row is a left eigenvector of each intersection matrix, so a
 random small-integer combination with distinct integer eigenvalues has the
-rows as its left eigenvectors, all read off one integer Krylov sequence,
-and each row is labelled by its multiplicity and its flip entry.  The
-formula route fills whatever closed forms cover.  Each route fills one
-rows x columns grid, None marking a cell it left unfilled, and ``EigTable``
-holds that grid.  Cells never come from guessing: a row that cannot be
-matched to a unique eigenspace index is a hard error, and every table built
-or loaded from JSON passes ``_check_table`` or raises SchemeError.  A
-complete table also gives the intersection numbers and the relation-graph
-diameters.
+rows as its left eigenvectors.  One integer Krylov sequence gives both its
+characteristic polynomial (the monic relation among the sequence's rows)
+and every row, and each row is labelled by its multiplicity and its flip
+entry.  The formula route fills whatever closed forms cover.  Each route
+fills one rows x columns grid, None marking a cell it left unfilled, and
+``EigTable`` holds that grid.  Cells never come from guessing: a row that
+cannot be matched to a unique eigenspace index is a hard error, and every
+table built or loaded from JSON passes ``_check_table`` or raises
+SchemeError.  A complete table also gives the intersection numbers and the
+relation-graph diameters.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import csv
 import io
 import json
 import random
-from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import exactalg
 from .errors import (
@@ -212,14 +214,22 @@ def build_table_oracle(
 
     phi_i phi_j = sum_k p^k_ij phi_k makes every table row a left
     eigenvector of each intersection matrix B_i, with eigenvalue phi_i.  A
-    combination C of the B_i with small seeded coefficients must have a
-    characteristic polynomial chi with distinct integer roots (fresh
-    coefficients otherwise).  By Cayley-Hamilton, u = e q(C), with
-    q = chi / (x - tau) and e the unit vector at the identity relation
-    [1^n], satisfies u C = tau u, so the row of root tau is u read off the
-    Krylov rows e C^m (m < d) and scaled to 1 at [1^n].  u C = tau u is
-    checked exactly.  Rows are matched to eigenspace indices by dimension
-    and flip eigenvalue.
+    combination C of the B_i with small seeded coefficients must have
+    distinct integer eigenvalues (fresh coefficients otherwise).  With e the
+    unit vector at the identity relation [1^n], the Krylov rows e C^0 ..
+    e C^d satisfy one monic integer relation, found by
+    ``exactalg.krylov_polynomial``; it is the characteristic polynomial chi
+    when e C^0 .. e C^(d-1) are independent.  Column orthogonality gives
+    e = sum_lam f_lam phi_lam / (2n-1)!! with every coefficient nonzero, so
+    e is cyclic exactly when the eigenvalues are distinct: dependent rows
+    reject a combination as a repeated root of chi would, and the accepted
+    combination is the one a characteristic-polynomial test accepts.  By
+    Cayley-Hamilton, u = e q(C), with q = chi / (x - tau) for each integer
+    root tau, satisfies u C = tau u, so the row of root tau is u read off
+    the Krylov rows and scaled to 1 at [1^n].
+    u C = tau u is checked exactly, and the multiplicity
+    (2n-1)!! / sum_i phi_i^2 / v_i must be an integer.  Rows are matched to
+    eigenspace indices by dimension and flip eigenvalue.
     """
     if n < 2:
         raise ValueError("tables need n >= 2")
@@ -229,39 +239,42 @@ def build_table_oracle(
     d = len(rels)
     rng = random.Random(seed)
     bound = 1 + 9 * sum(data.valencies)
-    roots = None
     for _ in range(_MAX_COMBO_ATTEMPTS):
         coeffs = [rng.randint(-9, 9) for _ in range(d)]
         # C = sum_i c_i B_i: entry (k, j) is sum_i c_i p^k_ij
         combo = [_row_times(coeffs, pk) for pk in data.p]
-        poly = exactalg.charpoly(combo)
+        krylov = _krylov_rows(combo)
+        poly = exactalg.krylov_polynomial(krylov)
+        if poly is None:
+            continue
         roots = exactalg.distinct_integer_roots(poly, bound)
         if roots is not None:
             break
-    if roots is None:
+    else:
         raise SchemeError(
             f"no separating combination found in {_MAX_COMBO_ATTEMPTS} attempts"
         )
 
-    krylov = [[0] * (d - 1) + [1]]
-    for _ in range(d - 1):
-        krylov.append(_row_times(krylov[-1], combo))
     n_points = double_factorial(2 * n - 1)
+    # m_tau = n_points / sum_i phi_i^2 / v_i, in integers over L = lcm(v_i)
+    scale = lcm(*data.valencies)
+    weights = [scale // v for v in data.valencies]
     eigenrows: list[tuple[list[int], int]] = []
     for tau in roots:
         q, _ = exactalg.synthetic_division(poly, tau)
-        u = _row_times(q, krylov)
+        u = _row_times(q, krylov[:d])
         if _row_times(u, combo) != [tau * x for x in u]:
             raise SchemeError(f"root {tau} gives no left eigenvector")
         if u[-1] == 0 or any(x % u[-1] for x in u):
             raise SchemeError(f"root {tau} gives no integral row that is 1 at [1^n]")
         row = [x // u[-1] for x in u]
-        mult = Fraction(n_points) / sum(
-            Fraction(phi * phi, v) for phi, v in zip(row, data.valencies)
-        )
-        if mult.denominator != 1:
-            raise SchemeError(f"non-integer multiplicity {mult} at root {tau}")
-        eigenrows.append((row, int(mult)))
+        norm = sum(phi * phi * w for phi, w in zip(row, weights))
+        mult, rem = divmod(n_points * scale, norm)
+        if rem:
+            raise SchemeError(
+                f"non-integer multiplicity {n_points * scale}/{norm} at root {tau}"
+            )
+        eigenrows.append((row, mult))
 
     # rels descend and the columns ascend, so each row is reversed
     assignment = _assign_rows(n, rels, eigenrows)
@@ -273,7 +286,17 @@ def build_table_oracle(
 
 def _row_times(u: list[int], mat: list[list[int]]) -> list[int]:
     """The row vector u times the matrix mat."""
-    return [sum(x * y for x, y in zip(u, col)) for col in zip(*mat)]
+    return [sum(map(mul, u, col)) for col in zip(*mat)]
+
+
+def _krylov_rows(combo: list[list[int]]) -> list[list[int]]:
+    """The d + 1 rows e C^0 .. e C^d, e the unit vector at [1^n] (the last
+    relation)."""
+    d = len(combo)
+    rows = [[0] * (d - 1) + [1]]
+    for _ in range(d):
+        rows.append(_row_times(rows[-1], combo))
+    return rows
 
 
 def _flip_eigenvalue(lam: Partition) -> int:

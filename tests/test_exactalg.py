@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from pmscheme.errors import FitInconsistent, FitUnderdetermined
+from pmscheme import tables
+from pmscheme.errors import FitInconsistent, FitUnderdetermined, SchemeError
 from pmscheme.exactalg import (
     charpoly,
     distinct_integer_roots,
     kernel_basis,
+    krylov_polynomial,
     poly_eval,
     solve_unique,
     synthetic_division,
@@ -121,3 +123,38 @@ def test_kernel_basis():
     assert len(basis) == 2
     for v in basis:
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in a)
+
+
+def test_krylov_polynomial_equals_charpoly_on_oracle_combinations(idata):
+    rejected = 0
+    for n in range(2, 8):
+        data = idata(n)
+        d = len(data.relations)
+        for seed in range(4):
+            rng = random.Random(seed)
+            for _ in range(3):
+                coeffs = [rng.randint(-9, 9) for _ in range(d)]
+                combo = [tables._row_times(coeffs, pk) for pk in data.p]
+                poly = krylov_polynomial(tables._krylov_rows(combo))
+                chi = charpoly(combo)
+                if poly is None:
+                    # e is cyclic exactly when the eigenvalues are distinct
+                    assert distinct_integer_roots(chi, 1 + 9 * sum(data.valencies)) is None
+                    rejected += 1
+                else:
+                    assert poly == chi, (n, seed, coeffs)
+    assert rejected > 0  # the draws reach a combination the oracle rejects
+
+
+def test_krylov_polynomial_none_on_dependent_rows():
+    assert krylov_polynomial(tables._krylov_rows([[0] * 3 for _ in range(3)])) is None
+    # the last unit vector is a left eigenvector of an upper-triangular matrix
+    upper = [[1, 2, 3], [0, 4, 5], [0, 0, 6]]
+    assert krylov_polynomial(tables._krylov_rows(upper)) is None
+    assert krylov_polynomial([[1], [7]]) == [-7, 1]
+
+
+def test_krylov_polynomial_refuses_a_non_integral_relation():
+    # [1, 0] + 1/2 [0, 2] - [1, 1] = 0 is the only monic relation
+    with pytest.raises(SchemeError, match="not integral"):
+        krylov_polynomial([[1, 0], [0, 2], [1, 1]])

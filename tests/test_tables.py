@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -27,6 +29,8 @@ from pmscheme import (
     verify_conjecture,
     verify_structure_constants,
 )
+from pmscheme import exactalg, tables
+from pmscheme.exactalg import charpoly, distinct_integer_roots, krylov_polynomial
 from pmscheme.errors import GuardExceeded, IncompleteTable, SchemeError
 
 P = Partition
@@ -67,6 +71,78 @@ def test_oracle_deterministic_and_seed_independent(idata):
     b = build_table_oracle(4, seed=0, data=idata(4))
     c = build_table_oracle(4, seed=12345, data=idata(4))
     assert a.to_csv_text() == b.to_csv_text() == c.to_csv_text()
+
+
+class _Draws(random.Random):
+    """The seeded stream after `zeros` draws of 0, recording every draw."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros = zeros
+        self.draws = []
+
+    def randint(self, a, b):
+        if self.zeros:
+            self.zeros -= 1
+            self.draws.append(0)
+        else:
+            self.draws.append(super().randint(a, b))
+        return self.draws[-1]
+
+
+def _patch_draws(monkeypatch, zeros=0):
+    """Make the oracle draw from _Draws; returns the streams it made, and
+    the values krylov_polynomial returned."""
+    made, polys = [], []
+
+    def make(seed):
+        made.append(_Draws(seed, zeros))
+        return made[-1]
+
+    def spy(rows):
+        polys.append(krylov_polynomial(rows))
+        return polys[-1]
+
+    monkeypatch.setattr(tables, "random", types.SimpleNamespace(Random=make))
+    monkeypatch.setattr(exactalg, "krylov_polynomial", spy)
+    return made, polys
+
+
+def test_oracle_accepts_the_combination_the_charpoly_criterion_accepts(
+    idata, monkeypatch
+):
+    data = idata(5)
+    d = len(data.relations)
+    made, polys = _patch_draws(monkeypatch)
+    for seed in range(10):
+        build_table_oracle(5, seed=seed, data=data)
+        rng = random.Random(seed)
+        draws = []
+        while True:
+            coeffs = [rng.randint(-9, 9) for _ in range(d)]
+            draws += coeffs
+            combo = [tables._row_times(coeffs, pk) for pk in data.p]
+            bound = 1 + 9 * sum(data.valencies)
+            if distinct_integer_roots(charpoly(combo), bound) is not None:
+                break
+        assert made[-1].draws == draws, seed
+    assert None in polys  # one seed needs a second combination
+
+
+def test_oracle_skips_a_degenerate_combination(idata, monkeypatch):
+    for n in range(2, 6):
+        # an all-zero first combination is C = 0: its Krylov rows are dependent
+        made, polys = _patch_draws(monkeypatch, zeros=len(idata(n).relations))
+        table = build_table_oracle(n, seed=1, data=idata(n))
+        assert polys[0] is None and polys[-1] is not None, n
+        assert table.to_csv_text() == _golden_csv(n)
+
+
+def test_oracle_refuses_when_every_combination_is_degenerate(idata, monkeypatch):
+    made, polys = _patch_draws(monkeypatch, zeros=10**9)
+    with pytest.raises(SchemeError, match="no separating combination found in 60"):
+        build_table_oracle(4, seed=0, data=idata(4))
+    assert polys == [None] * 60
 
 
 def test_formula_table_partial_and_rows():

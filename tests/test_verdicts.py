@@ -53,6 +53,7 @@ def wrong_roots(poly, bound):
 
 cases = [
     ("charpoly", lambda: charpoly([[Fraction(1, 2)]])),
+    ("krylov_polynomial", lambda: exactalg.krylov_polynomial([[1, 0], [0, 2], [1, 1]])),
     ("representative", lambda: matchings.intersection_numbers(3)),
     ("dim_hook", lambda: partitions.dim_hook(P([5, 3]))),
     ("family_second_eig", lambda: spectra.family_second_eig(P([2]), 9)),
@@ -87,6 +88,7 @@ def test_verdicts_refuse_under_python_O():
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "charpoly",
+        "krylov_polynomial",
         "representative",
         "dim_hook",
         "family_second_eig",
