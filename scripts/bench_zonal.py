@@ -18,7 +18,10 @@ for n = 6, 8, ..., 14 once per checkout, and ``build_table_oracle(n)`` for
 n = 6, 7, 8 once per checkout (the median over seeds 0..4 of one build,
 with the intersection data built before the timer starts), each timing in
 a fresh subprocess of its checkout (alternating which side runs first),
-and records every run and the median per side.
+and records every run and the median per side.  The same way it times
+``verify induction --family 5`` at n = INDUCTION_MAX_N and ``verify
+ratios`` at n = RATIOS_MAX_N, this checkout's guards, three times per
+checkout, so each guard's cost at its limit is on record.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from pmscheme.ratios import RATIOS_MAX_N  # noqa: E402
+from pmscheme.spectra import INDUCTION_MAX_N  # noqa: E402
 from pmscheme.tables import DEFAULT_ZONAL_MAX_N  # noqa: E402
 
 WORKLOADS = ("cold_tables", "table_assembly", "warm_queries", "diameters")
@@ -45,6 +50,7 @@ ZONAL_REPEATS = 3
 ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
+GUARD_REPEATS = 3
 # each timer runs in a checkout's root and prints the seconds of one call
 ORACLE_TIMER = """
 import sys, time
@@ -87,6 +93,22 @@ for seed in range(5):
     times.append(time.perf_counter() - t0)
 print(statistics.median(times))
 """
+
+# the CLI command {argv} + ["--n", n], its stdout discarded; a refusal
+# (nonzero exit) fails the run instead of timing it
+CLI_TIMER = """
+import contextlib, io, sys, time
+sys.path.insert(0, "src")
+from pmscheme.cli import main
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r} + ["--n", sys.argv[1]])
+if code:
+    sys.exit(code)
+print(time.perf_counter() - t0)
+"""
+INDUCTION_TIMER = CLI_TIMER.format(argv=["verify", "induction", "--family", "5"])
+RATIOS_TIMER = CLI_TIMER.format(argv=["verify", "ratios"])
 
 
 def bench_run(checkout: Path, workload: str, seed: int) -> dict:
@@ -161,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
             "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s,"
-            " build_table_oracle_s: wall-clock seconds"
+            " build_table_oracle_s, verify_induction_s, verify_ratios_s:"
+            " wall-clock seconds"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -178,7 +201,17 @@ def main(argv: list[str] | None = None) -> int:
         "build_table_oracle_s": fresh_times(
             args.parent.resolve(), ORACLE_TABLE_TIMER, ORACLE_TABLE_NS, 1
         ),
+        "verify_induction_s": fresh_times(
+            args.parent.resolve(), INDUCTION_TIMER,
+            range(INDUCTION_MAX_N, INDUCTION_MAX_N + 1), GUARD_REPEATS,
+        ),
+        "verify_ratios_s": fresh_times(
+            args.parent.resolve(), RATIOS_TIMER,
+            range(RATIOS_MAX_N, RATIOS_MAX_N + 1), GUARD_REPEATS,
+        ),
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
+        "induction_max_n": INDUCTION_MAX_N,
+        "ratios_max_n": RATIOS_MAX_N,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -25,7 +25,6 @@ import json
 import os
 import signal
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -39,8 +38,9 @@ from .errors import (
 )
 from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
-from .ratios import all_merges, gap_ratio_report
+from .ratios import RATIOS_MAX_N, all_merges, gap_ratio_report
 from .spectra import (
+    FamilySpec,
     gap_report,
     trace_identity_check,
     valency,
@@ -96,10 +96,13 @@ def _cache_path(config: Config, n: int) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    """Write a fresh file beside path and rename it over path.  ``open``
+    creates it with mode 0666 less the umask, as a shell redirect would."""
+    directory, name = os.path.split(path)
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -114,9 +117,10 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
     DEFAULT_ZONAL_MAX_N).  The benchmark (``bench/workloads.py``,
     ``bench/spans.py``) calls it by this name, which predates the zonal
     engine.  The file is the table's ``to_json_text`` and is served only if
-    its ``n`` is n, ``EigTable.from_json_obj`` accepts it and the table is
-    complete.  Any other file is rebuilt and overwritten, and a cache that
-    cannot be written is skipped; either prints a note on stderr.
+    its ``n`` is n, ``EigTable.from_json_obj`` accepts it, the table is
+    complete and every column's provenance is ``zonal``.  Any other file is
+    rebuilt and overwritten, and a cache that cannot be written is skipped;
+    either prints a note on stderr.
     """
     path = _cache_path(config, n)
     if os.path.exists(path):
@@ -128,6 +132,8 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
             table = EigTable.from_json_obj(obj)
             if not table.is_complete():
                 raise SchemeError("cached table is not complete")
+            if table.provenance != {mu: "zonal" for mu in table.columns}:
+                raise SchemeError("cached table has a column not marked zonal")
             return table
         except (
             OSError, ValueError, KeyError, TypeError, AttributeError, SchemeError
@@ -256,6 +262,8 @@ def _verify_induction(args, config: Config) -> tuple[dict, str]:
 
 def _verify_ratios(args, config: Config) -> tuple[dict, str]:
     n = args.n
+    if n > RATIOS_MAX_N:
+        raise GuardExceeded(f"ratio laws guarded to n <= {RATIOS_MAX_N} (asked {n})")
     # generate_partitions refuses a negative n first, with its own message
     heads = [mu for mu in generate_partitions(n) if mu.parts[-1:] == (1,)]
     if n < 2:
@@ -377,10 +385,15 @@ def cmd_fit(args, config: Config) -> int:
             f"range {lo}:{hi} invalid for prefix {prefix} (min n {prefix.n})"
         )
     monomial_basis(prefix)  # refuses a prefix it cannot fit before any table
+    if hi > DEFAULT_ZONAL_MAX_N:
+        raise GuardExceeded(
+            f"fit reads zonal tables, guarded to n <= {DEFAULT_ZONAL_MAX_N}"
+            f" (asked {hi})"
+        )
+    family = FamilySpec(prefix)
     data = []
     for n in range(lo, hi + 1):
-        mu = Partition(prefix.parts + (1,) * (n - prefix.n))
-        data.append((n, oracle_table_cached(config, n).column(mu)))
+        data.append((n, oracle_table_cached(config, n).column(family.mu(n))))
     print(fit_e_mu(prefix, data).to_text())
     return EXIT_PASS
 

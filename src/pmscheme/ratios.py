@@ -12,13 +12,11 @@ from fractions import Fraction
 
 from .errors import IncompleteTable, SchemeError
 from .partitions import Partition
-from .spectra import (
-    family_second_eig,
-    family_threshold,
-    phi_n11,
-    valency,
-)
-from .symfunc import CATALOG_PREFIXES
+from .spectra import family_closed_form, phi_n11, valency
+
+# verify ratios reports each merge of each partition of n: 1.4-1.8 s at
+# n = 30 (BENCH_catalog.json).
+RATIOS_MAX_N = 30
 
 
 @dataclass(frozen=True)
@@ -146,15 +144,6 @@ class RatioReport:
         return "\n".join(lines)
 
 
-def _family_gap(mu: Partition) -> int | None:
-    prefix = Partition([p for p in mu.parts if p > 1])
-    if not prefix.parts or prefix not in CATALOG_PREFIXES:
-        return None
-    if mu.n < family_threshold(prefix):
-        return None
-    return family_second_eig(prefix, mu.n)[1]
-
-
 def gap_ratio_report(spec: MergeSpec, table=None) -> RatioReport:
     """Bundle every ratio across a merge with a consistency verdict.
 
@@ -178,10 +167,10 @@ def gap_ratio_report(spec: MergeSpec, table=None) -> RatioReport:
         except IncompleteTable:
             g_ratio = None
     else:
-        g_old = _family_gap(spec.mu)
-        g_new = _family_gap(spec.merged)
-        if g_old is not None and g_new is not None and g_old != 0:
-            g_ratio = Fraction(g_new, g_old)
+        old = family_closed_form(spec.mu)
+        new = family_closed_form(spec.merged)
+        if old is not None and new is not None and old[1] != 0:
+            g_ratio = Fraction(new[1], old[1])
     cp = merge_constant(spec)
     present = [r for r in (g_ratio, v_ratio, t_ratio) if r is not None]
     ratios_agree = all(r == present[0] for r in present)

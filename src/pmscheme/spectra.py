@@ -1,5 +1,8 @@
 """Closed-form eigenvalues, spectral gaps, dimension bounds and verifiers.
 
+Family closed forms come from the one catalog in ``symfunc``;
+``family_closed_form`` is the lookup ``gap_report`` and the ratios share.
+
 Irrational comparisons (anything involving n^(3/2) or square roots) are
 decided by exact squaring over the integers; floating point appears nowhere
 in a verdict.
@@ -22,7 +25,7 @@ from .partitions import (
     irr_char,
     z2,
 )
-from .symfunc import combine, content_power_sums, e_catalog
+from .symfunc import CATALOG_PREFIXES, catalog_entry, combine, content_power_sums
 from .symfunc import eval_expr  # noqa: F401  (bench/spans.py traces spectra.eval_expr)
 
 
@@ -67,50 +70,6 @@ class FamilySpec:
         return Partition(self.prefix.parts + (1,) * (n - self.prefix.n))
 
 
-def _poly(n: int, *coeffs) -> Fraction:
-    """coeffs are for descending powers: _poly(n, a, b, c) = a n^2 + b n + c."""
-    out = Fraction(0)
-    for c in coeffs:
-        out = out * n + Fraction(c)
-    return out
-
-
-# prefix -> (validity threshold, second eigenvalue, spectral gap), both exact
-# polynomials in n.
-_FAMILY_FORMS = {
-    (2,): (
-        3,
-        lambda n: _poly(n, 1, -3, 1),
-        lambda n: _poly(n, 2, -1),
-    ),
-    (3,): (
-        5,
-        lambda n: _poly(n, Fraction(4, 3), -8, Fraction(38, 3), -4),
-        lambda n: _poly(n, 4, -10, 4),
-    ),
-    (2, 2): (
-        6,
-        lambda n: _poly(n, Fraction(1, 2), -5, Fraction(33, 2), -20, 6),
-        lambda n: _poly(n, 2, -11, 17, -6),
-    ),
-    (4,): (
-        6,
-        lambda n: _poly(n, 2, -20, 66, -80, 24),
-        lambda n: _poly(n, 8, -44, 68, -24),
-    ),
-    (3, 2): (
-        7,
-        lambda n: Fraction(2, 3) * _poly(n, 2, -30, 165, -405, 418, -120),
-        lambda n: Fraction(1, 3) * _poly(n, 20, -190, 610, -740, 240),
-    ),
-    (5,): (
-        6,
-        lambda n: Fraction(8, 5) * _poly(n, 2, -30, 165, -405, 418, -120),
-        lambda n: _poly(n, 16, -152, 488, -592, 192),
-    ),
-}
-
-
 class BelowFamilyThreshold(ValueError):
     def __init__(self, prefix: Partition, n: int, threshold: int):
         super().__init__(
@@ -128,15 +87,12 @@ def family_second_eig(
     Below the family's validity threshold the polynomial still evaluates but
     is not a proven second eigenvalue; that path requires force=True.
     """
-    key = prefix.parts
-    if key not in _FAMILY_FORMS:
-        raise ValueError(f"no closed form in catalog for prefix {prefix}")
-    threshold, second_f, gap_f = _FAMILY_FORMS[key]
+    entry = catalog_entry(prefix)
     if n < prefix.n:
         raise ValueError(f"family {prefix} undefined below n={prefix.n}")
-    if n < threshold and not force:
-        raise BelowFamilyThreshold(prefix, n, threshold)
-    second, gap = second_f(n), gap_f(n)
+    if n < entry.threshold and not force:
+        raise BelowFamilyThreshold(prefix, n, entry.threshold)
+    second, gap = entry.second(n), entry.gap(n)
     if second.denominator != 1 or gap.denominator != 1:
         raise SchemeError(f"family {prefix} closed form is not integral at n={n}")
     second, gap = int(second), int(gap)
@@ -149,10 +105,16 @@ def family_second_eig(
 
 
 def family_threshold(prefix: Partition) -> int:
-    key = prefix.parts
-    if key not in _FAMILY_FORMS:
-        raise ValueError(f"no closed form in catalog for prefix {prefix}")
-    return _FAMILY_FORMS[key][0]
+    return catalog_entry(prefix).threshold
+
+
+def family_closed_form(mu: Partition) -> tuple[int, int] | None:
+    """(second eigenvalue, gap) of mu from its family's closed form; None off
+    the catalog or below the family's threshold."""
+    prefix = Partition(p for p in mu.parts if p > 1)
+    if prefix not in CATALOG_PREFIXES or mu.n < family_threshold(prefix):
+        return None
+    return family_second_eig(prefix, mu.n)
 
 
 def hook_gap(n: int, ell: int) -> int:
@@ -426,15 +388,9 @@ def gap_report(mu: Partition, table=None) -> GapReport:
         return GapReport(
             n, mu, valency(mu), second, valency(mu) - second, tuple(rows), "table"
         )
+    if (family := family_closed_form(mu)) is not None:
+        return GapReport(n, mu, valency(mu), *family, (hook_row,), "closed-form")
     prefix = Partition([p for p in mu.parts if p > 1])
-    if prefix.parts in _FAMILY_FORMS:
-        try:
-            second, gap = family_second_eig(prefix, n)
-            return GapReport(
-                n, mu, valency(mu), second, gap, (hook_row,), "closed-form"
-            )
-        except BelowFamilyThreshold:
-            pass
     ell = n - prefix.n
     # The hook product assumes the conjecture, so only where its hypothesis
     # holds: the same applicability rule as tables.verify_conjecture.
@@ -477,6 +433,10 @@ def _growth_increments(expr, lam: Partition, here, grown) -> list[tuple[int, int
     return out
 
 
+# One scan of the partitions of n: 1.4 s at n = 40 (BENCH_catalog.json).
+INDUCTION_MAX_N = 40
+
+
 def verify_induction_step(prefix: Partition, n: int) -> InductionReport:
     """Check that no one-row growth of any lam != [n] increases the family
     eigenvalue by more than the growth at [n-1,1] does.
@@ -486,11 +446,16 @@ def verify_induction_step(prefix: Partition, n: int) -> InductionReport:
     canonical order and rows ascending, and the witness is the first
     minimum.  Each lam is evaluated once and each growth from lam's power
     sums plus the two new contents; slacks are compared as integers over
-    the expression's common denominator.
+    the expression's common denominator.  GuardExceeded above
+    INDUCTION_MAX_N, before any partition is made.
     """
     if n < max(prefix.n, 2):
         raise ValueError(f"induction step needs n >= {max(prefix.n, 2)}")
-    expr = e_catalog(prefix)
+    if n > INDUCTION_MAX_N:
+        raise GuardExceeded(
+            f"induction step guarded to n <= {INDUCTION_MAX_N} (asked {n})"
+        )
+    expr = catalog_entry(prefix).expr
     here, grown = expr.at_t(2 * n), expr.at_t(2 * n + 2)
     rhs = dict(_growth_increments(expr, Partition((n - 1, 1)), here, grown))[1]
     best: tuple[int, Partition, int] | None = None

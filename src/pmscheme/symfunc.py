@@ -8,7 +8,11 @@ partition lam substitutes t = 2n and each p_k by the sum of k-th powers of the
 contents of the doubled shape 2*lam.  Evaluation and fitting run in integers
 (an expression carries its coefficients over one common denominator, and
 content power sums are summed from cached rows); a Fraction is made only
-for a result.
+for a result.  Nothing adds or scales expressions.
+
+``_CATALOG`` is the one registry of the paper's closed-form families
+[2], [3], [2,2], [4], [3,2] and [5] (each padded by parts 1): threshold,
+second eigenvalue and gap polynomials in n, and the expression, built once.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import exactalg
@@ -31,7 +36,8 @@ from .partitions import (
 
 
 class PolyT:
-    """A univariate polynomial in t with Fraction coefficients."""
+    """A univariate polynomial with Fraction coefficients, lowest degree
+    first: in t inside a PowerSumExpr, in n for a catalog family."""
 
     __slots__ = ("coeffs",)
 
@@ -57,31 +63,6 @@ class PolyT:
             out = out * t + c
         return out
 
-    def __add__(self, other: "PolyT") -> "PolyT":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return PolyT([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
-
-    def __neg__(self) -> "PolyT":
-        return PolyT([-c for c in self.coeffs])
-
-    def __sub__(self, other: "PolyT") -> "PolyT":
-        return self + (-other)
-
-    def __mul__(self, other) -> "PolyT":
-        if isinstance(other, PolyT):
-            if self.is_zero() or other.is_zero():
-                return PolyT()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return PolyT(out)
-        return PolyT([c * Fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyT) and self.coeffs == other.coeffs
 
@@ -92,8 +73,6 @@ class PolyT:
         return f"PolyT({list(self.coeffs)})"
 
     def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for d, c in enumerate(self.coeffs):
             if c == 0:
@@ -111,24 +90,17 @@ _POLY_TERM = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*t(?:\^(\d+))?)?$")
 
 
 def parse_polyt(text: str) -> PolyT:
-    s = text.strip()
-    if s == "0":
-        return PolyT()
+    """Inverse of ``PolyT.to_text``, which writes each degree at most once."""
     coeffs: dict[int, Fraction] = {}
-    for term in s.split(" + "):
+    for term in text.strip().split(" + "):
         m = _POLY_TERM.match(term.strip())
         if not m:
             raise ValueError(f"bad polynomial term {term!r}")
-        c = Fraction(m.group(1))
-        if "t" in term:
-            d = int(m.group(2)) if m.group(2) else 1
-        else:
-            d = 0
-        coeffs[d] = coeffs.get(d, 0) + c
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return PolyT(out)
+        d = int(m.group(2) or 1) if "t" in term else 0
+        if d in coeffs:
+            raise ValueError(f"degree {d} repeated in {text!r}")
+        coeffs[d] = Fraction(m.group(1))
+    return PolyT(coeffs.get(d, 0) for d in range(max(coeffs) + 1))
 
 
 def _tpoly(*coeffs) -> PolyT:
@@ -151,8 +123,6 @@ class PowerSumExpr:
         clean: dict[Partition, PolyT] = {}
         if terms:
             for mono, poly in terms.items():
-                if not isinstance(poly, PolyT):
-                    poly = _tpoly(poly)
                 if not poly.is_zero():
                     clean[mono] = poly
         den = lcm(*(c.denominator for p in clean.values() for c in p.coeffs))
@@ -160,7 +130,7 @@ class PowerSumExpr:
             (tuple(c.numerator * (den // c.denominator) for c in p.coeffs), m.parts)
             for m, p in clean.items()
         )
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_terms", int_terms)
         kmax = max((m.parts[0] for m in clean if m.parts), default=0)
@@ -182,20 +152,6 @@ class PowerSumExpr:
     def __eq__(self, other) -> bool:
         return isinstance(other, PowerSumExpr) and self.terms == other.terms
 
-    def __add__(self, other: "PowerSumExpr") -> "PowerSumExpr":
-        out = dict(self.terms)
-        for mono, poly in other.terms.items():
-            out[mono] = out.get(mono, PolyT()) + poly
-        return PowerSumExpr(out)
-
-    def __sub__(self, other: "PowerSumExpr") -> "PowerSumExpr":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "PowerSumExpr":
-        if not isinstance(factor, PolyT):
-            factor = _tpoly(factor)
-        return PowerSumExpr({m: p * factor for m, p in self.terms.items()})
-
     def monomials(self) -> list[Partition]:
         return sorted(self.terms, key=lambda m: (-m.n, tuple(-p for p in m.parts)))
 
@@ -213,6 +169,7 @@ class PowerSumExpr:
 
 
 def parse_power_sum_expr(text: str) -> PowerSumExpr:
+    """Inverse of ``PowerSumExpr.to_text``, which writes each monomial once."""
     terms: dict[Partition, PolyT] = {}
     s = text.strip()
     pos = 0
@@ -226,7 +183,9 @@ def parse_power_sum_expr(text: str) -> PowerSumExpr:
         open_b = close + 3
         close_b = s.index("]", open_b)
         mono = parse_partition(s[open_b : close_b + 1])
-        terms[mono] = terms.get(mono, PolyT()) + poly
+        if mono in terms:
+            raise ValueError(f"monomial p{mono} repeated in {text!r}")
+        terms[mono] = poly
         pos = close_b + 1
         if pos < len(s):
             if s[pos : pos + 3] != " + ":
@@ -280,44 +239,87 @@ def eval_expr(f: PowerSumExpr, lam: Partition) -> Fraction:
     return Fraction(num, f.den)
 
 
-_CATALOG: dict[tuple[int, ...], dict[tuple[int, ...], PolyT]] = {
-    (2,): {
-        (1,): _tpoly(Fraction(1, 2)),
-        (): _tpoly(0, Fraction(-1, 4)),
-    },
-    (3,): {
-        (2,): _tpoly(Fraction(1, 2)),
-        (1,): _tpoly(-1),
-        (): _tpoly(0, Fraction(3, 4), Fraction(-1, 4)),
-    },
-    (2, 2): {
-        (1, 1): _tpoly(Fraction(1, 8)),
-        (2,): _tpoly(Fraction(-3, 4)),
-        (1,): _tpoly(Fraction(10, 8), Fraction(-1, 8)),
-        (): _tpoly(0, Fraction(-24, 32), Fraction(9, 32)),
-    },
-    (4,): {
-        (3,): _tpoly(Fraction(1, 2)),
-        (2,): _tpoly(Fraction(-9, 4)),
-        (1,): _tpoly(Fraction(11, 2), -1),
-        (): _tpoly(0, Fraction(-23, 8), 1),
-    },
-    (3, 2): {
-        (3,): _tpoly(-2),
-        (2, 1): _tpoly(Fraction(1, 4)),
-        (2,): _tpoly(Fraction(60, 8), Fraction(-1, 8)),
-        (1, 1): _tpoly(Fraction(-1, 2)),
-        (1,): _tpoly(Fraction(-120, 8), Fraction(29, 8), Fraction(-1, 8)),
-        (): _tpoly(0, Fraction(116, 16), Fraction(-47, 16), Fraction(1, 16)),
-    },
-    (5,): {
-        (4,): _tpoly(Fraction(1, 2)),
-        (3,): _tpoly(-4),
-        (2,): _tpoly(20, Fraction(-3, 2)),
-        (1, 1): _tpoly(-1),
-        (1,): _tpoly(-34, 7),
-        (): _tpoly(0, Fraction(217, 12), Fraction(-96, 12), Fraction(5, 12)),
-    },
+class CatalogEntry:
+    """One closed-form family, prefix + 1^(n - |prefix|): its second
+    eigenvalue and spectral gap as polynomials in n, proven for
+    n >= threshold, and ``expr``, which generates the family's column."""
+
+    def __init__(self, threshold: int, second: PolyT, gap: PolyT, terms: Mapping):
+        self.threshold, self.second, self.gap = threshold, second, gap
+        self.expr = PowerSumExpr({Partition(m): p for m, p in terms.items()})
+
+
+# Every polynomial lists its coefficients lowest degree first.
+_CATALOG: dict[tuple[int, ...], CatalogEntry] = {
+    (2,): CatalogEntry(
+        threshold=3,
+        second=_tpoly(1, -3, 1),
+        gap=_tpoly(-1, 2),
+        terms={
+            (1,): _tpoly(Fraction(1, 2)),
+            (): _tpoly(0, Fraction(-1, 4)),
+        },
+    ),
+    (3,): CatalogEntry(
+        threshold=5,
+        second=_tpoly(-4, Fraction(38, 3), -8, Fraction(4, 3)),
+        gap=_tpoly(4, -10, 4),
+        terms={
+            (2,): _tpoly(Fraction(1, 2)),
+            (1,): _tpoly(-1),
+            (): _tpoly(0, Fraction(3, 4), Fraction(-1, 4)),
+        },
+    ),
+    (2, 2): CatalogEntry(
+        threshold=6,
+        second=_tpoly(6, -20, Fraction(33, 2), -5, Fraction(1, 2)),
+        gap=_tpoly(-6, 17, -11, 2),
+        terms={
+            (1, 1): _tpoly(Fraction(1, 8)),
+            (2,): _tpoly(Fraction(-3, 4)),
+            (1,): _tpoly(Fraction(10, 8), Fraction(-1, 8)),
+            (): _tpoly(0, Fraction(-24, 32), Fraction(9, 32)),
+        },
+    ),
+    (4,): CatalogEntry(
+        threshold=6,
+        second=_tpoly(24, -80, 66, -20, 2),
+        gap=_tpoly(-24, 68, -44, 8),
+        terms={
+            (3,): _tpoly(Fraction(1, 2)),
+            (2,): _tpoly(Fraction(-9, 4)),
+            (1,): _tpoly(Fraction(11, 2), -1),
+            (): _tpoly(0, Fraction(-23, 8), 1),
+        },
+    ),
+    (3, 2): CatalogEntry(
+        threshold=7,
+        second=_tpoly(-80, Fraction(836, 3), -270, 110, -20, Fraction(4, 3)),
+        gap=_tpoly(
+            80, Fraction(-740, 3), Fraction(610, 3), Fraction(-190, 3), Fraction(20, 3)
+        ),
+        terms={
+            (3,): _tpoly(-2),
+            (2, 1): _tpoly(Fraction(1, 4)),
+            (2,): _tpoly(Fraction(60, 8), Fraction(-1, 8)),
+            (1, 1): _tpoly(Fraction(-1, 2)),
+            (1,): _tpoly(Fraction(-120, 8), Fraction(29, 8), Fraction(-1, 8)),
+            (): _tpoly(0, Fraction(116, 16), Fraction(-47, 16), Fraction(1, 16)),
+        },
+    ),
+    (5,): CatalogEntry(
+        threshold=6,
+        second=_tpoly(-192, Fraction(3344, 5), -648, 264, -48, Fraction(16, 5)),
+        gap=_tpoly(192, -592, 488, -152, 16),
+        terms={
+            (4,): _tpoly(Fraction(1, 2)),
+            (3,): _tpoly(-4),
+            (2,): _tpoly(20, Fraction(-3, 2)),
+            (1, 1): _tpoly(-1),
+            (1,): _tpoly(-34, 7),
+            (): _tpoly(0, Fraction(217, 12), Fraction(-96, 12), Fraction(5, 12)),
+        },
+    ),
 }
 
 CATALOG_PREFIXES: tuple[Partition, ...] = tuple(
@@ -325,15 +327,17 @@ CATALOG_PREFIXES: tuple[Partition, ...] = tuple(
 )
 
 
-def e_catalog(prefix: Partition) -> PowerSumExpr:
-    """The eigenvalue-generating expression for the family prefix + trailing 1s.
-
-    Supported prefixes: [2], [3], [2,2], [4], [3,2], [5].
-    """
-    key = prefix.parts
-    if key not in _CATALOG:
+def catalog_entry(prefix: Partition) -> CatalogEntry:
+    """The entry of the family prefix + trailing 1s; ValueError off the catalog."""
+    entry = _CATALOG.get(prefix.parts)
+    if entry is None:
         raise ValueError(f"no closed form in catalog for prefix {prefix}")
-    return PowerSumExpr({Partition(m): p for m, p in _CATALOG[key].items()})
+    return entry
+
+
+def e_catalog(prefix: Partition) -> PowerSumExpr:
+    """The eigenvalue-generating expression for the family prefix + trailing 1s."""
+    return catalog_entry(prefix).expr
 
 
 def delta_eval(f: PowerSumExpr, lam: Partition, i: int) -> Fraction:
@@ -426,7 +430,7 @@ def monomial_basis(prefix: Partition) -> MonomialBasis:
     return MonomialBasis(prefix, entries)
 
 
-DataColumn = Mapping[Partition, int] | Sequence[int]
+DataColumn = Sequence[int]
 
 
 def fit_e_mu(
@@ -436,9 +440,9 @@ def fit_e_mu(
 ) -> PowerSumExpr:
     """Recover the family expression exactly from eigenvalue columns.
 
-    data holds (n, column) pairs where a column maps each partition of n (or
-    lists values in canonical descending row order) to the eigenvalue of the
-    relation prefix + 1^(n - |prefix|) on that eigenspace.  One stacked linear
+    data holds (n, column) pairs where a column lists, in canonical
+    descending row order, the eigenvalue of the relation
+    prefix + 1^(n - |prefix|) on each eigenspace of n.  One stacked linear
     system is solved for all polynomial coefficients at once: its rows are
     the integers t^d * p_mono(lam), which ``exactalg.solve_unique`` reduces
     fraction-free.  Degree bounds are capped at (#distinct n - 1), the
@@ -447,7 +451,7 @@ def fit_e_mu(
     given.
     """
     basis = monomial_basis(prefix)
-    points = [(n, _column_as_mapping(n, col)) for n, col in data]
+    points = [(n, _checked_column(n, col)) for n, col in data]
     n_values = sorted({n for n, _ in points})
     if not n_values:
         raise FitUnderdetermined("no data supplied")
@@ -461,10 +465,10 @@ def fit_e_mu(
     rhs: list[Fraction] = []
     for n, column in points:
         t = 2 * n
-        for lam in generate_partitions(n):
+        for lam, value in zip(generate_partitions(n), column):
             sums = content_power_sums(lam, kmax)
             rows.append([t**d * prod(sums[k] for k in m.parts) for m, d in unknowns])
-            rhs.append(column[lam])
+            rhs.append(value)
     solution = exactalg.solve_unique(rows, rhs)
     terms: dict[Partition, list[Fraction]] = {}
     for (mono, d), c in zip(unknowns, solution):
@@ -473,31 +477,22 @@ def fit_e_mu(
     expr = PowerSumExpr({m: PolyT(cs) for m, cs in terms.items()})
     checks = list(points)
     if holdout is not None:
-        checks.append((holdout[0], _column_as_mapping(holdout[0], holdout[1])))
+        checks.append((holdout[0], _checked_column(*holdout)))
     for n, column in checks:
-        for lam in generate_partitions(n):
-            if eval_expr(expr, lam) != column[lam]:
+        for lam, value in zip(generate_partitions(n), column):
+            if eval_expr(expr, lam) != value:
                 raise FitInconsistent(
                     f"fitted expression misses column n={n} at row {lam}"
                 )
     return expr
 
 
-def _column_as_mapping(n: int, col: DataColumn) -> dict[Partition, Fraction]:
-    lams = generate_partitions(n)
-    if isinstance(col, Mapping):
-        out = {}
-        for lam in lams:
-            if lam not in col:
-                raise ValueError(f"column for n={n} is missing row {lam}")
-            out[lam] = Fraction(col[lam])
-        return out
-    values = list(col)
-    if len(values) != len(lams):
-        raise ValueError(
-            f"column for n={n} has {len(values)} values, expected {len(lams)}"
-        )
-    return {lam: Fraction(v) for lam, v in zip(lams, values)}
+def _checked_column(n: int, col: DataColumn) -> list[Fraction]:
+    values = [Fraction(v) for v in col]
+    rows = len(generate_partitions(n))
+    if len(values) != rows:
+        raise ValueError(f"column for n={n} has {len(values)} values, expected {rows}")
+    return values
 
 
 # --------------------------------------------------------------------------

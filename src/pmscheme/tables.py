@@ -42,7 +42,7 @@ from .partitions import (
     generate_partitions,
     parse_partition,
 )
-from .spectra import phi_n11, trace_identity_check, valency
+from .spectra import FamilySpec, phi_n11, trace_identity_check, valency
 from .symfunc import (
     CATALOG_PREFIXES,
     PowerSumExpr,
@@ -377,7 +377,7 @@ def build_table_formulas(
     for prefix, expr, tag in sources:
         if prefix.n > n:
             continue
-        mu = Partition(prefix.parts + (1,) * (n - prefix.n))
+        mu = FamilySpec(prefix).mu(n)
         c = columns.index(mu)
         for lam, row in zip(rows, grid):
             phi = eval_expr(expr, lam)

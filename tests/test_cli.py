@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 
@@ -423,6 +424,48 @@ def test_cache_cell_that_is_not_an_int_is_rebuilt(run):
 
 
 @pytest.mark.parametrize(
+    "relabel",
+    [
+        {"[1,1,1,1]": 5, "[4]": ["oracle"]},
+        {"[2,2]": "closed-form"},
+        {"[3,1]": None},
+    ],
+    ids=["not-a-tag", "closed-form", "missing"],
+)
+def test_cache_provenance_other_than_zonal_is_rebuilt(run, relabel):
+    # only the zonal route writes the cache, so any other provenance means
+    # the file is not one this code wrote
+    def edit(obj):
+        for column, tag in relabel.items():
+            if tag is None:
+                del obj["provenance"][column]
+            else:
+                obj["provenance"][column] = tag
+
+    path, good = _doctor_cache(run, 4, edit)
+    code, out, err = run("table", "--n", "4", "--format", "json")
+    assert code == 0 and out == good
+    assert err.startswith("note: rebuilding unreadable cache")
+    assert _read(path) == good
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o002, 0o664)], ids=["umask022", "umask002"]
+)
+def test_written_files_take_the_umask(run, tmp_path, umask, mode):
+    target = tmp_path / "o.csv"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run("table", "--n", "4", "--format", "csv", "--out", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == mode
+    assert stat.S_IMODE(os.stat(_cache_file(run, 4)).st_mode) == mode
+    assert os.listdir(run.data_dir) == [os.path.basename(_cache_file(run, 4))]
+
+
+@pytest.mark.parametrize(
     "argv, want",
     [
         (["table", "--n", "4", "--format", "csv"], _golden(4)),
@@ -499,6 +542,43 @@ def test_fit_refuses_prefix_before_reading_tables(run):
     assert code == 2 and out == ""
     assert err == "error: family prefix needs all parts >= 2\n"
     assert not os.path.exists(run.data_dir) or os.listdir(run.data_dir) == []
+
+
+def test_fit_refuses_range_above_zonal_guard_before_reading_tables(run):
+    hi = DEFAULT_ZONAL_MAX_N + 1
+    code, out, err = run("fit", "--prefix", "2", "--n-range", f"2:{hi}")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: fit reads zonal tables, guarded to n <= {DEFAULT_ZONAL_MAX_N}"
+        f" (asked {hi})\n"
+    )
+    assert not os.path.exists(run.data_dir) or os.listdir(run.data_dir) == []
+
+
+@pytest.mark.parametrize("kind", ["induction", "ratios"])
+def test_verify_guard_refuses_before_enumerating(run, monkeypatch, kind):
+    from pmscheme import cli, spectra
+    from pmscheme.ratios import RATIOS_MAX_N
+    from pmscheme.spectra import INDUCTION_MAX_N
+
+    # the README's induction example (n = 40) and verify ratios to n = 12 pass
+    assert INDUCTION_MAX_N >= 40 and RATIOS_MAX_N >= 12
+
+    def enumerate_partitions(n):
+        raise AssertionError(f"partitions of {n} enumerated past the guard")
+
+    monkeypatch.setattr(spectra, "generate_partitions", enumerate_partitions)
+    monkeypatch.setattr(cli, "generate_partitions", enumerate_partitions)
+    if kind == "induction":
+        n, what = INDUCTION_MAX_N + 1, "induction step"
+        argv = ["verify", "induction", "--family", "5", "--n", str(n)]
+    else:
+        n, what = RATIOS_MAX_N + 1, "ratio laws"
+        argv = ["verify", "ratios", "--n", str(n)]
+    for extra in ([], ["--json"]):
+        code, out, err = run(*argv, *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: {what} guarded to n <= {n - 1} (asked {n})\n"
 
 
 def test_table_formulas_guard(run):

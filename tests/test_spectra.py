@@ -11,6 +11,7 @@ from pmscheme import (
     e_catalog,
     eq5_holds,
     eval_expr,
+    family_closed_form,
     family_second_eig,
     family_threshold,
     generate_partitions,
@@ -82,6 +83,11 @@ def test_family_examples():
         family_second_eig(P([2, 2]), 3, force=True)
     with pytest.raises(ValueError):
         family_second_eig(P([7]), 8)
+    # the lookup gap_report and the ratio reports share
+    assert family_closed_form(P([2, 2, 1, 1])) == (48, 132)
+    assert family_closed_form(P([3, 2, 1])) is None  # below threshold 7
+    assert family_closed_form(P([7, 1])) is None  # off the catalog
+    assert family_closed_form(P([1, 1, 1])) is None
 
 
 def test_family_thresholds():
