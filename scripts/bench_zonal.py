@@ -66,7 +66,7 @@ sys.path.insert(0, "src")
 from pmscheme.tables import build_table_zonal
 n = int(sys.argv[1])
 t0 = time.perf_counter()
-build_table_zonal(n, max_n=n)
+build_table_zonal(n)
 print(time.perf_counter() - t0)
 """
 DIAMETER_TIMER = """

@@ -50,12 +50,10 @@ from .matchings import (
     Matching,
     QuotientMatrix,
     base_matching,
-    degree_count,
     degree_histogram,
     enumerate_matchings,
     intersection_numbers,
     parse_matching,
-    quotient_counts,
     quotient_counts_all,
     quotient_counts_from,
     rank,
@@ -77,7 +75,6 @@ from .spectra import (
     family_threshold,
     hook_gap,
     hook_quotient_closed_forms,
-    double_factorial_ratio_bound,
     double_factorial_ratio_bound_range,
     max_min_valency,
     phi_n11,

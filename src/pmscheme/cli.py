@@ -11,7 +11,8 @@ the guard, and an ``--out`` it cannot write is reported.  The console
 script (``main_entry``) ends by SIGPIPE, silently, when stdout closes.
 
 Every command that reads a full table gets the zonal table, cached on disk
-keyed by (n, code version) as its ``--format json`` text; writes are atomic.
+keyed by (n, code version) as its ``--format json`` text; cache writes are
+atomic, and ``table --out`` writes in place, as a shell redirect does.
 ``diameter`` and ``scan --with-diameters`` derive relation-graph diameters
 from that table.  The brute-force oracle serves only ``table --source
 oracle`` (uncached, seeded by --seed) and the intersection numbers behind
@@ -96,8 +97,9 @@ def _cache_path(config: Config, n: int) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write a fresh file beside path and rename it over path.  ``open``
-    creates it with mode 0666 less the umask, as a shell redirect would."""
+    """Write a cache file: a fresh file beside path, renamed over path, so
+    no reader sees half a table.  ``open`` creates it with mode 0666 less
+    the umask, as a shell redirect would."""
     directory, name = os.path.split(path)
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -151,7 +153,8 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
 
 def _build_table(config: Config, n: int, source: str) -> EigTable:
     if source == "oracle":
-        return build_table_oracle(n, seed=config.seed, max_n=config.max_oracle_n)
+        data = intersection_numbers(n, max_n=config.max_oracle_n)
+        return build_table_oracle(n, seed=config.seed, data=data)
     if source == "formulas":
         return build_table_formulas(n)
     return oracle_table_cached(config, n)
@@ -201,7 +204,9 @@ def cmd_table(args, config: Config) -> int:
         sys.stdout.write(text)
         return EXIT_PASS
     try:
-        _atomic_write(os.path.abspath(args.out), text)
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -21,6 +21,7 @@ from .partitions import (
     Partition,
     double_factorial,
     generate_partitions,
+    partition_count,
 )
 
 DEFAULT_ORACLE_MAX_N = 8
@@ -103,11 +104,16 @@ def _base_partner(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _guard_enumeration(what: str, n: int, max_n: int) -> None:
-    if not 1 <= n <= max_n:
+def _guard_enumeration(what: str, n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> None:
+    """Refuse n outside 1..max_n before any matching is enumerated; the
+    estimate sizes the scheme without listing its relations."""
+    if n < 1:
+        raise GuardExceeded(f"{what} guarded to n >= 1 (asked {n})")
+    if n > max_n:
         raise GuardExceeded(
-            f"{what} guarded to 1 <= n <= {max_n} (asked {n})",
-            estimate=f"(2n-1)!! = {double_factorial(2 * n - 1)} matchings",
+            f"{what} guarded to n <= {max_n} (asked {n})",
+            estimate=f"{double_factorial(2 * n - 1)} matchings"
+            f" x {partition_count(n)} relations",
         )
 
 
@@ -133,9 +139,9 @@ def _iter_partners(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def enumerate_matchings(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> Iterator[Matching]:
+def enumerate_matchings(n: int) -> Iterator[Matching]:
     """All (2n-1)!! matchings, smallest-unmatched-vertex order."""
-    _guard_enumeration("matching enumeration", n, max_n)
+    _guard_enumeration("matching enumeration", n)
     for partner in _iter_partners(n):
         yield Matching(partner)
 
@@ -184,7 +190,15 @@ def representative(mu: Partition) -> Matching:
 
 def rank(matching: Matching) -> int:
     """Mixed-radix rank in the enumeration order."""
-    return _rank_partner(matching.partner)
+    partner = matching.partner
+    alive = list(range(len(partner)))
+    r = 0
+    while alive:
+        u = alive.pop(0)
+        v = partner[u]
+        r = r * len(alive) + alive.index(v)
+        alive.remove(v)
+    return r
 
 
 def unrank(r: int, n: int) -> Matching:
@@ -240,12 +254,12 @@ def _cycle_codes(n: int):
 
 
 def _union_counts(
-    refs: list[tuple[int, ...]], primary: int, first_edge: tuple[int, int] | None = None
+    refs: list[tuple[int, ...]], first_edge: tuple[int, int] | None = None
 ) -> list[list[list[int]]]:
     """Joint relation counts over all matchings r, by one enumeration.
 
     ``counts[t][i][j]`` is the number of matchings r (through ``first_edge``
-    when given) with relation(refs[primary], r) = relations[i] and
+    when given) with relation(refs[-1], r) = relations[i] and
     relation(refs[t], r) = relations[j], relations in canonical order.
 
     For each reference q, the union of q with the partial matching is a set
@@ -265,7 +279,7 @@ def _union_counts(
     tracks = [(list(q), [1] * m + [empty]) for q in refs]
     counts = [[[0] * d for _ in range(d)] for _ in refs]
     rows = list(zip(tracks, counts))
-    base_ends, base_qcount = tracks[primary]
+    base_ends, base_qcount = tracks[-1]
 
     def place(u: int, v: int) -> None:
         for ends, qcount in tracks:
@@ -359,11 +373,7 @@ def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> Intersect
     cycle of known half-length in O(1) and is undone on backtracking, so
     no finished union is walked.  See ``_union_counts``.
     """
-    if not 1 <= n <= max_n:
-        raise GuardExceeded(
-            f"intersection numbers guarded to n <= {max_n} (asked {n})",
-            estimate=f"{double_factorial(2 * n - 1)} matchings x {len(generate_partitions(n))} relations",
-        )
+    _guard_enumeration("intersection numbers", n, max_n)
     relations = list(generate_partitions(n))
     d = len(relations)
     reps = [representative(mu) for mu in relations]
@@ -371,7 +381,7 @@ def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> Intersect
     for mu, rep in zip(relations, reps):
         if _relation_parts(base, rep.partner) != mu.parts:
             raise SchemeError(f"representative {rep} is not in relation {mu}")
-    p = _union_counts([rep.partner for rep in reps], primary=d - 1)
+    p = _union_counts([rep.partner for rep in reps])
     valencies = [sum(p[0][i]) for i in range(d)]
     for k in range(d):
         for i in range(d):
@@ -410,18 +420,13 @@ def _first_outside_pm12(n: int) -> tuple[int, ...]:
     return tuple(partner)
 
 
-def quotient_counts_all(
-    n: int, max_n: int = DEFAULT_ORACLE_MAX_N
-) -> dict[Partition, QuotientMatrix]:
+def quotient_counts_all(n: int) -> dict[Partition, QuotientMatrix]:
     """QuotientMatrix for every relation of K_{2n} in one enumeration pass."""
-    if not 2 <= n <= max_n:
-        raise GuardExceeded(
-            f"quotient counts guarded to 2 <= n <= {max_n} (asked {n})",
-            estimate=f"{double_factorial(2 * n - 3)} matchings through the fixed edge",
-        )
-    a_counts = quotient_counts_from(base_matching(n), max_n=max_n)
-    b_counts = quotient_counts_from(Matching(_first_outside_pm12(n)), max_n=max_n)
-    degrees = degree_histogram(n, max_n=max_n)
+    if n < 2:
+        raise ValueError(f"quotient counts need n >= 2, got {n}")
+    a_counts = quotient_counts_from(base_matching(n))
+    b_counts = quotient_counts_from(Matching(_first_outside_pm12(n)))
+    degrees = degree_histogram(n)
     return {
         mu: QuotientMatrix(
             mu, a_counts.get(mu, 0), b_counts.get(mu, 0), degrees.get(mu, 0)
@@ -430,33 +435,26 @@ def quotient_counts_all(
     }
 
 
-def quotient_counts(mu: Partition, max_n: int = DEFAULT_ORACLE_MAX_N) -> QuotientMatrix:
-    """Counted quotient data for one relation."""
-    return quotient_counts_all(mu.n, max_n=max_n)[mu]
-
-
-def quotient_counts_from(
-    p: Matching, max_n: int = DEFAULT_ORACLE_MAX_N
-) -> dict[Partition, int]:
+def quotient_counts_from(p: Matching) -> dict[Partition, int]:
     """Relation histogram of the matchings through edge {1,2} as seen from p.
 
     Used to confirm that the two-block partition really is equitable: the
     histogram must not depend on which matching of a block p is.
     """
     n = p.n
-    _guard_enumeration("quotient histogram", n, max_n)
-    return _histogram(_union_counts([p.partner], 0, first_edge=(0, 1))[0], n)
+    _guard_enumeration("quotient histogram", n)
+    return _histogram(_union_counts([p.partner], first_edge=(0, 1))[0], n)
 
 
-def degree_histogram(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> dict[Partition, int]:
+def degree_histogram(n: int) -> dict[Partition, int]:
     """Relation histogram of all matchings against the base matching."""
-    _guard_enumeration("degree histogram", n, max_n)
+    _guard_enumeration("degree histogram", n)
     return _degree_histogram(n)
 
 
 @cache
 def _degree_histogram(n: int) -> dict[Partition, int]:
-    return _histogram(_union_counts([_base_partner(n)], 0)[0], n)
+    return _histogram(_union_counts([_base_partner(n)])[0], n)
 
 
 def _histogram(counts: list[list[int]], n: int) -> dict[Partition, int]:
@@ -464,21 +462,3 @@ def _histogram(counts: list[list[int]], n: int) -> dict[Partition, int]:
     return {
         mu: counts[i][i] for i, mu in enumerate(generate_partitions(n)) if counts[i][i]
     }
-
-
-def degree_count(mu: Partition, max_n: int = DEFAULT_ORACLE_MAX_N) -> int:
-    """Number of matchings mu-related to the base matching, by enumeration."""
-    return degree_histogram(mu.n, max_n=max_n).get(mu, 0)
-
-
-def _rank_partner(partner) -> int:
-    m = len(partner)
-    alive = list(range(m))
-    r = 0
-    while alive:
-        u = alive.pop(0)
-        v = partner[u]
-        digit = alive.index(v)
-        r = r * len(alive) + digit
-        alive.remove(v)
-    return r

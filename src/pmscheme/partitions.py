@@ -151,6 +151,15 @@ def generate_partitions(n: int) -> tuple[Partition, ...]:
             rest -= nxt
 
 
+def partition_count(n: int) -> int:
+    """p(n), counted without listing the partitions."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
 class Dominance(Enum):
     GREATER = "greater"
     LESS = "less"

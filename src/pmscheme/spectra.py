@@ -234,15 +234,10 @@ def threshold_n(k: int) -> int:
     return lo
 
 
-def double_factorial_ratio_bound(n: int) -> bool:
-    """Exact check of (2n-1)!!/(2n)!! < 1/sqrt(n+1)."""
-    odd = double_factorial(2 * n - 1)
-    even = double_factorial(2 * n)
-    return odd * odd * (n + 1) < even * even
-
-
 def double_factorial_ratio_bound_range(lo: int, hi: int) -> bool:
-    """double_factorial_ratio_bound for every n in [lo, hi], with incremental products."""
+    """Exact check of (2n-1)!!/(2n)!! < 1/sqrt(n+1), squared as
+    ((2n-1)!!)^2 (n+1) < ((2n)!!)^2, for every n in [lo, hi], with
+    incremental products."""
     odd = double_factorial(2 * lo - 1)
     even = double_factorial(2 * lo)
     odd_sq, even_sq = odd * odd, even * even
@@ -308,7 +303,11 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def zonal_check(mu: Partition, lam: Partition, max_n: int = 5) -> Fraction:
+# zonal_check walks the 2^n n! stabilizer permutations: 3840 at n = 5.
+ZONAL_CHECK_MAX_N = 5
+
+
+def zonal_check(mu: Partition, lam: Partition) -> Fraction:
     """Eigenvalue via the stabilizer-coset character sum; tiny n only.
 
     Sums the character of the doubled shape over one full coset of the
@@ -317,9 +316,9 @@ def zonal_check(mu: Partition, lam: Partition, max_n: int = 5) -> Fraction:
     n = mu.n
     if lam.n != n:
         raise ValueError("mu and lam must partition the same n")
-    if n > max_n:
+    if n > ZONAL_CHECK_MAX_N:
         raise GuardExceeded(
-            f"coset character sum guarded to n <= {max_n} (asked {n})",
+            f"coset character sum guarded to n <= {ZONAL_CHECK_MAX_N} (asked {n})",
             estimate=f"stabilizer order 2^n n! = {2**n * factorial(n)}",
         )
     x = _coset_rep(mu)

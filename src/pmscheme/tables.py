@@ -34,7 +34,7 @@ from .errors import (
     IncompleteTable,
     SchemeError,
 )
-from .matchings import DEFAULT_ORACLE_MAX_N, IntersectionData, intersection_numbers
+from .matchings import IntersectionData, intersection_numbers
 from .partitions import (
     Partition,
     dim_hook,
@@ -59,6 +59,8 @@ DEFAULT_ZONAL_MAX_N = 14
 # 0.4-0.6 s and 75 MB peak RSS (Python 3.11, 2 cores); at n = 40 the grid
 # alone would be about 1.4e9 list slots, roughly 11 GB.
 FORMULAS_MAX_N = 24
+# The tags a column's provenance may hold, one per way its cells were filled.
+PROVENANCE_TAGS = ("zonal", "oracle", "closed-form", "interpolated")
 
 
 class EigTable:
@@ -66,10 +68,12 @@ class EigTable:
     descending order, columns are relations in ascending order.
 
     The cells are one rows x columns grid of ``int`` (not ``bool`` or
-    ``float``), None marking an unfilled cell; any other grid, or an n that
-    is not an ``int``, raises SchemeError.  The table keeps its own copy of
-    the grid and reads the columns and the set of complete columns off it
-    once, so ``column``, ``has_column`` and ``is_complete`` are lookups.
+    ``float``), None marking an unfilled cell; any other grid, an n that is
+    not an ``int``, or a provenance entry whose key is not a column or whose
+    tag is not in PROVENANCE_TAGS raises SchemeError.  The table keeps its
+    own copies of the grid and the provenance, and reads the columns and the
+    set of complete columns off the grid once, so ``column``,
+    ``has_column`` and ``is_complete`` are lookups.
     """
 
     def __init__(
@@ -93,7 +97,10 @@ class EigTable:
         self._row_at = {lam: r for r, lam in enumerate(self.rows)}
         self._cols = dict(zip(self.columns, map(list, zip(*self._grid))))
         self._complete = {mu for mu, col in self._cols.items() if None not in col}
-        self.provenance = provenance
+        self.provenance = dict(provenance)
+        for mu, tag in self.provenance.items():
+            if mu not in self._cols or tag not in PROVENANCE_TAGS:
+                raise SchemeError(f"bad provenance {tag!r} for column {mu}")
 
     def value(self, lam: Partition, mu: Partition) -> int | None:
         col = self._cols.get(mu)
@@ -187,7 +194,7 @@ def _check_table(table: EigTable) -> None:
             raise SchemeError(f"trace identity fails at {mu}")
 
 
-def build_table_zonal(n: int, max_n: int = DEFAULT_ZONAL_MAX_N) -> EigTable:
+def build_table_zonal(n: int) -> EigTable:
     """Full eigenvalue table from the zonal polynomials J_lam^(2).
 
     (S_2n, H_n) is a Gelfand pair and valency(mu) = |H_n| / z_{2mu}, so the
@@ -195,8 +202,10 @@ def build_table_zonal(n: int, max_n: int = DEFAULT_ZONAL_MAX_N) -> EigTable:
     mu on eigenspace lam (Macdonald, Symmetric Functions and Hall
     Polynomials, VII.2).  Every column is tagged "zonal".
     """
-    if not 2 <= n <= max_n:
-        raise GuardExceeded(f"zonal table guarded to 2 <= n <= {max_n} (asked {n})")
+    if not 2 <= n <= DEFAULT_ZONAL_MAX_N:
+        raise GuardExceeded(
+            f"zonal table guarded to 2 <= n <= {DEFAULT_ZONAL_MAX_N} (asked {n})"
+        )
     columns = generate_partitions(n)[::-1]
     grid = [[row[mu] for mu in columns] for row in zonal_power_sums(n).values()]
     table = EigTable(n, grid, {mu: "zonal" for mu in columns})
@@ -205,10 +214,7 @@ def build_table_zonal(n: int, max_n: int = DEFAULT_ZONAL_MAX_N) -> EigTable:
 
 
 def build_table_oracle(
-    n: int,
-    seed: int = 0,
-    data: IntersectionData | None = None,
-    max_n: int = DEFAULT_ORACLE_MAX_N,
+    n: int, seed: int = 0, data: IntersectionData | None = None
 ) -> EigTable:
     """Full eigenvalue table from the brute-force intersection numbers.
 
@@ -234,7 +240,7 @@ def build_table_oracle(
     if n < 2:
         raise ValueError("tables need n >= 2")
     if data is None:
-        data = intersection_numbers(n, max_n=max_n)
+        data = intersection_numbers(n)
     rels = data.relations
     d = len(rels)
     rng = random.Random(seed)

@@ -23,7 +23,7 @@ from pmscheme import (
     merge_constant,
     content,
     degbou,
-    degree_count,
+    degree_histogram,
     delta_closed_forms,
     delta_eval,
     diameter,
@@ -191,8 +191,9 @@ def test_c08_merge_ratios():
                     assert valency_ratio(spec) == tr
                     checked += 1
     # oracle counts confirm the table ratios that the formula constant misses
-    assert Fraction(degree_count(P([4])), degree_count(P([2, 2]))) == 4
-    assert Fraction(degree_count(P([5])), degree_count(P([3, 2]))) == Fraction(12, 5)
+    deg4, deg5 = degree_histogram(4), degree_histogram(5)
+    assert Fraction(deg4[P([4])], deg4[P([2, 2])]) == 4
+    assert Fraction(deg5[P([5])], deg5[P([3, 2])]) == Fraction(12, 5)
     from pmscheme import MergeSpec
 
     assert merge_constant(MergeSpec(P([2, 2]), 1, 2)) == 2

@@ -230,6 +230,17 @@ def test_env_guard_override(tmp_path, capsys, monkeypatch):
     assert code == 2 and "guard" in err
 
 
+def test_oracle_guard_flag_reaches_the_intersection_numbers(run):
+    oracle = ["--max-oracle-n", "3", "table", "--source", "oracle", "--format", "csv"]
+    code, out, err = run(*oracle, "--n", "4")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: intersection numbers guarded to n <= 3 (asked 4)"
+        " (105 matchings x 5 relations); raise --max-oracle-n to override\n"
+    )
+    assert run(*oracle, "--n", "3") == (0, _golden(3), "")
+
+
 def test_bad_env_guard_names_the_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PMSCHEME_MAX_ORACLE_N", "x")
     monkeypatch.setenv("PMSCHEME_DATA_DIR", str(tmp_path / "c3"))
@@ -463,6 +474,27 @@ def test_written_files_take_the_umask(run, tmp_path, umask, mode):
     assert stat.S_IMODE(os.stat(target).st_mode) == mode
     assert stat.S_IMODE(os.stat(_cache_file(run, 4)).st_mode) == mode
     assert os.listdir(run.data_dir) == [os.path.basename(_cache_file(run, 4))]
+
+
+def test_out_is_written_in_place_like_a_redirect(run, tmp_path):
+    # an existing --out keeps its mode and its hard links, as with `> o.csv`
+    target, link = tmp_path / "o.csv", tmp_path / "link.csv"
+    target.write_text("")
+    os.chmod(target, 0o600)
+    os.link(target, link)
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run("table", "--n", "3", "--format", "csv", "--out", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+    assert os.stat(target).st_nlink == 2
+    assert link.read_text() == target.read_text() == _golden(3)
+    # a missing parent directory is still created
+    nested = tmp_path / "new" / "dir" / "t3.csv"
+    assert run("table", "--n", "3", "--format", "csv", "--out", str(nested))[0] == 0
+    assert nested.read_text() == _golden(3)
 
 
 @pytest.mark.parametrize(

@@ -7,15 +7,14 @@ from pmscheme import (
     Partition,
     base_matching,
     build_table_zonal,
-    degree_count,
     degree_histogram,
     diameter,
     double_factorial,
     enumerate_matchings,
     generate_partitions,
     intersection_matrix,
+    intersection_numbers,
     parse_matching,
-    quotient_counts,
     quotient_counts_all,
     quotient_counts_from,
     rank,
@@ -111,7 +110,7 @@ def test_degrees_match_valency():
         hist = degree_histogram(n)
         for mu in generate_partitions(n):
             assert hist[mu] == valency(mu)
-    assert degree_count(P([3, 2])) == 160
+    assert degree_histogram(5)[P([3, 2])] == 160
 
 
 def test_intersection_numbers_small(idata):
@@ -222,7 +221,7 @@ def test_quotient_examples():
     assert (qid.a, qid.b) == (1, 0)
     # a relation without a part of size 1 never stays inside the fixed-edge
     # block, so a = 0 and b carries the whole eigenvalue
-    q22 = quotient_counts(P([2, 2]))
+    q22 = quotient_counts_all(4)[P([2, 2])]
     assert q22.a == 0
     assert q22.matrix() == [[0, 12], [2, 10]]
     assert q22.eigenvalues() == (12, -2)
@@ -328,16 +327,32 @@ def test_diameter_guard():
 
 
 def test_enumerating_helpers_are_guarded():
-    # degree_count([10]) would otherwise enumerate 654,729,075 matchings
+    # degree_histogram(10) would otherwise enumerate 654,729,075 matchings
     with pytest.raises(GuardExceeded):
-        degree_count(P([10]))
+        degree_histogram(10)
     with pytest.raises(GuardExceeded):
         degree_histogram(9)
     with pytest.raises(GuardExceeded):
         quotient_counts_from(base_matching(9))
     with pytest.raises(GuardExceeded):
-        degree_count(P([2, 1, 1]), max_n=3)
-    with pytest.raises(GuardExceeded):
-        quotient_counts_from(base_matching(4), max_n=3)
-    assert degree_count(P([2, 1, 1]), max_n=4) == valency(P([2, 1, 1]))
+        quotient_counts_all(9)
+    with pytest.raises(ValueError):
+        quotient_counts_all(1)
 
+
+def test_oracle_guard_lists_no_partitions(monkeypatch):
+    # the refusal's estimate counts the p(200) = 3,972,999,029,388 relations
+    # at n = 200 without listing them
+    from pmscheme import matchings
+
+    def fail(n):
+        raise AssertionError(f"partitions of {n} listed past the guard")
+
+    monkeypatch.setattr(matchings, "generate_partitions", fail)
+    with pytest.raises(GuardExceeded) as refused:
+        intersection_numbers(200)
+    message = str(refused.value)
+    assert message.startswith("intersection numbers guarded to n <= 8 (asked 200) (")
+    assert message.endswith(" matchings x 3972999029388 relations)")
+    with pytest.raises(GuardExceeded, match=r"guarded to n <= 3 \(asked 4\)"):
+        intersection_numbers(4, max_n=3)

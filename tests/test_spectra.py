@@ -17,7 +17,6 @@ from pmscheme import (
     generate_partitions,
     hook_gap,
     hook_quotient_closed_forms,
-    double_factorial_ratio_bound,
     double_factorial_ratio_bound_range,
     max_min_valency,
     phi_n11,
@@ -175,7 +174,7 @@ def test_eq5_and_threshold():
 
 
 def test_lemma_sqrt():
-    assert double_factorial_ratio_bound(2)  # (3/8)^2 * 3 = 27/64 < 1
+    assert double_factorial_ratio_bound_range(2, 2)  # (3/8)^2 * 3 = 27/64 < 1
     assert double_factorial_ratio_bound_range(2, 500)
 
 

@@ -208,6 +208,21 @@ def test_table_refuses_an_n_or_cell_that_is_not_an_int():
         EigTable(3.0, build_table_zonal(3).grid(), {})
 
 
+def test_table_copies_and_checks_its_provenance():
+    grid = build_table_zonal(3).grid()
+    prov = {P([1, 1, 1]): "zonal"}
+    table = EigTable(3, grid, prov)
+    prov.clear()
+    assert table.provenance == {P([1, 1, 1]): "zonal"}
+    for bad in ({P([9]): "zonal"}, {P([3]): 5}, {P([2, 1]): "made-up"}):
+        with pytest.raises(SchemeError, match="bad provenance"):
+            EigTable(3, grid, bad)
+    obj = build_table_zonal(3).to_json_obj()
+    obj["provenance"] = {"[9]": "zonal", "[3]": 5, "[2,1]": "made-up"}
+    with pytest.raises(SchemeError, match="bad provenance"):
+        EigTable.from_json_obj(obj)
+
+
 def test_route_equivalence(oracle_table):
     # the closed-form cells (identity column, rows [n] and [n-1,1], catalog
     # columns) check the oracle up to n = 6 and the zonal engine up to 14
@@ -395,8 +410,6 @@ def test_zonal_guard_refuses_before_any_work(monkeypatch):
         build_table_zonal(DEFAULT_ZONAL_MAX_N + 1)
     with pytest.raises(GuardExceeded):
         build_table_zonal(1)
-    with pytest.raises(GuardExceeded):
-        build_table_zonal(5, max_n=4)
 
 
 def test_formulas_guard_refuses_before_any_work(monkeypatch):
