@@ -17,7 +17,6 @@ from .errors import (
 )
 from .partitions import (
     ContentVector,
-    CycleType,
     Dominance,
     Partition,
     content,
@@ -32,7 +31,6 @@ from .partitions import (
 )
 from .symfunc import (
     CATALOG_PREFIXES,
-    MonomialBasis,
     PolyT,
     PowerSumExpr,
     delta_closed_forms,
@@ -64,13 +62,14 @@ from .matchings import (
 from .spectra import (
     BelowFamilyThreshold,
     DimensionBound,
-    FamilySpec,
     GapReport,
     InductionReport,
+    conjecture_applies,
     degbou,
     gap_report,
     eq5_holds,
     family_closed_form,
+    family_mu,
     family_second_eig,
     family_threshold,
     hook_gap,
@@ -81,7 +80,6 @@ from .spectra import (
     small_dim_cutoff,
     small_dim_eigenspaces,
     threshold_n,
-    trace_identity_check,
     valency,
     verify_induction_step,
     zonal_check,
@@ -100,7 +98,7 @@ from .tables import (
     gap_scan,
     intersection_matrix,
     second_largest,
-    second_largest_abs,
+    trace_identity_check,
     verify_column_orthogonality,
     verify_conjecture,
     verify_structure_constants,
@@ -111,7 +109,6 @@ from .ratios import (
     all_merges,
     merge_constant,
     gap_ratio_report,
-    require_gap_ratio,
     tau_ratio,
     valency_ratio,
 )

@@ -40,13 +40,7 @@ from .errors import (
 from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
 from .ratios import RATIOS_MAX_N, all_merges, gap_ratio_report
-from .spectra import (
-    FamilySpec,
-    gap_report,
-    trace_identity_check,
-    valency,
-    verify_induction_step,
-)
+from .spectra import family_mu, gap_report, valency, verify_induction_step
 from .symfunc import fit_e_mu, monomial_basis
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
@@ -56,6 +50,8 @@ from .tables import (
     build_table_zonal,
     diameter,
     gap_scan,
+    second_largest,
+    trace_identity_check,
     verify_column_orthogonality,
     verify_conjecture,
     verify_structure_constants,
@@ -231,7 +227,7 @@ def _verify_conjecture(args, config: Config) -> tuple[dict, str]:
 
 def _verify_trace(args, config: Config) -> tuple[dict, str]:
     table = oracle_table_cached(config, args.n)
-    bad = [mu for mu in table.columns if not trace_identity_check(args.n, mu, table)]
+    bad = [mu for mu in table.columns if not trace_identity_check(table, mu)]
     if bad:
         text = f"trace identity n={args.n}: FAIL at {bad}"
     else:
@@ -309,7 +305,7 @@ def _verify_scheme_axioms(args, config: Config) -> tuple[dict, str]:
     table = oracle_table_cached(config, n)
     ok_struct = verify_structure_constants(table, data)
     ok_orth = verify_column_orthogonality(table)
-    ok_trace = all(trace_identity_check(n, mu, table) for mu in table.columns)
+    ok_trace = all(trace_identity_check(table, mu) for mu in table.columns)
     ok = ok_struct and ok_orth and ok_trace
     text = (
         f"scheme axioms n={n}: {'PASS' if ok else 'FAIL'}"
@@ -351,9 +347,9 @@ def _gap_for(config: Config, mu: Partition) -> tuple[int, str]:
         report = gap_report(mu)
         return report.gap, report.source
     except ValueError:
-        pass  # no closed form; fall back to a full table
-    report = gap_report(mu, table=oracle_table_cached(config, mu.n))
-    return report.gap, report.source
+        pass  # no closed form; read the gap off the full table
+    table = oracle_table_cached(config, mu.n)
+    return valency(mu) - second_largest(table, mu)[0], "table"
 
 
 def cmd_gap(args, config: Config) -> int:
@@ -395,10 +391,9 @@ def cmd_fit(args, config: Config) -> int:
             f"fit reads zonal tables, guarded to n <= {DEFAULT_ZONAL_MAX_N}"
             f" (asked {hi})"
         )
-    family = FamilySpec(prefix)
     data = []
     for n in range(lo, hi + 1):
-        data.append((n, oracle_table_cached(config, n).column(family.mu(n))))
+        data.append((n, oracle_table_cached(config, n).column(family_mu(prefix, n))))
     print(fit_e_mu(prefix, data).to_text())
     return EXIT_PASS
 
@@ -508,9 +503,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     """Console-script entry: a closed stdout ends the process by SIGPIPE,
-    silently, as it ends any Unix filter."""
+    silently, as it ends any Unix filter; exact answers print in full."""
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

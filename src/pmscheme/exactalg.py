@@ -179,10 +179,6 @@ def synthetic_division(coeffs: list[int], r: int) -> tuple[list[int], int]:
     return acc[-2::-1], acc[-1]
 
 
-def poly_eval(coeffs: list[int], x: int) -> int:
-    return synthetic_division(coeffs, x)[1]
-
-
 def distinct_integer_roots(coeffs: list[int], bound: int) -> list[int] | None:
     """All roots of a monic integer polynomial, ascending, if it splits into
     distinct integer roots with |root| <= bound; None otherwise.

@@ -13,11 +13,11 @@ finished union is walked again.
 from __future__ import annotations
 
 from functools import cache
+from math import lgamma, log, pi, sqrt
 from typing import Iterable, Iterator
 
 from .errors import GuardExceeded, SchemeError
 from .partitions import (
-    CycleType,
     Partition,
     double_factorial,
     generate_partitions,
@@ -111,10 +111,20 @@ def _guard_enumeration(what: str, n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> 
         raise GuardExceeded(f"{what} guarded to n >= 1 (asked {n})")
     if n > max_n:
         raise GuardExceeded(
-            f"{what} guarded to n <= {max_n} (asked {n})",
-            estimate=f"{double_factorial(2 * n - 1)} matchings"
-            f" x {partition_count(n)} relations",
+            f"{what} guarded to n <= {max_n} (asked {n})", estimate=_size_estimate(n)
         )
+
+
+def _size_estimate(n: int) -> str:
+    """'(2n-1)!! matchings x p(n) relations', each count exact below 10^20
+    and given as its power of ten above.  The powers come from log-gamma and
+    the Hardy-Ramanujan asymptotic p(n) ~ exp(pi sqrt(2n/3)) / (4 n sqrt 3),
+    so no long count is built; these floats size a message, not a verdict."""
+    log_m = (lgamma(2 * n + 1) - lgamma(n + 1) - n * log(2)) / log(10)
+    log_r = (pi * sqrt(2 * n / 3) - log(4 * n * sqrt(3))) / log(10)
+    matchings = double_factorial(2 * n - 1) if log_m < 20 else f"about 10^{log_m:.0f}"
+    relations = partition_count(n) if log_r < 20 else f"about 10^{log_r:.0f}"
+    return f"{matchings} matchings x {relations} relations"
 
 
 def _iter_partners(n: int) -> Iterator[tuple[int, ...]]:
@@ -166,7 +176,7 @@ def _relation_parts(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def relation(p: Matching, q: Matching) -> CycleType:
+def relation(p: Matching, q: Matching) -> Partition:
     """Half-lengths of the cycles of the union of two matchings, sorted."""
     if len(p.partner) != len(q.partner):
         raise ValueError("matchings must cover the same vertex set")

@@ -92,11 +92,6 @@ class Partition:
         )
 
 
-#: A partition of n recording the half-lengths of the union cycles of two
-#: perfect matchings of K_{2n}.  Structurally identical to Partition.
-CycleType = Partition
-
-
 _PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 

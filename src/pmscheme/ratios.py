@@ -2,7 +2,7 @@
 
 The closed-form merge constant is implemented verbatim and kept strictly apart
 from the measured ratios; reports carry both and flag disagreement instead
-of silently correcting either side.
+of silently correcting either side; gaps come from closed forms alone.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompleteTable, SchemeError
 from .partitions import Partition
 from .spectra import family_closed_form, phi_n11, valency
 
@@ -144,33 +143,22 @@ class RatioReport:
         return "\n".join(lines)
 
 
-def gap_ratio_report(spec: MergeSpec, table=None) -> RatioReport:
+def gap_ratio_report(spec: MergeSpec) -> RatioReport:
     """Bundle every ratio across a merge with a consistency verdict.
 
-    Gaps come from a complete table when one is supplied, otherwise from the
-    closed-form families when both endpoints are covered; the gap ratio is
-    None when neither source applies.
+    Gaps come from the closed-form families; the gap ratio is None unless
+    both endpoints are covered.
     """
-    from .tables import second_largest
-
     v_ratio = valency_ratio(spec)
     try:
         t_ratio = tau_ratio(spec)
     except ValueError:
         t_ratio = None
     g_ratio: Fraction | None = None
-    if table is not None:
-        try:
-            g_old = valency(spec.mu) - second_largest(table, spec.mu)[0]
-            g_new = valency(spec.merged) - second_largest(table, spec.merged)[0]
-            g_ratio = Fraction(g_new, g_old)
-        except IncompleteTable:
-            g_ratio = None
-    else:
-        old = family_closed_form(spec.mu)
-        new = family_closed_form(spec.merged)
-        if old is not None and new is not None and old[1] != 0:
-            g_ratio = Fraction(new[1], old[1])
+    old = family_closed_form(spec.mu)
+    new = family_closed_form(spec.merged)
+    if old is not None and new is not None and old[1] != 0:
+        g_ratio = Fraction(new[1], old[1])
     cp = merge_constant(spec)
     present = [r for r in (g_ratio, v_ratio, t_ratio) if r is not None]
     ratios_agree = all(r == present[0] for r in present)
@@ -184,12 +172,3 @@ def gap_ratio_report(spec: MergeSpec, table=None) -> RatioReport:
         matches_formula=v_ratio == cp,
     )
 
-
-def require_gap_ratio(spec: MergeSpec, table=None) -> RatioReport:
-    report = gap_ratio_report(spec, table)
-    if report.gap_ratio is None:
-        raise SchemeError(
-            f"gaps unavailable for {spec.mu} -> {spec.merged}; "
-            "supply a complete table or use a catalog family pair"
-        )
-    return report

@@ -2,6 +2,8 @@
 
 Family closed forms come from the one catalog in ``symfunc``;
 ``family_closed_form`` is the lookup ``gap_report`` and the ratios share.
+Nothing here reads an eigenvalue table, and ``conjecture_applies`` is the
+one statement of the conjecture's scope.
 
 Irrational comparisons (anything involving n^(3/2) or square roots) are
 decided by exact squaring over the integers; floating point appears nowhere
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial
 
 from .errors import GuardExceeded, SchemeError
 from .matchings import base_matching, relation, representative
@@ -54,20 +56,17 @@ def phi_n11(mu: Partition) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A relation family: fixed prefix of parts >= 2 padded by parts of size 1."""
+def family_mu(prefix: Partition, n: int) -> Partition:
+    """The relation of the prefix family at n: prefix padded by parts of size 1."""
+    if n < prefix.n:
+        raise ValueError(f"family {prefix} undefined below n={prefix.n}")
+    return Partition(prefix.parts + (1,) * (n - prefix.n))
 
-    prefix: Partition
 
-    @property
-    def min_n(self) -> int:
-        return self.prefix.n
-
-    def mu(self, n: int) -> Partition:
-        if n < self.min_n:
-            raise ValueError(f"family {self.prefix} undefined below n={self.min_n}")
-        return Partition(self.prefix.parts + (1,) * (n - self.prefix.n))
+def conjecture_applies(mu: Partition) -> bool:
+    """Whether the conjecture puts mu's second largest eigenvalue on [n-1,1]:
+    mu has at least two parts of size 1, or mu = [n-1,1] with n != 4."""
+    return mu.r1() >= 2 or (mu == Partition((mu.n - 1, 1)) and mu.n != 4)
 
 
 class BelowFamilyThreshold(ValueError):
@@ -88,15 +87,13 @@ def family_second_eig(
     is not a proven second eigenvalue; that path requires force=True.
     """
     entry = catalog_entry(prefix)
-    if n < prefix.n:
-        raise ValueError(f"family {prefix} undefined below n={prefix.n}")
+    mu = family_mu(prefix, n)
     if n < entry.threshold and not force:
         raise BelowFamilyThreshold(prefix, n, entry.threshold)
     second, gap = entry.second(n), entry.gap(n)
     if second.denominator != 1 or gap.denominator != 1:
         raise SchemeError(f"family {prefix} closed form is not integral at n={n}")
     second, gap = int(second), int(gap)
-    mu = FamilySpec(prefix).mu(n)
     if second != phi_n11(mu):
         raise SchemeError(f"family {prefix} second eigenvalue misses phi_n11 at n={n}")
     if gap != valency(mu) - second:
@@ -150,29 +147,12 @@ def hook_quotient_closed_forms(n: int, ell: int) -> tuple[int, int]:
     return a, b
 
 
-def trace_identity_check(n: int, mu: Partition, table) -> bool:
-    """v_mu (2n-1)!! equals the dimension-weighted sum of squared eigenvalues;
-    off the identity relation the plain dimension-weighted sum is zero."""
-    column = table.column(mu)
-    dims = table.dims
-    v = valency(mu)
-    lhs = v * double_factorial(2 * n - 1)
-    rhs = sum(phi * phi * f for phi, f in zip(column, dims))
-    if lhs != rhs:
-        return False
-    if mu.parts != (1,) * n:
-        if sum(phi * f for phi, f in zip(column, dims)) != 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class DimensionBound:
     """4 * prod(m_i! (2 mu_i)^m_i) * n^(3/2), kept exact as (coefficient, n)."""
 
     coefficient: int
     n: int
-    upper: Fraction
 
     def allows(self, value: int) -> bool:
         """Exact test of value <= coefficient * n^(3/2), by squaring."""
@@ -184,13 +164,7 @@ class DimensionBound:
 def degbou(mu: Partition) -> DimensionBound:
     """Dimension bound for eigenspaces whose eigenvalue is at least the one
     on [n-1,1] in absolute value."""
-    n = mu.n
-    coeff = 4 * z2(mu)
-    scale = 10**6
-    root = isqrt(n**3 * scale * scale)
-    if root * root < n**3 * scale * scale:
-        root += 1
-    return DimensionBound(coeff, n, Fraction(coeff * root, scale))
+    return DimensionBound(4 * z2(mu), mu.n)
 
 
 def eq5_holds(n: int, k: int) -> bool:
@@ -367,40 +341,31 @@ class GapReport:
             raise SchemeError(f"second eigenvalue of {self.mu} exceeds the valency")
 
 
-def gap_report(mu: Partition, table=None) -> GapReport:
-    """Assemble a GapReport from a complete table column when one is given,
-    falling back to the closed-form families and then to the hook product.
+def gap_report(mu: Partition) -> GapReport:
+    """Assemble a GapReport from the closed-form families, falling back to
+    the hook product.
 
-    Closed-form and table sources report true second eigenvalues; the hook
-    product assumes the second eigenvalue sits on [n-1,1] and is tagged as
-    conjectured.  It is not used for [3,1], the conjecture's n = 4
-    exception, which needs a table.
+    Closed-form sources report true second eigenvalues; the hook product
+    assumes the second eigenvalue sits on [n-1,1] and is tagged as
+    conjectured, so it covers only hooks the conjecture applies to, not
+    [3,1].  ValueError for any other mu: its gap needs the full table.
     """
     n = mu.n
     if n < 2 or mu.parts == (1,) * n:
         raise ValueError(f"{mu} has no spectral gap to report")
     hook_row = Partition((n - 1, 1))
-    if table is not None:
-        from .tables import second_largest
-
-        second, rows = second_largest(table, mu)
-        return GapReport(
-            n, mu, valency(mu), second, valency(mu) - second, tuple(rows), "table"
-        )
     if (family := family_closed_form(mu)) is not None:
         return GapReport(n, mu, valency(mu), *family, (hook_row,), "closed-form")
     prefix = Partition([p for p in mu.parts if p > 1])
     ell = n - prefix.n
-    # The hook product assumes the conjecture, so only where its hypothesis
-    # holds: the same applicability rule as tables.verify_conjecture.
-    if len(prefix) == 1 and 1 <= ell <= n - 2 and (ell >= 2 or n != 4):
+    if len(prefix) == 1 and ell >= 1 and conjecture_applies(mu):
         gap = hook_gap(n, ell)
         second = valency(mu) - gap
         return GapReport(
             n, mu, valency(mu), second, gap, (hook_row,), "conjectured-hook"
         )
     raise ValueError(
-        f"no closed form covers {mu}; supply a complete table for its size"
+        f"no closed form covers {mu}; its gap needs the full table for n={n}"
     )
 
 

@@ -381,19 +381,6 @@ def delta_closed_forms(name: str, lam_i: int, i: int):
     raise ValueError(f"unknown increment name {name!r}")
 
 
-class MonomialBasis:
-    """Admissible monomials for a family prefix, with degree bounds in t."""
-
-    __slots__ = ("prefix", "entries")
-
-    def __init__(self, prefix: Partition, entries: list[tuple[Partition, int]]):
-        self.prefix = prefix
-        self.entries = entries
-
-    def monomials(self) -> list[Partition]:
-        return [m for m, _ in self.entries]
-
-
 def _merges(parts: tuple[int, ...]) -> set[tuple[int, ...]]:
     """All partitions obtained by grouping the given parts and summing groups."""
     if not parts:
@@ -408,9 +395,10 @@ def _merges(parts: tuple[int, ...]) -> set[tuple[int, ...]]:
     return out
 
 
-def monomial_basis(prefix: Partition) -> MonomialBasis:
-    """Monomials allowed in the prefix's expression: everything of smaller
-    size than the reduced prefix, plus merges of the reduced prefix itself.
+def monomial_basis(prefix: Partition) -> list[tuple[Partition, int]]:
+    """(monomial, degree bound in t) for each monomial allowed in the
+    prefix's expression: everything of smaller size than the reduced prefix,
+    plus merges of the reduced prefix itself.
 
     The degree bound of monomial lam is |mu| - |lam| + len(mu) - len(lam)
     for the reduced prefix mu; monomials with a negative bound are dropped.
@@ -427,7 +415,7 @@ def monomial_basis(prefix: Partition) -> MonomialBasis:
         bound = reduced.n - lam.n + len(reduced) - len(lam)
         if bound >= 0:
             entries.append((lam, bound))
-    return MonomialBasis(prefix, entries)
+    return entries
 
 
 DataColumn = Sequence[int]
@@ -457,7 +445,7 @@ def fit_e_mu(
         raise FitUnderdetermined("no data supplied")
     cap = len(n_values) - 1
     unknowns: list[tuple[Partition, int]] = []
-    for mono, bound in basis.entries:
+    for mono, bound in basis:
         for d in range(min(bound, cap) + 1):
             unknowns.append((mono, d))
     kmax = max((m.parts[0] for m, _ in unknowns if m.parts), default=0)

@@ -15,7 +15,7 @@ fills one rows x columns grid, None marking a cell it left unfilled, and
 cannot be matched to a unique eigenspace index is a hard error, and every
 table built or loaded from JSON passes ``_check_table`` or raises
 SchemeError.  A complete table also gives the intersection numbers and the
-relation-graph diameters.
+relation-graph diameters; no other module reads an ``EigTable``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .partitions import (
     generate_partitions,
     parse_partition,
 )
-from .spectra import FamilySpec, phi_n11, trace_identity_check, valency
+from .spectra import conjecture_applies, family_mu, phi_n11, valency
 from .symfunc import (
     CATALOG_PREFIXES,
     PowerSumExpr,
@@ -190,8 +190,25 @@ def _check_table(table: EigTable) -> None:
         if v is not None and v != valency(mu):
             raise SchemeError(f"top row must hold valencies, bad at {mu}")
     for mu in table.columns:
-        if table.has_column(mu) and not trace_identity_check(n, mu, table):
+        if table.has_column(mu) and not trace_identity_check(table, mu):
             raise SchemeError(f"trace identity fails at {mu}")
+
+
+def trace_identity_check(table: EigTable, mu: Partition) -> bool:
+    """v_mu (2n-1)!! equals the dimension-weighted sum of squared eigenvalues;
+    off the identity relation the plain dimension-weighted sum is zero."""
+    n = table.n
+    column = table.column(mu)
+    dims = table.dims
+    v = valency(mu)
+    lhs = v * double_factorial(2 * n - 1)
+    rhs = sum(phi * phi * f for phi, f in zip(column, dims))
+    if lhs != rhs:
+        return False
+    if mu.parts != (1,) * n:
+        if sum(phi * f for phi, f in zip(column, dims)) != 0:
+            return False
+    return True
 
 
 def build_table_zonal(n: int) -> EigTable:
@@ -383,7 +400,7 @@ def build_table_formulas(
     for prefix, expr, tag in sources:
         if prefix.n > n:
             continue
-        mu = FamilySpec(prefix).mu(n)
+        mu = family_mu(prefix, n)
         c = columns.index(mu)
         for lam, row in zip(rows, grid):
             phi = eval_expr(expr, lam)
@@ -398,24 +415,11 @@ def build_table_formulas(
     return table
 
 
-def _largest_off_top(
-    table: EigTable, mu: Partition, key
-) -> tuple[int, list[Partition]]:
-    """Largest key(entry) of column mu below the top row (row 0), with
-    every row attaining it."""
-    keys = [key(v) for v in table.column(mu)[1:]]
-    best = max(keys)
-    return best, [lam for lam, k in zip(table.rows[1:], keys) if k == best]
-
-
 def second_largest(table: EigTable, mu: Partition) -> tuple[int, list[Partition]]:
     """Largest column entry off the top row, with every row attaining it."""
-    return _largest_off_top(table, mu, lambda v: v)
-
-
-def second_largest_abs(table: EigTable, mu: Partition) -> tuple[int, list[Partition]]:
-    """Largest |entry| off the top row, with every row attaining it."""
-    return _largest_off_top(table, mu, abs)
+    values = table.column(mu)[1:]
+    best = max(values)
+    return best, [lam for lam, v in zip(table.rows[1:], values) if v == best]
 
 
 class ConjectureVerdict:
@@ -443,9 +447,9 @@ class ConjectureVerdict:
 
 
 def verify_conjecture(table: EigTable) -> ConjectureVerdict:
-    """Check, per applicable column, that [n-1,1] attains the second largest
-    eigenvalue.  Applicable: at least two parts of size 1, or mu = [n-1,1]
-    with n != 4.  Ties count as attaining."""
+    """Check, per column the conjecture applies to
+    (``spectra.conjecture_applies``), that [n-1,1] attains the second
+    largest eigenvalue.  Ties count as attaining."""
     if not table.is_complete():
         raise IncompleteTable("conjecture verification needs a complete table")
     n = table.n
@@ -453,7 +457,7 @@ def verify_conjecture(table: EigTable) -> ConjectureVerdict:
     per_column = []
     overall = True
     for mu in table.columns:
-        applicable = mu.r1() >= 2 or (mu == hook and n != 4)
+        applicable = conjecture_applies(mu)
         entry = {"mu": mu, "applicable": applicable, "rows": [], "holds": None}
         if applicable:
             value, rows = second_largest(table, mu)

@@ -15,7 +15,6 @@ from golden_data import GOLDEN_TABLES, GOLDEN_32_COLUMN_N8
 
 from pmscheme import (
     CATALOG_PREFIXES,
-    FamilySpec,
     Partition,
     PolyT,
     PowerSumExpr,
@@ -31,6 +30,7 @@ from pmscheme import (
     e_catalog,
     eq5_holds,
     eval_expr,
+    family_mu,
     family_second_eig,
     family_threshold,
     fit_e_mu,
@@ -102,7 +102,7 @@ def test_c03_conjecture(oracle_table):
     for prefix in CATALOG_PREFIXES:
         expr = e_catalog(prefix)
         for n in range(8, 101):
-            mu = FamilySpec(prefix).mu(n)
+            mu = family_mu(prefix, n)
             second, gap = family_second_eig(prefix, n, force=True)
             assert second == phi_n11(mu) == eval_expr(expr, P([n - 1, 1]))
             assert gap == valency(mu) - second
@@ -122,7 +122,7 @@ def test_c04_closed_forms_match_tables(oracle_table):
         for prefix in CATALOG_PREFIXES:
             if n < family_threshold(prefix):
                 continue
-            mu = FamilySpec(prefix).mu(n)
+            mu = family_mu(prefix, n)
             second, gap = family_second_eig(prefix, n)
             assert table.value(hook, mu) == second
             assert valency(mu) - second == gap
@@ -142,7 +142,7 @@ def test_c05_trace_and_structure_constants(oracle_table, idata):
     for n in range(2, 8):
         table = oracle_table(n)
         for mu in table.columns:
-            assert trace_identity_check(n, mu, table), f"trace fails at n={n}, {mu}"
+            assert trace_identity_check(table, mu), f"trace fails at n={n}, {mu}"
     for n in range(2, 7):
         assert verify_structure_constants(oracle_table(n), idata(n))
     rng = random.Random(0)
@@ -212,7 +212,7 @@ def test_c09_interpolation(oracle_table):
     for prefix in (P([3, 2]), P([5])):
         data = []
         for n in range(5, 9):
-            mu = FamilySpec(prefix).mu(n)
+            mu = family_mu(prefix, n)
             data.append((n, oracle_table(n).column(mu)))
         fitted = fit_e_mu(prefix, data)
         assert fitted == e_catalog(prefix), f"fit differs from catalog for {prefix}"

@@ -5,11 +5,12 @@ import signal
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
 import pmscheme
-from pmscheme import DEFAULT_ZONAL_MAX_N, FORMULAS_MAX_N, __version__
+from pmscheme import DEFAULT_ZONAL_MAX_N, FORMULAS_MAX_N, __version__, hook_gap
 from pmscheme.cli import main
 
 
@@ -75,6 +76,35 @@ def test_table_guard_exit_2(run):
         "error: intersection numbers guarded to n <= 8 (asked 9)"
         " (34459425 matchings x 30 relations)\n"
     )
+
+
+def _cli_process(tmp_path, *argv, timeout=60):
+    """Run ``python -m pmscheme.cli`` (its ``main_entry``) on the package
+    source, with its cache under tmp_path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmscheme.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pmscheme.cli", "--data-dir", str(tmp_path), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )
+
+
+def test_guard_refusal_at_huge_n_is_one_short_line(tmp_path):
+    # the estimate gives each long count as a power of ten: neither
+    # (2n-1)!! nor p(n) is built, and no count exceeds the int-to-str limit
+    start = time.perf_counter()
+    done = _cli_process(
+        tmp_path, "verify", "scheme-axioms", "--n", "100000", timeout=30
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2 and done.stdout == ""
+    prefix = "error: intersection numbers guarded to n <= 8 (asked 100000) ("
+    assert done.stderr.startswith(prefix) and done.stderr.endswith(")\n")
+    assert done.stderr.count("\n") == 1 and len(done.stderr) < 200
+    assert elapsed < 1.0
 
 
 def test_table_formulas_partial_note(run):
@@ -255,6 +285,22 @@ def test_gap_hook_exception_reads_the_table(run):
     code, out, err = run("gap", "--mu", "[3,1]", "--verbose")
     assert code == 0 and out == "24\n"
     assert "source: table" in err
+
+
+def test_gap_prints_an_answer_of_any_length(tmp_path):
+    # 6338 digits: past Python's default int-to-str limit of 4300
+    done = _cli_process(tmp_path, "gap", "--mu", "[2000,1]", "--verbose")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "source: conjectured-hook\n"
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is not None:
+        saved = limit()
+        sys.set_int_max_str_digits(0)
+    try:
+        assert done.stdout == f"{hook_gap(2001, 1)}\n"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_table_sources_zonal_and_oracle(run):

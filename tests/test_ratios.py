@@ -11,12 +11,11 @@ from pmscheme import (
     degree_histogram,
     dominance_compare,
     gap_ratio_report,
+    gap_scan,
     generate_partitions,
-    require_gap_ratio,
     tau_ratio,
     valency_ratio,
 )
-from pmscheme.errors import SchemeError
 
 P = Partition
 F = Fraction
@@ -99,20 +98,17 @@ def test_family_pair_gap_ratios():
 
 def test_gap_report_with_table(oracle_table):
     # the n = 4 merge where the second eigenvalue is off [n-1,1]
-    report = gap_ratio_report(MergeSpec(P([2, 2]), 1, 2), table=oracle_table(4))
-    assert report.gap_ratio == F(44, 5)
+    gaps = gap_scan(oracle_table(4))
+    assert F(gaps[P([4])], gaps[P([2, 2])]) == F(44, 5)
+    report = gap_ratio_report(MergeSpec(P([2, 2]), 1, 2))
+    assert report.gap_ratio is None  # [2,2] is in no closed-form family
     assert report.valency_ratio == 4
     assert report.formula_constant == 2
     assert not report.consistent
-    report6 = gap_ratio_report(
-        MergeSpec(P([2, 2, 1, 1]), 1, 2), table=oracle_table(6)
-    )
-    assert report6.gap_ratio == 4 and report6.ratios_agree
-
-
-def test_require_gap_ratio_error():
-    with pytest.raises(SchemeError):
-        require_gap_ratio(MergeSpec(P([6, 3]), 1, 2))
+    gaps6 = gap_scan(oracle_table(6))
+    assert F(gaps6[P([4, 1, 1])], gaps6[P([2, 2, 1, 1])]) == 4
+    report6 = gap_ratio_report(MergeSpec(P([2, 2, 1, 1]), 1, 2))
+    assert report6.valency_ratio == 4 and report6.ratios_agree
 
 
 def test_summary_mentions_discrepancy():

@@ -22,7 +22,6 @@ from pmscheme import (
     generate_partitions,
     intersection_matrix,
     second_largest,
-    second_largest_abs,
     trace_identity_check,
     valency,
     verify_column_orthogonality,
@@ -244,15 +243,8 @@ def test_second_largest_examples(oracle_table):
     )
     assert second_largest(oracle_table(5), P([2, 1, 1, 1])) == (11, [P([4, 1])])
     assert second_largest(oracle_table(4), P([3, 1])) == (8, [P([1, 1, 1, 1])])
-
-
-def test_second_largest_abs_examples(oracle_table):
-    value, rows = second_largest_abs(oracle_table(7), P([7]))
-    assert value == 3840 and rows == [P([6, 1])]
-    value, rows = second_largest_abs(oracle_table(6), P([3, 2, 1]))
-    assert value == 120 and P([3, 3]) in rows
-    value, rows = second_largest_abs(oracle_table(5), P([5]))
-    assert value == 48 and rows == [P([4, 1])]
+    # gap 12 - 7 = 5, as `gap --mu [2,2]` reads it off the table
+    assert second_largest(oracle_table(4), P([2, 2])) == (7, [P([2, 2])])
 
 
 def test_verify_conjecture(oracle_table):
@@ -275,7 +267,7 @@ def test_trace_identity(oracle_table):
     for n in range(2, 7):
         table = oracle_table(n)
         for mu in table.columns:
-            assert trace_identity_check(n, mu, table)
+            assert trace_identity_check(table, mu)
 
 
 def test_structure_constants(oracle_table, idata):
