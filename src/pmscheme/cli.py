@@ -482,6 +482,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  Exact answers print in
+    full: Python's int-to-str digit limit (3.10.7 and later) is lifted while
+    the command runs, and the caller's limit is restored on return."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -503,11 +517,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     """Console-script entry: a closed stdout ends the process by SIGPIPE,
-    silently, as it ends any Unix filter; exact answers print in full."""
+    silently, as it ends any Unix filter."""
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
-        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

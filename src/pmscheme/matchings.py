@@ -7,13 +7,15 @@ order, which also defines the mixed-radix rank/unrank bijection used to
 sample matchings.  Every count (intersection numbers, degree and quotient
 histograms) comes from one depth-first enumeration that grows the union of
 each reference matching with the partial matching edge by edge, so no
-finished union is walked again.
+finished union is walked again.  The enumeration stops with six vertices
+free and counts their 15 completions at once from a table of how each
+completion closes the three open paths; every matching is still counted.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from functools import cache
-from math import lgamma, log, pi, sqrt
 from typing import Iterable, Iterator
 
 from .errors import GuardExceeded, SchemeError
@@ -25,6 +27,7 @@ from .partitions import (
 )
 
 DEFAULT_ORACLE_MAX_N = 8
+_PI = Decimal("3.141592653589793238462643383279502884197")
 
 
 class Matching:
@@ -117,13 +120,19 @@ def _guard_enumeration(what: str, n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> 
 
 def _size_estimate(n: int) -> str:
     """'(2n-1)!! matchings x p(n) relations', each count exact below 10^20
-    and given as its power of ten above.  The powers come from log-gamma and
-    the Hardy-Ramanujan asymptotic p(n) ~ exp(pi sqrt(2n/3)) / (4 n sqrt 3),
-    so no long count is built; these floats size a message, not a verdict."""
-    log_m = (lgamma(2 * n + 1) - lgamma(n + 1) - n * log(2)) / log(10)
-    log_r = (pi * sqrt(2 * n / 3) - log(4 * n * sqrt(3))) / log(10)
-    matchings = double_factorial(2 * n - 1) if log_m < 20 else f"about 10^{log_m:.0f}"
-    relations = partition_count(n) if log_r < 20 else f"about 10^{log_r:.0f}"
+    and given as its power of ten above.  The powers come from Stirling's
+    series for (2n-1)!! = (2n)! / (2^n n!) and the Hardy-Ramanujan asymptotic
+    p(n) ~ exp(pi sqrt(2n/3)) / (4 n sqrt 3), in decimal arithmetic, which
+    takes an n of any size; no long count is built, and these numbers size
+    a message, not a verdict."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(n)
+        ln10 = Decimal(10).ln()
+        log_m = (x * ((2 * x).ln() - 1) + Decimal(2).ln() / 2) / ln10
+        log_r = (_PI * (2 * x / 3).sqrt() - (4 * x * Decimal(3).sqrt()).ln()) / ln10
+        matchings = double_factorial(2 * n - 1) if log_m < 20 else f"about 10^{log_m:.0f}"
+        relations = partition_count(n) if log_r < 20 else f"about 10^{log_r:.0f}"
     return f"{matchings} matchings x {relations} relations"
 
 
@@ -240,9 +249,8 @@ def _cycle_codes(n: int):
     Codes 0..d-1 are the relations of K_{2n} in canonical order; the partial
     multisets (sum below n) follow.  ``add[c][h]`` closes one more cycle of
     half-length h and ``sub`` undoes it.  With ``rem`` q-edges still on open
-    paths, ``close[c]`` closes the single path left (``close[c] = c`` when
-    nothing is open) and ``split[c][h]`` closes two paths carrying h and
-    rem - h q-edges.
+    paths, ``close[c]`` closes one cycle through all of them (``close[c] = c``
+    when nothing is open).
     """
     states = [mu.parts for mu in generate_partitions(n)] + [()]
     for s in range(1, n):
@@ -255,12 +263,59 @@ def _cycle_codes(n: int):
             grown = code[tuple(sorted(t + (h,), reverse=True))]
             add[c][h] = grown
             sub[grown][h] = c
-    close, split = [], []
-    for c, t in enumerate(states):
-        rem = n - sum(t)
-        close.append(add[c][rem] if rem else c)
-        split.append([add[add[c][h]][rem - h] if 0 < h < rem else -1 for h in range(n + 1)])
-    return code[()], add, sub, close, split
+    close = [add[c][n - sum(t)] if sum(t) < n else c for c, t in enumerate(states)]
+    return code[()], add, sub, close
+
+
+@cache
+def _completion_table():
+    """How the 15 completions of six free vertices close three open paths.
+
+    A pairing of the positions 0..5 is keyed by ``36 e0 + 6 e1 + e2``, where
+    e0, e1 and e2 are the partners of positions 0, 1 and 2, which fix the
+    rest.  Its three pairs are paths 0, 1 and 2 in the order of their
+    smallest positions, and ``pairing[key]`` is ``(t, r1, r2)``: t is the
+    pairing's index in the order of ``_iter_partners(3)``, r1 and r2 are
+    the smallest positions of paths 1 and 2.  A completion joins the paths
+    into cycles by one of five patterns: 0 = {0}{1}{2}, 1 = {0,1}{2},
+    2 = {0,2}{1}, 3 = {1,2}{0}, 4 = {0,1,2}.  For a base pairing Q and a
+    reference pairing P, ``leaf[15 Q + P]`` lists each (pattern under Q,
+    pattern under P, number of completions) that occurs, found by joining
+    each pairing's paths along the edges of each completion.
+    """
+    pairings = list(_iter_partners(3))
+    pairing = [None] * 216
+    labels = []
+    for t, e in enumerate(pairings):
+        label = [-1] * 6
+        first = []
+        for v in range(6):
+            if label[v] == -1:
+                label[v] = label[e[v]] = len(first)
+                first.append(v)
+        pairing[36 * e[0] + 6 * e[1] + e[2]] = (t, first[1], first[2])
+        labels.append(label)
+
+    def pattern(label, completion):
+        """The pattern by which completion joins the paths labelled 0..2."""
+        root = [0, 1, 2]
+        for v, w in enumerate(completion):
+            a, b = root[label[v]], root[label[w]]
+            root = [a if r == b else r for r in root]
+        if root[0] == root[1]:
+            return 4 if root[1] == root[2] else 1
+        return 2 if root[0] == root[2] else 3 if root[1] == root[2] else 0
+
+    patterns = [[pattern(label, c) for c in pairings] for label in labels]
+    shared = {}  # one tuple per distinct cell: the table holds 36 kB, not 175
+    leaf = []
+    for bases in patterns:
+        for refs in patterns:
+            cells = {}
+            for cell in zip(bases, refs):
+                cells[cell] = cells.get(cell, 0) + 1
+            leaf.append(tuple(shared.setdefault(c + (k,), c + (k,)) for c, k in cells.items()))
+    return pairing, leaf
 
 
 def _union_counts(
@@ -278,18 +333,23 @@ def _union_counts(
     number of q-edges on it, and ``qcount[m]`` the code of the closed cycles.
     Placing edge (u, v) closes u's path into a cycle when v is its other end
     and otherwise joins the two paths; undoing it restores both far ends from
-    ``ends[u]`` and ``ends[v]``, which placing leaves untouched.  With four
-    free vertices left, the three completions are counted at once: pairing u
-    with the far end of its path closes two cycles, the other two partners
-    close one cycle through all the q-edges left.
+    ``ends[u]`` and ``ends[v]``, which placing leaves untouched.  With six
+    free vertices left, each reference's three paths pair them, and the 15
+    completions are counted at once: ``_completion_table`` gives, for the
+    base's pairing and the reference's, how often each pair of closing
+    patterns occurs, and each pattern's relation is one or two ``add`` and a
+    ``close`` away.  Walks that start with fewer than six free vertices run
+    down to the last edge.
     """
     m = len(refs[0])
     d = len(generate_partitions(m // 2))
-    empty, add, sub, close, split = _cycle_codes(m // 2)
+    empty, add, sub, close = _cycle_codes(m // 2)
+    pairing, leaf = _completion_table()
     tracks = [(list(q), [1] * m + [empty]) for q in refs]
     counts = [[[0] * d for _ in range(d)] for _ in refs]
     rows = list(zip(tracks, counts))
-    base_ends, base_qcount = tracks[-1]
+    base_qcount = tracks[-1][1]
+    at = [0] * m  # at[f]: where free vertex f stands among the last six
 
     def place(u: int, v: int) -> None:
         for ends, qcount in tracks:
@@ -313,27 +373,33 @@ def _union_counts(
                 qcount[a], qcount[b] = qcount[u], qcount[v]
 
     def walk(free: tuple[int, ...]) -> None:
+        if len(free) == 6:
+            for k, f in enumerate(free):
+                at[f] = k
+            f0, f1, f2 = free[0], free[1], free[2]
+            keys, shuts = [], []
+            for ends, qcount in tracks:
+                p, r1, r2 = pairing[36 * at[ends[f0]] + 6 * at[ends[f1]] + at[ends[f2]]]
+                c = qcount[m]
+                h0, h1, h2 = qcount[f0], qcount[free[r1]], qcount[free[r2]]
+                grow = add[c]
+                keys.append(p)
+                # the relation under each pattern 0..4 of _completion_table
+                shuts.append((
+                    close[add[grow[h0]][h1]], close[grow[h0 + h1]],
+                    close[grow[h0 + h2]], close[grow[h1 + h2]], close[c],
+                ))
+            base, q = shuts[-1], 15 * keys[-1]
+            for p, shut, pk in zip(keys, shuts, counts):
+                for b, r, k in leaf[q + p]:
+                    pk[base[b]][shut[r]] += k
+            return
         if len(free) <= 2:
             i = close[base_qcount[m]]
             for (_, qcount), pk in rows:
                 pk[i][close[qcount[m]]] += 1
             return
         u = free[0]
-        if len(free) == 4:
-            c = base_qcount[m]
-            x0, split0, merged0 = base_ends[u], split[c][base_qcount[u]], close[c]
-            for (ends, qcount), pk in rows:
-                c = qcount[m]
-                split_j, merged_j = split[c][qcount[u]], close[c]
-                row = pk[merged0]
-                if ends[u] == x0:
-                    pk[split0][split_j] += 1
-                    row[merged_j] += 2
-                else:
-                    pk[split0][merged_j] += 1
-                    row[split_j] += 1
-                    row[merged_j] += 1
-            return
         rest = free[1:]
         for k, v in enumerate(rest):
             place(u, v)

@@ -107,6 +107,16 @@ def test_guard_refusal_at_huge_n_is_one_short_line(tmp_path):
     assert elapsed < 1.0
 
 
+def test_guard_refusal_past_the_float_range(run):
+    # n is sized without converting it to a float
+    huge = "1" + "0" * 310
+    code, out, err = run("verify", "scheme-axioms", "--n", huge)
+    assert code == 2 and out == ""
+    prefix = f"error: intersection numbers guarded to n <= 8 (asked {huge}) (about 10^"
+    assert err.startswith(prefix) and err.endswith(" relations)\n")
+    assert err.count("\n") == 1
+
+
 def test_table_formulas_partial_note(run):
     code, out, err = run("table", "--n", "9", "--source", "formulas", "--format", "json")
     assert code == 0
@@ -301,6 +311,23 @@ def test_gap_prints_an_answer_of_any_length(tmp_path):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit to lift"
+)
+def test_main_prints_an_answer_of_any_length_and_restores_the_limit(run):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, out, err = run("gap", "--mu", "[2000,1]")
+        assert sys.get_int_max_str_digits() == 5000
+        sys.set_int_max_str_digits(0)
+        expected = f"{hook_gap(2001, 1)}\n"
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_table_sources_zonal_and_oracle(run):

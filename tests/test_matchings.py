@@ -211,6 +211,54 @@ def test_incremental_counts_match_union_walks(n, idata):
         assert quotient_counts_from(q) == _reference_histogram(q.partner, through_12)
 
 
+def _closing_pattern(pairing, completion):
+    """How completion joins the three pairs of pairing (paths 0, 1, 2 in the
+    order of their smallest points) into cycles, by a union-find over the
+    six points: 0 = {0}{1}{2}, 1 = {0,1}{2}, 2 = {0,2}{1}, 3 = {1,2}{0},
+    4 = {0,1,2}."""
+    parent = list(range(6))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for edges in (pairing, completion):
+        for v, w in enumerate(edges):
+            parent[find(v)] = find(w)
+    a, b, c = (find(v) for v in range(6) if v < pairing[v])
+    joined = (a == b, a == c, b == c)
+    return {
+        (False, False, False): 0,
+        (True, False, False): 1,
+        (False, True, False): 2,
+        (False, False, True): 3,
+        (True, True, True): 4,
+    }[joined]
+
+
+def test_completion_table_counts_every_completion():
+    from pmscheme.matchings import _completion_table
+
+    pairing, leaf = _completion_table()
+    pairings = list(_reference_partners(3))
+    assert len(pairings) == 15 and len(leaf) == 15 * 15
+    assert sum(entry is not None for entry in pairing) == 15
+    for t, e in enumerate(pairings):
+        firsts = [v for v in range(6) if v < e[v]]
+        assert pairing[36 * e[0] + 6 * e[1] + e[2]] == (t, firsts[1], firsts[2])
+    for q, base in enumerate(pairings):
+        for p, ref in enumerate(pairings):
+            cells = leaf[15 * q + p]
+            assert sum(k for _, _, k in cells) == 15
+            expected = {}
+            for completion in pairings:
+                cell = (_closing_pattern(base, completion), _closing_pattern(ref, completion))
+                expected[cell] = expected.get(cell, 0) + 1
+            assert {(b, r): k for b, r, k in cells} == expected
+            assert len(cells) == len(expected)
+
+
 def test_quotient_examples():
     qc5 = quotient_counts_all(5)
     q = qc5[P([3, 1, 1])]
