@@ -31,7 +31,6 @@ from .partitions import (
 )
 from .symfunc import (
     CATALOG_PREFIXES,
-    PolyT,
     PowerSumExpr,
     delta_closed_forms,
     delta_eval,
@@ -40,7 +39,6 @@ from .symfunc import (
     fit_e_mu,
     monomial_basis,
     parse_power_sum_expr,
-    parse_polyt,
     zonal_power_sums,
 )
 from .matchings import (

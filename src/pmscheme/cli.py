@@ -5,9 +5,8 @@ Each subcommand's parser carries its ``cmd_*`` function as ``run``, and
 code.  Exit codes: 0 pass, 1 verification failure, 2 unsupported request
 or parse error (``GuardExceeded``, ``ValueError``, ``FitInconsistent``,
 ``FitUnderdetermined``), 3 internal ambiguity (``AmbiguousRowAssignment``);
-a refusal prints one ``error: {exc}`` line on stderr.  ``table`` alone
-prints two refusals itself: its guard line names the option that gets past
-the guard, and an ``--out`` it cannot write is reported.  The console
+a refusal prints one ``error: {exc}`` line on stderr; ``table`` adds to
+its guard's refusal the option that gets past the guard.  The console
 script (``main_entry``) ends by SIGPIPE, silently, when stdout closes.
 
 Every command that reads a full table gets the zonal table, cached on disk
@@ -36,6 +35,7 @@ from .errors import (
     FitUnderdetermined,
     GuardExceeded,
     SchemeError,
+    int_text,
 )
 from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
@@ -188,8 +188,7 @@ def cmd_table(args, config: Config) -> int:
             hint = "raise --max-oracle-n to override"
         else:
             hint = "--source formulas prints the closed-form cells"
-        print(f"error: {exc}; {hint}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise GuardExceeded(f"{exc}; {hint}") from None
     if not table.is_complete():
         print(
             f"note: table for n={n} is partial (closed-form cells only)",
@@ -204,8 +203,7 @@ def cmd_table(args, config: Config) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise ValueError(f"cannot write --out {args.out}: {exc}") from None
     return EXIT_PASS
 
 
@@ -264,7 +262,9 @@ def _verify_induction(args, config: Config) -> tuple[dict, str]:
 def _verify_ratios(args, config: Config) -> tuple[dict, str]:
     n = args.n
     if n > RATIOS_MAX_N:
-        raise GuardExceeded(f"ratio laws guarded to n <= {RATIOS_MAX_N} (asked {n})")
+        raise GuardExceeded(
+            f"ratio laws guarded to n <= {RATIOS_MAX_N} (asked {int_text(n)})"
+        )
     # generate_partitions refuses a negative n first, with its own message
     heads = [mu for mu in generate_partitions(n) if mu.parts[-1:] == (1,)]
     if n < 2:
@@ -389,7 +389,7 @@ def cmd_fit(args, config: Config) -> int:
     if hi > DEFAULT_ZONAL_MAX_N:
         raise GuardExceeded(
             f"fit reads zonal tables, guarded to n <= {DEFAULT_ZONAL_MAX_N}"
-            f" (asked {hi})"
+            f" (asked {int_text(hi)})"
         )
     data = []
     for n in range(lo, hi + 1):

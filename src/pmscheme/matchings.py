@@ -18,7 +18,7 @@ from decimal import Decimal, localcontext
 from functools import cache
 from typing import Iterable, Iterator
 
-from .errors import GuardExceeded, SchemeError
+from .errors import GuardExceeded, SchemeError, about, int_text
 from .partitions import (
     Partition,
     double_factorial,
@@ -111,10 +111,11 @@ def _guard_enumeration(what: str, n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> 
     """Refuse n outside 1..max_n before any matching is enumerated; the
     estimate sizes the scheme without listing its relations."""
     if n < 1:
-        raise GuardExceeded(f"{what} guarded to n >= 1 (asked {n})")
+        raise GuardExceeded(f"{what} guarded to n >= 1 (asked {int_text(n)})")
     if n > max_n:
         raise GuardExceeded(
-            f"{what} guarded to n <= {max_n} (asked {n})", estimate=_size_estimate(n)
+            f"{what} guarded to n <= {max_n} (asked {int_text(n)})",
+            estimate=_size_estimate(n),
         )
 
 
@@ -131,8 +132,8 @@ def _size_estimate(n: int) -> str:
         ln10 = Decimal(10).ln()
         log_m = (x * ((2 * x).ln() - 1) + Decimal(2).ln() / 2) / ln10
         log_r = (_PI * (2 * x / 3).sqrt() - (4 * x * Decimal(3).sqrt()).ln()) / ln10
-        matchings = double_factorial(2 * n - 1) if log_m < 20 else f"about 10^{log_m:.0f}"
-        relations = partition_count(n) if log_r < 20 else f"about 10^{log_r:.0f}"
+        matchings = double_factorial(2 * n - 1) if log_m < 20 else about(log_m)
+        relations = partition_count(n) if log_r < 20 else about(log_r)
     return f"{matchings} matchings x {relations} relations"
 
 

@@ -13,10 +13,12 @@ in a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, pi
 
-from .errors import GuardExceeded, SchemeError
+from .errors import GuardExceeded, SchemeError, about, int_text
 from .matchings import base_matching, relation, representative
 from .partitions import (
     Partition,
@@ -90,7 +92,9 @@ def family_second_eig(
     mu = family_mu(prefix, n)
     if n < entry.threshold and not force:
         raise BelowFamilyThreshold(prefix, n, entry.threshold)
-    second, gap = entry.second(n), entry.gap(n)
+    second = gap = Fraction(0)
+    for s, g in reversed(list(zip_longest(entry.second, entry.gap, fillvalue=0))):
+        second, gap = second * n + s, gap * n + g
     if second.denominator != 1 or gap.denominator != 1:
         raise SchemeError(f"family {prefix} closed form is not integral at n={n}")
     second, gap = int(second), int(gap)
@@ -230,7 +234,9 @@ def small_dim_eigenspaces(n: int) -> list[Partition]:
     {[n], [n-1,1]}.
     """
     if n < 7:
-        raise GuardExceeded(f"small-dimension scan is only supported for n >= 7, got {n}")
+        raise GuardExceeded(
+            f"small-dimension scan is only supported for n >= 7, got {int_text(n)}"
+        )
     cutoff = comb(2 * n, 3) - comb(2 * n, 2)
     small = [lam for lam in generate_partitions(n) if dim_hook(lam) < cutoff]
     expected = [Partition((n,)), Partition((n - 1, 1))]
@@ -281,6 +287,17 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 ZONAL_CHECK_MAX_N = 5
 
 
+def _stabilizer_order_text(n: int) -> str:
+    """2^n n! in full below 10^20, else its power of ten from Stirling's
+    series ln n! ~ n ln n - n + ln(2 pi n) / 2, in decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(n)
+        ln_order = x * (2 * x).ln() - x + (2 * Decimal(pi) * x).ln() / 2
+        log10 = ln_order / Decimal(10).ln()
+    return str(2**n * factorial(n)) if log10 < 20 else about(log10)
+
+
 def zonal_check(mu: Partition, lam: Partition) -> Fraction:
     """Eigenvalue via the stabilizer-coset character sum; tiny n only.
 
@@ -292,8 +309,9 @@ def zonal_check(mu: Partition, lam: Partition) -> Fraction:
         raise ValueError("mu and lam must partition the same n")
     if n > ZONAL_CHECK_MAX_N:
         raise GuardExceeded(
-            f"coset character sum guarded to n <= {ZONAL_CHECK_MAX_N} (asked {n})",
-            estimate=f"stabilizer order 2^n n! = {2**n * factorial(n)}",
+            f"coset character sum guarded to n <= {ZONAL_CHECK_MAX_N}"
+            f" (asked {int_text(n)})",
+            estimate=f"stabilizer order 2^n n! = {_stabilizer_order_text(n)}",
         )
     x = _coset_rep(mu)
     shape = lam.double()
@@ -417,7 +435,7 @@ def verify_induction_step(prefix: Partition, n: int) -> InductionReport:
         raise ValueError(f"induction step needs n >= {max(prefix.n, 2)}")
     if n > INDUCTION_MAX_N:
         raise GuardExceeded(
-            f"induction step guarded to n <= {INDUCTION_MAX_N} (asked {n})"
+            f"induction step guarded to n <= {INDUCTION_MAX_N} (asked {int_text(n)})"
         )
     expr = catalog_entry(prefix).expr
     here, grown = expr.at_t(2 * n), expr.at_t(2 * n + 2)

@@ -5,14 +5,17 @@ p_{lam_1} p_{lam_2} ... , with p of the empty partition meaning the constant 1
 (this matches the catalog's closed forms; the alternative reading
 p_0 = number of variables would shift every constant term).  Evaluating at a
 partition lam substitutes t = 2n and each p_k by the sum of k-th powers of the
-contents of the doubled shape 2*lam.  Evaluation and fitting run in integers
-(an expression carries its coefficients over one common denominator, and
-content power sums are summed from cached rows); a Fraction is made only
-for a result.  Nothing adds or scales expressions.
+contents of the doubled shape 2*lam.  An expression is held in one form,
+integer coefficients over one common denominator, so evaluation and fitting
+run in integers (content power sums are summed from cached rows); a Fraction
+is made only for a result or for a coefficient's text.  Nothing adds or
+scales expressions.
 
 ``_CATALOG`` is the one registry of the paper's closed-form families
 [2], [3], [2,2], [4], [3,2] and [5] (each padded by parts 1): threshold,
-second eigenvalue and gap polynomials in n, and the expression, built once.
+second eigenvalue and gap coefficients in n, and the expression, written as
+the text ``PowerSumExpr.to_text`` prints (and ``pmscheme fit`` recovers) and
+parsed once at import.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import exactalg
 from .errors import FitInconsistent, FitUnderdetermined, SchemeError
@@ -35,105 +37,35 @@ from .partitions import (
 )
 
 
-class PolyT:
-    """A univariate polynomial with Fraction coefficients, lowest degree
-    first: in t inside a PowerSumExpr, in n for a catalog family."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyT is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, t) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * t + c
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyT) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"PolyT({list(self.coeffs)})"
-
-    def to_text(self) -> str:
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                parts.append(str(c))
-            elif d == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{d}")
-        return " + ".join(parts) if parts else "0"
-
-
-_POLY_TERM = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*t(?:\^(\d+))?)?$")
-
-
-def parse_polyt(text: str) -> PolyT:
-    """Inverse of ``PolyT.to_text``, which writes each degree at most once."""
-    coeffs: dict[int, Fraction] = {}
-    for term in text.strip().split(" + "):
-        m = _POLY_TERM.match(term.strip())
-        if not m:
-            raise ValueError(f"bad polynomial term {term!r}")
-        d = int(m.group(2) or 1) if "t" in term else 0
-        if d in coeffs:
-            raise ValueError(f"degree {d} repeated in {text!r}")
-        coeffs[d] = Fraction(m.group(1))
-    return PolyT(coeffs.get(d, 0) for d in range(max(coeffs) + 1))
-
-
-def _tpoly(*coeffs) -> PolyT:
-    """Shorthand: _tpoly(c0, c1, ...) with rational coefficients."""
-    return PolyT([Fraction(c) for c in coeffs])
-
-
 class PowerSumExpr:
-    """Map from monomial index (a Partition) to PolyT coefficient.
+    """A Q[t]-linear combination of power-sum monomials, held in integers.
 
-    On construction the expression also builds its integer form: ``den``, the
-    least common denominator of all coefficients, and ``int_terms``, one
-    (integer coefficients of den * poly ascending in t, monomial parts) pair
-    per term.  ``kmax`` is the largest power-sum index any monomial uses.
+    Built from a map monomial (a Partition) -> rational coefficients in t,
+    lowest degree first.  ``den`` is the least common denominator of all
+    coefficients and ``int_terms`` holds one (integer coefficients of
+    den * poly ascending in t, monomial parts) pair per nonzero term, larger
+    monomials first, so equal expressions hold equal tuples.  ``kmax`` is
+    the largest power-sum index any monomial uses.
     """
 
-    __slots__ = ("terms", "den", "int_terms", "kmax")
+    __slots__ = ("den", "int_terms", "kmax")
 
-    def __init__(self, terms: Mapping[Partition, PolyT] | None = None):
-        clean: dict[Partition, PolyT] = {}
-        if terms:
-            for mono, poly in terms.items():
-                if not poly.is_zero():
-                    clean[mono] = poly
-        den = lcm(*(c.denominator for p in clean.values() for c in p.coeffs))
+    def __init__(self, terms: Mapping[Partition, Sequence] | None = None):
+        polys: dict[Partition, list[Fraction]] = {}
+        for mono, coeffs in (terms or {}).items():
+            cs = [Fraction(c) for c in coeffs]
+            while cs and cs[-1] == 0:
+                cs.pop()
+            if cs:
+                polys[mono] = cs
+        den = lcm(*(c.denominator for cs in polys.values() for c in cs))
         int_terms = tuple(
-            (tuple(c.numerator * (den // c.denominator) for c in p.coeffs), m.parts)
-            for m, p in clean.items()
+            (tuple(c.numerator * (den // c.denominator) for c in polys[m]), m.parts)
+            for m in sorted(polys, key=lambda m: (-m.n, tuple(-p for p in m.parts)))
         )
-        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_terms", int_terms)
-        kmax = max((m.parts[0] for m in clean if m.parts), default=0)
+        kmax = max((m.parts[0] for m in polys if m.parts), default=0)
         object.__setattr__(self, "kmax", kmax)
 
     def at_t(self, t: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -150,42 +82,62 @@ class PowerSumExpr:
         raise AttributeError("PowerSumExpr is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSumExpr) and self.terms == other.terms
-
-    def monomials(self) -> list[Partition]:
-        return sorted(self.terms, key=lambda m: (-m.n, tuple(-p for p in m.parts)))
+        return isinstance(other, PowerSumExpr) and (
+            (self.den, self.int_terms) == (other.den, other.int_terms)
+        )
 
     def __repr__(self) -> str:
         return f"PowerSumExpr({self.to_text()!r})"
 
     def to_text(self) -> str:
-        """Canonical text form, larger monomials first; parsed back losslessly."""
-        if not self.terms:
+        """Canonical text form, larger monomials first and each coefficient
+        a reduced fraction; parsed back losslessly."""
+        if not self.int_terms:
             return "(0)*p[]"
         out = []
-        for mono in self.monomials():
-            out.append(f"({self.terms[mono].to_text()})*p{mono}")
+        for coeffs, parts in self.int_terms:
+            poly = []
+            for d, c in enumerate(coeffs):
+                if c:
+                    power = "" if d == 0 else "*t" if d == 1 else f"*t^{d}"
+                    poly.append(f"{Fraction(c, self.den)}{power}")
+            out.append(f"({' + '.join(poly)})*p{Partition(parts)}")
         return " + ".join(out)
 
 
+_COEFF = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*t(?:\^(\d+))?)?$")
+
+
 def parse_power_sum_expr(text: str) -> PowerSumExpr:
-    """Inverse of ``PowerSumExpr.to_text``, which writes each monomial once."""
-    terms: dict[Partition, PolyT] = {}
+    """Inverse of ``PowerSumExpr.to_text``, which writes each monomial once
+    and each degree of its coefficient once."""
+    terms: dict[Partition, list[Fraction]] = {}
     s = text.strip()
     pos = 0
     while pos < len(s):
         if s[pos] != "(":
             raise ValueError(f"expected '(' at position {pos} of {text!r}")
         close = s.index(")", pos)
-        poly = parse_polyt(s[pos + 1 : close])
         if s[close : close + 3] != ")*p":
             raise ValueError(f"expected ')*p' at position {close} of {text!r}")
-        open_b = close + 3
-        close_b = s.index("]", open_b)
-        mono = parse_partition(s[open_b : close_b + 1])
+        close_b = s.index("]", close)
+        term = s[pos : close_b + 1]
+        mono = parse_partition(s[close + 3 : close_b + 1])
         if mono in terms:
             raise ValueError(f"monomial p{mono} repeated in {text!r}")
-        terms[mono] = poly
+        coeffs: dict[int, Fraction] = {}
+        for part in s[pos + 1 : close].split(" + "):
+            m = _COEFF.match(part.strip())
+            if not m:
+                raise ValueError(f"bad coefficient {part!r} in term {term!r}")
+            d = int(m.group(2) or 1) if "t" in part else 0
+            if d in coeffs:
+                raise ValueError(f"degree {d} repeated in term {term!r}")
+            try:
+                coeffs[d] = Fraction(m.group(1))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in term {term!r}") from None
+        terms[mono] = [coeffs.get(d, 0) for d in range(max(coeffs) + 1)]
         pos = close_b + 1
         if pos < len(s):
             if s[pos : pos + 3] != " + ":
@@ -240,85 +192,58 @@ def eval_expr(f: PowerSumExpr, lam: Partition) -> Fraction:
 
 
 class CatalogEntry:
-    """One closed-form family, prefix + 1^(n - |prefix|): its second
-    eigenvalue and spectral gap as polynomials in n, proven for
-    n >= threshold, and ``expr``, which generates the family's column."""
+    """One closed-form family, prefix + 1^(n - |prefix|): the coefficients,
+    lowest degree first, of its second eigenvalue and spectral gap as
+    polynomials in n, proven for n >= threshold, and ``expr``, parsed from
+    its text, which generates the family's column."""
 
-    def __init__(self, threshold: int, second: PolyT, gap: PolyT, terms: Mapping):
+    def __init__(self, threshold: int, second: tuple, gap: tuple, expr: str):
         self.threshold, self.second, self.gap = threshold, second, gap
-        self.expr = PowerSumExpr({Partition(m): p for m, p in terms.items()})
+        self.expr = parse_power_sum_expr(expr)
 
 
-# Every polynomial lists its coefficients lowest degree first.
 _CATALOG: dict[tuple[int, ...], CatalogEntry] = {
     (2,): CatalogEntry(
         threshold=3,
-        second=_tpoly(1, -3, 1),
-        gap=_tpoly(-1, 2),
-        terms={
-            (1,): _tpoly(Fraction(1, 2)),
-            (): _tpoly(0, Fraction(-1, 4)),
-        },
+        second=(1, -3, 1),
+        gap=(-1, 2),
+        expr="(1/2)*p[1] + (-1/4*t)*p[]",
     ),
     (3,): CatalogEntry(
         threshold=5,
-        second=_tpoly(-4, Fraction(38, 3), -8, Fraction(4, 3)),
-        gap=_tpoly(4, -10, 4),
-        terms={
-            (2,): _tpoly(Fraction(1, 2)),
-            (1,): _tpoly(-1),
-            (): _tpoly(0, Fraction(3, 4), Fraction(-1, 4)),
-        },
+        second=(-4, Fraction(38, 3), -8, Fraction(4, 3)),
+        gap=(4, -10, 4),
+        expr="(1/2)*p[2] + (-1)*p[1] + (3/4*t + -1/4*t^2)*p[]",
     ),
     (2, 2): CatalogEntry(
         threshold=6,
-        second=_tpoly(6, -20, Fraction(33, 2), -5, Fraction(1, 2)),
-        gap=_tpoly(-6, 17, -11, 2),
-        terms={
-            (1, 1): _tpoly(Fraction(1, 8)),
-            (2,): _tpoly(Fraction(-3, 4)),
-            (1,): _tpoly(Fraction(10, 8), Fraction(-1, 8)),
-            (): _tpoly(0, Fraction(-24, 32), Fraction(9, 32)),
-        },
+        second=(6, -20, Fraction(33, 2), -5, Fraction(1, 2)),
+        gap=(-6, 17, -11, 2),
+        expr="(-3/4)*p[2] + (1/8)*p[1,1] + (5/4 + -1/8*t)*p[1]"
+        " + (-3/4*t + 9/32*t^2)*p[]",
     ),
     (4,): CatalogEntry(
         threshold=6,
-        second=_tpoly(24, -80, 66, -20, 2),
-        gap=_tpoly(-24, 68, -44, 8),
-        terms={
-            (3,): _tpoly(Fraction(1, 2)),
-            (2,): _tpoly(Fraction(-9, 4)),
-            (1,): _tpoly(Fraction(11, 2), -1),
-            (): _tpoly(0, Fraction(-23, 8), 1),
-        },
+        second=(24, -80, 66, -20, 2),
+        gap=(-24, 68, -44, 8),
+        expr="(1/2)*p[3] + (-9/4)*p[2] + (11/2 + -1*t)*p[1]"
+        " + (-23/8*t + 1*t^2)*p[]",
     ),
     (3, 2): CatalogEntry(
         threshold=7,
-        second=_tpoly(-80, Fraction(836, 3), -270, 110, -20, Fraction(4, 3)),
-        gap=_tpoly(
+        second=(-80, Fraction(836, 3), -270, 110, -20, Fraction(4, 3)),
+        gap=(
             80, Fraction(-740, 3), Fraction(610, 3), Fraction(-190, 3), Fraction(20, 3)
         ),
-        terms={
-            (3,): _tpoly(-2),
-            (2, 1): _tpoly(Fraction(1, 4)),
-            (2,): _tpoly(Fraction(60, 8), Fraction(-1, 8)),
-            (1, 1): _tpoly(Fraction(-1, 2)),
-            (1,): _tpoly(Fraction(-120, 8), Fraction(29, 8), Fraction(-1, 8)),
-            (): _tpoly(0, Fraction(116, 16), Fraction(-47, 16), Fraction(1, 16)),
-        },
+        expr="(-2)*p[3] + (1/4)*p[2,1] + (15/2 + -1/8*t)*p[2] + (-1/2)*p[1,1]"
+        " + (-15 + 29/8*t + -1/8*t^2)*p[1] + (29/4*t + -47/16*t^2 + 1/16*t^3)*p[]",
     ),
     (5,): CatalogEntry(
         threshold=6,
-        second=_tpoly(-192, Fraction(3344, 5), -648, 264, -48, Fraction(16, 5)),
-        gap=_tpoly(192, -592, 488, -152, 16),
-        terms={
-            (4,): _tpoly(Fraction(1, 2)),
-            (3,): _tpoly(-4),
-            (2,): _tpoly(20, Fraction(-3, 2)),
-            (1, 1): _tpoly(-1),
-            (1,): _tpoly(-34, 7),
-            (): _tpoly(0, Fraction(217, 12), Fraction(-96, 12), Fraction(5, 12)),
-        },
+        second=(-192, Fraction(3344, 5), -648, 264, -48, Fraction(16, 5)),
+        gap=(192, -592, 488, -152, 16),
+        expr="(1/2)*p[4] + (-4)*p[3] + (20 + -3/2*t)*p[2] + (-1)*p[1,1]"
+        " + (-34 + 7*t)*p[1] + (217/12*t + -8*t^2 + 5/12*t^3)*p[]",
     ),
 }
 
@@ -460,9 +385,8 @@ def fit_e_mu(
     solution = exactalg.solve_unique(rows, rhs)
     terms: dict[Partition, list[Fraction]] = {}
     for (mono, d), c in zip(unknowns, solution):
-        terms.setdefault(mono, [Fraction(0)] * (cap + 1))
-        terms[mono][d] = c
-    expr = PowerSumExpr({m: PolyT(cs) for m, cs in terms.items()})
+        terms.setdefault(mono, [Fraction(0)] * (cap + 1))[d] = c
+    expr = PowerSumExpr(terms)
     checks = list(points)
     if holdout is not None:
         checks.append((holdout[0], _checked_column(*holdout)))

@@ -33,6 +33,7 @@ from .errors import (
     GuardExceeded,
     IncompleteTable,
     SchemeError,
+    int_text,
 )
 from .matchings import IntersectionData, intersection_numbers
 from .partitions import (
@@ -221,7 +222,8 @@ def build_table_zonal(n: int) -> EigTable:
     """
     if not 2 <= n <= DEFAULT_ZONAL_MAX_N:
         raise GuardExceeded(
-            f"zonal table guarded to 2 <= n <= {DEFAULT_ZONAL_MAX_N} (asked {n})"
+            f"zonal table guarded to 2 <= n <= {DEFAULT_ZONAL_MAX_N}"
+            f" (asked {int_text(n)})"
         )
     columns = generate_partitions(n)[::-1]
     grid = [[row[mu] for mu in columns] for row in zonal_power_sums(n).values()]
@@ -382,7 +384,7 @@ def build_table_formulas(
         raise ValueError("tables need n >= 2")
     if n > FORMULAS_MAX_N:
         raise GuardExceeded(
-            f"closed-form table guarded to n <= {FORMULAS_MAX_N} (asked {n})"
+            f"closed-form table guarded to n <= {FORMULAS_MAX_N} (asked {int_text(n)})"
         )
     rows = generate_partitions(n)
     columns = rows[::-1]

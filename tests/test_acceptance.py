@@ -16,7 +16,6 @@ from golden_data import GOLDEN_TABLES, GOLDEN_32_COLUMN_N8
 from pmscheme import (
     CATALOG_PREFIXES,
     Partition,
-    PolyT,
     PowerSumExpr,
     build_table_formulas,
     merge_constant,
@@ -224,10 +223,10 @@ def test_c09_interpolation(oracle_table):
 
 def test_c10_delta_closed_forms():
     rng = random.Random(1234)
-    p1 = PowerSumExpr({P([1]): PolyT([1])})
-    p2 = PowerSumExpr({P([2]): PolyT([1])})
-    p3 = PowerSumExpr({P([3]): PolyT([1])})
-    p1sq = PowerSumExpr({P([1, 1]): PolyT([1])})
+    p1 = PowerSumExpr({P([1]): [1]})
+    p2 = PowerSumExpr({P([2]): [1]})
+    p3 = PowerSumExpr({P([3]): [1]})
+    p1sq = PowerSumExpr({P([1, 1]): [1]})
     for _ in range(1000):
         n = rng.randint(1, 30)
         parts = []

@@ -10,7 +10,14 @@ import time
 import pytest
 
 import pmscheme
-from pmscheme import DEFAULT_ZONAL_MAX_N, FORMULAS_MAX_N, __version__, hook_gap
+from pmscheme import (
+    CATALOG_PREFIXES,
+    DEFAULT_ZONAL_MAX_N,
+    FORMULAS_MAX_N,
+    __version__,
+    e_catalog,
+    hook_gap,
+)
 from pmscheme.cli import main
 
 
@@ -200,6 +207,17 @@ def test_fit_command(run):
     assert out.strip() == "(1/2)*p[1] + (-1/4*t)*p[]"
     code, _, err = run("fit", "--prefix", "2", "--n-range", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("prefix", CATALOG_PREFIXES, ids=str)
+def test_fit_prints_each_family_as_its_catalog_text(run, prefix):
+    # the catalog is written as the text fit prints: four consecutive n
+    # from the family's first table recover it byte for byte
+    lo = max(prefix.n, 2)
+    family = ",".join(map(str, prefix.parts))
+    code, out, err = run("fit", "--prefix", family, "--n-range", f"{lo}:{lo + 3}")
+    assert (code, err) == (0, "")
+    assert out == e_catalog(prefix).to_text() + "\n"
 
 
 def test_scan_command(run):

@@ -17,7 +17,7 @@ from pmscheme import Partition
 from pmscheme.exactalg import kernel_basis, rref, solve_unique
 from pmscheme.partitions import content, generate_partitions, successors
 from pmscheme.spectra import verify_induction_step
-from pmscheme.symfunc import CATALOG_PREFIXES, PolyT, PowerSumExpr, e_catalog, eval_expr
+from pmscheme.symfunc import CATALOG_PREFIXES, PowerSumExpr, e_catalog, eval_expr
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -29,16 +29,17 @@ monomials = st.lists(st.integers(1, 5), max_size=4).map(
     lambda parts: Partition(sorted(parts, reverse=True))
 )
 
-expressions = st.dictionaries(
-    monomials, st.lists(fractions, max_size=4).map(PolyT), max_size=6
-).map(PowerSumExpr)
+# monomial -> Fraction coefficients in t, lowest degree first
+coefficient_maps = st.dictionaries(
+    monomials, st.lists(fractions, max_size=4), max_size=6
+)
 
 
-def reference_eval(f: PowerSumExpr, lam: Partition) -> Fraction:
+def reference_eval(terms, lam: Partition) -> Fraction:
     cv = content(lam)
     total = Fraction(0)
-    for mono, poly in f.terms.items():
-        val = poly(2 * lam.n)
+    for mono, coeffs in terms.items():
+        val = sum(c * (2 * lam.n) ** d for d, c in enumerate(coeffs))
         for k in mono.parts:
             val *= cv.power_sum(k)
         total += val
@@ -46,12 +47,13 @@ def reference_eval(f: PowerSumExpr, lam: Partition) -> Fraction:
 
 
 @PROPERTY
-@given(expressions)
-def test_eval_expr_matches_fraction_reference(f):
+@given(coefficient_maps)
+def test_eval_expr_matches_fraction_reference(terms):
+    f = PowerSumExpr(terms)
     for lam in SMALL_PARTITIONS:
         got = eval_expr(f, lam)
         assert type(got) is Fraction
-        assert got == reference_eval(f, lam), (f, lam)
+        assert got == reference_eval(terms, lam), (f, lam)
 
 
 def reference_rref(rows):
@@ -129,21 +131,26 @@ def test_solve_unique_matches_reference_when_determined(rows, x):
 
 
 def reference_induction(prefix: Partition, n: int):
-    """The successor-by-successor scan: every growth evaluated in full."""
+    """The successor-by-successor scan: every growth evaluated in full, from
+    the catalog's coefficients as Fractions."""
     expr = e_catalog(prefix)
+    terms = {
+        Partition(parts): [Fraction(c, expr.den) for c in coeffs]
+        for coeffs, parts in expr.int_terms
+    }
 
     def delta(lam, i):
         grown = next(lp for lp, row in successors(lam) if row == i)
-        return reference_eval(expr, grown) - reference_eval(expr, lam)
+        return reference_eval(terms, grown) - reference_eval(terms, lam)
 
     rhs = delta(Partition((n - 1, 1)), 1)
     best = None
     for lam in generate_partitions(n):
         if lam == Partition((n,)):
             continue
-        base = reference_eval(expr, lam)
+        base = reference_eval(terms, lam)
         for lam_plus, i in successors(lam):
-            slack = rhs - (reference_eval(expr, lam_plus) - base)
+            slack = rhs - (reference_eval(terms, lam_plus) - base)
             if best is None or slack < best[0]:
                 best = (slack, lam, i)
     return rhs, best

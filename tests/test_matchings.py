@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 
@@ -6,6 +8,7 @@ from pmscheme import (
     Matching,
     Partition,
     base_matching,
+    build_table_formulas,
     build_table_zonal,
     degree_histogram,
     diameter,
@@ -22,6 +25,8 @@ from pmscheme import (
     representative,
     unrank,
     valency,
+    verify_induction_step,
+    zonal_check,
 )
 from pmscheme.errors import GuardExceeded
 
@@ -404,3 +409,37 @@ def test_oracle_guard_lists_no_partitions(monkeypatch):
     assert message.endswith(" matchings x 3972999029388 relations)")
     with pytest.raises(GuardExceeded, match=r"guarded to n <= 3 \(asked 4\)"):
         intersection_numbers(4, max_n=3)
+
+
+def test_guards_refuse_an_n_past_the_digit_limit():
+    # Python prints no int of more than 4300 digits by default; every guard
+    # names such an n, and the coset estimate 2^n n!, as a power of ten
+    huge = 10**5000
+    calls = [
+        lambda: intersection_numbers(huge),
+        lambda: degree_histogram(huge),
+        lambda: next(enumerate_matchings(huge)),
+        lambda: build_table_zonal(huge),
+        lambda: build_table_formulas(huge),
+        lambda: verify_induction_step(Partition([2]), huge),
+        lambda: zonal_check(Partition([3000]), Partition([3000])),
+    ]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for call in calls:
+            with pytest.raises(GuardExceeded, match="about 10"):
+                call()
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded) as refused:
+            zonal_check(Partition([huge]), Partition([huge]))
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(refused.value) == (
+        "coset character sum guarded to n <= 5 (asked about 10^5000)"
+        " (stabilizer order 2^n n! = about 10^(about 10^5004))"
+    )
+    with pytest.raises(GuardExceeded) as refused:
+        zonal_check(Partition([6]), Partition([6]))
+    assert str(refused.value).endswith("(asked 6) (stabilizer order 2^n n! = 46080)")
