@@ -35,7 +35,7 @@ from .errors import (
     FitUnderdetermined,
     GuardExceeded,
     SchemeError,
-    int_text,
+    guard,
 )
 from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
@@ -261,14 +261,10 @@ def _verify_induction(args, config: Config) -> tuple[dict, str]:
 
 def _verify_ratios(args, config: Config) -> tuple[dict, str]:
     n = args.n
-    if n > RATIOS_MAX_N:
-        raise GuardExceeded(
-            f"ratio laws guarded to n <= {RATIOS_MAX_N} (asked {int_text(n)})"
-        )
-    # generate_partitions refuses a negative n first, with its own message
-    heads = [mu for mu in generate_partitions(n) if mu.parts[-1:] == (1,)]
+    guard("ratio laws", n, RATIOS_MAX_N)
     if n < 2:
         raise ValueError(f"ratio laws need n >= 2, got {n}")
+    heads = [mu for mu in generate_partitions(n) if mu.parts[-1:] == (1,)]
     failures = []
     mismatched_constant = False
     checked = 0
@@ -386,11 +382,7 @@ def cmd_fit(args, config: Config) -> int:
             f"range {lo}:{hi} invalid for prefix {prefix} (min n {prefix.n})"
         )
     monomial_basis(prefix)  # refuses a prefix it cannot fit before any table
-    if hi > DEFAULT_ZONAL_MAX_N:
-        raise GuardExceeded(
-            f"fit reads zonal tables, guarded to n <= {DEFAULT_ZONAL_MAX_N}"
-            f" (asked {int_text(hi)})"
-        )
+    guard("zonal table", hi, DEFAULT_ZONAL_MAX_N)
     data = []
     for n in range(lo, hi + 1):
         data.append((n, oracle_table_cached(config, n).column(family_mu(prefix, n))))

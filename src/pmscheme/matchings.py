@@ -18,7 +18,7 @@ from decimal import Decimal, localcontext
 from functools import cache
 from typing import Iterable, Iterator
 
-from .errors import GuardExceeded, SchemeError, about, int_text
+from .errors import PI, SchemeError, count_text, guard, ln_factorial
 from .partitions import (
     Partition,
     double_factorial,
@@ -27,7 +27,6 @@ from .partitions import (
 )
 
 DEFAULT_ORACLE_MAX_N = 8
-_PI = Decimal("3.141592653589793238462643383279502884197")
 
 
 class Matching:
@@ -110,30 +109,20 @@ def _base_partner(n: int) -> tuple[int, ...]:
 def _guard_enumeration(what: str, n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> None:
     """Refuse n outside 1..max_n before any matching is enumerated; the
     estimate sizes the scheme without listing its relations."""
-    if n < 1:
-        raise GuardExceeded(f"{what} guarded to n >= 1 (asked {int_text(n)})")
-    if n > max_n:
-        raise GuardExceeded(
-            f"{what} guarded to n <= {max_n} (asked {int_text(n)})",
-            estimate=_size_estimate(n),
-        )
+    guard(what, n, max_n, lo=1, estimate=_size_estimate)
 
 
 def _size_estimate(n: int) -> str:
-    """'(2n-1)!! matchings x p(n) relations', each count exact below 10^20
-    and given as its power of ten above.  The powers come from Stirling's
-    series for (2n-1)!! = (2n)! / (2^n n!) and the Hardy-Ramanujan asymptotic
-    p(n) ~ exp(pi sqrt(2n/3)) / (4 n sqrt 3), in decimal arithmetic, which
-    takes an n of any size; no long count is built, and these numbers size
-    a message, not a verdict."""
+    """'(2n-1)!! matchings x p(n) relations', each count from its logarithm:
+    Stirling's series for (2n-1)!! = (2n)! / (2^n n!) and the
+    Hardy-Ramanujan asymptotic p(n) ~ exp(pi sqrt(2n/3)) / (4 n sqrt 3)."""
     with localcontext() as ctx:
         ctx.prec = 40
         x = Decimal(n)
-        ln10 = Decimal(10).ln()
-        log_m = (x * ((2 * x).ln() - 1) + Decimal(2).ln() / 2) / ln10
-        log_r = (_PI * (2 * x / 3).sqrt() - (4 * x * Decimal(3).sqrt()).ln()) / ln10
-        matchings = double_factorial(2 * n - 1) if log_m < 20 else about(log_m)
-        relations = partition_count(n) if log_r < 20 else about(log_r)
+        ln_m = ln_factorial(2 * n) - x * Decimal(2).ln() - ln_factorial(n)
+        ln_r = PI * (2 * x / 3).sqrt() - (4 * x * Decimal(3).sqrt()).ln()
+    matchings = count_text(ln_m, lambda: double_factorial(2 * n - 1))
+    relations = count_text(ln_r, lambda: partition_count(n))
     return f"{matchings} matchings x {relations} relations"
 
 

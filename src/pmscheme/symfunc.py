@@ -347,9 +347,7 @@ DataColumn = Sequence[int]
 
 
 def fit_e_mu(
-    prefix: Partition,
-    data: Sequence[tuple[int, DataColumn]],
-    holdout: tuple[int, DataColumn] | None = None,
+    prefix: Partition, data: Sequence[tuple[int, DataColumn]]
 ) -> PowerSumExpr:
     """Recover the family expression exactly from eigenvalue columns.
 
@@ -360,8 +358,7 @@ def fit_e_mu(
     the integers t^d * p_mono(lam), which ``exactalg.solve_unique`` reduces
     fraction-free.  Degree bounds are capped at (#distinct n - 1), the
     highest degree the data can pin down.  The result is re-evaluated
-    against every supplied point, and against the holdout column when
-    given.
+    against every supplied point.
     """
     basis = monomial_basis(prefix)
     points = [(n, _checked_column(n, col)) for n, col in data]
@@ -387,10 +384,7 @@ def fit_e_mu(
     for (mono, d), c in zip(unknowns, solution):
         terms.setdefault(mono, [Fraction(0)] * (cap + 1))[d] = c
     expr = PowerSumExpr(terms)
-    checks = list(points)
-    if holdout is not None:
-        checks.append((holdout[0], _checked_column(*holdout)))
-    for n, column in checks:
+    for n, column in points:
         for lam, value in zip(generate_partitions(n), column):
             if eval_expr(expr, lam) != value:
                 raise FitInconsistent(

@@ -24,17 +24,12 @@ import csv
 import io
 import json
 import random
+from itertools import product
 from math import lcm
 from operator import mul
 
 from . import exactalg
-from .errors import (
-    AmbiguousRowAssignment,
-    GuardExceeded,
-    IncompleteTable,
-    SchemeError,
-    int_text,
-)
+from .errors import AmbiguousRowAssignment, IncompleteTable, SchemeError, guard
 from .matchings import IntersectionData, intersection_numbers
 from .partitions import (
     Partition,
@@ -220,11 +215,7 @@ def build_table_zonal(n: int) -> EigTable:
     mu on eigenspace lam (Macdonald, Symmetric Functions and Hall
     Polynomials, VII.2).  Every column is tagged "zonal".
     """
-    if not 2 <= n <= DEFAULT_ZONAL_MAX_N:
-        raise GuardExceeded(
-            f"zonal table guarded to 2 <= n <= {DEFAULT_ZONAL_MAX_N}"
-            f" (asked {int_text(n)})"
-        )
+    guard("zonal table", n, DEFAULT_ZONAL_MAX_N, lo=2)
     columns = generate_partitions(n)[::-1]
     grid = [[row[mu] for mu in columns] for row in zonal_power_sums(n).values()]
     table = EigTable(n, grid, {mu: "zonal" for mu in columns})
@@ -382,10 +373,7 @@ def build_table_formulas(
     """
     if n < 2:
         raise ValueError("tables need n >= 2")
-    if n > FORMULAS_MAX_N:
-        raise GuardExceeded(
-            f"closed-form table guarded to n <= {FORMULAS_MAX_N} (asked {int_text(n)})"
-        )
+    guard("closed-form table", n, FORMULAS_MAX_N)
     rows = generate_partitions(n)
     columns = rows[::-1]
     # the identity column [1^n] is all ones
@@ -480,18 +468,12 @@ def derangement_spectrum(table: EigTable) -> list[int]:
     return out
 
 
-def verify_structure_constants(
-    table: EigTable,
-    data: IntersectionData,
-    pairs: list[tuple[int, int]] | None = None,
-) -> bool:
+def verify_structure_constants(table: EigTable, data: IntersectionData) -> bool:
     """phi_i phi_j = sum_k p^k_ij phi_k for every row and relation pair."""
     rels = data.relations
     d = len(rels)
     cols = {mu: table.column(mu) for mu in rels}
-    if pairs is None:
-        pairs = [(i, j) for i in range(d) for j in range(d)]
-    for i, j in pairs:
+    for i, j in product(range(d), repeat=2):
         ci, cj = cols[rels[i]], cols[rels[j]]
         for r in range(len(table.rows)):
             lhs = ci[r] * cj[r]

@@ -142,15 +142,11 @@ def test_c05_trace_and_structure_constants(oracle_table, idata):
         table = oracle_table(n)
         for mu in table.columns:
             assert trace_identity_check(table, mu), f"trace fails at n={n}, {mu}"
-    for n in range(2, 7):
+    for n in range(2, 8):
         assert verify_structure_constants(oracle_table(n), idata(n))
-    rng = random.Random(0)
-    d7 = idata(7)
-    pairs = [(rng.randrange(15), rng.randrange(15)) for _ in range(30)]
-    assert verify_structure_constants(oracle_table(7), d7, pairs=pairs)
     _report(
         "criterion 5: PASS - trace identity exact for every column n<=7;"
-        " structure constants exhaustive n<=6, sampled n=7"
+        " structure constants exhaustive n<=7"
     )
 
 

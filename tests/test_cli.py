@@ -672,8 +672,7 @@ def test_fit_refuses_range_above_zonal_guard_before_reading_tables(run):
     code, out, err = run("fit", "--prefix", "2", "--n-range", f"2:{hi}")
     assert code == 2 and out == ""
     assert err == (
-        f"error: fit reads zonal tables, guarded to n <= {DEFAULT_ZONAL_MAX_N}"
-        f" (asked {hi})\n"
+        f"error: zonal table guarded to n <= {DEFAULT_ZONAL_MAX_N} (asked {hi})\n"
     )
     assert not os.path.exists(run.data_dir) or os.listdir(run.data_dir) == []
 

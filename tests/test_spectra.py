@@ -179,8 +179,27 @@ def test_small_dim_eigenspaces():
     assert small_dim_eigenspaces(7) == [P([7]), P([6, 1])]
     assert small_dim_eigenspaces(8) == [P([8]), P([7, 1])]
     assert small_dim_cutoff(7) == 273
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded) as refused:
         small_dim_eigenspaces(6)
+    assert str(refused.value) == "small-dimension scan guarded to n >= 7 (asked 6)"
+
+
+def test_partition_scans_refuse_above_their_limits(monkeypatch):
+    from pmscheme import spectra
+
+    def fail(n):
+        raise AssertionError(f"partitions of {n} listed past the guard")
+
+    monkeypatch.setattr(spectra, "generate_partitions", fail)
+    for scan, what, limit in [
+        (small_dim_eigenspaces, "small-dimension scan", spectra.SMALL_DIM_MAX_N),
+        (max_min_valency, "valency scan", spectra.VALENCY_SCAN_MAX_N),
+    ]:
+        with pytest.raises(GuardExceeded) as refused:
+            scan(limit + 1)
+        assert str(refused.value) == (
+            f"{what} guarded to n <= {limit} (asked {limit + 1})"
+        )
 
 
 def test_zonal_small_tables(oracle_table):
