@@ -3,7 +3,10 @@
 Small dense systems only (dimension <= number of partitions of n, so a few
 dozen), in exact arithmetic with no floating point.  Row reduction clears
 each row's denominators and eliminates in integers, keeping every row
-primitive, and makes Fractions only for its result.  The oracle's
+primitive, and makes Fractions only for its result.  ``solve_unique``
+eliminates only until it holds one pivot per unknown, back-substitutes
+over one common denominator, and then checks every row in integers,
+the rows it never eliminated included.  The oracle's
 characteristic polynomial is the monic relation among its Krylov rows, one
 fraction-free forward elimination and an exact integer back-substitution;
 Faddeev-LeVerrier (``charpoly``) stays as the reference the tests compare
@@ -28,19 +31,29 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def _integer_row(row: list) -> list[int]:
+    """The row (ints or Fractions) times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _row_step(row: list[int], top: list[int], c: int) -> list[int]:
+    """p * row - f * top made primitive, p = top[c] and f = row[c]: the
+    integer step that clears column c of row by the pivot row top."""
+    p, f = top[c], row[c]
+    return _primitive([p * a - f * b for a, b in zip(row, top)])
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices).
 
     Entries may be int or Fraction.  Every integer row stays a nonzero
     multiple of the row a rational Gauss-Jordan elimination would hold
-    (eliminating row i by pivot row r is p * row_i - row_i[c] * row_r), so
-    the pivots are the same and dividing each pivot row by its pivot gives
-    the unique RREF.  Zero rows come last, as Fraction(0) entries.
+    (``_row_step`` eliminates row i by pivot row r), so the pivots are the
+    same and dividing each pivot row by its pivot gives the unique RREF.
+    Zero rows come last, as Fraction(0) entries.
     """
-    m = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    m = [_primitive(_integer_row(row)) for row in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -52,11 +65,9 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         top = m[r]
-        p = top[c]
         for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f != 0:
-                m[i] = _primitive([p * a - f * b for a, b in zip(m[i], top)])
+            if i != r and m[i][c] != 0:
+                m[i] = _row_step(m[i], top, c)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -69,25 +80,48 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 def solve_unique(a: Matrix, b: Vector) -> Vector:
     """Solve a x = b, demanding a unique exact solution.
 
-    Raises FitInconsistent when no solution exists and FitUnderdetermined when
-    more than one does.
+    Entries may be int or Fraction; each augmented row is scaled to
+    integers.  Rows are eliminated one at a time against the echelon rows
+    found so far (``_row_step``) until there is one pivot per unknown; back
+    substitution then gives x as integers over one common denominator, and
+    every row, eliminated or not, is checked against it in integers.
+    Raises FitInconsistent when no solution exists, before
+    FitUnderdetermined when more than one does.
     """
     ncols = len(a[0]) if a else 0
-    aug = [row + [rhs] for row, rhs in zip(a, b)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+    aug = [_integer_row([*row, rhs]) for row, rhs in zip(a, b)]
+    echelon: dict[int, list[int]] = {}  # pivot column -> its echelon row
+    for row in aug:
+        if len(echelon) == ncols:
+            break
+        for c in sorted(echelon):
+            if row[c]:
+                row = _row_step(row, echelon[c], c)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead == ncols:
             raise FitInconsistent("no exact solution reproduces the data")
-    if ncols in pivots:
-        raise FitInconsistent("no exact solution reproduces the data")
-    if len(pivots) < ncols:
+        if lead is not None:
+            echelon[lead] = _primitive(row)
+    if len(echelon) < ncols:
         raise FitUnderdetermined(
-            f"system determines only {len(pivots)} of {ncols} unknowns"
+            f"system determines only {len(echelon)} of {ncols} unknowns"
         )
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
-    return x
+    # x = num / den; row c reads p x_c + sum_{j>c} row[j] x_j = row[ncols]
+    num, den = [0] * ncols, 1
+    for c in reversed(range(ncols)):
+        row = echelon[c]
+        p = row[c]
+        rest = row[ncols] * den - sum(map(mul, row[c + 1 : ncols], num[c + 1 :]))
+        if p < 0:
+            p, rest = -p, -rest
+        g = gcd(rest, p)
+        num = [x * (p // g) for x in num]
+        num[c] = rest // g
+        den *= p // g
+    for row in aug:
+        if sum(map(mul, row, num)) != row[ncols] * den:
+            raise FitInconsistent("no exact solution reproduces the data")
+    return [Fraction(x, den) for x in num]
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -114,10 +148,9 @@ def krylov_polynomial(rows: list[list[int]]) -> list[int] | None:
     For the Krylov rows e M^0 .. e M^d this is the minimal polynomial of e
     under M, and equals det(xI - M) when rows 0..d-1 are independent (e is
     cyclic).  Returns None when they are dependent.  Forward elimination on
-    the transposed system runs in integers (each eliminated row is
-    p * row_i - row_i[c] * row_r made primitive, as in ``rref``), then
-    back-substitution divides exactly; SchemeError if the relation is not
-    integral.
+    the transposed system runs in integers (``_row_step``, as in ``rref``),
+    then back-substitution divides exactly; SchemeError if the relation is
+    not integral.
     """
     d = len(rows) - 1
     # equation j: sum_{m<d} rows[m][j] q_m = -rows[d][j]; after step c,
@@ -128,10 +161,8 @@ def krylov_polynomial(rows: list[list[int]]) -> list[int] | None:
         if pivot is None:
             return None
         m[c], m[pivot] = m[pivot], m[c]
-        p, *top = m[c]
         for i in range(c + 1, d):
-            f, *row = m[i]
-            m[i] = _primitive([p * a - f * b for a, b in zip(row, top)]) if f else row
+            m[i] = _row_step(m[i], m[c], 0)[1:] if m[i][0] else m[i][1:]
     q = [0] * d + [1]
     for c in reversed(range(d)):
         p, *row = m[c]

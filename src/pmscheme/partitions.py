@@ -11,7 +11,7 @@ import re
 from enum import Enum
 from functools import cache
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import SchemeError
 
@@ -119,31 +119,38 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-@cache
-def generate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in canonical order: descending lexicographic.
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n in canonical order, descending lexicographic,
+    one at a time and uncached: scans over every partition of a large n
+    iterate these and keep none of them.
 
     ``[n]`` is first and ``[1^n]`` last; this order refines dominance.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return (Partition(),)
-    out = []
+        yield Partition()
+        return
     r = (n,)
     while True:
-        out.append(Partition(r))
+        yield Partition(r)
         i = len(r) - 1
         while i >= 0 and r[i] == 1:
             i -= 1
         if i < 0:
-            return tuple(out)
+            return
         rest = len(r) - i
         r = r[:i] + (r[i] - 1,)
         while rest > 0:
             nxt = min(r[-1], rest)
             r += (nxt,)
             rest -= nxt
+
+
+@cache
+def generate_partitions(n: int) -> tuple[Partition, ...]:
+    """``iter_partitions(n)`` as a tuple, cached for the life of the process."""
+    return tuple(iter_partitions(n))
 
 
 def partition_count(n: int) -> int:
@@ -255,8 +262,7 @@ def _hook_product(shape: Partition) -> int:
     return h
 
 
-@cache
-def frobenius_dim(lam: Partition) -> int:
+def _frobenius(lam: Partition) -> int:
     """Dimension of the 2*lam eigenspace via the Frobenius determinant formula."""
     shape = lam.double()
     k = len(shape)
@@ -275,21 +281,36 @@ def frobenius_dim(lam: Partition) -> int:
     return num // den
 
 
-@cache
-def dim_hook(lam: Partition) -> int:
-    """f^{2*lam}: dimension of the eigenspace indexed by lam, hook length formula.
+frobenius_dim = cache(_frobenius)
 
-    Cross-checked against the Frobenius formula on every call (both are cached).
-    """
+
+def _hook_dim(lam: Partition, frobenius: Callable[[Partition], int]) -> int:
+    """f^{2*lam} by the hook length formula, cross-checked against
+    frobenius(lam)."""
     shape = lam.double()
     num = factorial(shape.n)
     den = _hook_product(shape)
     if num % den:
         raise SchemeError(f"hook formula gives a non-integer dimension for {lam}")
     f = num // den
-    if f != frobenius_dim(lam):
+    if f != frobenius(lam):
         raise SchemeError(f"hook and Frobenius dimensions of {lam} disagree")
     return f
+
+
+@cache
+def dim_hook(lam: Partition) -> int:
+    """f^{2*lam}: dimension of the eigenspace indexed by lam, hook length formula.
+
+    Cross-checked against the Frobenius formula on every call (both are cached).
+    """
+    return _hook_dim(lam, frobenius_dim)
+
+
+def eigenspace_dim(lam: Partition) -> int:
+    """``dim_hook(lam)`` computed afresh, with neither formula cached: for
+    scans over every partition of a large n."""
+    return _hook_dim(lam, _frobenius)
 
 
 @cache

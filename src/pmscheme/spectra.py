@@ -23,10 +23,11 @@ from .matchings import base_matching, relation, representative
 from .partitions import (
     Partition,
     addable_rows,
-    dim_hook,
     double_factorial,
+    eigenspace_dim,
     generate_partitions,
     irr_char,
+    iter_partitions,
     z2,
 )
 from .symfunc import CATALOG_PREFIXES, catalog_entry, combine, content_power_sums
@@ -236,12 +237,13 @@ def small_dim_eigenspaces(n: int) -> list[Partition]:
     """Eigenspace indices with dimension below small_dim_cutoff(n), for
     7 <= n <= SMALL_DIM_MAX_N.
 
-    Scans every partition of n; the result is checked to be exactly
+    Scans every partition of n, through the uncached ``iter_partitions``
+    and ``eigenspace_dim``; the result is checked to be exactly
     {[n], [n-1,1]}.
     """
     guard("small-dimension scan", n, SMALL_DIM_MAX_N, lo=7)
     cutoff = small_dim_cutoff(n)
-    small = [lam for lam in generate_partitions(n) if dim_hook(lam) < cutoff]
+    small = [lam for lam in iter_partitions(n) if eigenspace_dim(lam) < cutoff]
     expected = [Partition((n,)), Partition((n - 1, 1))]
     if small != expected:
         raise SchemeError(f"unexpected small eigenspaces {small}")
@@ -455,14 +457,15 @@ VALENCY_SCAN_MAX_N = 48
 
 
 def max_min_valency(n: int) -> tuple[int, Partition, int, Partition]:
-    """(max valency, argmax, min valency, argmin), verified by a full scan;
-    GuardExceeded above VALENCY_SCAN_MAX_N."""
+    """(max valency, argmax, min valency, argmin), verified by a full scan
+    of the uncached ``iter_partitions``; GuardExceeded above
+    VALENCY_SCAN_MAX_N."""
     if n < 2:
         raise ValueError("needs n >= 2")
     guard("valency scan", n, VALENCY_SCAN_MAX_N)
     vmax, amax = -1, None
     vmin, amin = None, None
-    for mu in generate_partitions(n):
+    for mu in iter_partitions(n):
         v = valency(mu)
         if v > vmax:
             vmax, amax = v, mu

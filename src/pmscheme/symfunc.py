@@ -357,8 +357,9 @@ def fit_e_mu(
     system is solved for all polynomial coefficients at once: its rows are
     the integers t^d * p_mono(lam), which ``exactalg.solve_unique`` reduces
     fraction-free.  Degree bounds are capped at (#distinct n - 1), the
-    highest degree the data can pin down.  The result is re-evaluated
-    against every supplied point.
+    highest degree the data can pin down.  The result is re-checked against
+    every supplied point in integers: den * f at the point equals den times
+    the value.
     """
     basis = monomial_basis(prefix)
     points = [(n, _checked_column(n, col)) for n, col in data]
@@ -371,30 +372,39 @@ def fit_e_mu(
         for d in range(min(bound, cap) + 1):
             unknowns.append((mono, d))
     kmax = max((m.parts[0] for m, _ in unknowns if m.parts), default=0)
+    # row r of every column before row r + 1 of any: rows of distinct n
+    # come early, so solve_unique reaches full rank after fewer of them
+    cells = sorted(
+        (
+            (r, n, lam, value)
+            for n, column in points
+            for r, (lam, value) in enumerate(zip(generate_partitions(n), column))
+        ),
+        key=lambda cell: cell[0],
+    )
+    position = {mono: i for i, (mono, _) in enumerate(basis)}
+    columns = [(position[mono], d) for mono, d in unknowns]
+    power_sums = [content_power_sums(lam, kmax) for _, _, lam, _ in cells]
     rows: list[list[int]] = []
-    rhs: list[Fraction] = []
-    for n, column in points:
-        t = 2 * n
-        for lam, value in zip(generate_partitions(n), column):
-            sums = content_power_sums(lam, kmax)
-            rows.append([t**d * prod(sums[k] for k in m.parts) for m, d in unknowns])
-            rhs.append(value)
-    solution = exactalg.solve_unique(rows, rhs)
+    for (_, n, _, _), sums in zip(cells, power_sums):
+        monos = [prod([sums[k] for k in mono.parts]) for mono, _ in basis]
+        rows.append([(2 * n) ** d * monos[i] for i, d in columns])
+    solution = exactalg.solve_unique(rows, [value for *_, value in cells])
     terms: dict[Partition, list[Fraction]] = {}
     for (mono, d), c in zip(unknowns, solution):
         terms.setdefault(mono, [Fraction(0)] * (cap + 1))[d] = c
     expr = PowerSumExpr(terms)
-    for n, column in points:
-        for lam, value in zip(generate_partitions(n), column):
-            if eval_expr(expr, lam) != value:
-                raise FitInconsistent(
-                    f"fitted expression misses column n={n} at row {lam}"
-                )
+    at_t = {n: expr.at_t(2 * n) for n in n_values}
+    for (_, n, lam, value), sums in zip(cells, power_sums):
+        if combine(at_t[n], sums) != value * expr.den:
+            raise FitInconsistent(
+                f"fitted expression misses column n={n} at row {lam}"
+            )
     return expr
 
 
-def _checked_column(n: int, col: DataColumn) -> list[Fraction]:
-    values = [Fraction(v) for v in col]
+def _checked_column(n: int, col: DataColumn) -> list:
+    values = list(col)
     rows = len(generate_partitions(n))
     if len(values) != rows:
         raise ValueError(f"column for n={n} has {len(values)} values, expected {rows}")

@@ -24,7 +24,7 @@ import csv
 import io
 import json
 import random
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from operator import mul
 
@@ -36,7 +36,6 @@ from .partitions import (
     dim_hook,
     double_factorial,
     generate_partitions,
-    parse_partition,
 )
 from .spectra import conjecture_applies, family_mu, phi_n11, valency
 from .symfunc import (
@@ -87,12 +86,15 @@ class EigTable:
         width = len(self.columns)
         if len(grid) != len(self.rows) or any(len(row) != width for row in grid):
             raise SchemeError("values grid is not rows x columns")
-        if any(type(v) is not int for row in grid for v in row if v is not None):
+        if not set(map(type, chain.from_iterable(grid))) <= {int, type(None)}:
             raise SchemeError("values grid holds a cell that is not an int")
         self._grid = [list(row) for row in grid]
         self._row_at = {lam: r for r, lam in enumerate(self.rows)}
         self._cols = dict(zip(self.columns, map(list, zip(*self._grid))))
         self._complete = {mu for mu, col in self._cols.items() if None not in col}
+        self._set_provenance(provenance)
+
+    def _set_provenance(self, provenance: dict) -> None:
         self.provenance = dict(provenance)
         for mu, tag in self.provenance.items():
             if mu not in self._cols or tag not in PROVENANCE_TAGS:
@@ -147,16 +149,21 @@ class EigTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EigTable":
-        """Inverse of ``to_json_obj``.  The row and column labels must be
-        the canonical ones spelled as ``str`` spells them, the ``values``
-        grid rows x columns of ints (null marks an unfilled cell; ``dims``
-        is not read), and the table must pass ``_check_table``; SchemeError
-        otherwise, so a doctored cache file is refused."""
-        provenance = {parse_partition(s): p for s, p in obj["provenance"].items()}
-        table = cls(obj["n"], obj["values"], provenance)
+        """Inverse of ``to_json_obj``.  The row and column labels, the
+        provenance keys included, must be the canonical ones spelled as
+        ``str`` spells them, the ``values`` grid rows x columns of ints
+        (null marks an unfilled cell; ``dims`` is not read), and the table
+        must pass ``_check_table``; SchemeError otherwise, so a doctored
+        cache file is refused."""
+        table = cls(obj["n"], obj["values"], {})
         labels = [str(lam) for lam in table.rows]
         if obj["rows"] != labels or obj["columns"] != labels[::-1]:
             raise SchemeError("serialized table is not in canonical order")
+        # a key that is no canonical label stays a str, which no column is
+        by_label = dict(zip(labels, table.rows))
+        table._set_provenance(
+            {by_label.get(s, s): tag for s, tag in obj["provenance"].items()}
+        )
         _check_table(table)
         return table
 
@@ -179,32 +186,38 @@ def _check_table(table: EigTable) -> None:
     identity column all ones, top row the valencies, and the trace identity
     on every complete column (``dims`` come from ``dim_hook``, not a file)."""
     n = table.n
-    for lam, v in zip(table.rows, table._cols[Partition((1,) * n)]):
+    identity = table.columns[0]
+    for lam, v in zip(table.rows, table._cols[identity]):
         if v is not None and v != 1:
             raise SchemeError(f"identity column must be all ones, bad at {lam}")
-    for mu, v in zip(table.columns, table._grid[0]):
-        if v is not None and v != valency(mu):
+    valencies = [valency(mu) for mu in table.columns]
+    for mu, v, valency_mu in zip(table.columns, table._grid[0], valencies):
+        if v is not None and v != valency_mu:
             raise SchemeError(f"top row must hold valencies, bad at {mu}")
-    for mu in table.columns:
-        if table.has_column(mu) and not trace_identity_check(table, mu):
+    total = double_factorial(2 * n - 1)
+    for mu, valency_mu in zip(table.columns, valencies):
+        if mu in table._complete and not _trace_identity(
+            table.dims, table._cols[mu], valency_mu * total, mu == identity
+        ):
             raise SchemeError(f"trace identity fails at {mu}")
 
 
 def trace_identity_check(table: EigTable, mu: Partition) -> bool:
     """v_mu (2n-1)!! equals the dimension-weighted sum of squared eigenvalues;
     off the identity relation the plain dimension-weighted sum is zero."""
-    n = table.n
-    column = table.column(mu)
-    dims = table.dims
-    v = valency(mu)
-    lhs = v * double_factorial(2 * n - 1)
-    rhs = sum(phi * phi * f for phi, f in zip(column, dims))
-    if lhs != rhs:
+    lhs = valency(mu) * double_factorial(2 * table.n - 1)
+    return _trace_identity(
+        table.dims, table.column(mu), lhs, mu == table.columns[0]
+    )
+
+
+def _trace_identity(
+    dims: list[int], column: list[int], lhs: int, identity: bool
+) -> bool:
+    weighted = _weighted(dims, column)
+    if sum(map(mul, weighted, column)) != lhs:
         return False
-    if mu.parts != (1,) * n:
-        if sum(phi * f for phi, f in zip(column, dims)) != 0:
-            return False
-    return True
+    return identity or sum(weighted) == 0
 
 
 def build_table_zonal(n: int) -> EigTable:
@@ -510,7 +523,7 @@ def gap_scan(table: EigTable) -> dict[Partition, int]:
 
 
 def _weighted(weights: list[int], column: list[int]) -> list[int]:
-    return [w * phi for w, phi in zip(weights, column)]
+    return list(map(mul, weights, column))
 
 
 def _class_sums(table: EigTable, weights: list[int]) -> list[int]:

@@ -506,6 +506,23 @@ def test_cache_row_label_in_exponent_form_is_rebuilt(run):
         assert fh.read() == good
 
 
+def test_cache_provenance_key_in_exponent_form_is_rebuilt(run):
+    # provenance keys follow the rule for row labels: "[2,1^2]" names the
+    # column [2,1,1] but is not how the cache spells it
+    def respell(obj):
+        obj["provenance"] = {
+            "[2,1^2]" if key == "[2,1,1]" else key: tag
+            for key, tag in obj["provenance"].items()
+        }
+
+    path, good = _doctor_cache(run, 4, respell)
+    assert "[2,1^2]" in _read(path)
+    code, out, err = run("table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == _golden(4)
+    assert err.startswith("note: rebuilding unreadable cache")
+    assert _read(path) == good
+
+
 def test_cache_cell_that_is_not_an_int_is_rebuilt(run):
     # true for the identity-column 1 and 5.0 for a 5 compare equal to the
     # ints but are not what this code writes

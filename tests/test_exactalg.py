@@ -116,6 +116,32 @@ def test_solve_unique_and_errors():
         solve_unique([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
 
 
+def test_solve_unique_checks_rows_past_full_rank():
+    # the first two rows fix x = (1, 2); the third, never eliminated, is off
+    with pytest.raises(FitInconsistent):
+        solve_unique([[1, 0], [0, 1], [1, 1]], [1, 2, 4])
+    assert solve_unique([[1, 0], [0, 1], [1, 1]], [1, 2, 3]) == [F(1), F(2)]
+    # rank 1 of 2 unknowns and inconsistent: the inconsistency is reported
+    with pytest.raises(FitInconsistent):
+        solve_unique([[1, 1], [2, 2]], [1, 3])
+    with pytest.raises(FitInconsistent):
+        solve_unique([[1, 1, 0], [0, 0, 0], [3, 3, 0]], [1, 0, 4])
+
+
+def test_solve_unique_int_and_fraction_input_agree():
+    a = [[2, 1, 0], [1, 3, 1], [0, 1, 4], [3, 4, 1]]
+    x = [F(1, 5), F(-3, 7), F(2)]
+    b = [sum(c * xi for c, xi in zip(row, x)) for row in a]
+    den = 35
+    a_int = [[c * den for c in row] for row in a]
+    b_int = [int(v * den) for v in b]
+    assert all(type(v) is int for v in b_int)
+    got = solve_unique(a_int, b_int)
+    assert got == x
+    assert got == solve_unique([[F(c) for c in row] for row in a_int], [F(v) for v in b_int])
+    assert all(type(v) is F for v in got)
+
+
 def test_kernel_basis():
     a = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
     basis = kernel_basis(a)

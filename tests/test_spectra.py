@@ -190,7 +190,7 @@ def test_partition_scans_refuse_above_their_limits(monkeypatch):
     def fail(n):
         raise AssertionError(f"partitions of {n} listed past the guard")
 
-    monkeypatch.setattr(spectra, "generate_partitions", fail)
+    monkeypatch.setattr(spectra, "iter_partitions", fail)
     for scan, what, limit in [
         (small_dim_eigenspaces, "small-dimension scan", spectra.SMALL_DIM_MAX_N),
         (max_min_valency, "valency scan", spectra.VALENCY_SCAN_MAX_N),
@@ -200,6 +200,20 @@ def test_partition_scans_refuse_above_their_limits(monkeypatch):
         assert str(refused.value) == (
             f"{what} guarded to n <= {limit} (asked {limit + 1})"
         )
+
+
+def test_partition_scans_leave_the_caches_as_they_were():
+    from pmscheme import partitions
+
+    caches = [
+        partitions.generate_partitions,
+        partitions.dim_hook,
+        partitions.frobenius_dim,
+    ]
+    before = [fn.cache_info().currsize for fn in caches]
+    assert small_dim_eigenspaces(23) == [P([23]), P([22, 1])]
+    assert max_min_valency(29)[1::2] == (P([29]), P([1] * 29))
+    assert [fn.cache_info().currsize for fn in caches] == before
 
 
 def test_zonal_small_tables(oracle_table):

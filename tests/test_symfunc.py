@@ -222,6 +222,21 @@ def test_fit_error_reporting():
     assert [eval_expr(undersampled, lam) for lam in generate_partitions(7)] != col7
 
 
+def test_fit_checks_the_last_value_of_the_last_column():
+    # solve_unique reaches full rank before the last row, which only its
+    # integer check of every row sees
+    prefix = P([2])
+    expr = e_catalog(prefix)
+    data = [
+        (n, [int(eval_expr(expr, lam)) for lam in generate_partitions(n)])
+        for n in range(3, 7)
+    ]
+    assert fit_e_mu(prefix, data) == expr
+    data[-1][1][-1] += 1
+    with pytest.raises(FitInconsistent):
+        fit_e_mu(prefix, data)
+
+
 def test_zonal_power_sums_small():
     # J_2 = p_1^2 + 2 p_2 and J_11 = p_1^2 - p_2
     assert zonal_power_sums(2) == {
