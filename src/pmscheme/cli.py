@@ -4,7 +4,7 @@ Each subcommand's parser carries its ``cmd_*`` function as ``run``, and
 ``main`` runs it inside the one ``try`` that maps a refusal to its exit
 code.  Exit codes: 0 pass, 1 verification failure, 2 unsupported request
 or parse error (``GuardExceeded``, ``ValueError``, ``FitInconsistent``,
-``FitUnderdetermined``), 3 internal ambiguity (``AmbiguousRowAssignment``);
+``FitUnderdetermined``), 3 a mislabelled row (``AmbiguousRowAssignment``);
 a refusal prints one ``error: {exc}`` line on stderr; ``table`` adds to
 its guard's refusal the option that gets past the guard.  The console
 script (``main_entry``) ends by SIGPIPE, silently, when stdout closes.
@@ -13,9 +13,9 @@ Every command that reads a full table gets the zonal table, cached on disk
 keyed by (n, code version) as its ``--format json`` text; cache writes are
 atomic, and ``table --out`` writes in place, as a shell redirect does.
 ``diameter`` and ``scan --with-diameters`` derive relation-graph diameters
-from that table.  The brute-force oracle serves only ``table --source
-oracle`` (uncached, seeded by --seed) and the intersection numbers behind
-``verify scheme-axioms``.
+from that table.  The brute-force intersection numbers only check it, in
+``verify scheme-axioms`` and ``table --source oracle`` (uncached; ``--seed``
+is accepted and changes nothing).
 """
 
 from __future__ import annotations
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--data-dir", help="cache directory for zonal tables")
     parser.add_argument(
-        "--seed", type=int, default=0, help="oracle RNG seed (--source oracle)"
+        "--seed", type=int, default=0, help="accepted and ignored"
     )
     parser.add_argument("--max-oracle-n", type=int, help="oracle guard override")
     sub = parser.add_subparsers(dest="command", required=True)

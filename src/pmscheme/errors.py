@@ -78,7 +78,7 @@ def guard(
 
 
 class AmbiguousRowAssignment(SchemeError):
-    """An eigenvector row could not be matched to a unique eigenspace index."""
+    """A table row's multiplicity or flip entry is not its label's."""
 
     def __init__(self, message: str, candidates=()):
         super().__init__(message)

@@ -2,20 +2,17 @@
 
 The zonal route is the production engine: the entry on eigenspace lam and
 relation mu is the coefficient of p_mu in the zonal polynomial J_lam^(2),
-computed exactly in ``symfunc``.  The oracle route is the independent
-check and needs only the brute-force intersection numbers of the scheme:
-every table row is a left eigenvector of each intersection matrix, so a
-random small-integer combination with distinct integer eigenvalues has the
-rows as its left eigenvectors.  One integer Krylov sequence gives both its
-characteristic polynomial (the monic relation among the sequence's rows)
-and every row, and each row is labelled by its multiplicity and its flip
-entry.  The formula route fills whatever closed forms cover.  Each route
-fills one rows x columns grid, None marking a cell it left unfilled, and
-``EigTable`` holds that grid.  Cells never come from guessing: a row that
-cannot be matched to a unique eigenspace index is a hard error, and every
-table built or loaded from JSON passes ``_check_table`` or raises
-SchemeError.  A complete table also gives the intersection numbers and the
-relation-graph diameters; no other module reads an ``EigTable``.
+computed exactly in ``symfunc``.  The oracle route is that table confirmed
+by the brute-force intersection numbers, which owe nothing to symmetric
+functions: its rows must be distinct characters of the Bose-Mesner algebra
+the numbers count, each with the multiplicity and flip entry of its label.
+The formula route fills whatever closed forms cover.  Each route fills one
+rows x columns grid, None marking a cell it left unfilled, and ``EigTable``
+holds that grid.  Cells never come from guessing: a row whose keys belong
+to another eigenspace index is a hard error, and every table built or
+loaded from JSON passes ``_check_table`` or raises SchemeError.  A complete
+table also gives the intersection numbers and the relation-graph
+diameters; no other module reads an ``EigTable``.
 """
 
 from __future__ import annotations
@@ -23,12 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
-from itertools import chain, product
+from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 
-from . import exactalg
 from .errors import AmbiguousRowAssignment, IncompleteTable, SchemeError, guard
 from .matchings import IntersectionData, intersection_numbers
 from .partitions import (
@@ -46,7 +42,6 @@ from .symfunc import (
     zonal_power_sums,
 )
 
-_MAX_COMBO_ATTEMPTS = 60
 # The largest n timed in BENCH_elim.json, where it builds in 0.4 s; larger
 # n are untimed.
 DEFAULT_ZONAL_MAX_N = 14
@@ -228,104 +223,86 @@ def build_table_zonal(n: int) -> EigTable:
     mu on eigenspace lam (Macdonald, Symmetric Functions and Hall
     Polynomials, VII.2).  Every column is tagged "zonal".
     """
-    guard("zonal table", n, DEFAULT_ZONAL_MAX_N, lo=2)
-    columns = generate_partitions(n)[::-1]
-    grid = [[row[mu] for mu in columns] for row in zonal_power_sums(n).values()]
-    table = EigTable(n, grid, {mu: "zonal" for mu in columns})
+    grid = _zonal_grid(n)
+    table = EigTable(n, grid, dict.fromkeys(generate_partitions(n), "zonal"))
     _check_table(table)
     return table
+
+
+def _zonal_grid(n: int) -> list[list[int]]:
+    """The zonal rows x columns grid, guarded before any work."""
+    guard("zonal table", n, DEFAULT_ZONAL_MAX_N, lo=2)
+    columns = generate_partitions(n)[::-1]
+    return [[row[mu] for mu in columns] for row in zonal_power_sums(n).values()]
 
 
 def build_table_oracle(
     n: int, seed: int = 0, data: IntersectionData | None = None
 ) -> EigTable:
-    """Full eigenvalue table from the brute-force intersection numbers.
-
-    phi_i phi_j = sum_k p^k_ij phi_k makes every table row a left
-    eigenvector of each intersection matrix B_i, with eigenvalue phi_i.  A
-    combination C of the B_i with small seeded coefficients must have
-    distinct integer eigenvalues (fresh coefficients otherwise).  With e the
-    unit vector at the identity relation [1^n], the Krylov rows e C^0 ..
-    e C^d satisfy one monic integer relation, found by
-    ``exactalg.krylov_polynomial``; it is the characteristic polynomial chi
-    when e C^0 .. e C^(d-1) are independent.  Column orthogonality gives
-    e = sum_lam f_lam phi_lam / (2n-1)!! with every coefficient nonzero, so
-    e is cyclic exactly when the eigenvalues are distinct: dependent rows
-    reject a combination as a repeated root of chi would, and the accepted
-    combination is the one a characteristic-polynomial test accepts.  By
-    Cayley-Hamilton, u = e q(C), with q = chi / (x - tau) for each integer
-    root tau, satisfies u C = tau u, so the row of root tau is u read off
-    the Krylov rows and scaled to 1 at [1^n].
-    u C = tau u is checked exactly, and the multiplicity
-    (2n-1)!! / sum_i phi_i^2 / v_i must be an integer.  Rows are matched to
-    eigenspace indices by dimension and flip eigenvalue.
-    """
+    """The zonal table, confirmed by the brute-force intersection numbers
+    (``_check_characters``) and with every column tagged "oracle".  data
+    defaults to ``intersection_numbers(n)``; seed is accepted and changes
+    nothing."""
     if n < 2:
         raise ValueError("tables need n >= 2")
     if data is None:
         data = intersection_numbers(n)
-    rels = data.relations
-    d = len(rels)
-    rng = random.Random(seed)
-    bound = 1 + 9 * sum(data.valencies)
-    for _ in range(_MAX_COMBO_ATTEMPTS):
-        coeffs = [rng.randint(-9, 9) for _ in range(d)]
-        # C = sum_i c_i B_i: entry (k, j) is sum_i c_i p^k_ij
-        combo = [_row_times(coeffs, pk) for pk in data.p]
-        krylov = _krylov_rows(combo)
-        poly = exactalg.krylov_polynomial(krylov)
-        if poly is None:
-            continue
-        roots = exactalg.distinct_integer_roots(poly, bound)
-        if roots is not None:
-            break
-    else:
-        raise SchemeError(
-            f"no separating combination found in {_MAX_COMBO_ATTEMPTS} attempts"
-        )
-
-    n_points = double_factorial(2 * n - 1)
-    # m_tau = n_points / sum_i phi_i^2 / v_i, in integers over L = lcm(v_i)
-    scale = lcm(*data.valencies)
-    weights = [scale // v for v in data.valencies]
-    eigenrows: list[tuple[list[int], int]] = []
-    for tau in roots:
-        q, _ = exactalg.synthetic_division(poly, tau)
-        u = _row_times(q, krylov[:d])
-        if _row_times(u, combo) != [tau * x for x in u]:
-            raise SchemeError(f"root {tau} gives no left eigenvector")
-        if u[-1] == 0 or any(x % u[-1] for x in u):
-            raise SchemeError(f"root {tau} gives no integral row that is 1 at [1^n]")
-        row = [x // u[-1] for x in u]
-        norm = sum(phi * phi * w for phi, w in zip(row, weights))
-        mult, rem = divmod(n_points * scale, norm)
-        if rem:
-            raise SchemeError(
-                f"non-integer multiplicity {n_points * scale}/{norm} at root {tau}"
-            )
-        eigenrows.append((row, mult))
-
-    # rels descend and the columns ascend, so each row is reversed
-    assignment = _assign_rows(n, rels, eigenrows)
-    grid = [assignment[lam][::-1] for lam in generate_partitions(n)]
-    table = EigTable(n, grid, {mu: "oracle" for mu in rels})
+    table = EigTable(n, _zonal_grid(n), dict.fromkeys(data.relations, "oracle"))
     _check_table(table)
+    _check_characters(table, data)
     return table
 
 
-def _row_times(u: list[int], mat: list[list[int]]) -> list[int]:
-    """The row vector u times the matrix mat."""
-    return [sum(map(mul, u, col)) for col in zip(*mat)]
-
-
-def _krylov_rows(combo: list[list[int]]) -> list[list[int]]:
-    """The d + 1 rows e C^0 .. e C^d, e the unit vector at [1^n] (the last
-    relation)."""
-    d = len(combo)
-    rows = [[0] * (d - 1) + [1]]
-    for _ in range(d):
-        rows.append(_row_times(rows[-1], combo))
-    return rows
+def _check_characters(table: EigTable, data: IntersectionData) -> None:
+    """Refuse a complete table unless each row is 1 at the identity relation
+    and satisfies phi_i phi_j = sum_k p^k_ij phi_k over the pairs i <= j
+    (the identity and zero p skipped), and no two rows are equal
+    (SchemeError otherwise).  Such rows are characters of the commutative
+    Bose-Mesner algebra data counts, so d of them are all its characters
+    (Bannai and Ito, Algebraic Combinatorics I: Association Schemes, 1984).
+    Row lam must also have multiplicity (2n-1)!! / sum_i phi_i^2 / v_i equal
+    to dim_hook(lam) and flip entry ``_flip_eigenvalue(lam)``, keys that tell
+    every lam apart for n <= 14 (AmbiguousRowAssignment otherwise).
+    """
+    n = table.n
+    if data.n != n:
+        raise SchemeError(f"intersection numbers are for n={data.n}, not {n}")
+    if not table.is_complete():
+        raise IncompleteTable("the character check needs a complete table")
+    rels = data.relations
+    identity = len(rels) - 1
+    flip = rels.index(Partition((2,) + (1,) * (n - 2)))
+    products = [
+        (i, j, [(k, pk[i][j]) for k, pk in enumerate(data.p) if pk[i][j]])
+        for i in range(identity)
+        for j in range(i, identity)
+    ]
+    # the multiplicity in integers over L = lcm(v_i)
+    scale = lcm(*data.valencies)
+    weights = [scale // v for v in data.valencies]
+    total = double_factorial(2 * n - 1) * scale
+    seen = set()
+    # relations descend and the columns ascend, so each row is reversed
+    for lam, dim, phi in zip(table.rows, table.dims, (r[::-1] for r in table._grid)):
+        if phi[identity] != 1:
+            raise SchemeError(f"row {lam} is not 1 at the identity relation")
+        for i, j, terms in products:
+            if phi[i] * phi[j] != sum(p * phi[k] for k, p in terms):
+                raise SchemeError(
+                    f"row {lam} fails phi_i phi_j = sum_k p^k_ij phi_k at the"
+                    f" pair ({rels[i]}, {rels[j]})"
+                )
+        if tuple(phi) in seen:
+            raise SchemeError(f"row {lam} repeats an earlier row")
+        seen.add(tuple(phi))
+        mult = Fraction(total, sum(map(mul, phi, map(mul, phi, weights))))
+        if mult != dim or phi[flip] != _flip_eigenvalue(lam):
+            raise AmbiguousRowAssignment(
+                f"row {lam} has multiplicity {mult} and flip entry {phi[flip]},"
+                f" but eigenspace {lam} has dimension {dim} and flip eigenvalue"
+                f" {_flip_eigenvalue(lam)}",
+                candidates=[lam],
+            )
 
 
 def _flip_eigenvalue(lam: Partition) -> int:
@@ -333,45 +310,6 @@ def _flip_eigenvalue(lam: Partition) -> int:
     [2,1^(n-2)] on eigenspace lam (Diaconis and Holmes, Random walks on
     trees and matchings, 2002)."""
     return sum(part * (part - i) for i, part in enumerate(lam.parts, start=1))
-
-
-def _assign_rows(
-    n: int,
-    rels: list[Partition],
-    eigenrows: list[tuple[list[int], int]],
-) -> dict[Partition, list[int]]:
-    """Match eigenvector rows to eigenspace indices.
-
-    A row's multiplicity and flip entry must equal (dim_hook(lam),
-    _flip_eigenvalue(lam)) for exactly one lam, which no other row took;
-    these keys tell every lam apart for n <= 14.  Anything else is a hard
-    error.
-    """
-    flip = rels.index(Partition((2,) + (1,) * (n - 2)))
-    by_key: dict[tuple[int, int], list[Partition]] = {}
-    for lam in generate_partitions(n):
-        by_key.setdefault((dim_hook(lam), _flip_eigenvalue(lam)), []).append(lam)
-    out: dict[Partition, list[int]] = {}
-    for row, mult in eigenrows:
-        candidates = by_key.get((mult, row[flip]), [])
-        if len(candidates) != 1:
-            raise AmbiguousRowAssignment(
-                f"eigenvector row with multiplicity {mult} and flip entry"
-                f" {row[flip]} matches {len(candidates)} eigenspace indices",
-                candidates=candidates,
-            )
-        lam = candidates[0]
-        if lam in out:
-            raise AmbiguousRowAssignment(
-                f"eigenspace index {lam} matched by two eigenvector rows",
-                candidates=[lam],
-            )
-        out[lam] = row
-    if len(out) != len(rels):
-        raise AmbiguousRowAssignment(
-            "not every eigenspace index was matched", candidates=[]
-        )
-    return out
 
 
 def build_table_formulas(
@@ -482,17 +420,12 @@ def derangement_spectrum(table: EigTable) -> list[int]:
 
 
 def verify_structure_constants(table: EigTable, data: IntersectionData) -> bool:
-    """phi_i phi_j = sum_k p^k_ij phi_k for every row and relation pair."""
-    rels = data.relations
-    d = len(rels)
-    cols = {mu: table.column(mu) for mu in rels}
-    for i, j in product(range(d), repeat=2):
-        ci, cj = cols[rels[i]], cols[rels[j]]
-        for r in range(len(table.rows)):
-            lhs = ci[r] * cj[r]
-            rhs = sum(data.p[k][i][j] * cols[rels[k]][r] for k in range(d))
-            if lhs != rhs:
-                return False
+    """True when the table passes ``_check_characters`` against data: every
+    row a character of the algebra data counts, on its own label."""
+    try:
+        _check_characters(table, data)
+    except SchemeError:
+        return False
     return True
 
 

@@ -18,7 +18,8 @@ def idata():
 
 @pytest.fixture(scope="session")
 def oracle_table(idata):
-    """Memoized oracle tables per n, built from the shared intersection data."""
+    """Memoized oracle tables per n: zonal tables that passed the character
+    check against the shared brute-force intersection data."""
     cache = {}
 
     def get(n):

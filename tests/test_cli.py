@@ -381,6 +381,26 @@ def test_verify_scheme_axioms_n5(run):
     assert out.startswith("scheme axioms n=5: PASS (structure constants ok")
 
 
+def test_verify_scheme_axioms_fails_on_cached_rows_swapped(run):
+    # [2,2] and [1^4] both have dimension 14, so the swap keeps every trace
+    # identity and the column orthogonality; only the row labels are wrong
+    assert run("table", "--n", "4")[0] == 0
+    path = os.path.join(run.data_dir, f"table_n4_v{__version__}.json")
+    with open(path) as fh:
+        obj = json.load(fh)
+    values = obj["values"]
+    a, b = obj["rows"].index("[2,2]"), obj["rows"].index("[1,1,1,1]")
+    values[a], values[b] = values[b], values[a]
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    code, out, _ = run("verify", "scheme-axioms", "--n", "4")
+    assert code == 1
+    assert out == (
+        "scheme axioms n=4: FAIL (structure constants FAIL, orthogonality ok,"
+        " trace ok)\n"
+    )
+
+
 def test_unwritable_data_dir_answers_from_built_table(tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")

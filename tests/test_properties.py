@@ -1,21 +1,18 @@
-"""Property tests for the text forms, the rank bijection, relation symmetry,
-the Krylov relation and the table serialization.
+"""Property tests for the text forms, the rank bijection, relation symmetry
+and the table serialization.
 
 Examples are derandomized and sizes bounded, so every run checks the same
 cases in a few seconds.
 """
 
 import json
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmscheme import EigTable, Partition, build_table_zonal
-from pmscheme.exactalg import charpoly, krylov_polynomial, rref
 from pmscheme.matchings import Matching, parse_matching, rank, relation, unrank
 from pmscheme.partitions import parse_partition
-from pmscheme.tables import _krylov_rows
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -71,25 +68,6 @@ def test_relation_is_symmetric(pair):
     assert relation(p, q) == relation(q, p)
     assert relation(p, q).n == p.n
     assert relation(p, p) == Partition((1,) * p.n)
-
-
-square_matrices = st.integers(1, 5).flatmap(
-    lambda d: st.lists(
-        st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=d, max_size=d
-    )
-)
-
-
-@PROPERTY
-@given(square_matrices)
-def test_krylov_polynomial_is_charpoly_exactly_when_rows_are_independent(mat):
-    rows = _krylov_rows(mat)
-    d = len(mat)
-    rank = len(rref([[Fraction(x) for x in row] for row in rows[:d]])[1])
-    poly = krylov_polynomial(rows)
-    assert (poly is None) == (rank < d)
-    if poly is not None:
-        assert poly == charpoly(mat)
 
 
 @settings(derandomize=True, database=None, deadline=None)

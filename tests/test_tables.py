@@ -1,8 +1,8 @@
 import os
-import random
+import re
 import subprocess
 import sys
-import types
+from itertools import permutations
 
 import pytest
 
@@ -28,9 +28,13 @@ from pmscheme import (
     verify_conjecture,
     verify_structure_constants,
 )
-from pmscheme import exactalg, tables
-from pmscheme.exactalg import charpoly, distinct_integer_roots, krylov_polynomial
-from pmscheme.errors import GuardExceeded, IncompleteTable, SchemeError
+from pmscheme import tables
+from pmscheme.errors import (
+    AmbiguousRowAssignment,
+    GuardExceeded,
+    IncompleteTable,
+    SchemeError,
+)
 
 P = Partition
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -70,78 +74,6 @@ def test_oracle_deterministic_and_seed_independent(idata):
     b = build_table_oracle(4, seed=0, data=idata(4))
     c = build_table_oracle(4, seed=12345, data=idata(4))
     assert a.to_csv_text() == b.to_csv_text() == c.to_csv_text()
-
-
-class _Draws(random.Random):
-    """The seeded stream after `zeros` draws of 0, recording every draw."""
-
-    def __init__(self, seed, zeros):
-        super().__init__(seed)
-        self.zeros = zeros
-        self.draws = []
-
-    def randint(self, a, b):
-        if self.zeros:
-            self.zeros -= 1
-            self.draws.append(0)
-        else:
-            self.draws.append(super().randint(a, b))
-        return self.draws[-1]
-
-
-def _patch_draws(monkeypatch, zeros=0):
-    """Make the oracle draw from _Draws; returns the streams it made, and
-    the values krylov_polynomial returned."""
-    made, polys = [], []
-
-    def make(seed):
-        made.append(_Draws(seed, zeros))
-        return made[-1]
-
-    def spy(rows):
-        polys.append(krylov_polynomial(rows))
-        return polys[-1]
-
-    monkeypatch.setattr(tables, "random", types.SimpleNamespace(Random=make))
-    monkeypatch.setattr(exactalg, "krylov_polynomial", spy)
-    return made, polys
-
-
-def test_oracle_accepts_the_combination_the_charpoly_criterion_accepts(
-    idata, monkeypatch
-):
-    data = idata(5)
-    d = len(data.relations)
-    made, polys = _patch_draws(monkeypatch)
-    for seed in range(10):
-        build_table_oracle(5, seed=seed, data=data)
-        rng = random.Random(seed)
-        draws = []
-        while True:
-            coeffs = [rng.randint(-9, 9) for _ in range(d)]
-            draws += coeffs
-            combo = [tables._row_times(coeffs, pk) for pk in data.p]
-            bound = 1 + 9 * sum(data.valencies)
-            if distinct_integer_roots(charpoly(combo), bound) is not None:
-                break
-        assert made[-1].draws == draws, seed
-    assert None in polys  # one seed needs a second combination
-
-
-def test_oracle_skips_a_degenerate_combination(idata, monkeypatch):
-    for n in range(2, 6):
-        # an all-zero first combination is C = 0: its Krylov rows are dependent
-        made, polys = _patch_draws(monkeypatch, zeros=len(idata(n).relations))
-        table = build_table_oracle(n, seed=1, data=idata(n))
-        assert polys[0] is None and polys[-1] is not None, n
-        assert table.to_csv_text() == _golden_csv(n)
-
-
-def test_oracle_refuses_when_every_combination_is_degenerate(idata, monkeypatch):
-    made, polys = _patch_draws(monkeypatch, zeros=10**9)
-    with pytest.raises(SchemeError, match="no separating combination found in 60"):
-        build_table_oracle(4, seed=0, data=idata(4))
-    assert polys == [None] * 60
 
 
 def test_formula_table_partial_and_rows():
@@ -313,42 +245,93 @@ def test_json_roundtrip(oracle_table):
     assert again.grid() == partial.grid()
 
 
-def test_row_assignment_ambiguity_is_hard_error():
-    from pmscheme.errors import AmbiguousRowAssignment
-    from pmscheme.tables import _assign_rows
-
-    rels = list(generate_partitions(2))
-    # a multiplicity matching no eigenspace dimension of n = 2
-    with pytest.raises(AmbiguousRowAssignment) as exc:
-        _assign_rows(2, rels, [([1, 2], 7)])
-    assert exc.value.candidates == ()
-    # two rows claiming the same eigenspace index
-    with pytest.raises(AmbiguousRowAssignment, match="two eigenvector rows"):
-        _assign_rows(2, rels, [([2, 1], 1), ([2, 1], 1)])
-
-
-def test_row_assignment_refuses_a_wrong_flip_entry():
-    from pmscheme.errors import AmbiguousRowAssignment
-    from pmscheme.tables import _assign_rows
-
+def _n4_with_rows(order):
+    """The n = 4 zonal table with its rows in the given order of labels,
+    built without ``_check_table``."""
     table = build_table_zonal(4)
-    rels = list(reversed(table.columns))
-    eigenrows = [
-        ([table.value(lam, mu) for mu in rels], dim)
-        for lam, dim in zip(table.rows, table.dims)
-    ]
-    assert list(_assign_rows(4, rels, eigenrows)) == table.rows
-    flip = rels.index(P([2, 1, 1]))
-    # flip entries 12, 5, 2, -1, -6; [2,2] and [1^4] both have dimension 14,
-    # so -6 on the [2,2] row takes the [1^4] label a second time
-    cases = ((P([2, 2]), 5), (P([2, 2]), 3), (P([2, 2]), -6), (P([1, 1, 1, 1]), -5))
-    for lam, wrong in cases:
-        rows = [(row[:], dim) for row, dim in eigenrows]
-        row = rows[table.rows.index(lam)][0]
-        assert row[flip] != wrong
-        row[flip] = wrong
-        with pytest.raises(AmbiguousRowAssignment):
-            _assign_rows(4, rels, rows)
+    grid = [table.grid()[table.rows.index(lam)] for lam in order]
+    return EigTable(4, grid, table.provenance)
+
+
+def test_row_assignment_ambiguity_is_hard_error(idata):
+    rows = build_table_zonal(4).rows
+    tables._check_characters(_n4_with_rows(rows), idata(4))
+    # every other order of the same rows holds d distinct characters, so only
+    # the labels can refuse it
+    for order in permutations(rows):
+        if list(order) == rows:
+            continue
+        table = _n4_with_rows(order)
+        with pytest.raises(AmbiguousRowAssignment) as exc:
+            tables._check_characters(table, idata(4))
+        lam = next(lam for lam, got in zip(rows, order) if lam != got)
+        assert exc.value.candidates == (lam,)
+        assert f"row {lam} has multiplicity" in str(exc.value)
+        assert not verify_structure_constants(table, idata(4))
+
+
+def test_row_assignment_refuses_a_wrong_flip_entry(idata, monkeypatch):
+    # [2,2] and [1^4] both have dimension 14: only the flip entry tells them
+    # apart, and the swap keeps every trace identity
+    swapped = [P([4]), P([3, 1]), P([1, 1, 1, 1]), P([2, 1, 1]), P([2, 2])]
+    table = _n4_with_rows(swapped)
+    tables._check_table(table)
+    message = (
+        "row [2,2] has multiplicity 14 and flip entry -6, but eigenspace [2,2]"
+        " has dimension 14 and flip eigenvalue 2"
+    )
+    with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
+        tables._check_characters(table, idata(4))
+    monkeypatch.setattr(tables, "_zonal_grid", lambda n: table.grid())
+    with pytest.raises(AmbiguousRowAssignment):
+        build_table_oracle(4, data=idata(4))
+
+
+def test_character_check_refuses_a_traded_cell(idata):
+    table = build_table_zonal(4)
+    a, b = table.rows.index(P([2, 2])), table.rows.index(P([1, 1, 1, 1]))
+    c = table.columns.index(P([4]))
+    grid = table.grid()
+    grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
+    traded = EigTable(4, grid, table.provenance)
+    tables._check_table(traded)  # equal dimensions keep the trace identity
+    with pytest.raises(SchemeError) as exc:
+        tables._check_characters(traded, idata(4))
+    assert type(exc.value) is SchemeError
+    assert str(exc.value) == (
+        "row [2,2] fails phi_i phi_j = sum_k p^k_ij phi_k at the pair ([4], [4])"
+    )
+    assert not verify_structure_constants(traded, idata(4))
+
+
+def test_character_check_refuses_a_repeated_row_and_a_bad_identity(idata):
+    table = build_table_zonal(4)
+    grid = table.grid()
+    grid[-1] = grid[-3]  # [1^4] repeats the [2,2] row
+    with pytest.raises(SchemeError, match=re.escape("row [1,1,1,1] repeats")):
+        tables._check_characters(EigTable(4, grid, {}), idata(4))
+    grid = table.grid()
+    grid[2][0] = 2
+    with pytest.raises(SchemeError, match=re.escape("row [2,2] is not 1 at")):
+        tables._check_characters(EigTable(4, grid, {}), idata(4))
+    with pytest.raises(SchemeError, match="for n=5, not 4"):
+        tables._check_characters(table, idata(5))
+
+
+def test_character_check_refuses_the_doctored_n8_cache_table(idata):
+    # the [2,2,1^4] cells of [4,4] and [1^8] (138 and 210), both of
+    # dimension 1430, swapped: the trace identities all still hold
+    table = build_table_zonal(8)
+    a, b = table.rows.index(P([4, 4])), table.rows.index(P([1] * 8))
+    c = table.columns.index(P([2, 2, 1, 1, 1, 1]))
+    grid = table.grid()
+    assert (grid[a][c], grid[b][c]) == (138, 210)
+    grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
+    doctored = EigTable(8, grid, table.provenance)
+    tables._check_table(doctored)
+    message = "row [4,4] fails phi_i phi_j = sum_k p^k_ij phi_k at the pair ([8], [8])"
+    with pytest.raises(SchemeError, match=re.escape(message)):
+        tables._check_characters(doctored, idata(8))
 
 
 def test_row_keys_are_distinct_and_give_the_flip_column():

@@ -28,14 +28,17 @@ def test_no_assert_in_oracle_modules():
 _DOCTORED_VERDICTS = """
 from fractions import Fraction
 
-from pmscheme import Partition, exactalg, matchings, partitions, spectra, tables
+from pmscheme import Partition, matchings, partitions, spectra, tables
 from pmscheme.errors import SchemeError
 from pmscheme.exactalg import charpoly
 
 P = Partition
 real_representative = matchings.representative
-real_roots = exactalg.distinct_integer_roots
-data3 = matchings.intersection_numbers(3)
+data4 = matchings.intersection_numbers(4)
+# the n = 4 zonal grid with one cell of [2,2] and [1^4] (both of dimension
+# 14) traded in column [4]: every trace identity still holds
+grid4 = tables.build_table_zonal(4).grid()
+grid4[2][4], grid4[4][4] = grid4[4][4], grid4[2][4]
 
 
 def wrong_representative(mu):
@@ -46,25 +49,19 @@ def wrong_frobenius(lam):
     return 0
 
 
-def wrong_roots(poly, bound):
-    roots = real_roots(poly, bound)
-    return roots[:-1] + [roots[-1] + 1]
-
-
 cases = [
     ("charpoly", lambda: charpoly([[Fraction(1, 2)]])),
-    ("krylov_polynomial", lambda: exactalg.krylov_polynomial([[1, 0], [0, 2], [1, 1]])),
     ("representative", lambda: matchings.intersection_numbers(3)),
     ("dim_hook", lambda: partitions.dim_hook(P([5, 3]))),
     ("family_second_eig", lambda: spectra.family_second_eig(P([2]), 9)),
     ("gap_report", lambda: spectra.GapReport(4, P([2, 1, 1]), 12, 5, 8, (), "t")),
     ("hook_gap", lambda: spectra.hook_gap(5, 2)),
-    ("oracle_root", lambda: tables.build_table_oracle(3, data=data3)),
+    ("oracle_check", lambda: tables.build_table_oracle(4, data=data4)),
 ]
 matchings.representative = wrong_representative
 partitions.frobenius_dim = wrong_frobenius
 spectra.phi_n11 = lambda mu: 0
-exactalg.distinct_integer_roots = wrong_roots
+tables._zonal_grid = lambda n: grid4
 for name, call in cases:
     try:
         call()
@@ -88,13 +85,12 @@ def test_verdicts_refuse_under_python_O():
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "charpoly",
-        "krylov_polynomial",
         "representative",
         "dim_hook",
         "family_second_eig",
         "gap_report",
         "hook_gap",
-        "oracle_root",
+        "oracle_check",
     ]
     assert all(": refused: " in line for line in lines), lines
-    assert "no left eigenvector" in lines[-1], lines[-1]
+    assert "row [2,2] fails phi_i phi_j" in lines[-1], lines[-1]
