@@ -21,7 +21,10 @@ a fresh subprocess of its checkout (alternating which side runs first),
 and records every run and the median per side.  The same way it times
 ``verify induction --family 5`` at n = INDUCTION_MAX_N and ``verify
 ratios`` at n = RATIOS_MAX_N, this checkout's guards, three times per
-checkout, so each guard's cost at its limit is on record.
+checkout, so each guard's cost at its limit is on record.  Last, it times
+``EigTable.from_json_obj`` on the zonal table's JSON for n = 2..14, the
+check every cache load runs: in one fresh subprocess per checkout and n
+(alternating which side runs first), the median of LOAD_REPEATS loads.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
 GUARD_REPEATS = 3
+LOAD_REPEATS = 21
 # each timer runs in a checkout's root and prints the seconds of one call
 ORACLE_TIMER = """
 import sys, time
@@ -90,6 +94,19 @@ times = []
 for seed in range(5):
     t0 = time.perf_counter()
     build_table_oracle(n, seed=seed, data=data)
+    times.append(time.perf_counter() - t0)
+print(statistics.median(times))
+"""
+LOAD_TIMER = f"""
+import json, statistics, sys, time
+sys.path.insert(0, "src")
+from pmscheme.tables import EigTable, build_table_zonal
+text = build_table_zonal(int(sys.argv[1])).to_json_text()
+times = []
+for _ in range({LOAD_REPEATS}):
+    obj = json.loads(text)
+    t0 = time.perf_counter()
+    EigTable.from_json_obj(obj)
     times.append(time.perf_counter() - t0)
 print(statistics.median(times))
 """
@@ -183,8 +200,8 @@ def main(argv: list[str] | None = None) -> int:
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
             "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s,"
-            " build_table_oracle_s, verify_induction_s, verify_ratios_s:"
-            " wall-clock seconds"
+            " build_table_oracle_s, verify_induction_s, verify_ratios_s,"
+            " from_json_obj_s: wall-clock seconds"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -209,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             args.parent.resolve(), RATIOS_TIMER,
             range(RATIOS_MAX_N, RATIOS_MAX_N + 1), GUARD_REPEATS,
         ),
+        "from_json_obj_s": fresh_times(args.parent.resolve(), LOAD_TIMER, ZONAL_NS, 1),
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
         "induction_max_n": INDUCTION_MAX_N,
         "ratios_max_n": RATIOS_MAX_N,

@@ -78,11 +78,8 @@ def guard(
 
 
 class AmbiguousRowAssignment(SchemeError):
-    """A table row's multiplicity or flip entry is not its label's."""
-
-    def __init__(self, message: str, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)
+    """A complete table row's multiplicity or flip entry is not its label's;
+    ``tables._check_table`` raises it for every table built or loaded."""
 
 
 class IncompleteTable(SchemeError):

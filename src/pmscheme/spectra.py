@@ -76,22 +76,17 @@ class BelowFamilyThreshold(ValueError):
     def __init__(self, prefix: Partition, n: int, threshold: int):
         super().__init__(
             f"closed form for family {prefix} is only established for n >= {threshold}"
-            f" (asked n={n}); pass force=True to evaluate anyway"
+            f" (asked n={n})"
         )
         self.threshold = threshold
 
 
-def family_second_eig(
-    prefix: Partition, n: int, force: bool = False
-) -> tuple[int, int]:
-    """Closed-form (second eigenvalue, spectral gap) of the prefix family.
-
-    Below the family's validity threshold the polynomial still evaluates but
-    is not a proven second eigenvalue; that path requires force=True.
-    """
+def family_second_eig(prefix: Partition, n: int) -> tuple[int, int]:
+    """Closed-form (second eigenvalue, spectral gap) of the prefix family;
+    BelowFamilyThreshold below the n from which the paper proves it."""
     entry = catalog_entry(prefix)
     mu = family_mu(prefix, n)
-    if n < entry.threshold and not force:
+    if n < entry.threshold:
         raise BelowFamilyThreshold(prefix, n, entry.threshold)
     second = gap = Fraction(0)
     for s, g in reversed(list(zip_longest(entry.second, entry.gap, fillvalue=0))):
@@ -345,7 +340,6 @@ class GapReport:
     valency: int
     second_eig: int
     gap: int
-    witness_rows: tuple[Partition, ...]
     source: str
 
     def __post_init__(self):
@@ -367,17 +361,14 @@ def gap_report(mu: Partition) -> GapReport:
     n = mu.n
     if n < 2 or mu.parts == (1,) * n:
         raise ValueError(f"{mu} has no spectral gap to report")
-    hook_row = Partition((n - 1, 1))
     if (family := family_closed_form(mu)) is not None:
-        return GapReport(n, mu, valency(mu), *family, (hook_row,), "closed-form")
+        return GapReport(n, mu, valency(mu), *family, "closed-form")
     prefix = Partition([p for p in mu.parts if p > 1])
     ell = n - prefix.n
     if len(prefix) == 1 and ell >= 1 and conjecture_applies(mu):
         gap = hook_gap(n, ell)
         second = valency(mu) - gap
-        return GapReport(
-            n, mu, valency(mu), second, gap, (hook_row,), "conjectured-hook"
-        )
+        return GapReport(n, mu, valency(mu), second, gap, "conjectured-hook")
     raise ValueError(
         f"no closed form covers {mu}; its gap needs the full table for n={n}"
     )

@@ -4,13 +4,13 @@ The zonal route is the production engine: the entry on eigenspace lam and
 relation mu is the coefficient of p_mu in the zonal polynomial J_lam^(2),
 computed exactly in ``symfunc``.  The oracle route is that table confirmed
 by the brute-force intersection numbers, which owe nothing to symmetric
-functions: its rows must be distinct characters of the Bose-Mesner algebra
-the numbers count, each with the multiplicity and flip entry of its label.
-The formula route fills whatever closed forms cover.  Each route fills one
-rows x columns grid, None marking a cell it left unfilled, and ``EigTable``
-holds that grid.  Cells never come from guessing: a row whose keys belong
-to another eigenspace index is a hard error, and every table built or
-loaded from JSON passes ``_check_table`` or raises SchemeError.  A complete
+functions: its rows must also be characters of the Bose-Mesner algebra the
+numbers count.  The formula route fills whatever closed forms cover.  Each
+route fills one rows x columns grid, None marking a cell it left unfilled,
+and ``EigTable`` holds that grid.  Every table built or loaded from JSON
+passes ``_check_table`` or raises SchemeError; that check also holds each
+complete row to its label's multiplicity and flip entry, so cells traded
+between rows, or rows in the wrong order, are a hard error.  A complete
 table also gives the intersection numbers and the relation-graph
 diameters; no other module reads an ``EigTable``.
 """
@@ -22,7 +22,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import factorial
 from operator import mul
 
 from .errors import AmbiguousRowAssignment, IncompleteTable, SchemeError, guard
@@ -36,7 +36,6 @@ from .partitions import (
 from .spectra import conjecture_applies, family_mu, phi_n11, valency
 from .symfunc import (
     CATALOG_PREFIXES,
-    PowerSumExpr,
     e_catalog,
     eval_expr,
     zonal_power_sums,
@@ -177,19 +176,44 @@ class EigTable:
 
 
 def _check_table(table: EigTable) -> None:
-    """Raise SchemeError unless the filled cells pass the table invariants:
-    identity column all ones, top row the valencies, and the trace identity
-    on every complete column (``dims`` come from ``dim_hook``, not a file)."""
+    """Raise SchemeError unless the filled cells pass the table invariants,
+    in this order: identity column all ones; every row lam without an
+    unfilled cell on its own label (AmbiguousRowAssignment otherwise), that
+    is with multiplicity (2n-1)!! / sum_mu phi(mu)^2 / v_mu equal to
+    dim_hook(lam), by the row orthogonality relation (Bannai and Ito,
+    Algebraic Combinatorics I: Association Schemes, 1984), and flip entry
+    ``_flip_eigenvalue(lam)``, keys that tell every lam apart for n <= 14;
+    top row the valencies; and the trace identity on every complete column.
+    ``dims`` come from ``dim_hook``, not a file.  A grid whose rows are
+    permuted is refused at its first wrong row."""
     n = table.n
     identity = table.columns[0]
     for lam, v in zip(table.rows, table._cols[identity]):
         if v is not None and v != 1:
             raise SchemeError(f"identity column must be all ones, bad at {lam}")
+    total = double_factorial(2 * n - 1)
     valencies = [valency(mu) for mu in table.columns]
+    # the multiplicity in integers, through 1 / v_mu = z2(mu) / (2^n n!)
+    scale = 2**n * factorial(n)
+    weights = [scale // v for v in valencies]
+    scaled = total * scale
+    # below n = 2 there is no flip relation, so no column is found
+    flips = table._cols.get(Partition((2,) + (1,) * (n - 2)))
+    for r, (lam, dim, phi) in enumerate(zip(table.rows, table.dims, table._grid)):
+        if None in phi:
+            continue
+        norm = sum(map(mul, weights, map(mul, phi, phi)))
+        flip = _flip_eigenvalue(lam)
+        entry = flip if flips is None else flips[r]
+        if dim * norm != scaled or entry != flip:
+            raise AmbiguousRowAssignment(
+                f"row {lam} has multiplicity {Fraction(scaled, norm)} and flip"
+                f" entry {entry}, but eigenspace {lam} has dimension {dim} and"
+                f" flip eigenvalue {flip}"
+            )
     for mu, v, valency_mu in zip(table.columns, table._grid[0], valencies):
         if v is not None and v != valency_mu:
             raise SchemeError(f"top row must hold valencies, bad at {mu}")
-    total = double_factorial(2 * n - 1)
     for mu, valency_mu in zip(table.columns, valencies):
         if mu in table._complete and not _trace_identity(
             table.dims, table._cols[mu], valency_mu * total, mu == identity
@@ -240,69 +264,50 @@ def build_table_oracle(
     n: int, seed: int = 0, data: IntersectionData | None = None
 ) -> EigTable:
     """The zonal table, confirmed by the brute-force intersection numbers
-    (``_check_characters``) and with every column tagged "oracle".  data
-    defaults to ``intersection_numbers(n)``; seed is accepted and changes
-    nothing."""
+    (``_check_characters``, which runs ``_check_table`` first) and with
+    every column tagged "oracle"; a row off its label raises
+    AmbiguousRowAssignment.  data defaults to ``intersection_numbers(n)``;
+    seed is accepted and changes nothing."""
     if n < 2:
         raise ValueError("tables need n >= 2")
     if data is None:
         data = intersection_numbers(n)
     table = EigTable(n, _zonal_grid(n), dict.fromkeys(data.relations, "oracle"))
-    _check_table(table)
     _check_characters(table, data)
     return table
 
 
 def _check_characters(table: EigTable, data: IntersectionData) -> None:
-    """Refuse a complete table unless each row is 1 at the identity relation
-    and satisfies phi_i phi_j = sum_k p^k_ij phi_k over the pairs i <= j
-    (the identity and zero p skipped), and no two rows are equal
-    (SchemeError otherwise).  Such rows are characters of the commutative
-    Bose-Mesner algebra data counts, so d of them are all its characters
-    (Bannai and Ito, Algebraic Combinatorics I: Association Schemes, 1984).
-    Row lam must also have multiplicity (2n-1)!! / sum_i phi_i^2 / v_i equal
-    to dim_hook(lam) and flip entry ``_flip_eigenvalue(lam)``, keys that tell
-    every lam apart for n <= 14 (AmbiguousRowAssignment otherwise).
+    """Refuse a complete table unless it passes ``_check_table`` and each row
+    satisfies phi_i phi_j = sum_k p^k_ij phi_k over the pairs i <= j (the
+    identity and zero p skipped; SchemeError otherwise).  Such rows are
+    characters of the commutative Bose-Mesner algebra data counts.  Rows on
+    their own labels carry pairwise distinct (multiplicity, flip entry)
+    keys for every n <= 14, so they are distinct, and d distinct characters
+    are all the characters (Bannai and Ito, Algebraic Combinatorics I:
+    Association Schemes, 1984).
     """
     n = table.n
     if data.n != n:
         raise SchemeError(f"intersection numbers are for n={data.n}, not {n}")
     if not table.is_complete():
         raise IncompleteTable("the character check needs a complete table")
+    _check_table(table)
     rels = data.relations
     identity = len(rels) - 1
-    flip = rels.index(Partition((2,) + (1,) * (n - 2)))
     products = [
         (i, j, [(k, pk[i][j]) for k, pk in enumerate(data.p) if pk[i][j]])
         for i in range(identity)
         for j in range(i, identity)
     ]
-    # the multiplicity in integers over L = lcm(v_i)
-    scale = lcm(*data.valencies)
-    weights = [scale // v for v in data.valencies]
-    total = double_factorial(2 * n - 1) * scale
-    seen = set()
     # relations descend and the columns ascend, so each row is reversed
-    for lam, dim, phi in zip(table.rows, table.dims, (r[::-1] for r in table._grid)):
-        if phi[identity] != 1:
-            raise SchemeError(f"row {lam} is not 1 at the identity relation")
+    for lam, phi in zip(table.rows, (r[::-1] for r in table._grid)):
         for i, j, terms in products:
             if phi[i] * phi[j] != sum(p * phi[k] for k, p in terms):
                 raise SchemeError(
                     f"row {lam} fails phi_i phi_j = sum_k p^k_ij phi_k at the"
                     f" pair ({rels[i]}, {rels[j]})"
                 )
-        if tuple(phi) in seen:
-            raise SchemeError(f"row {lam} repeats an earlier row")
-        seen.add(tuple(phi))
-        mult = Fraction(total, sum(map(mul, phi, map(mul, phi, weights))))
-        if mult != dim or phi[flip] != _flip_eigenvalue(lam):
-            raise AmbiguousRowAssignment(
-                f"row {lam} has multiplicity {mult} and flip entry {phi[flip]},"
-                f" but eigenspace {lam} has dimension {dim} and flip eigenvalue"
-                f" {_flip_eigenvalue(lam)}",
-                candidates=[lam],
-            )
 
 
 def _flip_eigenvalue(lam: Partition) -> int:
@@ -312,15 +317,10 @@ def _flip_eigenvalue(lam: Partition) -> int:
     return sum(part * (part - i) for i, part in enumerate(lam.parts, start=1))
 
 
-def build_table_formulas(
-    n: int, extra: dict[Partition, PowerSumExpr] | None = None
-) -> EigTable:
+def build_table_formulas(n: int) -> EigTable:
     """Table from closed forms only: the identity column, the catalog family
-    columns, and the top two rows for every relation.  Other cells stay absent.
-
-    extra maps additional family prefixes to fitted expressions; their
-    columns are marked with interpolated provenance.  Raises GuardExceeded
-    above FORMULAS_MAX_N before any work.
+    columns, and the top two rows for every relation.  Other cells stay
+    absent.  Raises GuardExceeded above FORMULAS_MAX_N before any work.
     """
     if n < 2:
         raise ValueError("tables need n >= 2")
@@ -333,14 +333,10 @@ def build_table_formulas(
     # the top two rows are [n] and [n-1,1]
     grid[0] = [valency(mu) for mu in columns]
     grid[1] = [phi_n11(mu) for mu in columns]
-    sources: list[tuple[Partition, PowerSumExpr, str]] = [
-        (prefix, e_catalog(prefix), "closed-form") for prefix in CATALOG_PREFIXES
-    ]
-    for prefix, expr in (extra or {}).items():
-        sources.append((prefix, expr, "interpolated"))
-    for prefix, expr, tag in sources:
+    for prefix in CATALOG_PREFIXES:
         if prefix.n > n:
             continue
+        expr = e_catalog(prefix)
         mu = family_mu(prefix, n)
         c = columns.index(mu)
         for lam, row in zip(rows, grid):
@@ -350,7 +346,7 @@ def build_table_formulas(
             if row[c] is not None and row[c] != phi:
                 raise SchemeError(f"formula clash at ({lam}, {mu})")
             row[c] = int(phi)
-        provenance[mu] = tag
+        provenance[mu] = "closed-form"
     table = EigTable(n, grid, provenance)
     _check_table(table)
     return table
@@ -421,7 +417,8 @@ def derangement_spectrum(table: EigTable) -> list[int]:
 
 def verify_structure_constants(table: EigTable, data: IntersectionData) -> bool:
     """True when the table passes ``_check_characters`` against data: every
-    row a character of the algebra data counts, on its own label."""
+    row on its own label (``_check_table``) and a character of the algebra
+    data counts."""
     try:
         _check_characters(table, data)
     except SchemeError:

@@ -102,7 +102,7 @@ def test_c03_conjecture(oracle_table):
         expr = e_catalog(prefix)
         for n in range(8, 101):
             mu = family_mu(prefix, n)
-            second, gap = family_second_eig(prefix, n, force=True)
+            second, gap = family_second_eig(prefix, n)
             assert second == phi_n11(mu) == eval_expr(expr, P([n - 1, 1]))
             assert gap == valency(mu) - second
         report = verify_induction_step(prefix, 15)

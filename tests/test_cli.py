@@ -15,6 +15,7 @@ from pmscheme import (
     DEFAULT_ZONAL_MAX_N,
     FORMULAS_MAX_N,
     __version__,
+    build_table_zonal,
     e_catalog,
     hook_gap,
 )
@@ -267,7 +268,7 @@ def test_ambiguity_exits_3(run, monkeypatch):
     from pmscheme.errors import AmbiguousRowAssignment
 
     def boom(*a, **k):
-        raise AmbiguousRowAssignment("synthetic tie", candidates=())
+        raise AmbiguousRowAssignment("synthetic tie")
 
     monkeypatch.setattr(climod, "_build_table", boom)
     code, _, err = run("table", "--n", "4")
@@ -381,24 +382,19 @@ def test_verify_scheme_axioms_n5(run):
     assert out.startswith("scheme axioms n=5: PASS (structure constants ok")
 
 
-def test_verify_scheme_axioms_fails_on_cached_rows_swapped(run):
+def test_verify_scheme_axioms_rebuilds_cached_rows_swapped(run):
     # [2,2] and [1^4] both have dimension 14, so the swap keeps every trace
-    # identity and the column orthogonality; only the row labels are wrong
-    assert run("table", "--n", "4")[0] == 0
-    path = os.path.join(run.data_dir, f"table_n4_v{__version__}.json")
-    with open(path) as fh:
-        obj = json.load(fh)
-    values = obj["values"]
-    a, b = obj["rows"].index("[2,2]"), obj["rows"].index("[1,1,1,1]")
-    values[a], values[b] = values[b], values[a]
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-    code, out, _ = run("verify", "scheme-axioms", "--n", "4")
-    assert code == 1
+    # identity and the column orthogonality; the flip entries refuse it
+    path, good = _doctor_cache(run, 4, _swap_rows("[2,2]", "[1,1,1,1]"))
+    code, out, err = run("verify", "scheme-axioms", "--n", "4")
+    assert code == 0
     assert out == (
-        "scheme axioms n=4: FAIL (structure constants FAIL, orthogonality ok,"
+        "scheme axioms n=4: PASS (structure constants ok, orthogonality ok,"
         " trace ok)\n"
     )
+    assert err.count("note: rebuilding unreadable cache") == 1
+    assert "row [2,2] has multiplicity 14" in err
+    assert _read(path) == good
 
 
 def test_unwritable_data_dir_answers_from_built_table(tmp_path, capsys):
@@ -509,6 +505,44 @@ def test_doctored_cache_cell_is_rebuilt(run, edit):
     with open(path) as fh:
         assert fh.read() == good
     code, out, err = run("gap", "--mu", "[3,2,1,1]")
+    assert code == 0 and err == ""
+
+
+def _swap_rows(a, b):
+    def edit(obj):
+        values, rows = obj["values"], obj["rows"]
+        i, j = rows.index(a), rows.index(b)
+        values[i], values[j] = values[j], values[i]
+
+    return edit
+
+
+def test_cached_rows_swapped_are_rebuilt(run):
+    path, good = _doctor_cache(run, 4, _swap_rows("[2,2]", "[1,1,1,1]"))
+    code, out, err = run("table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == _golden(4)
+    assert err.count("\n") == 1 and err.startswith("note: rebuilding unreadable")
+    assert "AmbiguousRowAssignment('row [2,2] has multiplicity" in err
+    assert _read(path) == good
+
+
+def test_cached_cells_traded_between_rows_of_one_dimension_are_rebuilt(run):
+    # the [2,2,1^4] cells of [4,4] and [1^8] (138 and 210), both rows of
+    # dimension 1430: every trace identity holds, the multiplicity does not
+    def trade(obj):
+        r, s = obj["rows"].index("[4,4]"), obj["rows"].index("[1,1,1,1,1,1,1,1]")
+        c = obj["columns"].index("[2,2,1,1,1,1]")
+        values = obj["values"]
+        assert (values[r][c], values[s][c]) == (138, 210)
+        values[r][c], values[s][c] = values[s][c], values[r][c]
+
+    path, good = _doctor_cache(run, 8, trade)
+    code, out, err = run("table", "--n", "8", "--format", "csv")
+    assert code == 0 and out == build_table_zonal(8).to_csv_text()
+    assert err.count("\n") == 1 and err.startswith("note: rebuilding unreadable")
+    assert "row [4,4] has multiplicity" in err
+    assert _read(path) == good
+    code, out, err = run("verify", "conjecture", "--n", "8")
     assert code == 0 and err == ""
 
 

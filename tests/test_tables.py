@@ -257,16 +257,16 @@ def test_row_assignment_ambiguity_is_hard_error(idata):
     rows = build_table_zonal(4).rows
     tables._check_characters(_n4_with_rows(rows), idata(4))
     # every other order of the same rows holds d distinct characters, so only
-    # the labels can refuse it
+    # the labels can refuse it, and _check_table alone does so, at the first
+    # wrong row
     for order in permutations(rows):
         if list(order) == rows:
             continue
         table = _n4_with_rows(order)
-        with pytest.raises(AmbiguousRowAssignment) as exc:
-            tables._check_characters(table, idata(4))
         lam = next(lam for lam, got in zip(rows, order) if lam != got)
-        assert exc.value.candidates == (lam,)
-        assert f"row {lam} has multiplicity" in str(exc.value)
+        message = f"row {lam} has multiplicity"
+        with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
+            tables._check_table(table)
         assert not verify_structure_constants(table, idata(4))
 
 
@@ -275,11 +275,12 @@ def test_row_assignment_refuses_a_wrong_flip_entry(idata, monkeypatch):
     # apart, and the swap keeps every trace identity
     swapped = [P([4]), P([3, 1]), P([1, 1, 1, 1]), P([2, 1, 1]), P([2, 2])]
     table = _n4_with_rows(swapped)
-    tables._check_table(table)
     message = (
         "row [2,2] has multiplicity 14 and flip entry -6, but eigenspace [2,2]"
         " has dimension 14 and flip eigenvalue 2"
     )
+    with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
+        tables._check_table(table)
     with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
         tables._check_characters(table, idata(4))
     monkeypatch.setattr(tables, "_zonal_grid", lambda n: table.grid())
@@ -288,13 +289,16 @@ def test_row_assignment_refuses_a_wrong_flip_entry(idata, monkeypatch):
 
 
 def test_character_check_refuses_a_traded_cell(idata):
+    # the [3,1] cells of [2,2] and [1^4] (-8 and 8): equal dimensions and
+    # equal squares keep the trace identity and both row keys
     table = build_table_zonal(4)
     a, b = table.rows.index(P([2, 2])), table.rows.index(P([1, 1, 1, 1]))
-    c = table.columns.index(P([4]))
+    c = table.columns.index(P([3, 1]))
     grid = table.grid()
+    assert (grid[a][c], grid[b][c]) == (-8, 8)
     grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
     traded = EigTable(4, grid, table.provenance)
-    tables._check_table(traded)  # equal dimensions keep the trace identity
+    tables._check_table(traded)
     with pytest.raises(SchemeError) as exc:
         tables._check_characters(traded, idata(4))
     assert type(exc.value) is SchemeError
@@ -307,12 +311,14 @@ def test_character_check_refuses_a_traded_cell(idata):
 def test_character_check_refuses_a_repeated_row_and_a_bad_identity(idata):
     table = build_table_zonal(4)
     grid = table.grid()
-    grid[-1] = grid[-3]  # [1^4] repeats the [2,2] row
-    with pytest.raises(SchemeError, match=re.escape("row [1,1,1,1] repeats")):
+    grid[-1] = grid[-3]  # [1^4] repeats the [2,2] row, flip entry and all
+    message = "row [1,1,1,1] has multiplicity 14 and flip entry 2"
+    with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
         tables._check_characters(EigTable(4, grid, {}), idata(4))
     grid = table.grid()
     grid[2][0] = 2
-    with pytest.raises(SchemeError, match=re.escape("row [2,2] is not 1 at")):
+    message = "identity column must be all ones, bad at [2,2]"
+    with pytest.raises(SchemeError, match=re.escape(message)):
         tables._check_characters(EigTable(4, grid, {}), idata(4))
     with pytest.raises(SchemeError, match="for n=5, not 4"):
         tables._check_characters(table, idata(5))
@@ -320,7 +326,8 @@ def test_character_check_refuses_a_repeated_row_and_a_bad_identity(idata):
 
 def test_character_check_refuses_the_doctored_n8_cache_table(idata):
     # the [2,2,1^4] cells of [4,4] and [1^8] (138 and 210), both of
-    # dimension 1430, swapped: the trace identities all still hold
+    # dimension 1430, swapped: the trace identities all still hold, but the
+    # multiplicity of [4,4] does not
     table = build_table_zonal(8)
     a, b = table.rows.index(P([4, 4])), table.rows.index(P([1] * 8))
     c = table.columns.index(P([2, 2, 1, 1, 1, 1]))
@@ -328,9 +335,10 @@ def test_character_check_refuses_the_doctored_n8_cache_table(idata):
     assert (grid[a][c], grid[b][c]) == (138, 210)
     grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
     doctored = EigTable(8, grid, table.provenance)
-    tables._check_table(doctored)
-    message = "row [4,4] fails phi_i phi_j = sum_k p^k_ij phi_k at the pair ([8], [8])"
-    with pytest.raises(SchemeError, match=re.escape(message)):
+    message = "row [4,4] has multiplicity 15765750/11257 and flip entry 20"
+    with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
+        tables._check_table(doctored)
+    with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
         tables._check_characters(doctored, idata(8))
 
 
@@ -401,12 +409,14 @@ def test_formulas_guard_refuses_before_any_work(monkeypatch):
 _DOCTORED_CHECK = """
 from pmscheme import EigTable
 from pmscheme.errors import SchemeError
-from pmscheme.tables import _check_table
+from pmscheme.tables import _check_table, build_table_zonal
 
-# rows [2], [1,1]; columns [1,1], [2]
-grid = [[1, 2], [1, 5]]
+# the [3,1] cell of row [2,2], sign flipped: squares and the flip column
+# stay, so only the trace identity refuses it
+grid = build_table_zonal(4).grid()
+grid[2][3] = -grid[2][3]
 try:
-    _check_table(EigTable(2, grid, {}))
+    _check_table(EigTable(4, grid, {}))
 except SchemeError as exc:
     print("refused:", exc)
 else:
@@ -426,15 +436,19 @@ def test_check_table_refuses_under_python_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("refused: trace identity fails at [2]")
+    assert done.stdout.startswith("refused: trace identity fails at [3,1]")
 
 
 _FORMULA_CLASH = """
-from pmscheme import Partition, build_table_formulas, e_catalog
+from pmscheme import Partition, build_table_formulas, e_catalog, tables
 from pmscheme.errors import SchemeError
 
+# the [2] family gets the [3] expression, which disagrees with the top rows
+tables.e_catalog = lambda prefix: e_catalog(
+    Partition([3]) if prefix == Partition([2]) else prefix
+)
 try:
-    build_table_formulas(5, extra={Partition([2]): e_catalog(Partition([3]))})
+    build_table_formulas(5)
 except SchemeError as exc:
     print("refused:", exc)
 else:
@@ -443,8 +457,8 @@ else:
 
 
 def test_formula_clash_refused_under_python_O():
-    # an extra expression disagreeing with a catalog column must not
-    # overwrite it, also when asserts are stripped
+    # a catalog expression disagreeing with a filled cell must not overwrite
+    # it, also when asserts are stripped
     src = os.path.join(os.path.dirname(HERE), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(

@@ -38,7 +38,7 @@ data4 = matchings.intersection_numbers(4)
 # the n = 4 zonal grid with one cell of [2,2] and [1^4] (both of dimension
 # 14) traded in column [4]: every trace identity still holds
 grid4 = tables.build_table_zonal(4).grid()
-grid4[2][4], grid4[4][4] = grid4[4][4], grid4[2][4]
+grid4[2][3], grid4[4][3] = grid4[4][3], grid4[2][3]
 
 
 def wrong_representative(mu):
@@ -54,7 +54,7 @@ cases = [
     ("representative", lambda: matchings.intersection_numbers(3)),
     ("dim_hook", lambda: partitions.dim_hook(P([5, 3]))),
     ("family_second_eig", lambda: spectra.family_second_eig(P([2]), 9)),
-    ("gap_report", lambda: spectra.GapReport(4, P([2, 1, 1]), 12, 5, 8, (), "t")),
+    ("gap_report", lambda: spectra.GapReport(4, P([2, 1, 1]), 12, 5, 8, "t")),
     ("hook_gap", lambda: spectra.hook_gap(5, 2)),
     ("oracle_check", lambda: tables.build_table_oracle(4, data=data4)),
 ]
