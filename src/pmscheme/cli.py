@@ -40,7 +40,7 @@ from .errors import (
 from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
 from .ratios import RATIOS_MAX_N, all_merges, gap_ratio_report
-from .spectra import family_mu, gap_report, valency, verify_induction_step
+from .spectra import family_mu, gap_report, verify_induction_step
 from .symfunc import fit_e_mu, monomial_basis
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
@@ -130,7 +130,10 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
             table = EigTable.from_json_obj(obj)
             if not table.is_complete():
                 raise SchemeError("cached table is not complete")
-            if table.provenance != {mu: "zonal" for mu in table.columns}:
+            # every provenance key is a column (EigTable refuses any other),
+            # so one "zonal" tag per column covers them all
+            tags = table.provenance.values()
+            if len(tags) != len(table.columns) or any(t != "zonal" for t in tags):
                 raise SchemeError("cached table has a column not marked zonal")
             return table
         except (
@@ -345,7 +348,8 @@ def _gap_for(config: Config, mu: Partition) -> tuple[int, str]:
     except ValueError:
         pass  # no closed form; read the gap off the full table
     table = oracle_table_cached(config, mu.n)
-    return valency(mu) - second_largest(table, mu)[0], "table"
+    top = table.rows[0]  # a checked table's top row holds the valencies
+    return table.value(top, mu) - second_largest(table, mu)[0], "table"
 
 
 def cmd_gap(args, config: Config) -> int:
@@ -393,9 +397,10 @@ def cmd_fit(args, config: Config) -> int:
 def cmd_scan(args, config: Config) -> int:
     table = oracle_table_cached(config, args.n)
     gaps = gap_scan(table)
+    top = table.rows[0]  # a checked table's top row holds the valencies
     for mu in table.columns:
         if mu in gaps:
-            print(f"  {mu}: valency {valency(mu)}, gap {gaps[mu]}")
+            print(f"  {mu}: valency {table.value(top, mu)}, gap {gaps[mu]}")
     best = min(gaps, key=lambda m: (gaps[m], m.parts))
     print(f"smallest gap: {best} ({gaps[best]})")
     if args.with_diameters:

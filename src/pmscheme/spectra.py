@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import zip_longest
 from math import comb, factorial
 
 from .errors import SchemeError, count_text, guard, ln_factorial
@@ -30,7 +29,13 @@ from .partitions import (
     iter_partitions,
     z2,
 )
-from .symfunc import CATALOG_PREFIXES, catalog_entry, combine, content_power_sums
+from .symfunc import (
+    CATALOG_PREFIXES,
+    catalog_entry,
+    combine,
+    content_power_sums,
+    horner,
+)
 from .symfunc import eval_expr  # noqa: F401  (bench/spans.py traces spectra.eval_expr)
 
 
@@ -83,17 +88,16 @@ class BelowFamilyThreshold(ValueError):
 
 def family_second_eig(prefix: Partition, n: int) -> tuple[int, int]:
     """Closed-form (second eigenvalue, spectral gap) of the prefix family;
-    BelowFamilyThreshold below the n from which the paper proves it."""
+    BelowFamilyThreshold below the n from which the paper proves it.  Both
+    polynomials are evaluated in integers, over the entry's denominator."""
     entry = catalog_entry(prefix)
     mu = family_mu(prefix, n)
     if n < entry.threshold:
         raise BelowFamilyThreshold(prefix, n, entry.threshold)
-    second = gap = Fraction(0)
-    for s, g in reversed(list(zip_longest(entry.second, entry.gap, fillvalue=0))):
-        second, gap = second * n + s, gap * n + g
-    if second.denominator != 1 or gap.denominator != 1:
+    second, second_rem = divmod(horner(entry.second, n), entry.den)
+    gap, gap_rem = divmod(horner(entry.gap, n), entry.den)
+    if second_rem or gap_rem:
         raise SchemeError(f"family {prefix} closed form is not integral at n={n}")
-    second, gap = int(second), int(gap)
     if second != phi_n11(mu):
         raise SchemeError(f"family {prefix} second eigenvalue misses phi_n11 at n={n}")
     if gap != valency(mu) - second:

@@ -70,13 +70,7 @@ class PowerSumExpr:
 
     def at_t(self, t: int) -> list[tuple[int, tuple[int, ...]]]:
         """den * f with t fixed: (integer coefficient, monomial parts) pairs."""
-        out = []
-        for coeffs, parts in self.int_terms:
-            v = 0
-            for c in reversed(coeffs):
-                v = v * t + c
-            out.append((v, parts))
-        return out
+        return [(horner(coeffs, t), parts) for coeffs, parts in self.int_terms]
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSumExpr is immutable")
@@ -103,6 +97,15 @@ class PowerSumExpr:
                     poly.append(f"{Fraction(c, self.den)}{power}")
             out.append(f"({' + '.join(poly)})*p{Partition(parts)}")
         return " + ".join(out)
+
+
+def horner(coeffs: Sequence[int], x: int) -> int:
+    """The integer polynomial with these coefficients, lowest degree first,
+    at x."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
 
 
 _COEFF = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*t(?:\^(\d+))?)?$")
@@ -192,13 +195,20 @@ def eval_expr(f: PowerSumExpr, lam: Partition) -> Fraction:
 
 
 class CatalogEntry:
-    """One closed-form family, prefix + 1^(n - |prefix|): the coefficients,
-    lowest degree first, of its second eigenvalue and spectral gap as
-    polynomials in n, proven for n >= threshold, and ``expr``, parsed from
-    its text, which generates the family's column."""
+    """One closed-form family, prefix + 1^(n - |prefix|): its second
+    eigenvalue and spectral gap as polynomials in n, proven for
+    n >= threshold, and ``expr``, parsed from its text, which generates the
+    family's column.  Like ``PowerSumExpr``, the polynomials are held in
+    integers: ``second`` and ``gap`` are the coefficients, lowest degree
+    first, of den * polynomial, over the one least common denominator
+    ``den`` of the rational coefficients given."""
 
     def __init__(self, threshold: int, second: tuple, gap: tuple, expr: str):
-        self.threshold, self.second, self.gap = threshold, second, gap
+        self.threshold = threshold
+        second, gap = [Fraction(c) for c in second], [Fraction(c) for c in gap]
+        self.den = lcm(*(c.denominator for c in second + gap))
+        self.second = tuple(int(c * self.den) for c in second)
+        self.gap = tuple(int(c * self.den) for c in gap)
         self.expr = parse_power_sum_expr(expr)
 
 

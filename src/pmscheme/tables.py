@@ -13,6 +13,14 @@ complete row to its label's multiplicity and flip entry, so cells traded
 between rows, or rows in the wrong order, are a hard error.  A complete
 table also gives the intersection numbers and the relation-graph
 diameters; no other module reads an ``EigTable``.
+
+What depends on n alone (the labels, their ``str`` spellings, dimensions,
+valencies, multiplicity weights, flip eigenvalues and the conjecture's
+scope) is derived once per process by ``_frame(n)``, a small bounded cache
+of immutable frames that every table of n shares.  A process that handles
+tables of one n more than once (a library caller, ``cli.main`` in a loop,
+the test suite) derives them once; every build, load, check and rendering
+reads them from the frame.
 """
 
 from __future__ import annotations
@@ -20,10 +28,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import factorial
 from operator import mul
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import AmbiguousRowAssignment, IncompleteTable, SchemeError, guard
 from .matchings import IntersectionData, intersection_numbers
@@ -50,6 +62,71 @@ DEFAULT_ZONAL_MAX_N = 14
 FORMULAS_MAX_N = 24
 # The tags a column's provenance may hold, one per way its cells were filled.
 PROVENANCE_TAGS = ("zonal", "oracle", "closed-form", "interpolated")
+# The most frames ``_frame`` keeps: every n of the zonal engine (2..14) fits.
+FRAME_CACHE_SIZE = 16
+
+
+class _Frame(NamedTuple):
+    """The facts of n alone that every table of n shares.
+
+    Rows are the partitions of n in canonical descending order and columns
+    the same partitions ascending, so column 0 is the identity relation
+    [1^n].  ``row_labels``/``column_labels`` spell them as ``str`` does and
+    ``by_label`` maps a label back to its partition; ``row_at``/``col_at``
+    give a partition's index.  Per row: ``dims`` (``dim_hook``) and
+    ``flips``, the flip eigenvalue; per column: ``valencies`` v_mu,
+    ``weights`` 2^n n! / v_mu and ``applies`` (``conjecture_applies``).
+    ``total`` is (2n-1)!!, ``scaled`` is (2n-1)!! 2^n n!, and ``flip_col``
+    the index of the flip relation [2,1^(n-2)], None below n = 2.
+    """
+
+    rows: tuple[Partition, ...]
+    columns: tuple[Partition, ...]
+    row_labels: tuple[str, ...]
+    column_labels: tuple[str, ...]
+    by_label: Mapping[str, Partition]
+    row_at: Mapping[Partition, int]
+    col_at: Mapping[Partition, int]
+    dims: tuple[int, ...]
+    valencies: tuple[int, ...]
+    total: int
+    weights: tuple[int, ...]
+    scaled: int
+    flips: tuple[int, ...]
+    flip_col: int | None
+    applies: tuple[bool, ...]
+
+
+@lru_cache(maxsize=FRAME_CACHE_SIZE)
+def _frame(n: int) -> _Frame:
+    """The frame of n, derived once per process while it stays cached; the
+    only place in this module that computes a per-n fact."""
+    rows = tuple(generate_partitions(n))
+    columns = rows[::-1]
+    labels = tuple(map(str, columns))
+    col_at = {mu: c for c, mu in enumerate(columns)}
+    valencies = tuple(map(valency, columns))
+    total = double_factorial(2 * n - 1)
+    # the multiplicity in integers, through 1 / v_mu = z2(mu) / (2^n n!)
+    scale = 2**n * factorial(n)
+    return _Frame(
+        rows=rows,
+        columns=columns,
+        row_labels=labels[::-1],
+        column_labels=labels,
+        by_label=MappingProxyType(dict(zip(labels, columns))),
+        row_at=MappingProxyType({lam: r for r, lam in enumerate(rows)}),
+        col_at=MappingProxyType(col_at),
+        dims=tuple(map(dim_hook, rows)),
+        valencies=valencies,
+        total=total,
+        weights=tuple(scale // v for v in valencies),
+        scaled=total * scale,
+        flips=tuple(map(_flip_eigenvalue, rows)),
+        # below n = 2 there is no flip relation, so no column is found
+        flip_col=col_at.get(Partition((2,) + (1,) * (n - 2))),
+        applies=tuple(map(conjecture_applies, columns)),
+    )
 
 
 class EigTable:
@@ -59,10 +136,13 @@ class EigTable:
     The cells are one rows x columns grid of ``int`` (not ``bool`` or
     ``float``), None marking an unfilled cell; any other grid, an n that is
     not an ``int``, or a provenance entry whose key is not a column or whose
-    tag is not in PROVENANCE_TAGS raises SchemeError.  The table keeps its
-    own copies of the grid and the provenance, and reads the columns and the
-    set of complete columns off the grid once, so ``column``,
-    ``has_column`` and ``is_complete`` are lookups.
+    tag is not in PROVENANCE_TAGS raises SchemeError.  The labels,
+    dimensions, valencies and the other facts of n alone come from the
+    shared ``_frame(n)``, so a second table of n derives none of them; the
+    table keeps its own copies of the grid and the provenance and its own
+    ``rows``, ``columns`` and ``dims`` lists, which nothing here reads back.
+    It reads the columns and the set of complete columns off the grid once,
+    so ``column``, ``has_column`` and ``is_complete`` are lookups.
     """
 
     def __init__(
@@ -73,42 +153,44 @@ class EigTable:
     ):
         if type(n) is not int:
             raise SchemeError(f"table n must be an int, got {n!r}")
+        frame = self._frame = _frame(n)
         self.n = n
-        self.rows: list[Partition] = list(generate_partitions(n))
-        self.columns: list[Partition] = list(reversed(self.rows))
-        self.dims: list[int] = [dim_hook(lam) for lam in self.rows]
-        width = len(self.columns)
-        if len(grid) != len(self.rows) or any(len(row) != width for row in grid):
+        self.rows: list[Partition] = list(frame.rows)
+        self.columns: list[Partition] = list(frame.columns)
+        self.dims: list[int] = list(frame.dims)
+        width = len(frame.columns)
+        if len(grid) != len(frame.rows) or any(len(row) != width for row in grid):
             raise SchemeError("values grid is not rows x columns")
         if not set(map(type, chain.from_iterable(grid))) <= {int, type(None)}:
             raise SchemeError("values grid holds a cell that is not an int")
         self._grid = [list(row) for row in grid]
-        self._row_at = {lam: r for r, lam in enumerate(self.rows)}
-        self._cols = dict(zip(self.columns, map(list, zip(*self._grid))))
-        self._complete = {mu for mu, col in self._cols.items() if None not in col}
+        # column c of the grid, and the indices of the columns without a gap
+        self._cols = list(zip(*self._grid))
+        self._complete = {c for c, col in enumerate(self._cols) if None not in col}
         self._set_provenance(provenance)
 
     def _set_provenance(self, provenance: dict) -> None:
         self.provenance = dict(provenance)
         for mu, tag in self.provenance.items():
-            if mu not in self._cols or tag not in PROVENANCE_TAGS:
+            if mu not in self._frame.col_at or tag not in PROVENANCE_TAGS:
                 raise SchemeError(f"bad provenance {tag!r} for column {mu}")
 
     def value(self, lam: Partition, mu: Partition) -> int | None:
-        col = self._cols.get(mu)
-        r = self._row_at.get(lam)
-        return None if col is None or r is None else col[r]
+        c = self._frame.col_at.get(mu)
+        r = self._frame.row_at.get(lam)
+        return None if c is None or r is None else self._grid[r][c]
 
     def column(self, mu: Partition) -> list[int]:
-        if mu not in self._complete:
+        c = self._frame.col_at.get(mu)
+        if c not in self._complete:
             raise IncompleteTable(f"column {mu} is not fully populated")
-        return list(self._cols[mu])
+        return list(self._cols[c])
 
     def has_column(self, mu: Partition) -> bool:
-        return mu in self._complete
+        return self._frame.col_at.get(mu) in self._complete
 
     def is_complete(self) -> bool:
-        return len(self._complete) == len(self.columns)
+        return len(self._complete) == len(self._cols)
 
     def grid(self) -> list[list[int | None]]:
         return [list(row) for row in self._grid]
@@ -116,24 +198,26 @@ class EigTable:
     def to_csv_text(self) -> str:
         """Canonical CSV: header lambda\\mu + columns + Dim, one row per
         eigenspace, exact integers, empty cells where a value is absent."""
+        frame = self._frame
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["lambda\\mu"] + [str(mu) for mu in self.columns] + ["Dim"])
-        for lam, dim, row in zip(self.rows, self.dims, self._grid):
+        writer.writerow(["lambda\\mu", *frame.column_labels, "Dim"])
+        for label, dim, row in zip(frame.row_labels, frame.dims, self._grid):
             cells = ["" if v is None else v for v in row]
-            writer.writerow([str(lam)] + cells + [dim])
+            writer.writerow([label] + cells + [dim])
         return buf.getvalue()
 
     def to_json_obj(self) -> dict:
+        frame = self._frame
         return {
             "n": self.n,
-            "columns": [str(mu) for mu in self.columns],
-            "rows": [str(lam) for lam in self.rows],
+            "columns": list(frame.column_labels),
+            "rows": list(frame.row_labels),
             "values": self.grid(),
-            "dims": self.dims,
+            "dims": list(frame.dims),
             "provenance": {
-                str(mu): self.provenance[mu]
-                for mu in self.columns
+                label: self.provenance[mu]
+                for mu, label in zip(frame.columns, frame.column_labels)
                 if mu in self.provenance
             },
         }
@@ -150,11 +234,12 @@ class EigTable:
         must pass ``_check_table``; SchemeError otherwise, so a doctored
         cache file is refused."""
         table = cls(obj["n"], obj["values"], {})
-        labels = [str(lam) for lam in table.rows]
-        if obj["rows"] != labels or obj["columns"] != labels[::-1]:
+        frame = table._frame
+        rows, columns = list(frame.row_labels), list(frame.column_labels)
+        if obj["rows"] != rows or obj["columns"] != columns:
             raise SchemeError("serialized table is not in canonical order")
         # a key that is no canonical label stays a str, which no column is
-        by_label = dict(zip(labels, table.rows))
+        by_label = frame.by_label
         table._set_provenance(
             {by_label.get(s, s): tag for s, tag in obj["provenance"].items()}
         )
@@ -162,10 +247,11 @@ class EigTable:
         return table
 
     def pretty(self) -> str:
-        header = ["lam\\mu"] + [str(mu) for mu in self.columns] + ["Dim"]
+        frame = self._frame
+        header = ["lam\\mu", *frame.column_labels, "Dim"]
         body = [
-            [str(lam)] + ["." if v is None else str(v) for v in row] + [str(dim)]
-            for lam, dim, row in zip(self.rows, self.dims, self._grid)
+            [label] + ["." if v is None else str(v) for v in row] + [str(dim)]
+            for label, dim, row in zip(frame.row_labels, frame.dims, self._grid)
         ]
         widths = [max(len(r[c]) for r in [header] + body) for c in range(len(header))]
         lines = [
@@ -184,39 +270,32 @@ def _check_table(table: EigTable) -> None:
     Algebraic Combinatorics I: Association Schemes, 1984), and flip entry
     ``_flip_eigenvalue(lam)``, keys that tell every lam apart for n <= 14;
     top row the valencies; and the trace identity on every complete column.
-    ``dims`` come from ``dim_hook``, not a file.  A grid whose rows are
-    permuted is refused at its first wrong row."""
-    n = table.n
-    identity = table.columns[0]
-    for lam, v in zip(table.rows, table._cols[identity]):
+    Dimensions, valencies, weights and flip eigenvalues are read from the
+    table's frame, derived from n, never from a file; only the grid is
+    walked.  A grid whose rows are permuted is refused at its first wrong
+    row."""
+    frame = table._frame
+    for lam, v in zip(frame.rows, table._cols[0]):
         if v is not None and v != 1:
             raise SchemeError(f"identity column must be all ones, bad at {lam}")
-    total = double_factorial(2 * n - 1)
-    valencies = [valency(mu) for mu in table.columns]
-    # the multiplicity in integers, through 1 / v_mu = z2(mu) / (2^n n!)
-    scale = 2**n * factorial(n)
-    weights = [scale // v for v in valencies]
-    scaled = total * scale
-    # below n = 2 there is no flip relation, so no column is found
-    flips = table._cols.get(Partition((2,) + (1,) * (n - 2)))
-    for r, (lam, dim, phi) in enumerate(zip(table.rows, table.dims, table._grid)):
+    weights, scaled, flip_col = frame.weights, frame.scaled, frame.flip_col
+    for lam, dim, flip, phi in zip(frame.rows, frame.dims, frame.flips, table._grid):
         if None in phi:
             continue
         norm = sum(map(mul, weights, map(mul, phi, phi)))
-        flip = _flip_eigenvalue(lam)
-        entry = flip if flips is None else flips[r]
+        entry = flip if flip_col is None else phi[flip_col]
         if dim * norm != scaled or entry != flip:
             raise AmbiguousRowAssignment(
                 f"row {lam} has multiplicity {Fraction(scaled, norm)} and flip"
                 f" entry {entry}, but eigenspace {lam} has dimension {dim} and"
                 f" flip eigenvalue {flip}"
             )
-    for mu, v, valency_mu in zip(table.columns, table._grid[0], valencies):
+    for mu, v, valency_mu in zip(frame.columns, table._grid[0], frame.valencies):
         if v is not None and v != valency_mu:
             raise SchemeError(f"top row must hold valencies, bad at {mu}")
-    for mu, valency_mu in zip(table.columns, valencies):
-        if mu in table._complete and not _trace_identity(
-            table.dims, table._cols[mu], valency_mu * total, mu == identity
+    for c, (mu, valency_mu) in enumerate(zip(frame.columns, frame.valencies)):
+        if c in table._complete and not _trace_identity(
+            frame.dims, table._cols[c], valency_mu * frame.total, c == 0
         ):
             raise SchemeError(f"trace identity fails at {mu}")
 
@@ -224,10 +303,10 @@ def _check_table(table: EigTable) -> None:
 def trace_identity_check(table: EigTable, mu: Partition) -> bool:
     """v_mu (2n-1)!! equals the dimension-weighted sum of squared eigenvalues;
     off the identity relation the plain dimension-weighted sum is zero."""
-    lhs = valency(mu) * double_factorial(2 * table.n - 1)
-    return _trace_identity(
-        table.dims, table.column(mu), lhs, mu == table.columns[0]
-    )
+    column = table.column(mu)
+    frame = table._frame
+    c = frame.col_at[mu]
+    return _trace_identity(frame.dims, column, frame.valencies[c] * frame.total, c == 0)
 
 
 def _trace_identity(
@@ -301,7 +380,7 @@ def _check_characters(table: EigTable, data: IntersectionData) -> None:
         for j in range(i, identity)
     ]
     # relations descend and the columns ascend, so each row is reversed
-    for lam, phi in zip(table.rows, (r[::-1] for r in table._grid)):
+    for lam, phi in zip(table._frame.rows, (r[::-1] for r in table._grid)):
         for i, j, terms in products:
             if phi[i] * phi[j] != sum(p * phi[k] for k, p in terms):
                 raise SchemeError(
@@ -325,21 +404,23 @@ def build_table_formulas(n: int) -> EigTable:
     if n < 2:
         raise ValueError("tables need n >= 2")
     guard("closed-form table", n, FORMULAS_MAX_N)
-    rows = generate_partitions(n)
-    columns = rows[::-1]
+    frame = _frame(n)
+    columns = frame.columns
     # the identity column [1^n] is all ones
-    grid: list[list[int | None]] = [[1] + [None] * (len(columns) - 1) for _ in rows]
+    grid: list[list[int | None]] = [
+        [1] + [None] * (len(columns) - 1) for _ in frame.rows
+    ]
     provenance: dict[Partition, str] = {columns[0]: "closed-form"}
     # the top two rows are [n] and [n-1,1]
-    grid[0] = [valency(mu) for mu in columns]
+    grid[0] = list(frame.valencies)
     grid[1] = [phi_n11(mu) for mu in columns]
     for prefix in CATALOG_PREFIXES:
         if prefix.n > n:
             continue
         expr = e_catalog(prefix)
         mu = family_mu(prefix, n)
-        c = columns.index(mu)
-        for lam, row in zip(rows, grid):
+        c = frame.col_at[mu]
+        for lam, row in zip(frame.rows, grid):
             phi = eval_expr(expr, lam)
             if phi.denominator != 1:
                 raise SchemeError(f"non-integer value {phi} at ({lam}, {mu})")
@@ -356,7 +437,7 @@ def second_largest(table: EigTable, mu: Partition) -> tuple[int, list[Partition]
     """Largest column entry off the top row, with every row attaining it."""
     values = table.column(mu)[1:]
     best = max(values)
-    return best, [lam for lam, v in zip(table.rows[1:], values) if v == best]
+    return best, [lam for lam, v in zip(table._frame.rows[1:], values) if v == best]
 
 
 class ConjectureVerdict:
@@ -393,8 +474,8 @@ def verify_conjecture(table: EigTable) -> ConjectureVerdict:
     hook = Partition((n - 1, 1))
     per_column = []
     overall = True
-    for mu in table.columns:
-        applicable = conjecture_applies(mu)
+    frame = table._frame
+    for mu, applicable in zip(frame.columns, frame.applies):
         entry = {"mu": mu, "applicable": applicable, "rows": [], "holds": None}
         if applicable:
             value, rows = second_largest(table, mu)
@@ -407,8 +488,9 @@ def verify_conjecture(table: EigTable) -> ConjectureVerdict:
 
 def derangement_spectrum(table: EigTable) -> list[int]:
     """Row-wise sum of the columns whose relation has no part of size 1."""
-    out = [0] * len(table.rows)
-    for mu in table.columns:
+    columns = table._frame.columns
+    out = [0] * len(columns)
+    for mu in columns:
         if mu.r1() == 0:
             col = table.column(mu)
             out = [a + b for a, b in zip(out, col)]
@@ -430,11 +512,12 @@ def verify_column_orthogonality(table: EigTable) -> bool:
     """Dimension-weighted products of two columns vanish unless the columns
     coincide, where they give (2n-1)!! times the valency: the class sums of
     f_lam phi_lam(mu) are the unit vector at mu, for every mu."""
+    frame = table._frame
     try:
         return all(
-            _class_sums(table, _weighted(table.dims, table.column(mu)))
-            == [int(c == mu) for c in table.columns]
-            for mu in table.columns
+            _class_sums(table, _weighted(frame.dims, table.column(mu)))
+            == [int(c == mu) for c in frame.columns]
+            for mu in frame.columns
         )
     except SchemeError:
         return False
@@ -442,13 +525,12 @@ def verify_column_orthogonality(table: EigTable) -> bool:
 
 def gap_scan(table: EigTable) -> dict[Partition, int]:
     """Spectral gap of every non-identity column of a complete table."""
+    frame = table._frame
     out = {}
-    identity = Partition((1,) * table.n)
-    for mu in table.columns:
-        if mu == identity:
-            continue
+    # column 0 is the identity relation, which has no gap
+    for mu, valency_mu in zip(frame.columns[1:], frame.valencies[1:]):
         value, _ = second_largest(table, mu)
-        out[mu] = valency(mu) - value
+        out[mu] = valency_mu - value
     return out
 
 
@@ -462,9 +544,9 @@ def _class_sums(table: EigTable, weights: list[int]) -> list[int]:
     is the entry of g(A) at the base matching and one class-c matching
     (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 2.2), a count, so
     SchemeError unless every value is a nonnegative integer."""
-    total = double_factorial(2 * table.n - 1)
+    total = table._frame.total
     out = []
-    for c, v in zip(table.columns, table._grid[0]):
+    for c, v in zip(table._frame.columns, table._grid[0]):
         num = sum(_weighted(weights, table.column(c)))
         denom = total * v
         if denom <= 0 or num < 0 or num % denom:
@@ -484,9 +566,10 @@ def intersection_matrix(table: EigTable, mu: Partition) -> list[list[int]]:
     ``intersection_numbers(n).b_matrix(j)`` for mu = relations[j].  Raises
     SchemeError unless every entry is a nonnegative integer.
     """
-    f_mu = _weighted(table.dims, table.column(mu))
+    frame = table._frame
+    f_mu = _weighted(frame.dims, table.column(mu))
     # relations descend like the rows; class sums ascend like the columns
-    by_i = [_class_sums(table, _weighted(f_mu, table.column(i))) for i in table.rows]
+    by_i = [_class_sums(table, _weighted(f_mu, table.column(i))) for i in frame.rows]
     return [list(row) for row in zip(*by_i)][::-1]
 
 
@@ -522,13 +605,14 @@ def diameter(table: EigTable, mu: Partition) -> DiameterResult:
     that adds a class is the diameter.
     ``reached`` counts matchings: the valencies of the reached classes.
     """
+    frame = table._frame
     steps = [1 + phi for phi in table.column(mu)]
-    weights = list(table.dims)
+    weights = list(frame.dims)
     support, t = [], -1  # t ends as the last walk length that adds a class
     while sum(grown := [s > 0 for s in _class_sums(table, weights)]) > sum(support):
         support, t = grown, t + 1
         weights = _weighted(weights, steps)
-    reached = sum(valency(c) for c, hit in zip(table.columns, support) if hit)
-    n_vertices = double_factorial(2 * table.n - 1)
+    reached = sum(v for v, hit in zip(frame.valencies, support) if hit)
+    n_vertices = frame.total
     connected = all(support)
     return DiameterResult(mu, connected, t if connected else None, reached, n_vertices)

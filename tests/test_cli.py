@@ -548,16 +548,28 @@ def test_cached_cells_traded_between_rows_of_one_dimension_are_rebuilt(run):
 
 def test_cache_row_label_in_exponent_form_is_rebuilt(run):
     # "[2,1^2]" parses to the canonical row [2,1,1] but is not how the
-    # cache spells it, so the file is not one this code wrote
-    def respell(obj):
-        obj["rows"][obj["rows"].index("[2,1,1]")] = "[2,1^2]"
+    # cache spells it, so the file is not one this code wrote; the column
+    # labels follow the same rule, and two of them swapped over values left
+    # in place put every cell of those columns under the wrong relation
+    def respell(key):
+        def edit(obj):
+            obj[key][obj[key].index("[2,1,1]")] = "[2,1^2]"
 
-    path, good = _doctor_cache(run, 4, respell)
-    code, out, err = run("table", "--n", "4", "--format", "csv")
-    assert code == 0 and out == _golden(4)
-    assert err.startswith("note: rebuilding unreadable cache")
-    with open(path) as fh:
-        assert fh.read() == good
+        return edit
+
+    def swap_columns(obj):
+        columns = obj["columns"]
+        i, j = columns.index("[2,1,1]"), columns.index("[2,2]")
+        columns[i], columns[j] = columns[j], columns[i]
+
+    for edit in (respell("rows"), respell("columns"), swap_columns):
+        path, good = _doctor_cache(run, 4, edit)
+        code, out, err = run("table", "--n", "4", "--format", "csv")
+        assert code == 0 and out == _golden(4)
+        assert err.count("\n") == 1
+        assert err.startswith("note: rebuilding unreadable cache")
+        assert "not in canonical order" in err
+        assert _read(path) == good
 
 
 def test_cache_provenance_key_in_exponent_form_is_rebuilt(run):

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -232,6 +233,36 @@ def test_dims_sum():
         width = len(generate_partitions(n))
         table = EigTable(n, [[None] * width] * width, {})
         assert sum(table.dims) == double_factorial(2 * n - 1)
+
+
+def test_tables_of_one_n_share_the_frame_but_keep_their_own_lists():
+    mutated = build_table_zonal(5)
+    text = mutated.to_json_text()
+    csv_text = mutated.to_csv_text()
+    want = (list(mutated.rows), list(mutated.columns), list(mutated.dims))
+    want_provenance = dict(mutated.provenance)
+    other = build_table_zonal(5)
+    assert other._frame is mutated._frame
+    mutated.rows.reverse()
+    mutated.columns.pop()
+    mutated.dims[0] = 0
+    mutated.provenance.clear()
+    # the frame, not the table's own lists, labels and sizes every rendering
+    assert mutated.to_csv_text() == csv_text
+    loaded = EigTable.from_json_obj(json.loads(text))
+    for table in (other, build_table_zonal(5), loaded):
+        assert table._frame is mutated._frame
+        assert (table.rows, table.columns, table.dims) == want
+        assert table.provenance == want_provenance
+        assert table.to_csv_text() == csv_text
+
+
+def test_frame_cache_stays_bounded():
+    for n in range(2, FORMULAS_MAX_N + 1):
+        build_table_formulas(n)
+    info = tables._frame.cache_info()
+    assert info.maxsize == tables.FRAME_CACHE_SIZE
+    assert 0 < info.currsize <= info.maxsize
 
 
 def test_json_roundtrip(oracle_table):
