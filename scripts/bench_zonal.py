@@ -16,9 +16,12 @@ checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
 checkout, ``tables.diameter`` over every relation of the zonal table
 for n = 6, 8, ..., 14 once per checkout, and ``build_table_oracle(n)`` for
 n = 6, 7, 8 once per checkout (the median over seeds 0..4 of one build,
-with the intersection data built before the timer starts), each timing in
-a fresh subprocess of its checkout (alternating which side runs first),
-and records every run and the median per side.  The same way it times
+with the intersection data built before the timer starts) and
+``tables._check_characters`` alone for n = 6, 7, 8 once per checkout (the
+median of CHECK_REPEATS checks of the zonal table, with the intersection
+data and the table built before the timer starts), each timing in a fresh
+subprocess of its checkout (alternating which side runs first), and
+records every run and the median per side.  The same way it times
 ``verify induction --family 5`` at n = INDUCTION_MAX_N and ``verify
 ratios`` at n = RATIOS_MAX_N, this checkout's guards, three times per
 checkout, so each guard's cost at its limit is on record.  Last, it times
@@ -53,6 +56,7 @@ ZONAL_REPEATS = 3
 ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
+CHECK_REPEATS = 31
 GUARD_REPEATS = 3
 LOAD_REPEATS = 21
 # each timer runs in a checkout's root and prints the seconds of one call
@@ -94,6 +98,21 @@ times = []
 for seed in range(5):
     t0 = time.perf_counter()
     build_table_oracle(n, seed=seed, data=data)
+    times.append(time.perf_counter() - t0)
+print(statistics.median(times))
+"""
+CHECK_TIMER = f"""
+import statistics, sys, time
+sys.path.insert(0, "src")
+from pmscheme.matchings import intersection_numbers
+from pmscheme.tables import _check_characters, build_table_zonal
+n = int(sys.argv[1])
+data = intersection_numbers(n)
+table = build_table_zonal(n)
+times = []
+for _ in range({CHECK_REPEATS}):
+    t0 = time.perf_counter()
+    _check_characters(table, data)
     times.append(time.perf_counter() - t0)
 print(statistics.median(times))
 """
@@ -200,8 +219,8 @@ def main(argv: list[str] | None = None) -> int:
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
             "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s,"
-            " build_table_oracle_s, verify_induction_s, verify_ratios_s,"
-            " from_json_obj_s: wall-clock seconds"
+            " build_table_oracle_s, check_characters_s, verify_induction_s,"
+            " verify_ratios_s, from_json_obj_s: wall-clock seconds"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -217,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "build_table_oracle_s": fresh_times(
             args.parent.resolve(), ORACLE_TABLE_TIMER, ORACLE_TABLE_NS, 1
+        ),
+        "check_characters_s": fresh_times(
+            args.parent.resolve(), CHECK_TIMER, ORACLE_TABLE_NS, 1
         ),
         "verify_induction_s": fresh_times(
             args.parent.resolve(), INDUCTION_TIMER,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .partitions import Partition
 from .spectra import family_closed_form, phi_n11, valency
@@ -41,8 +42,10 @@ class MergeSpec:
     def part_j(self) -> int:
         return self.mu.parts[self.j - 1]
 
-    @property
+    @cached_property
     def merged(self) -> Partition:
+        """mu with the two parts replaced by their sum, built on first use
+        and kept: a report reads it four times."""
         parts = list(self.mu.parts)
         hi, lo = max(self.i, self.j) - 1, min(self.i, self.j) - 1
         parts.pop(hi)

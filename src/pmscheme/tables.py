@@ -5,14 +5,16 @@ relation mu is the coefficient of p_mu in the zonal polynomial J_lam^(2),
 computed exactly in ``symfunc``.  The oracle route is that table confirmed
 by the brute-force intersection numbers, which owe nothing to symmetric
 functions: its rows must also be characters of the Bose-Mesner algebra the
-numbers count.  The formula route fills whatever closed forms cover.  Each
-route fills one rows x columns grid, None marking a cell it left unfilled,
-and ``EigTable`` holds that grid.  Every table built or loaded from JSON
-passes ``_check_table`` or raises SchemeError; that check also holds each
-complete row to its label's multiplicity and flip entry, so cells traded
-between rows, or rows in the wrong order, are a hard error.  A complete
-table also gives the intersection numbers and the relation-graph
-diameters; no other module reads an ``EigTable``.
+numbers count, checked as row . B_g = phi_g row against the class matrices
+B_g of a few relations g that tell the rows apart, the flip first
+(``_check_characters``).  The formula route fills whatever closed forms
+cover.  Each route fills one rows x columns grid, None marking a cell it
+left unfilled, and ``EigTable`` holds that grid.  Every table built or
+loaded from JSON passes ``_check_table`` or raises SchemeError; that check
+also holds each complete row to its label's multiplicity and flip entry,
+so cells traded between rows, or rows in the wrong order, are a hard
+error.  A complete table also gives the intersection numbers and the
+relation-graph diameters; no other module reads an ``EigTable``.
 
 What depends on n alone (the labels, their ``str`` spellings, dimensions,
 valencies, multiplicity weights, flip eigenvalues and the conjecture's
@@ -28,7 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -357,14 +359,26 @@ def build_table_oracle(
 
 
 def _check_characters(table: EigTable, data: IntersectionData) -> None:
-    """Refuse a complete table unless it passes ``_check_table`` and each row
-    satisfies phi_i phi_j = sum_k p^k_ij phi_k over the pairs i <= j (the
-    identity and zero p skipped; SchemeError otherwise).  Such rows are
-    characters of the commutative Bose-Mesner algebra data counts.  Rows on
-    their own labels carry pairwise distinct (multiplicity, flip entry)
-    keys for every n <= 14, so they are distinct, and d distinct characters
-    are all the characters (Bannai and Ito, Algebraic Combinatorics I:
-    Association Schemes, 1984).
+    """Refuse a complete table unless it passes ``_check_table`` and its rows
+    are the characters of the commutative Bose-Mesner algebra data counts
+    (Bannai and Ito, Algebraic Combinatorics I: Association Schemes, 1984);
+    SchemeError otherwise.
+
+    Only the relations g of ``_separating_set`` are multiplied: each row
+    must satisfy phi_g phi_j = sum_k p^k_gj phi_k, that is row . B_g =
+    phi_g row, for every g in S and every non-identity j (zero p skipped),
+    which costs O(|S| d^2) where all pairs cost O(d^3).  S is {flip} for
+    n in {2, 3, 4, 5, 7} and {flip, [2,2,1^(n-4)]} for n = 6 and 8..14.
+
+    This is as strong as checking every pair.  Write a row as phi = sum_s
+    a_s chi_s over the d true characters.  Applying phi to A_g E_s, with
+    E_s the primitive idempotents, shows that a row passing at g has a_s = 0
+    wherever chi_s(A_g) != phi_g.  So each row lies in the span of its own
+    fibre, the characters that agree with it on S, and phi(I) = 1 (the
+    identity column, held by ``_check_table``) makes that fibre nonempty.
+    The rows are pairwise distinct on S, so d rows sit in d disjoint
+    nonempty fibres of d characters: each fibre is a single character, and
+    each row equals it.
     """
     n = table.n
     if data.n != n:
@@ -373,20 +387,46 @@ def _check_characters(table: EigTable, data: IntersectionData) -> None:
         raise IncompleteTable("the character check needs a complete table")
     _check_table(table)
     rels = data.relations
-    identity = len(rels) - 1
-    products = [
-        (i, j, [(k, pk[i][j]) for k, pk in enumerate(data.p) if pk[i][j]])
-        for i in range(identity)
-        for j in range(i, identity)
-    ]
+    lams = table._frame.rows
     # relations descend and the columns ascend, so each row is reversed
-    for lam, phi in zip(table._frame.rows, (r[::-1] for r in table._grid)):
-        for i, j, terms in products:
-            if phi[i] * phi[j] != sum(p * phi[k] for k, p in terms):
+    rows = [r[::-1] for r in table._grid]
+    products = [
+        (g, j, [(k, pk[g][j]) for k, pk in enumerate(data.p) if pk[g][j]])
+        for g in _separating_set(lams, rows)
+        for j in range(len(rels) - 1)
+    ]
+    for lam, phi in zip(lams, rows):
+        for g, j, terms in products:
+            if phi[g] * phi[j] != sum(p * phi[k] for k, p in terms):
                 raise SchemeError(
                     f"row {lam} fails phi_i phi_j = sum_k p^k_ij phi_k at the"
-                    f" pair ({rels[i]}, {rels[j]})"
+                    f" pair ({rels[g]}, {rels[j]})"
                 )
+
+
+def _separating_set(
+    lams: Sequence[Partition], rows: Sequence[Sequence[int]]
+) -> list[int]:
+    """A separating set S of relations for the rows of lams: rows lists each
+    row in relation order (descending, the identity last), and S holds
+    indices into it, walked from the flip [2,1^(n-2)], the relation before
+    the identity, upward until the rows' values on S are pairwise distinct.
+    SchemeError naming two equal rows when no set separates."""
+    chosen, keys = [], [()] * len(rows)
+    for g in range(len(rows[0]) - 2, -1, -1):
+        if len(set(keys)) == len(keys):
+            break
+        chosen.append(g)
+        keys = [key + (phi[g],) for key, phi in zip(keys, rows)]
+    seen: dict[tuple, Partition] = {}
+    for lam, key in zip(lams, keys):
+        if key in seen:
+            raise SchemeError(
+                f"rows {seen[key]} and {lam} are equal on every relation but"
+                " the identity"
+            )
+        seen[key] = lam
+    return chosen
 
 
 def _flip_eigenvalue(lam: Partition) -> int:
@@ -500,7 +540,11 @@ def derangement_spectrum(table: EigTable) -> list[int]:
 def verify_structure_constants(table: EigTable, data: IntersectionData) -> bool:
     """True when the table passes ``_check_characters`` against data: every
     row on its own label (``_check_table``) and a character of the algebra
-    data counts."""
+    data counts.  Only the products with the relations of a separating set
+    are checked, which is as strong as every product: a row passing at g
+    lies in the span of the characters that agree with it at g, so rows
+    that pass on a set S and are pairwise distinct on S sit in d disjoint
+    nonempty fibres of the d characters, one character each."""
     try:
         _check_characters(table, data)
     except SchemeError:

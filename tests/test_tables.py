@@ -334,7 +334,8 @@ def test_character_check_refuses_a_traded_cell(idata):
         tables._check_characters(traded, idata(4))
     assert type(exc.value) is SchemeError
     assert str(exc.value) == (
-        "row [2,2] fails phi_i phi_j = sum_k p^k_ij phi_k at the pair ([4], [4])"
+        "row [2,2] fails phi_i phi_j = sum_k p^k_ij phi_k at the pair"
+        " ([2,1,1], [4])"
     )
     assert not verify_structure_constants(traded, idata(4))
 
@@ -371,6 +372,86 @@ def test_character_check_refuses_the_doctored_n8_cache_table(idata):
         tables._check_table(doctored)
     with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
         tables._check_characters(doctored, idata(8))
+
+
+def _check_every_product(table, data):
+    """The reference: ``_check_table``, then phi_i phi_j = sum_k p^k_ij phi_k
+    for every pair of non-identity relations i <= j."""
+    tables._check_table(table)
+    rels = data.relations
+    pairs = [(i, j) for i in range(len(rels) - 1) for j in range(i, len(rels) - 1)]
+    for lam, row in zip(table.rows, table.grid()):
+        phi = row[::-1]
+        for i, j in pairs:
+            if phi[i] * phi[j] != sum(pk[i][j] * phi[k] for k, pk in enumerate(data.p)):
+                raise SchemeError(f"row {lam} fails at the pair ({rels[i]}, {rels[j]})")
+
+
+def _verdict(check, table, data):
+    """None when check accepts, else the type of its refusal."""
+    try:
+        check(table, data)
+    except SchemeError as exc:
+        return type(exc)
+    return None
+
+
+def _doctored_tables(n):
+    """Every two-cell trade within a column that changes the grid, and every
+    +-1 edit of one cell, of the zonal table of n, built without
+    ``_check_table``."""
+    table = build_table_zonal(n)
+    d = len(table.rows)
+    for c in range(d):
+        for a in range(d):
+            for b in range(a + 1, d):
+                grid = table.grid()
+                if grid[a][c] != grid[b][c]:
+                    grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
+                    yield EigTable(n, grid, {})
+            for step in (1, -1):
+                grid = table.grid()
+                grid[a][c] += step
+                yield EigTable(n, grid, {})
+
+
+def test_character_check_agrees_with_every_product(idata):
+    verdicts = []
+    for n in (4, 5, 6):
+        for table in _doctored_tables(n):
+            verdict = _verdict(tables._check_characters, table, idata(n))
+            assert verdict == _verdict(_check_every_product, table, idata(n))
+            verdicts.append(verdict)
+    # the zonal rows are the only characters in their order, so every
+    # doctored table is refused
+    assert len(verdicts) == 1082
+    assert None not in verdicts
+    for n in range(2, 9):
+        table = build_table_zonal(n)
+        assert _verdict(tables._check_characters, table, idata(n)) is None
+        assert _verdict(_check_every_product, table, idata(n)) is None
+
+
+def test_separating_set_is_the_flip_and_at_most_one_more_relation():
+    for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
+        table = build_table_zonal(n)
+        rels = generate_partitions(n)
+        rows = [row[::-1] for row in table.grid()]
+        got = [rels[g] for g in tables._separating_set(table.rows, rows)]
+        flip = P([2] + [1] * (n - 2))
+        if n in (2, 3, 4, 5, 7):
+            assert got == [flip], n
+        else:
+            assert got == [flip, P([2, 2] + [1] * (n - 4))], n
+
+
+def test_separating_set_refuses_two_equal_rows():
+    table = build_table_zonal(4)
+    rows = [row[::-1] for row in table.grid()]
+    rows[-1] = rows[2]
+    message = "rows [2,2] and [1,1,1,1] are equal on every relation but the identity"
+    with pytest.raises(SchemeError, match=re.escape(message)):
+        tables._separating_set(table.rows, rows)
 
 
 def test_row_keys_are_distinct_and_give_the_flip_column():

@@ -36,9 +36,12 @@ P = Partition
 real_representative = matchings.representative
 data4 = matchings.intersection_numbers(4)
 # the n = 4 zonal grid with one cell of [2,2] and [1^4] (both of dimension
-# 14) traded in column [4]: every trace identity still holds
+# 14) traded in column [3,1]: every trace identity still holds
 grid4 = tables.build_table_zonal(4).grid()
 grid4[2][3], grid4[4][3] = grid4[4][3], grid4[2][3]
+# the same grid in relation order with row [1^4] a copy of row [2,2]
+twins4 = [row[::-1] for row in grid4]
+twins4[4] = twins4[2]
 
 
 def wrong_representative(mu):
@@ -56,6 +59,7 @@ cases = [
     ("family_second_eig", lambda: spectra.family_second_eig(P([2]), 9)),
     ("gap_report", lambda: spectra.GapReport(4, P([2, 1, 1]), 12, 5, 8, "t")),
     ("hook_gap", lambda: spectra.hook_gap(5, 2)),
+    ("separating_set", lambda: tables._separating_set(data4.relations, twins4)),
     ("oracle_check", lambda: tables.build_table_oracle(4, data=data4)),
 ]
 matchings.representative = wrong_representative
@@ -90,6 +94,7 @@ def test_verdicts_refuse_under_python_O():
         "family_second_eig",
         "gap_report",
         "hook_gap",
+        "separating_set",
         "oracle_check",
     ]
     assert all(": refused: " in line for line in lines), lines
