@@ -11,17 +11,19 @@ DIR and once in this checkout, alternating which runs first, and records
 each run's end-to-end metrics and their medians per side.  Each run gets
 its own empty ``PMSCHEME_DATA_DIR``, removed afterwards, so a workload
 that passes no ``--data-dir`` neither reads nor fills the user's cache.
-It then times ``matchings.intersection_numbers(n)`` for n = 5..8 once per
+It then times the full intersection tensor, ``intersection_numbers(n).p``
+(``intersection_numbers`` itself counts nothing), for n = 5..8 once per
 checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
 checkout, ``tables.diameter`` over every relation of the zonal table
-for n = 6, 8, ..., 14 once per checkout, and ``build_table_oracle(n)`` for
-n = 6, 7, 8 once per checkout (the median over seeds 0..4 of one build,
-with the intersection data built before the timer starts) and
-``tables._check_characters`` alone for n = 6, 7, 8 once per checkout (the
-median of CHECK_REPEATS checks of the zonal table, with the intersection
-data and the table built before the timer starts), each timing in a fresh
-subprocess of its checkout (alternating which side runs first), and
-records every run and the median per side.  The same way it times
+for n = 6, 8, ..., 14 once per checkout, and the oracle route,
+``build_table_oracle(n)`` given no intersection data, for n = 6, 7, 8 once
+per checkout (the median over seeds 0..4 of one build, each counting what
+its check reads) and ``tables._check_characters`` alone for n = 6, 7, 8
+once per checkout (the median of CHECK_REPEATS checks of the zonal table;
+the intersection data and the table are built, and one untimed check
+counts the class matrices the check reads, before the timer starts), each
+timing in a fresh subprocess of its checkout (alternating which side runs
+first), and records every run and the median per side.  The same way it times
 ``verify induction --family 5`` at n = INDUCTION_MAX_N and ``verify
 ratios`` at n = RATIOS_MAX_N, this checkout's guards, three times per
 checkout, so each guard's cost at its limit is on record.  Last, it times
@@ -65,7 +67,7 @@ import sys, time
 sys.path.insert(0, "src")
 from pmscheme.matchings import intersection_numbers
 t0 = time.perf_counter()
-intersection_numbers(int(sys.argv[1]))
+intersection_numbers(int(sys.argv[1])).p
 print(time.perf_counter() - t0)
 """
 ZONAL_TIMER = """
@@ -90,14 +92,12 @@ print(time.perf_counter() - t0)
 ORACLE_TABLE_TIMER = """
 import statistics, sys, time
 sys.path.insert(0, "src")
-from pmscheme.matchings import intersection_numbers
 from pmscheme.tables import build_table_oracle
 n = int(sys.argv[1])
-data = intersection_numbers(n)
 times = []
 for seed in range(5):
     t0 = time.perf_counter()
-    build_table_oracle(n, seed=seed, data=data)
+    build_table_oracle(n, seed=seed)
     times.append(time.perf_counter() - t0)
 print(statistics.median(times))
 """
@@ -109,6 +109,7 @@ from pmscheme.tables import _check_characters, build_table_zonal
 n = int(sys.argv[1])
 data = intersection_numbers(n)
 table = build_table_zonal(n)
+_check_characters(table, data)
 times = []
 for _ in range({CHECK_REPEATS}):
     t0 = time.perf_counter()

@@ -2,12 +2,14 @@
 
 Each subcommand's parser carries its ``cmd_*`` function as ``run``, and
 ``main`` runs it inside the one ``try`` that maps a refusal to its exit
-code.  Exit codes: 0 pass, 1 verification failure, 2 unsupported request
-or parse error (``GuardExceeded``, ``ValueError``, ``FitInconsistent``,
-``FitUnderdetermined``), 3 a mislabelled row (``AmbiguousRowAssignment``);
-a refusal prints one ``error: {exc}`` line on stderr; ``table`` adds to
-its guard's refusal the option that gets past the guard.  The console
-script (``main_entry``) ends by SIGPIPE, silently, when stdout closes.
+code.  Exit codes: 0 pass, 1 verification failure or any other
+``SchemeError`` (such as a failed product in ``table --source oracle``), 2
+unsupported request or parse error (``GuardExceeded``, ``ValueError``,
+``FitInconsistent``, ``FitUnderdetermined``), 3 a mislabelled row
+(``AmbiguousRowAssignment``); a refusal prints one ``error: {exc}`` line
+on stderr; ``table`` adds to its guard's refusal the option that gets past
+the guard.  The console script (``main_entry``) ends by SIGPIPE, silently,
+when stdout closes.
 
 Every command that reads a full table gets the zonal table, cached on disk
 keyed by (n, code version) as its ``--format json`` text; cache writes are
@@ -15,7 +17,9 @@ atomic, and ``table --out`` writes in place, as a shell redirect does.
 ``diameter`` and ``scan --with-diameters`` derive relation-graph diameters
 from that table.  The brute-force intersection numbers only check it, in
 ``verify scheme-axioms`` and ``table --source oracle`` (uncached; ``--seed``
-is accepted and changes nothing).
+is accepted and changes nothing), which count only the class matrices of
+the relations that check multiplies by, each by a walk pruned to the
+branches that can end in its relation.
 """
 
 from __future__ import annotations
@@ -510,6 +514,9 @@ def _run(argv: list[str] | None) -> int:
     except AmbiguousRowAssignment as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
+    except SchemeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 def main_entry() -> None:

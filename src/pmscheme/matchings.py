@@ -10,12 +10,19 @@ each reference matching with the partial matching edge by edge, so no
 finished union is walked again.  The enumeration stops with six vertices
 free and counts their 15 completions at once from a table of how each
 completion closes the three open paths; every matching is still counted.
+Intersection numbers are counted when first read: the walk for the class
+matrix of one relation prunes every branch that cannot end in that relation
+to the base, so its cost follows that class's size rather than (2n-1)!!,
+and the full tensor, all (2n-1)!! matchings, is counted only when
+``IntersectionData.p`` is read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from decimal import Decimal, localcontext
 from functools import cache
+from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import PI, SchemeError, count_text, guard, ln_factorial
@@ -24,6 +31,7 @@ from .partitions import (
     double_factorial,
     generate_partitions,
     partition_count,
+    z2,
 )
 
 DEFAULT_ORACLE_MAX_N = 8
@@ -236,7 +244,8 @@ def unrank(r: int, n: int) -> Matching:
 def _cycle_codes(n: int):
     """Integer codes for the multisets of cycle half-lengths closed so far.
 
-    Codes 0..d-1 are the relations of K_{2n} in canonical order; the partial
+    ``states[c]`` is the multiset of code c as descending parts.  Codes
+    0..d-1 are the relations of K_{2n} in canonical order; the partial
     multisets (sum below n) follow.  ``add[c][h]`` closes one more cycle of
     half-length h and ``sub`` undoes it.  With ``rem`` q-edges still on open
     paths, ``close[c]`` closes one cycle through all of them (``close[c] = c``
@@ -254,7 +263,7 @@ def _cycle_codes(n: int):
             add[c][h] = grown
             sub[grown][h] = c
     close = [add[c][n - sum(t)] if sum(t) < n else c for c, t in enumerate(states)]
-    return code[()], add, sub, close
+    return states, code[()], add, sub, close
 
 
 @cache
@@ -309,13 +318,20 @@ def _completion_table():
 
 
 def _union_counts(
-    refs: list[tuple[int, ...]], first_edge: tuple[int, int] | None = None
+    refs: list[tuple[int, ...]],
+    first_edge: tuple[int, int] | None = None,
+    target: int | None = None,
 ) -> list[list[list[int]]]:
     """Joint relation counts over all matchings r, by one enumeration.
 
     ``counts[t][i][j]`` is the number of matchings r (through ``first_edge``
     when given) with relation(refs[-1], r) = relations[i] and
     relation(refs[t], r) = relations[j], relations in canonical order.
+    With ``target`` given only row i = target of each ``counts[t]`` is
+    complete: a branch stops once the base's closed cycles are not a
+    sub-multiset of relations[target], or once an open base path holds more
+    base edges than its largest part, since no completion of it can end in
+    that relation.
 
     For each reference q, the union of q with the partial matching is a set
     of closed cycles plus open paths whose two ends are the free vertices.
@@ -333,12 +349,18 @@ def _union_counts(
     """
     m = len(refs[0])
     d = len(generate_partitions(m // 2))
-    empty, add, sub, close = _cycle_codes(m // 2)
+    states, empty, add, sub, close = _cycle_codes(m // 2)
     pairing, leaf = _completion_table()
     tracks = [(list(q), [1] * m + [empty]) for q in refs]
     counts = [[[0] * d for _ in range(d)] for _ in refs]
     rows = list(zip(tracks, counts))
-    base_qcount = tracks[-1][1]
+    base_ends, base_qcount = tracks[-1]
+    if target is None:
+        fits, largest = [True] * len(states), m
+    else:
+        want = Counter(states[target])
+        fits = [not Counter(t) - want for t in states]
+        largest = states[target][0]
     at = [0] * m  # at[f]: where free vertex f stands among the last six
 
     def place(u: int, v: int) -> None:
@@ -392,6 +414,13 @@ def _union_counts(
         u = free[0]
         rest = free[1:]
         for k, v in enumerate(rest):
+            # skip (u, v) when it closes a base cycle outside the target or
+            # joins two base paths into one too long for it
+            if base_ends[u] == v:
+                if not fits[add[base_qcount[m]][base_qcount[u]]]:
+                    continue
+            elif base_qcount[u] + base_qcount[v] > largest:
+                continue
             place(u, v)
             walk(rest[:k] + rest[k + 1:])
             unplace(u, v)
@@ -409,29 +438,61 @@ class IntersectionData:
 
     relations are in canonical descending order; p[k][i][j] counts matchings
     R with relation(base, R) = relations[i] and relation(R, rep[k]) =
-    relations[j].
+    relations[j]; valencies[i] = 2^n n! / z2(relations[i]) is the size of
+    class i.  Nothing is counted until it is read: ``b_matrix(i)`` walks
+    once, pruning every branch that cannot end in relation i to the base,
+    so its cost follows that class's size rather than (2n-1)!!; ``p`` walks
+    all (2n-1)!! matchings once.  Every row of a result must sum to its
+    class's valency, or SchemeError.  Each result is kept and shared with
+    every later reader, which must not modify it.
     """
 
-    __slots__ = ("n", "relations", "reps", "p", "valencies")
+    __slots__ = ("n", "relations", "reps", "valencies", "_p", "_b")
 
-    def __init__(self, n, relations, reps, p, valencies):
+    def __init__(self, n: int, relations: list[Partition], reps: list[Matching]):
         self.n = n
         self.relations = relations
         self.reps = reps
-        self.p = p
-        self.valencies = valencies
+        self.valencies = [2**n * factorial(n) // z2(mu) for mu in relations]
+        self._p = None
+        self._b: dict[int, list[list[int]]] = {}
 
     def index(self, mu: Partition) -> int:
         return self.relations.index(mu)
 
+    @property
+    def p(self) -> list[list[list[int]]]:
+        """The full tensor, from one walk of every matching on first read."""
+        if self._p is None:
+            p = _union_counts([rep.partner for rep in self.reps])
+            for k, pk in enumerate(p):
+                for i, row in enumerate(pk):
+                    if sum(row) != self.valencies[i]:
+                        raise SchemeError(f"row sum p[{k}][{i}] is not the valency")
+            self._p = p
+        return self._p
+
     def b_matrix(self, i: int) -> list[list[int]]:
-        """Intersection matrix of relation i: entry (k, j) is p[k][i][j]."""
-        d = len(self.relations)
-        return [[self.p[k][i][j] for j in range(d)] for k in range(d)]
+        """Intersection matrix of relation i: entry (k, j) is p[k][i][j],
+        from one walk that completes only row i of the counts."""
+        if i not in self._b:
+            counts = _union_counts([rep.partner for rep in self.reps], target=i)
+            for k, pk in enumerate(counts):
+                if sum(pk[i]) != self.valencies[i]:
+                    raise SchemeError(
+                        f"row {k} of b_matrix({i}) does not sum to the"
+                        f" valency {self.valencies[i]}"
+                    )
+            self._b[i] = [pk[i] for pk in counts]
+        return self._b[i]
 
 
 def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> IntersectionData:
-    """Count p[k][i][j] over all (2n-1)!! matchings in one enumeration.
+    """The intersection data of K_{2n} for n <= max_n (GuardExceeded above),
+    with every representative checked against its relation.  It counts
+    nothing itself: ``IntersectionData`` counts on first read, and
+    ``b_matrix(i)`` prunes every branch that cannot end in relation i to
+    the base, while ``p`` walks all (2n-1)!!.
 
     One incremental counter per representative (the base matching is the
     representative of [1^n]) follows how its union with the partial
@@ -441,19 +502,12 @@ def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> Intersect
     """
     _guard_enumeration("intersection numbers", n, max_n)
     relations = list(generate_partitions(n))
-    d = len(relations)
     reps = [representative(mu) for mu in relations]
     base = _base_partner(n)
     for mu, rep in zip(relations, reps):
         if _relation_parts(base, rep.partner) != mu.parts:
             raise SchemeError(f"representative {rep} is not in relation {mu}")
-    p = _union_counts([rep.partner for rep in reps])
-    valencies = [sum(p[0][i]) for i in range(d)]
-    for k in range(d):
-        for i in range(d):
-            if sum(p[k][i]) != valencies[i]:
-                raise SchemeError(f"row sum p[{k}][{i}] is not the valency")
-    return IntersectionData(n, relations, reps, p, valencies)
+    return IntersectionData(n, relations, reps)
 
 
 class QuotientMatrix:

@@ -6,10 +6,12 @@ computed exactly in ``symfunc``.  The oracle route is that table confirmed
 by the brute-force intersection numbers, which owe nothing to symmetric
 functions: its rows must also be characters of the Bose-Mesner algebra the
 numbers count, checked as row . B_g = phi_g row against the class matrices
-B_g of a few relations g that tell the rows apart, the flip first
-(``_check_characters``).  The formula route fills whatever closed forms
-cover.  Each route fills one rows x columns grid, None marking a cell it
-left unfilled, and ``EigTable`` holds that grid.  Every table built or
+B_g of a few relations g that tell the rows apart, the flip first, each
+from a walk pruned to the branches that can end in its relation
+(``_check_characters``).
+The formula route fills whatever closed forms cover.  Each route fills one
+rows x columns grid, None marking a cell it left unfilled, and
+``EigTable`` holds that grid.  Every table built or
 loaded from JSON passes ``_check_table`` or raises SchemeError; that check
 also holds each complete row to its label's multiplicity and flip entry,
 so cells traded between rows, or rows in the wrong order, are a hard
@@ -369,6 +371,10 @@ def _check_characters(table: EigTable, data: IntersectionData) -> None:
     phi_g row, for every g in S and every non-identity j (zero p skipped),
     which costs O(|S| d^2) where all pairs cost O(d^3).  S is {flip} for
     n in {2, 3, 4, 5, 7} and {flip, [2,2,1^(n-4)]} for n = 6 and 8..14.
+    Only those class matrices are read (``data.b_matrix(g)``); each walk
+    prunes every branch that cannot end in relation g, so its cost follows
+    that class's size (n(n-1) for the flip, 12 C(n,4) for [2,2,1^(n-4)])
+    rather than (2n-1)!!, and the full tensor is never counted.
 
     This is as strong as checking every pair.  Write a row as phi = sum_s
     a_s chi_s over the d true characters.  Applying phi to A_g E_s, with
@@ -391,7 +397,7 @@ def _check_characters(table: EigTable, data: IntersectionData) -> None:
     # relations descend and the columns ascend, so each row is reversed
     rows = [r[::-1] for r in table._grid]
     products = [
-        (g, j, [(k, pk[g][j]) for k, pk in enumerate(data.p) if pk[g][j]])
+        (g, j, [(k, bk[j]) for k, bk in enumerate(data.b_matrix(g)) if bk[j]])
         for g in _separating_set(lams, rows)
         for j in range(len(rels) - 1)
     ]

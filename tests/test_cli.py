@@ -360,6 +360,38 @@ def test_table_sources_zonal_and_oracle(run):
     assert os.listdir(run.data_dir) == ["table_n6_v" + __version__ + ".json"]
 
 
+def test_oracle_product_failure_exits_1_with_one_error_line(run, monkeypatch):
+    # the [3,1] cells of [2,2] and [1^4] (-8 and 8) traded: both rows keep
+    # their labels' keys, so only a product refuses, as a plain SchemeError
+    from pmscheme import Partition, tables
+
+    table = build_table_zonal(4)
+    a = table.rows.index(Partition([2, 2]))
+    b = table.rows.index(Partition([1, 1, 1, 1]))
+    c = table.columns.index(Partition([3, 1]))
+    grid = table.grid()
+    grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
+    monkeypatch.setattr(tables, "_zonal_grid", lambda n: grid)
+    code, out, err = run("table", "--n", "4", "--source", "oracle")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: row [2,2] fails phi_i phi_j = sum_k p^k_ij phi_k at the pair"
+        " ([2,1,1], [4])\n"
+    )
+
+
+def test_oracle_route_at_its_guard(run):
+    code, oracle, err = run("table", "--n", "8", "--source", "oracle", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert run("table", "--n", "8", "--format", "csv") == (0, oracle, "")
+    code, out, _ = run("verify", "scheme-axioms", "--n", "8")
+    assert code == 0
+    assert out == (
+        "scheme axioms n=8: PASS (structure constants ok, orthogonality ok,"
+        " trace ok)\n"
+    )
+
+
 def test_table_n8_auto_is_complete(run):
     code, out, err = run("table", "--n", "8", "--format", "json")
     assert code == 0

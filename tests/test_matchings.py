@@ -9,6 +9,7 @@ from pmscheme import (
     Partition,
     base_matching,
     build_table_formulas,
+    build_table_oracle,
     build_table_zonal,
     degree_histogram,
     diameter,
@@ -28,7 +29,8 @@ from pmscheme import (
     verify_induction_step,
     zonal_check,
 )
-from pmscheme.errors import GuardExceeded
+from pmscheme import matchings
+from pmscheme.errors import GuardExceeded, SchemeError
 
 P = Partition
 
@@ -133,6 +135,47 @@ def test_intersection_numbers_small(idata):
     for k in range(len(data4.relations)):
         for i, mu in enumerate(data4.relations):
             assert sum(data4.p[k][i]) == valency(mu)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_b_matrix_alone_is_the_slice_of_p(n, idata):
+    """b_matrix(i), counted on its own walk, equals the slice p[.][i][.] of
+    the full tensor: every relation for n <= 6; at n = 7 the flip and
+    [2,2,1^3], the relations the character check multiplies by."""
+    full = idata(n).p
+    d = len(full)
+    alone = intersection_numbers(n)
+    for i in range(d) if n <= 6 else (d - 2, d - 3):
+        assert alone.b_matrix(i) == [[full[k][i][j] for j in range(d)] for k in range(d)]
+
+
+def test_intersection_data_counts_on_first_read(monkeypatch):
+    """intersection_numbers counts nothing; an oracle build walks once per
+    separating relation and keeps what it counted."""
+    walks = []
+    real = matchings._union_counts
+
+    def counted(*args, **kwargs):
+        walks.append(kwargs.get("target"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matchings, "_union_counts", counted)
+    for n, separating in ((6, [9, 8]), (7, [13])):
+        walks.clear()
+        data = intersection_numbers(n)
+        assert walks == []
+        build_table_oracle(n, data=data)
+        assert walks == separating
+        build_table_oracle(n, data=data)
+        assert walks == separating
+
+
+def test_b_matrix_refuses_a_row_off_the_class_size(monkeypatch):
+    monkeypatch.setattr(matchings, "z2", lambda mu: 1)
+    # z2 = 1 makes every class as large as the hyperoctahedral group, 48
+    message = r"^row 0 of b_matrix\(1\) does not sum to the valency 48$"
+    with pytest.raises(SchemeError, match=message):
+        intersection_numbers(3).b_matrix(1)
 
 
 def _reference_partners(n):
