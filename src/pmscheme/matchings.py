@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from decimal import Decimal, localcontext
 from functools import cache
-from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import PI, SchemeError, count_text, guard, ln_factorial
@@ -31,38 +30,34 @@ from .partitions import (
     double_factorial,
     generate_partitions,
     partition_count,
-    z2,
+    valency,
 )
 
 DEFAULT_ORACLE_MAX_N = 8
 
 
-class Matching:
-    """A perfect matching of K_{2n} as a partner involution."""
+class Matching(tuple):
+    """A perfect matching of K_{2n} as a partner involution: the tuple of
+    partners, equal to that plain tuple."""
 
-    __slots__ = ("partner",)
+    __slots__ = ()
 
-    def __init__(self, partner: Iterable[int]):
-        partner = tuple(partner)
-        m = len(partner)
+    def __new__(cls, partner: Iterable[int]):
+        self = super().__new__(cls, partner)
+        m = len(self)
         if m % 2 or not all(
-            0 <= p < m and p != v and partner[p] == v for v, p in enumerate(partner)
+            0 <= p < m and p != v and self[p] == v for v, p in enumerate(self)
         ):
             raise ValueError("not a fixed-point-free involution")
-        object.__setattr__(self, "partner", partner)
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matching is immutable")
+    @property
+    def partner(self) -> "Matching":
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.partner) // 2
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matching) and self.partner == other.partner
-
-    def __hash__(self) -> int:
-        return hash(self.partner)
+        return len(self) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """1-based edge pairs (min, max), sorted by the smaller endpoint."""
@@ -453,7 +448,7 @@ class IntersectionData:
         self.n = n
         self.relations = relations
         self.reps = reps
-        self.valencies = [2**n * factorial(n) // z2(mu) for mu in relations]
+        self.valencies = [valency(mu) for mu in relations]
         self._p = None
         self._b: dict[int, list[list[int]]] = {}
 

@@ -16,58 +16,40 @@ from typing import Callable, Iterable, Iterator
 from .errors import SchemeError
 
 
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
     Partitions index relations, eigenspaces and cycle types alike; the
     canonical total order used throughout is descending lexicographic on the
-    part sequence, so ``[n]`` comes first and ``[1^n]`` last.
+    part sequence, so ``[n]`` comes first and ``[1^n]`` last.  A partition is
+    a tuple: it hashes, compares and orders as its parts, so it equals the
+    plain tuple of its parts.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        for a, b in zip(parts, parts[1:]):
+    def __new__(cls, parts: Iterable[int] = ()):
+        self = super().__new__(cls, map(int, parts))
+        for a, b in zip(self, self[1:]):
             if a < b:
-                raise ValueError(f"parts not weakly decreasing: {list(parts)}")
-        if parts and parts[-1] < 1:
-            raise ValueError(f"parts must be positive: {list(parts)}")
-        object.__setattr__(self, "parts", parts)
+                raise ValueError(f"parts not weakly decreasing: {list(self)}")
+        if self and self[-1] < 1:
+            raise ValueError(f"parts must be positive: {list(self)}")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self) -> "Partition":
+        return self
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
-
-    def __le__(self, other: "Partition") -> bool:
-        return self.parts <= other.parts
+        return sum(self)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def multiplicities(self) -> dict[int, int]:
         """Part value -> multiplicity, keys in decreasing part order."""
@@ -189,40 +171,28 @@ def dominance_compare(a: Partition, b: Partition) -> Dominance:
     return Dominance.GREATER if above else Dominance.LESS
 
 
-class ContentVector:
-    """Contents j - i of the boxes of the doubled shape 2*lam, reading order."""
+class ContentVector(tuple):
+    """Contents j - i of the boxes of the doubled shape 2*lam, reading order,
+    as a tuple equal to the plain tuple of them (they fix the shape: row i
+    starts at content 1 - i, below where row i - 1 ended)."""
 
-    __slots__ = ("shape", "values")
+    __slots__ = ()
 
-    def __init__(self, shape: Partition, values: tuple[int, ...]):
-        self.shape = shape
-        self.values = values
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ContentVector)
-            and self.shape == other.shape
-            and self.values == other.values
-        )
+    @property
+    def values(self) -> "ContentVector":
+        return self
 
     def power_sum(self, k: int) -> int:
         """Sum of k-th powers of the contents (k = 0 counts the boxes)."""
-        return sum(c**k for c in self.values)
+        return sum(c**k for c in self)
 
 
 def content(lam: Partition) -> ContentVector:
     """Content vector of the Young tableau of the doubled shape 2*lam."""
-    shape = lam.double()
     values = []
-    for i, row_len in enumerate(shape.parts, start=1):
+    for i, row_len in enumerate(lam.double(), start=1):
         values.extend(j - i for j in range(1, row_len + 1))
-    return ContentVector(shape, tuple(values))
+    return ContentVector(values)
 
 
 def addable_rows(lam: Partition) -> list[int]:
@@ -362,6 +332,19 @@ def z2(mu: Partition) -> int:
     for value, m in mu.multiplicities().items():
         out *= factorial(m) * (2 * value) ** m
     return out
+
+
+def valency(mu: Partition) -> int:
+    """Degree of the relation graph of mu: 2^n n! over z2(mu), the product
+    of m_i! (2 mu_i)^(m_i) across distinct part values."""
+    n = mu.n
+    if n < 1:
+        raise ValueError("valency needs a partition of n >= 1")
+    den = z2(mu)
+    num = 2**n * factorial(n)
+    if num % den:
+        raise SchemeError(f"valency of {mu} is not an integer: {num}/{den}")
+    return num // den
 
 
 def double_factorial(m: int) -> int:

@@ -27,6 +27,7 @@ from .partitions import (
     generate_partitions,
     irr_char,
     iter_partitions,
+    valency,
     z2,
 )
 from .symfunc import (
@@ -37,19 +38,6 @@ from .symfunc import (
     horner,
 )
 from .symfunc import eval_expr  # noqa: F401  (bench/spans.py traces spectra.eval_expr)
-
-
-def valency(mu: Partition) -> int:
-    """Degree of the relation graph of mu: 2^n n! over z2(mu), the product
-    of m_i! (2 mu_i)^(m_i) across distinct part values."""
-    n = mu.n
-    if n < 1:
-        raise ValueError("valency needs a partition of n >= 1")
-    den = z2(mu)
-    num = 2**n * factorial(n)
-    if num % den:
-        raise SchemeError(f"valency of {mu} is not an integer: {num}/{den}")
-    return num // den
 
 
 def phi_n11(mu: Partition) -> int:

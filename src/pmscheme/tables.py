@@ -66,7 +66,7 @@ DEFAULT_ZONAL_MAX_N = 14
 FORMULAS_MAX_N = 24
 # The tags a column's provenance may hold, one per way its cells were filled.
 PROVENANCE_TAGS = ("zonal", "oracle", "closed-form", "interpolated")
-# The most frames ``_frame`` keeps: every n of the zonal engine (2..14) fits.
+# The most frames ``_frame`` keeps: every n the zonal engine builds fits.
 FRAME_CACHE_SIZE = 16
 
 
@@ -272,7 +272,8 @@ def _check_table(table: EigTable) -> None:
     is with multiplicity (2n-1)!! / sum_mu phi(mu)^2 / v_mu equal to
     dim_hook(lam), by the row orthogonality relation (Bannai and Ito,
     Algebraic Combinatorics I: Association Schemes, 1984), and flip entry
-    ``_flip_eigenvalue(lam)``, keys that tell every lam apart for n <= 14;
+    ``_flip_eigenvalue(lam)``, keys that tell every lam apart for n <= 22
+    (they first coincide at n = 23, for [5,5,2,2,1^9] and [3^6,2,1^3]);
     top row the valencies; and the trace identity on every complete column.
     Dimensions, valencies, weights and flip eigenvalues are read from the
     table's frame, derived from n, never from a file; only the grid is

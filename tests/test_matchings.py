@@ -29,7 +29,7 @@ from pmscheme import (
     verify_induction_step,
     zonal_check,
 )
-from pmscheme import matchings
+from pmscheme import matchings, partitions
 from pmscheme.errors import GuardExceeded, SchemeError
 
 P = Partition
@@ -171,7 +171,7 @@ def test_intersection_data_counts_on_first_read(monkeypatch):
 
 
 def test_b_matrix_refuses_a_row_off_the_class_size(monkeypatch):
-    monkeypatch.setattr(matchings, "z2", lambda mu: 1)
+    monkeypatch.setattr(partitions, "z2", lambda mu: 1)
     # z2 = 1 makes every class as large as the hyperoctahedral group, 48
     message = r"^row 0 of b_matrix\(1\) does not sum to the valency 48$"
     with pytest.raises(SchemeError, match=message):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import factorial
 
@@ -15,6 +16,7 @@ from pmscheme import (
     irr_char,
     parse_partition,
     successors,
+    unrank,
 )
 
 P = Partition
@@ -66,6 +68,32 @@ def test_parse_and_format():
     for n in range(8):
         for p in generate_partitions(n):
             assert parse_partition(str(p)) == p
+
+
+def test_value_types_are_tuples():
+    """Partitions, matchings and content vectors hash, compare and order as
+    the tuples they hold, and stay immutable through pickling."""
+    values = []
+    for n in range(11):
+        ps = generate_partitions(n)
+        assert sorted(ps, reverse=True) == list(ps)
+        values += [(p, "parts") for p in ps]
+        values += [(content(p), "values") for p in ps]
+    for n in range(1, 7):
+        total = double_factorial(2 * n - 1)
+        values += [(unrank(r, n), "partner") for r in range(0, total, total // 7 or 1)]
+    for x, field in values:
+        plain = tuple(x)
+        assert type(plain) is tuple
+        assert type(x).__hash__ is tuple.__hash__
+        assert type(x).__eq__ is tuple.__eq__
+        assert hash(x) == hash(plain)
+        assert x == plain
+        again = pickle.loads(pickle.dumps(x))
+        assert type(again) is type(x) and again == x
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, plain)
 
 
 def test_dominance_examples():

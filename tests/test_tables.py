@@ -262,6 +262,8 @@ def test_frame_cache_stays_bounded():
         build_table_formulas(n)
     info = tables._frame.cache_info()
     assert info.maxsize == tables.FRAME_CACHE_SIZE
+    # every n of the zonal engine, 2..DEFAULT_ZONAL_MAX_N, fits
+    assert tables.FRAME_CACHE_SIZE >= DEFAULT_ZONAL_MAX_N - 1
     assert 0 < info.currsize <= info.maxsize
 
 
@@ -455,6 +457,7 @@ def test_separating_set_refuses_two_equal_rows():
 
 
 def test_row_keys_are_distinct_and_give_the_flip_column():
+    from pmscheme.partitions import eigenspace_dim, iter_partitions
     from pmscheme.tables import _flip_eigenvalue
 
     for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
@@ -462,6 +465,19 @@ def test_row_keys_are_distinct_and_give_the_flip_column():
         keys = [(dim_hook(lam), _flip_eigenvalue(lam)) for lam in table.rows]
         assert len(set(keys)) == len(keys), n
         assert [flip for _, flip in keys] == table.column(P([2] + [1] * (n - 2)))
+    # past the zonal guard, scanned without the caches: the keys stay
+    # distinct through n = 22 and first coincide at n = 23
+    for n in range(DEFAULT_ZONAL_MAX_N + 1, 24):
+        seen = {}
+        for lam in iter_partitions(n):
+            seen.setdefault((eigenspace_dim(lam), _flip_eigenvalue(lam)), []).append(lam)
+        shared = [lams for lams in seen.values() if len(lams) > 1]
+        if n <= 22:
+            assert shared == [], n
+        else:
+            assert shared == [[P([5, 5, 2, 2] + [1] * 9), P([3] * 6 + [2, 1, 1, 1])]]
+    # a guard past 22 needs row keys that still tell the rows apart
+    assert DEFAULT_ZONAL_MAX_N <= 22
 
 
 def test_gap_scan_picks_flip_family(oracle_table):
