@@ -29,7 +29,11 @@ ratios`` at n = RATIOS_MAX_N, this checkout's guards, three times per
 checkout, so each guard's cost at its limit is on record.  Last, it times
 ``EigTable.from_json_obj`` on the zonal table's JSON for n = 2..14, the
 check every cache load runs: in one fresh subprocess per checkout and n
-(alternating which side runs first), the median of LOAD_REPEATS loads.
+(alternating which side runs first), the median of LOAD_REPEATS loads.  The
+same way it times, for n = 2..14, one ``cli.oracle_table_cached`` load of
+a cache file the process has not loaded before, and a later load of the
+same unchanged file, after one untimed load (the file is written before
+either, in a fresh temporary data directory).
 """
 
 from __future__ import annotations
@@ -130,6 +134,21 @@ for _ in range({LOAD_REPEATS}):
     times.append(time.perf_counter() - t0)
 print(statistics.median(times))
 """
+# one cache load, after {loads_before} untimed loads of the same file
+CACHED_LOAD_TIMER = """
+import sys, tempfile, time
+sys.path.insert(0, "src")
+from pmscheme.cli import Config, oracle_table_cached
+n = int(sys.argv[1])
+with tempfile.TemporaryDirectory() as data_dir:
+    config = Config(data_dir=data_dir)
+    oracle_table_cached(config, n)  # builds and writes the file
+    for _ in range({loads_before}):
+        oracle_table_cached(config, n)
+    t0 = time.perf_counter()
+    oracle_table_cached(config, n)
+    print(time.perf_counter() - t0)
+"""
 
 # the CLI command {argv} + ["--n", n], its stdout discarded; a refusal
 # (nonzero exit) fails the run instead of timing it
@@ -221,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
             "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s,"
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
-            " verify_ratios_s, from_json_obj_s: wall-clock seconds"
+            " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s:"
+            " wall-clock seconds"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -250,6 +270,12 @@ def main(argv: list[str] | None = None) -> int:
             range(RATIOS_MAX_N, RATIOS_MAX_N + 1), GUARD_REPEATS,
         ),
         "from_json_obj_s": fresh_times(args.parent.resolve(), LOAD_TIMER, ZONAL_NS, 1),
+        "first_load_s": fresh_times(
+            args.parent.resolve(), CACHED_LOAD_TIMER.format(loads_before=0), ZONAL_NS, 1
+        ),
+        "later_load_s": fresh_times(
+            args.parent.resolve(), CACHED_LOAD_TIMER.format(loads_before=1), ZONAL_NS, 1
+        ),
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
         "induction_max_n": INDUCTION_MAX_N,
         "ratios_max_n": RATIOS_MAX_N,

@@ -13,7 +13,10 @@ when stdout closes.
 
 Every command that reads a full table gets the zonal table, cached on disk
 keyed by (n, code version) as its ``--format json`` text; cache writes are
-atomic, and ``table --out`` writes in place, as a shell redirect does.
+atomic, and ``table --out`` writes in place, as a shell redirect does.  The
+file is read on every load, but each distinct text is parsed and checked
+once per process (``_checked_table``), so a changed byte is checked in
+full; a table served from the file is shared and read-only.
 ``diameter`` and ``scan --with-diameters`` derive relation-graph diameters
 from that table.  The brute-force intersection numbers only check it, in
 ``verify scheme-axioms`` and ``table --source oracle`` (uncached; ``--seed``
@@ -30,7 +33,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 from . import __version__
 from .errors import (
@@ -48,6 +51,7 @@ from .spectra import family_mu, gap_report, verify_induction_step
 from .symfunc import fit_e_mu, monomial_basis
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
+    FRAME_CACHE_SIZE,
     EigTable,
     build_table_formulas,
     build_table_oracle,
@@ -113,33 +117,49 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+@lru_cache(maxsize=FRAME_CACHE_SIZE)
+def _checked_table(n: int, text: str) -> EigTable:
+    """The table a cache file for n holds, given the file's text: parsed
+    and served only if its ``n`` is n, ``EigTable.from_json_obj`` accepts
+    it, the table is complete and every column's provenance is ``zonal``;
+    SchemeError (or the parser's error) otherwise.  The verdict depends on
+    n, the text and the code alone, so it is memoised per (n, text): a text
+    already checked in this process is not parsed or checked again, and a
+    text that differs by one character is checked in full.  A refusal is
+    raised, never memoised.  A hit returns the same table, which every
+    caller only reads."""
+    obj = json.loads(text)
+    if obj["n"] != n:
+        raise SchemeError(f"cache file holds the table for n={obj['n']!r}")
+    table = EigTable.from_json_obj(obj)
+    if not table.is_complete():
+        raise SchemeError("cached table is not complete")
+    # every provenance key is a column (EigTable refuses any other), so one
+    # "zonal" tag per column covers them all
+    tags = table.provenance.values()
+    if len(tags) != len(table.columns) or any(t != "zonal" for t in tags):
+        raise SchemeError("cached table has a column not marked zonal")
+    return table
+
+
 def oracle_table_cached(config: Config, n: int) -> EigTable:
     """The full table for n, read from the cache file for (n, code version)
     or built by ``build_table_zonal`` and written there (GuardExceeded above
     DEFAULT_ZONAL_MAX_N).  The benchmark (``bench/workloads.py``,
     ``bench/spans.py``) calls it by this name, which predates the zonal
-    engine.  The file is the table's ``to_json_text`` and is served only if
-    its ``n`` is n, ``EigTable.from_json_obj`` accepts it, the table is
-    complete and every column's provenance is ``zonal``.  Any other file is
-    rebuilt and overwritten, and a cache that cannot be written is skipped;
-    either prints a note on stderr.
+    engine.  The file is the table's ``to_json_text``; it is read on every
+    call and served only if ``_checked_table`` accepts its text, which
+    checks each distinct text once per process.  Any other file is rebuilt
+    and overwritten, and a cache that cannot be written is skipped; either
+    prints a note on stderr.  A table served from the file may be the one
+    an earlier call returned: it is shared and read-only.
     """
     path = _cache_path(config, n)
     if os.path.exists(path):
         try:
             with open(path) as fh:
-                obj = json.load(fh)
-            if obj["n"] != n:
-                raise SchemeError(f"cache file holds the table for n={obj['n']!r}")
-            table = EigTable.from_json_obj(obj)
-            if not table.is_complete():
-                raise SchemeError("cached table is not complete")
-            # every provenance key is a column (EigTable refuses any other),
-            # so one "zonal" tag per column covers them all
-            tags = table.provenance.values()
-            if len(tags) != len(table.columns) or any(t != "zonal" for t in tags):
-                raise SchemeError("cached table has a column not marked zonal")
-            return table
+                text = fh.read()
+            return _checked_table(n, text)
         except (
             OSError, ValueError, KeyError, TypeError, AttributeError, SchemeError
         ) as exc:
@@ -271,7 +291,7 @@ def _verify_ratios(args, config: Config) -> tuple[dict, str]:
     guard("ratio laws", n, RATIOS_MAX_N)
     if n < 2:
         raise ValueError(f"ratio laws need n >= 2, got {n}")
-    heads = [mu for mu in generate_partitions(n) if mu.parts[-1:] == (1,)]
+    heads = [mu for mu in generate_partitions(n) if mu[-1:] == (1,)]
     failures = []
     mismatched_constant = False
     checked = 0
@@ -360,7 +380,7 @@ def cmd_gap(args, config: Config) -> int:
     mu = parse_partition(args.mu)
     if args.n is not None and args.n != mu.n:
         raise ValueError(f"--n {args.n} disagrees with {mu} (a partition of {mu.n})")
-    if mu.parts == (1,) * mu.n or mu.n < 2:
+    if mu == (1,) * mu.n or mu.n < 2:
         raise ValueError(f"{mu} has no spectral gap to report")
     gap, source = _gap_for(config, mu)
     print(gap)
@@ -405,7 +425,7 @@ def cmd_scan(args, config: Config) -> int:
     for mu in table.columns:
         if mu in gaps:
             print(f"  {mu}: valency {table.value(top, mu)}, gap {gaps[mu]}")
-    best = min(gaps, key=lambda m: (gaps[m], m.parts))
+    best = min(gaps, key=lambda m: (gaps[m], m))
     print(f"smallest gap: {best} ({gaps[best]})")
     if args.with_diameters:
         results = [diameter(table, mu) for mu in gaps]

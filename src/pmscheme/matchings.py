@@ -53,6 +53,7 @@ class Matching(tuple):
 
     @property
     def partner(self) -> "Matching":
+        """The matching itself, which is the tuple; code here reads it directly."""
         return self
 
     @property
@@ -62,7 +63,7 @@ class Matching(tuple):
     def edges(self) -> list[tuple[int, int]]:
         """1-based edge pairs (min, max), sorted by the smaller endpoint."""
         return [
-            (v + 1, p + 1) for v, p in enumerate(self.partner) if v < p
+            (v + 1, p + 1) for v, p in enumerate(self) if v < p
         ]
 
     def to_text(self) -> str:
@@ -73,8 +74,8 @@ class Matching(tuple):
 
     def apply(self, perm: tuple[int, ...]) -> "Matching":
         """Relabel vertices by a permutation of {0, ..., 2n-1}."""
-        out = [0] * len(self.partner)
-        for v, p in enumerate(self.partner):
+        out = [0] * len(self)
+        for v, p in enumerate(self):
             out[perm[v]] = perm[p]
         return Matching(out)
 
@@ -180,16 +181,16 @@ def _relation_parts(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 def relation(p: Matching, q: Matching) -> Partition:
     """Half-lengths of the cycles of the union of two matchings, sorted."""
-    if len(p.partner) != len(q.partner):
+    if len(p) != len(q):
         raise ValueError("matchings must cover the same vertex set")
-    return Partition(_relation_parts(p.partner, q.partner))
+    return Partition(_relation_parts(p, q))
 
 
 def representative(mu: Partition) -> Matching:
     """A matching whose relation to the base matching is mu, built blockwise."""
     partner = list(_base_partner(mu.n))
     offset = 0
-    for part in mu.parts:
+    for part in mu:
         block = list(range(offset, offset + 2 * part))
         for idx in range(part):
             a = block[(2 * idx + 1) % (2 * part)]
@@ -202,12 +203,11 @@ def representative(mu: Partition) -> Matching:
 
 def rank(matching: Matching) -> int:
     """Mixed-radix rank in the enumeration order."""
-    partner = matching.partner
-    alive = list(range(len(partner)))
+    alive = list(range(len(matching)))
     r = 0
     while alive:
         u = alive.pop(0)
-        v = partner[u]
+        v = matching[u]
         r = r * len(alive) + alive.index(v)
         alive.remove(v)
     return r
@@ -246,9 +246,9 @@ def _cycle_codes(n: int):
     paths, ``close[c]`` closes one cycle through all of them (``close[c] = c``
     when nothing is open).
     """
-    states = [mu.parts for mu in generate_partitions(n)] + [()]
+    states = [*generate_partitions(n), ()]
     for s in range(1, n):
-        states.extend(mu.parts for mu in generate_partitions(s))
+        states.extend(generate_partitions(s))
     code = {t: c for c, t in enumerate(states)}
     add = [[-1] * (n + 1) for _ in states]
     sub = [[-1] * (n + 1) for _ in states]
@@ -459,7 +459,7 @@ class IntersectionData:
     def p(self) -> list[list[list[int]]]:
         """The full tensor, from one walk of every matching on first read."""
         if self._p is None:
-            p = _union_counts([rep.partner for rep in self.reps])
+            p = _union_counts(self.reps)
             for k, pk in enumerate(p):
                 for i, row in enumerate(pk):
                     if sum(row) != self.valencies[i]:
@@ -471,7 +471,7 @@ class IntersectionData:
         """Intersection matrix of relation i: entry (k, j) is p[k][i][j],
         from one walk that completes only row i of the counts."""
         if i not in self._b:
-            counts = _union_counts([rep.partner for rep in self.reps], target=i)
+            counts = _union_counts(self.reps, target=i)
             for k, pk in enumerate(counts):
                 if sum(pk[i]) != self.valencies[i]:
                     raise SchemeError(
@@ -500,7 +500,7 @@ def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> Intersect
     reps = [representative(mu) for mu in relations]
     base = _base_partner(n)
     for mu, rep in zip(relations, reps):
-        if _relation_parts(base, rep.partner) != mu.parts:
+        if _relation_parts(base, rep) != mu:
             raise SchemeError(f"representative {rep} is not in relation {mu}")
     return IntersectionData(n, relations, reps)
 
@@ -558,7 +558,7 @@ def quotient_counts_from(p: Matching) -> dict[Partition, int]:
     """
     n = p.n
     _guard_enumeration("quotient histogram", n)
-    return _histogram(_union_counts([p.partner], first_edge=(0, 1))[0], n)
+    return _histogram(_union_counts([p], first_edge=(0, 1))[0], n)
 
 
 def degree_histogram(n: int) -> dict[Partition, int]:

@@ -39,6 +39,7 @@ class Partition(tuple):
 
     @property
     def parts(self) -> "Partition":
+        """The partition itself, which is the tuple; code here reads it directly."""
         return self
 
     @property
@@ -54,23 +55,23 @@ class Partition(tuple):
     def multiplicities(self) -> dict[int, int]:
         """Part value -> multiplicity, keys in decreasing part order."""
         mult: dict[int, int] = {}
-        for p in self.parts:
+        for p in self:
             mult[p] = mult.get(p, 0) + 1
         return mult
 
     def r1(self) -> int:
         """Number of parts equal to 1."""
-        return sum(1 for p in self.parts if p == 1)
+        return sum(1 for p in self if p == 1)
 
     def double(self) -> "Partition":
         """The partition with every part doubled."""
-        return Partition(2 * p for p in self.parts)
+        return Partition(2 * p for p in self)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
+        if not self:
             return self
         return Partition(
-            sum(1 for p in self.parts if p > i) for i in range(self.parts[0])
+            sum(1 for p in self if p > i) for i in range(self[0])
         )
 
 
@@ -155,13 +156,13 @@ def dominance_compare(a: Partition, b: Partition) -> Dominance:
     """Compare prefix sums with zero padding; requires equal sizes."""
     if a.n != b.n:
         raise ValueError(f"cannot compare partitions of {a.n} and {b.n}")
-    if a.parts == b.parts:
+    if a == b:
         return Dominance.EQUAL
     above = below = False
     sa = sb = 0
     for i in range(max(len(a), len(b))):
-        sa += a.parts[i] if i < len(a) else 0
-        sb += b.parts[i] if i < len(b) else 0
+        sa += a[i] if i < len(a) else 0
+        sb += b[i] if i < len(b) else 0
         if sa > sb:
             above = True
         elif sa < sb:
@@ -180,6 +181,7 @@ class ContentVector(tuple):
 
     @property
     def values(self) -> "ContentVector":
+        """The vector itself, which is the tuple; code here reads it directly."""
         return self
 
     def power_sum(self, k: int) -> int:
@@ -201,24 +203,22 @@ def addable_rows(lam: Partition) -> list[int]:
     Row i = len(lam) + 1 is a new row of length 1; growing row i >= 2 is
     admissible only when lam[i-2] > lam[i-1].
     """
-    parts = lam.parts
     return [
         i
-        for i in range(1, len(parts) + 2)
-        if i == 1 or i == len(parts) + 1 or parts[i - 2] > parts[i - 1]
+        for i in range(1, len(lam) + 2)
+        if i == 1 or i == len(lam) + 1 or lam[i - 2] > lam[i - 1]
     ]
 
 
 def successors(lam: Partition) -> list[tuple[Partition, int]]:
     """All partitions of n+1 reachable by growing one row, with the row
     index, in the order of ``addable_rows``."""
-    parts = lam.parts
     out: list[tuple[Partition, int]] = []
     for i in addable_rows(lam):
-        if i == len(parts) + 1:
-            grown = parts + (1,)
+        if i == len(lam) + 1:
+            grown = lam + (1,)
         else:
-            grown = parts[: i - 1] + (parts[i - 1] + 1,) + parts[i:]
+            grown = lam[: i - 1] + (lam[i - 1] + 1,) + lam[i:]
         out.append((Partition(grown), i))
     return out
 
@@ -226,9 +226,9 @@ def successors(lam: Partition) -> list[tuple[Partition, int]]:
 def _hook_product(shape: Partition) -> int:
     conj = shape.conjugate()
     h = 1
-    for i, row_len in enumerate(shape.parts, start=1):
+    for i, row_len in enumerate(shape, start=1):
         for j in range(1, row_len + 1):
-            h *= row_len - j + conj.parts[j - 1] - i + 1
+            h *= row_len - j + conj[j - 1] - i + 1
     return h
 
 
@@ -238,7 +238,7 @@ def _frobenius(lam: Partition) -> int:
     k = len(shape)
     if k == 0:
         return 1
-    ells = [shape.parts[i] + k - 1 - i for i in range(k)]
+    ells = [shape[i] + k - 1 - i for i in range(k)]
     num = factorial(shape.n)
     for i in range(k):
         for j in range(i + 1, k):
@@ -320,8 +320,8 @@ def irr_char(shape: Partition, cycle_type: Partition) -> int:
         raise ValueError(
             f"shape is a partition of {shape.n} but cycle type one of {cycle_type.n}"
         )
-    cycles = tuple(sorted(cycle_type.parts, reverse=True))
-    return _mn_char(shape.parts, cycles)
+    cycles = tuple(sorted(cycle_type, reverse=True))
+    return _mn_char(shape, cycles)
 
 
 def z2(mu: Partition) -> int:

@@ -36,17 +36,17 @@ class MergeSpec:
 
     @property
     def part_i(self) -> int:
-        return self.mu.parts[self.i - 1]
+        return self.mu[self.i - 1]
 
     @property
     def part_j(self) -> int:
-        return self.mu.parts[self.j - 1]
+        return self.mu[self.j - 1]
 
     @cached_property
     def merged(self) -> Partition:
         """mu with the two parts replaced by their sum, built on first use
         and kept: a report reads it four times."""
-        parts = list(self.mu.parts)
+        parts = list(self.mu)
         hi, lo = max(self.i, self.j) - 1, min(self.i, self.j) - 1
         parts.pop(hi)
         parts.pop(lo)
@@ -55,15 +55,15 @@ class MergeSpec:
 
     @property
     def n_i(self) -> int:
-        return self.mu.parts.count(self.part_i)
+        return self.mu.count(self.part_i)
 
     @property
     def n_j(self) -> int:
-        return self.mu.parts.count(self.part_j)
+        return self.mu.count(self.part_j)
 
     @property
     def m(self) -> int:
-        return self.merged.parts.count(self.part_i + self.part_j)
+        return self.merged.count(self.part_i + self.part_j)
 
 
 def all_merges(mu: Partition) -> list[MergeSpec]:
@@ -73,9 +73,9 @@ def all_merges(mu: Partition) -> list[MergeSpec]:
     k = len(mu)
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            if mu.parts[i - 1] < 2 or mu.parts[j - 1] < 2:
+            if mu[i - 1] < 2 or mu[j - 1] < 2:
                 continue
-            key = (mu.parts[i - 1], mu.parts[j - 1])
+            key = (mu[i - 1], mu[j - 1])
             if key in seen:
                 continue  # same value pair merges identically
             seen.add(key)
@@ -106,7 +106,7 @@ def tau_ratio(spec: MergeSpec) -> Fraction | None:
     Requires mu to end with a part of size 1 (so the eigenvalue is anchored);
     None when the original eigenvalue vanishes.
     """
-    if spec.mu.parts[-1] != 1:
+    if spec.mu[-1] != 1:
         raise ValueError("tau ratio needs a trailing part of size 1 in mu")
     denom = phi_n11(spec.mu)
     if denom == 0:

@@ -56,7 +56,7 @@ def family_mu(prefix: Partition, n: int) -> Partition:
     """The relation of the prefix family at n: prefix padded by parts of size 1."""
     if n < prefix.n:
         raise ValueError(f"family {prefix} undefined below n={prefix.n}")
-    return Partition(prefix.parts + (1,) * (n - prefix.n))
+    return Partition(prefix + (1,) * (n - prefix.n))
 
 
 def conjecture_applies(mu: Partition) -> bool:
@@ -100,7 +100,7 @@ def family_threshold(prefix: Partition) -> int:
 def family_closed_form(mu: Partition) -> tuple[int, int] | None:
     """(second eigenvalue, gap) of mu from its family's closed form; None off
     the catalog or below the family's threshold."""
-    prefix = Partition(p for p in mu.parts if p > 1)
+    prefix = Partition(p for p in mu if p > 1)
     if prefix not in CATALOG_PREFIXES or mu.n < family_threshold(prefix):
         return None
     return family_second_eig(prefix, mu.n)
@@ -312,11 +312,11 @@ def zonal_check(mu: Partition, lam: Partition) -> Fraction:
 def _coset_rep(mu: Partition) -> tuple[int, ...]:
     """A permutation carrying the base matching to a mu-related matching."""
     q = representative(mu)
-    if relation(base_matching(mu.n), q).parts != mu.parts:
+    if relation(base_matching(mu.n), q) != mu:
         raise SchemeError(f"representative {q} is not in relation {mu}")
     perm = [0] * (2 * mu.n)
     pos = 0
-    for v, p in enumerate(q.partner):
+    for v, p in enumerate(q):
         if v < p:
             perm[pos], perm[pos + 1] = v, p
             pos += 2
@@ -351,11 +351,11 @@ def gap_report(mu: Partition) -> GapReport:
     [3,1].  ValueError for any other mu: its gap needs the full table.
     """
     n = mu.n
-    if n < 2 or mu.parts == (1,) * n:
+    if n < 2 or mu == (1,) * n:
         raise ValueError(f"{mu} has no spectral gap to report")
     if (family := family_closed_form(mu)) is not None:
         return GapReport(n, mu, valency(mu), *family, "closed-form")
-    prefix = Partition([p for p in mu.parts if p > 1])
+    prefix = Partition([p for p in mu if p > 1])
     ell = n - prefix.n
     if len(prefix) == 1 and ell >= 1 and conjecture_applies(mu):
         gap = hook_gap(n, ell)
@@ -385,7 +385,7 @@ def _growth_increments(expr, lam: Partition, here, grown) -> list[tuple[int, int
     """
     sums = content_power_sums(lam, expr.kmax)
     base = combine(here, sums)
-    parts = lam.parts + (0,)
+    parts = lam + (0,)
     out = []
     for i in addable_rows(lam):
         c = 2 * parts[i - 1] - i + 1

@@ -60,12 +60,12 @@ class PowerSumExpr:
                 polys[mono] = cs
         den = lcm(*(c.denominator for cs in polys.values() for c in cs))
         int_terms = tuple(
-            (tuple(c.numerator * (den // c.denominator) for c in polys[m]), m.parts)
-            for m in sorted(polys, key=lambda m: (-m.n, tuple(-p for p in m.parts)))
+            (tuple(c.numerator * (den // c.denominator) for c in polys[m]), m)
+            for m in sorted(polys, key=lambda m: (-m.n, tuple(-p for p in m)))
         )
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_terms", int_terms)
-        kmax = max((m.parts[0] for m in polys if m.parts), default=0)
+        kmax = max((m[0] for m in polys if m), default=0)
         object.__setattr__(self, "kmax", kmax)
 
     def at_t(self, t: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -165,7 +165,7 @@ def _row_power_sums(i: int, length: int, kmax: int) -> tuple[int, ...]:
 def content_power_sums(lam: Partition, kmax: int) -> list[int]:
     """[p_0, ..., p_kmax] of the contents of 2*lam (p_0 = 2n), row by row."""
     sums = [0] * (kmax + 1)
-    for i, part in enumerate(lam.parts, start=1):
+    for i, part in enumerate(lam, start=1):
         for k, s in enumerate(_row_power_sums(i, part, kmax)):
             sums[k] += s
     return sums
@@ -258,13 +258,13 @@ _CATALOG: dict[tuple[int, ...], CatalogEntry] = {
 }
 
 CATALOG_PREFIXES: tuple[Partition, ...] = tuple(
-    sorted((Partition(p) for p in _CATALOG), key=lambda q: (q.n, q.parts))
+    sorted((Partition(p) for p in _CATALOG), key=lambda q: (q.n, q))
 )
 
 
 def catalog_entry(prefix: Partition) -> CatalogEntry:
     """The entry of the family prefix + trailing 1s; ValueError off the catalog."""
-    entry = _CATALOG.get(prefix.parts)
+    entry = _CATALOG.get(prefix)
     if entry is None:
         raise ValueError(f"no closed form in catalog for prefix {prefix}")
     return entry
@@ -338,12 +338,12 @@ def monomial_basis(prefix: Partition) -> list[tuple[Partition, int]]:
     The degree bound of monomial lam is |mu| - |lam| + len(mu) - len(lam)
     for the reduced prefix mu; monomials with a negative bound are dropped.
     """
-    if any(p < 2 for p in prefix.parts) or not prefix.parts:
+    if any(p < 2 for p in prefix) or not prefix:
         raise ValueError("family prefix needs all parts >= 2")
-    reduced = Partition(p - 1 for p in prefix.parts)
-    monos: set[tuple[int, ...]] = set(_merges(reduced.parts))
+    reduced = Partition(p - 1 for p in prefix)
+    monos: set[tuple[int, ...]] = set(_merges(reduced))
     for size in range(reduced.n):
-        monos.update(p.parts for p in generate_partitions(size))
+        monos.update(generate_partitions(size))
     entries = []
     for parts in sorted(monos, key=lambda m: (-sum(m), tuple(-x for x in m))):
         lam = Partition(parts)
@@ -381,7 +381,7 @@ def fit_e_mu(
     for mono, bound in basis:
         for d in range(min(bound, cap) + 1):
             unknowns.append((mono, d))
-    kmax = max((m.parts[0] for m, _ in unknowns if m.parts), default=0)
+    kmax = max((m[0] for m, _ in unknowns if m), default=0)
     # row r of every column before row r + 1 of any: rows of distinct n
     # come early, so solve_unique reaches full rank after fewer of them
     cells = sorted(
@@ -397,7 +397,7 @@ def fit_e_mu(
     power_sums = [content_power_sums(lam, kmax) for _, _, lam, _ in cells]
     rows: list[list[int]] = []
     for (_, n, _, _), sums in zip(cells, power_sums):
-        monos = [prod([sums[k] for k in mono.parts]) for mono, _ in basis]
+        monos = [prod([sums[k] for k in mono]) for mono, _ in basis]
         rows.append([(2 * n) ** d * monos[i] for i, d in columns])
     solution = exactalg.solve_unique(rows, [value for *_, value in cells])
     terms: dict[Partition, list[Fraction]] = {}
@@ -477,7 +477,7 @@ def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
     """
     lams = generate_partitions(n)
     size = len(lams)
-    merges = _merge_counts([lam.parts for lam in lams])
+    merges = _merge_counts(lams)
     weights = [z2(lam) for lam in lams]
     common = lcm(*weights)
     # column nu of R as its nonzero (rho, R[rho][nu]); R is lower triangular

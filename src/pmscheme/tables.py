@@ -440,7 +440,7 @@ def _flip_eigenvalue(lam: Partition) -> int:
     """sum_i lam_i (lam_i - i): the eigenvalue of the flip relation
     [2,1^(n-2)] on eigenspace lam (Diaconis and Holmes, Random walks on
     trees and matchings, 2002)."""
-    return sum(part * (part - i) for i, part in enumerate(lam.parts, start=1))
+    return sum(part * (part - i) for i, part in enumerate(lam, start=1))
 
 
 def build_table_formulas(n: int) -> EigTable:

@@ -558,6 +558,74 @@ def test_cached_rows_swapped_are_rebuilt(run):
     assert _read(path) == good
 
 
+def test_second_load_of_unchanged_bytes_is_not_parsed_or_checked_again(
+    run, monkeypatch
+):
+    from pmscheme import EigTable
+    from pmscheme import cli as climod
+
+    climod._checked_table.cache_clear()
+    config = climod.Config(data_dir=run.data_dir)
+    climod.oracle_table_cached(config, 5)  # builds and writes the file
+    calls = []
+    real_loads, real_from_json_obj = json.loads, EigTable.from_json_obj
+
+    def loads(text, **kw):
+        calls.append("loads")
+        return real_loads(text, **kw)
+
+    def from_json_obj(obj):
+        calls.append("from_json_obj")
+        return real_from_json_obj(obj)
+
+    monkeypatch.setattr(climod.json, "loads", loads)
+    monkeypatch.setattr(EigTable, "from_json_obj", from_json_obj)
+    first = climod.oracle_table_cached(config, 5)
+    assert calls == ["loads", "from_json_obj"]
+    second = climod.oracle_table_cached(config, 5)
+    assert calls == ["loads", "from_json_obj"]
+    assert second is first
+    assert second.to_csv_text() == _golden(5)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_bump("[2,1,1]", "[2,2]"), _swap_rows("[2,2]", "[1,1,1,1]")],
+    ids=["cell-plus-one", "rows-swapped"],
+)
+def test_file_doctored_after_a_good_load_is_checked_and_rebuilt(run, edit):
+    run("table", "--n", "4", "--format", "csv")  # builds and writes the file
+    path, good = _doctor_cache(run, 4, edit)  # its load checks the good bytes
+    code, out, err = run("table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == _golden(4)
+    assert err.count("\n") == 1
+    assert err.startswith("note: rebuilding unreadable cache")
+    assert _read(path) == good
+    code, out, err = run("table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == _golden(4) and err == ""
+
+
+def test_unparsable_cache_is_refused_on_every_load(run):
+    run("table", "--n", "4", "--format", "csv")
+    path = _cache_file(run, 4)
+    good = _read(path)
+    for _ in range(2):
+        with open(path, "w") as fh:
+            fh.write(good[: len(good) // 2])
+        code, out, err = run("table", "--n", "4", "--format", "csv")
+        assert code == 0 and out == _golden(4)
+        assert err.count("\n") == 1
+        assert err.startswith("note: rebuilding unreadable cache")
+        assert _read(path) == good
+
+
+def test_checked_table_memo_is_bounded():
+    from pmscheme import cli as climod
+    from pmscheme.tables import FRAME_CACHE_SIZE
+
+    assert climod._checked_table.cache_info().maxsize == FRAME_CACHE_SIZE
+
+
 def test_cached_cells_traded_between_rows_of_one_dimension_are_rebuilt(run):
     # the [2,2,1^4] cells of [4,4] and [1^8] (138 and 210), both rows of
     # dimension 1430: every trace identity holds, the multiplicity does not
