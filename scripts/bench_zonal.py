@@ -33,7 +33,14 @@ check every cache load runs: in one fresh subprocess per checkout and n
 same way it times, for n = 2..14, one ``cli.oracle_table_cached`` load of
 a cache file the process has not loaded before, and a later load of the
 same unchanged file, after one untimed load (the file is written before
-either, in a fresh temporary data directory).
+either, in a fresh temporary data directory).  Last, for each workload of
+RSS_PASSES it runs ``bench/run.py`` with its ``run_passes`` replaced by
+one that runs exactly that workload's fixed number of passes (seed 1,
+each run with its own empty ``PMSCHEME_DATA_DIR``), RSS_REPEATS times per
+checkout, and records the run's ``peak_rss_mb``: at a fixed pass count the
+per-op timings the benchmark keeps are the same on both sides, so the two
+readings compare the program's own memory, which an 8 s run, whose
+faster side keeps more timings, does not.
 """
 
 from __future__ import annotations
@@ -65,6 +72,9 @@ ORACLE_TABLE_NS = range(6, 9)
 CHECK_REPEATS = 31
 GUARD_REPEATS = 3
 LOAD_REPEATS = 21
+# the fixed pass count of each workload's peak RSS reading
+RSS_PASSES = {"diameters": 2000, "warm_queries": 20}
+RSS_REPEATS = 3
 # each timer runs in a checkout's root and prints the seconds of one call
 ORACLE_TIMER = """
 import sys, time
@@ -163,6 +173,20 @@ if code:
     sys.exit(code)
 print(time.perf_counter() - t0)
 """
+# bench/run.py for workload {workload}, its run_passes replaced by exactly
+# sys.argv[1] passes; prints the run's peak_rss_mb
+RSS_TIMER = """
+import io, json, sys, contextlib
+sys.path.insert(0, "bench")
+import run, workloads
+passes = int(sys.argv[1])
+run.run_passes = lambda next_pass, seconds: [
+    workloads.run_ops(next_pass()) for _ in range(passes)
+]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    run.main(["--workload", "{workload}", "--seed", "1", "--seconds", "0", "--trace", "0"])
+print(json.loads(out.getvalue().splitlines()[-1])["metrics"]["peak_rss_mb"]["value"])
+"""
 INDUCTION_TIMER = CLI_TIMER.format(argv=["verify", "induction", "--family", "5"])
 RATIOS_TIMER = CLI_TIMER.format(argv=["verify", "ratios"])
 
@@ -207,21 +231,29 @@ def compare(parent: Path, workloads: list[str], seeds: list[int]) -> dict:
     return out
 
 
-def fresh_times(parent: Path, timer: str, ns: range, repeats: int) -> dict:
-    """Seconds the timer reports for each n, one fresh process per side, n
-    and repeat, alternating which side runs first; medians per side."""
+def fresh_times(
+    parent: Path, timer: str, ns: range, repeats: int, unit: str = "s"
+) -> dict:
+    """What the timer reports (in unit, seconds by default) for each n, one
+    fresh process per side, n and repeat, alternating which side runs
+    first, each with its own empty PMSCHEME_DATA_DIR; medians per side."""
     runs: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     for k, n in enumerate([n for n in ns for _ in range(repeats)]):
         sides = [("parent", parent), ("change", ROOT)]
         for side, checkout in sides if k % 2 == 0 else reversed(sides):
-            done = subprocess.run(
-                [sys.executable, "-c", timer, str(n)],
-                cwd=checkout, capture_output=True, text=True, check=True,
-            )
+            with tempfile.TemporaryDirectory(prefix="pmscheme-bench-") as data_dir:
+                done = subprocess.run(
+                    [sys.executable, "-c", timer, str(n)],
+                    cwd=checkout, capture_output=True, text=True, check=True,
+                    env={**os.environ, "PMSCHEME_DATA_DIR": data_dir},
+                )
             runs[side].setdefault(str(n), []).append(float(done.stdout))
         print("timer", n, {s: runs[s][str(n)][-1] for s in runs}, file=sys.stderr)
     return {
-        side: {n: {"median_s": statistics.median(ts), "runs_s": ts} for n, ts in by_n.items()}
+        side: {
+            n: {f"median_{unit}": statistics.median(ts), f"runs_{unit}": ts}
+            for n, ts in by_n.items()
+        }
         for side, by_n in runs.items()
     }
 
@@ -241,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
             "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s,"
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
             " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s:"
-            " wall-clock seconds"
+            " wall-clock seconds; fixed_pass_peak_rss_mb: MB, keyed by workload"
+            " and pass count"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -276,6 +309,13 @@ def main(argv: list[str] | None = None) -> int:
         "later_load_s": fresh_times(
             args.parent.resolve(), CACHED_LOAD_TIMER.format(loads_before=1), ZONAL_NS, 1
         ),
+        "fixed_pass_peak_rss_mb": {
+            workload: fresh_times(
+                args.parent.resolve(), RSS_TIMER.format(workload=workload),
+                range(passes, passes + 1), RSS_REPEATS, unit="mb",
+            )
+            for workload, passes in RSS_PASSES.items()
+        },
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
         "induction_max_n": INDUCTION_MAX_N,
         "ratios_max_n": RATIOS_MAX_N,

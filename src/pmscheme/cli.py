@@ -80,14 +80,17 @@ def _env_max_oracle_n() -> int:
     raise ValueError(f"bad PMSCHEME_MAX_ORACLE_N {text!r}: want an integer")
 
 
+def _env_data_dir() -> str:
+    """PMSCHEME_DATA_DIR, or ``~/.cache/pmscheme`` when it is unset or
+    empty, as an empty ``--data-dir`` means the default too."""
+    return os.environ.get("PMSCHEME_DATA_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "pmscheme"
+    )
+
+
 @dataclass
 class Config:
-    data_dir: str = field(
-        default_factory=lambda: os.environ.get(
-            "PMSCHEME_DATA_DIR",
-            os.path.join(os.path.expanduser("~"), ".cache", "pmscheme"),
-        )
-    )
+    data_dir: str = field(default_factory=_env_data_dir)
     max_oracle_n: int = field(default_factory=_env_max_oracle_n)
     seed: int = 0
 
@@ -147,25 +150,25 @@ def oracle_table_cached(config: Config, n: int) -> EigTable:
     or built by ``build_table_zonal`` and written there (GuardExceeded above
     DEFAULT_ZONAL_MAX_N).  The benchmark (``bench/workloads.py``,
     ``bench/spans.py``) calls it by this name, which predates the zonal
-    engine.  The file is the table's ``to_json_text``; it is read on every
-    call and served only if ``_checked_table`` accepts its text, which
-    checks each distinct text once per process.  Any other file is rebuilt
-    and overwritten, and a cache that cannot be written is skipped; either
-    prints a note on stderr.  A table served from the file may be the one
+    engine.  The file is the table's ``to_json_text``; it is opened once on
+    every call and served only if ``_checked_table`` accepts its text, which
+    checks each distinct text once per process.  A missing file, or a data
+    directory path that names a file, is built silently; any other file
+    that cannot be read or served, a directory in its place included, is
+    rebuilt and overwritten, and a cache that cannot be written is skipped;
+    either prints a note on stderr.  A table served from the file may be the one
     an earlier call returned: it is shared and read-only.
     """
     path = _cache_path(config, n)
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                text = fh.read()
-            return _checked_table(n, text)
-        except (
-            OSError, ValueError, KeyError, TypeError, AttributeError, SchemeError
-        ) as exc:
-            print(
-                f"note: rebuilding unreadable cache {path}: {exc!r}", file=sys.stderr
-            )
+    try:
+        with open(path) as fh:
+            return _checked_table(n, fh.read())
+    except (FileNotFoundError, NotADirectoryError):
+        pass  # nothing cached yet
+    except (
+        OSError, ValueError, KeyError, TypeError, AttributeError, SchemeError
+    ) as exc:
+        print(f"note: rebuilding unreadable cache {path}: {exc!r}", file=sys.stderr)
     table = build_table_zonal(n)
     try:
         _atomic_write(path, table.to_json_text())

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import factorial
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -185,10 +185,27 @@ class EigTable:
         return None if c is None or r is None else self._grid[r][c]
 
     def column(self, mu: Partition) -> list[int]:
+        """Column mu as a fresh list the caller may change; IncompleteTable
+        unless it is complete.  The queries in this module read the grid in
+        place instead (``_column``, ``_columns``), without the copy."""
+        return list(self._column(mu))
+
+    def _column(self, mu: Partition) -> tuple[int, ...]:
+        """Column mu as the grid holds it, shared and read in place; raises
+        as ``column`` does."""
         c = self._frame.col_at.get(mu)
         if c not in self._complete:
             raise IncompleteTable(f"column {mu} is not fully populated")
-        return list(self._cols[c])
+        return self._cols[c]
+
+    def _columns(self) -> list[tuple[int, ...]]:
+        """Every column as the grid holds it, shared and read in place;
+        IncompleteTable, worded as ``column`` words it, at the first column
+        with a gap."""
+        if not self.is_complete():
+            for mu in self._frame.columns:
+                self._column(mu)
+        return self._cols
 
     def has_column(self, mu: Partition) -> bool:
         return self._frame.col_at.get(mu) in self._complete
@@ -308,14 +325,14 @@ def _check_table(table: EigTable) -> None:
 def trace_identity_check(table: EigTable, mu: Partition) -> bool:
     """v_mu (2n-1)!! equals the dimension-weighted sum of squared eigenvalues;
     off the identity relation the plain dimension-weighted sum is zero."""
-    column = table.column(mu)
+    column = table._column(mu)
     frame = table._frame
     c = frame.col_at[mu]
     return _trace_identity(frame.dims, column, frame.valencies[c] * frame.total, c == 0)
 
 
 def _trace_identity(
-    dims: list[int], column: list[int], lhs: int, identity: bool
+    dims: Sequence[int], column: Sequence[int], lhs: int, identity: bool
 ) -> bool:
     weighted = _weighted(dims, column)
     if sum(map(mul, weighted, column)) != lhs:
@@ -482,7 +499,7 @@ def build_table_formulas(n: int) -> EigTable:
 
 def second_largest(table: EigTable, mu: Partition) -> tuple[int, list[Partition]]:
     """Largest column entry off the top row, with every row attaining it."""
-    values = table.column(mu)[1:]
+    values = table._column(mu)[1:]
     best = max(values)
     return best, [lam for lam, v in zip(table._frame.rows[1:], values) if v == best]
 
@@ -539,8 +556,7 @@ def derangement_spectrum(table: EigTable) -> list[int]:
     out = [0] * len(columns)
     for mu in columns:
         if mu.r1() == 0:
-            col = table.column(mu)
-            out = [a + b for a, b in zip(out, col)]
+            out = list(map(add, out, table._column(mu)))
     return out
 
 
@@ -566,9 +582,9 @@ def verify_column_orthogonality(table: EigTable) -> bool:
     frame = table._frame
     try:
         return all(
-            _class_sums(table, _weighted(frame.dims, table.column(mu)))
+            _class_sums(table, _weighted(frame.dims, col))
             == [int(c == mu) for c in frame.columns]
-            for mu in frame.columns
+            for mu, col in zip(frame.columns, table._columns())
         )
     except SchemeError:
         return False
@@ -585,20 +601,22 @@ def gap_scan(table: EigTable) -> dict[Partition, int]:
     return out
 
 
-def _weighted(weights: list[int], column: list[int]) -> list[int]:
+def _weighted(weights: Sequence[int], column: Sequence[int]) -> list[int]:
     return list(map(mul, weights, column))
 
 
-def _class_sums(table: EigTable, weights: list[int]) -> list[int]:
+def _class_sums(table: EigTable, weights: Sequence[int]) -> list[int]:
     """sum_lam w_lam phi_lam(c) / ((2n-1)!! v_c) for each relation c, in
     column order, v_c read off the top row.  For w_lam = f_lam g(phi_lam) it
     is the entry of g(A) at the base matching and one class-c matching
     (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 2.2), a count, so
-    SchemeError unless every value is a nonnegative integer."""
+    SchemeError unless every value is a nonnegative integer.  The columns
+    are read in place (``EigTable._columns``, IncompleteTable on a partial
+    table), each sum one multiply-accumulate with no copy."""
     total = table._frame.total
     out = []
-    for c, v in zip(table._frame.columns, table._grid[0]):
-        num = sum(_weighted(weights, table.column(c)))
+    for c, v, col in zip(table._frame.columns, table._grid[0], table._columns()):
+        num = sum(map(mul, weights, col))
         denom = total * v
         if denom <= 0 or num < 0 or num % denom:
             raise SchemeError(
@@ -618,9 +636,9 @@ def intersection_matrix(table: EigTable, mu: Partition) -> list[list[int]]:
     SchemeError unless every entry is a nonnegative integer.
     """
     frame = table._frame
-    f_mu = _weighted(frame.dims, table.column(mu))
+    f_mu = _weighted(frame.dims, table._column(mu))
     # relations descend like the rows; class sums ascend like the columns
-    by_i = [_class_sums(table, _weighted(f_mu, table.column(i))) for i in frame.rows]
+    by_i = [_class_sums(table, _weighted(f_mu, table._column(i))) for i in frame.rows]
     return [list(row) for row in zip(*by_i)][::-1]
 
 
@@ -655,9 +673,11 @@ def diameter(table: EigTable, mu: Partition) -> DiameterResult:
     step that adds none.  The graph is vertex-transitive, so the last step
     that adds a class is the diameter.
     ``reached`` counts matchings: the valencies of the reached classes.
+    Column mu and every column a step sums are read in place, not copied;
+    IncompleteTable, as ``EigTable.column`` raises it, on a partial table.
     """
     frame = table._frame
-    steps = [1 + phi for phi in table.column(mu)]
+    steps = [1 + phi for phi in table._column(mu)]
     weights = list(frame.dims)
     support, t = [], -1  # t ends as the last walk length that adds a class
     while sum(grown := [s > 0 for s in _class_sums(table, weights)]) > sum(support):

@@ -438,6 +438,39 @@ def test_unwritable_data_dir_answers_from_built_table(tmp_path, capsys):
     assert out.err.startswith("note: table for n=4 not cached")
 
 
+def test_directory_at_the_cache_path_is_noted_not_skipped(run):
+    # a directory is not a missing file: the open fails with a note, the
+    # table is built and printed, and the write over the directory fails
+    path = os.path.join(run.data_dir, f"table_n4_v{__version__}.json")
+    os.makedirs(path)
+    code, out, err = run("table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == _golden(4)
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert sum(l.startswith("note: rebuilding unreadable cache") for l in lines) == 1
+    assert sum(l.startswith("note: table for n=4 not cached") for l in lines) == 1
+
+
+def test_empty_data_dir_env_means_the_default_cache(tmp_path, capsys, monkeypatch):
+    from pmscheme import cli as climod
+
+    monkeypatch.setenv("PMSCHEME_DATA_DIR", "")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    argv = ["table", "--n", "3", "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (_golden(3), "")
+    cached = tmp_path / ".cache" / "pmscheme" / f"table_n3_v{__version__}.json"
+    assert cached.is_file()
+
+    def boom(n):
+        raise AssertionError("the second run must read the cache file")
+
+    monkeypatch.setattr(climod, "build_table_zonal", boom)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (_golden(3), "")
+
+
 def test_unwritable_out_exits_2(run, tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")

@@ -608,6 +608,21 @@ def test_intersection_matrix_matches_brute_force(idata):
             assert intersection_matrix(table, mu) == data.b_matrix(j), (n, mu)
 
 
+def test_relation_queries_refuse_a_partial_table():
+    # the queries read the grid in place, so each must refuse the gaps
+    # itself, worded as EigTable.column words them
+    table = build_table_formulas(9)
+    flip = P([2] + [1] * 7)
+    assert table.has_column(flip) and not table.is_complete()
+    with pytest.raises(IncompleteTable, match=r"^column \[2,2,2,1,1,1\] is not"):
+        diameter(table, flip)
+    with pytest.raises(IncompleteTable, match=r"^column \[9\] is not fully"):
+        intersection_matrix(table, flip)
+    with pytest.raises(IncompleteTable, match=r"^column \[3,2,2,2\] is not"):
+        derangement_spectrum(table)
+    assert verify_column_orthogonality(table) is False
+
+
 def test_intersection_matrix_refuses_a_changed_cell():
     for table in _doctored_n4_tables():
         with pytest.raises(SchemeError):
