@@ -14,7 +14,11 @@ that passes no ``--data-dir`` neither reads nor fills the user's cache.
 It then times the full intersection tensor, ``intersection_numbers(n).p``
 (``intersection_numbers`` itself counts nothing), for n = 5..8 once per
 checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
-checkout, ``tables.diameter`` over every relation of the zonal table
+checkout, the two stages of the symmetric-function route under it for
+n = 2..14 three times per checkout (the median of STAGE_REPEATS calls
+each): the merge counts, from the partitions to the sparse columns the
+elimination reads, and the elimination, from those columns to the rows,
+``tables.diameter`` over every relation of the zonal table
 for n = 6, 8, ..., 14 once per checkout, and the oracle route,
 ``build_table_oracle(n)`` given no intersection data, for n = 6, 7, 8 once
 per checkout (the median over seeds 0..4 of one build, each counting what
@@ -66,6 +70,7 @@ WORKLOADS = ("cold_tables", "table_assembly", "warm_queries", "diameters")
 METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
 ZONAL_NS = range(2, 15)
 ZONAL_REPEATS = 3
+STAGE_REPEATS = 5
 ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
@@ -73,7 +78,7 @@ CHECK_REPEATS = 31
 GUARD_REPEATS = 3
 LOAD_REPEATS = 21
 # the fixed pass count of each workload's peak RSS reading
-RSS_PASSES = {"diameters": 2000, "warm_queries": 20}
+RSS_PASSES = {"diameters": 2000, "warm_queries": 20, "table_assembly": 250}
 RSS_REPEATS = 3
 # each timer runs in a checkout's root and prints the seconds of one call
 ORACLE_TIMER = """
@@ -92,6 +97,55 @@ n = int(sys.argv[1])
 t0 = time.perf_counter()
 build_table_zonal(n)
 print(time.perf_counter() - t0)
+"""
+# the merge counts of the partitions of n; a checkout from before the
+# p_k m_nu recursion times its capacity recursion and the dense-to-sparse
+# column pass that fed the elimination
+MERGE_TIMER = f"""
+import statistics, sys, time
+sys.path.insert(0, "src")
+from pmscheme import symfunc
+from pmscheme.partitions import generate_partitions
+lams = generate_partitions(int(sys.argv[1]))
+if hasattr(symfunc, "_merge_columns"):
+    merge = symfunc._merge_columns
+else:
+    def merge(lams):
+        counts, size = symfunc._merge_counts(lams), len(lams)
+        return [
+            [(k, counts[k][j]) for k in range(j, size) if counts[k][j]]
+            for j in range(size)
+        ]
+times = []
+for _ in range({STAGE_REPEATS}):
+    t0 = time.perf_counter()
+    merge(lams)
+    times.append(time.perf_counter() - t0)
+print(statistics.median(times))
+"""
+# the elimination of n, its merge counts made beforehand; a checkout from
+# before the p_k m_nu recursion times zonal_power_sums fed the merge matrix,
+# so its column pass and its dict result are timed with it
+ELIMINATION_TIMER = f"""
+import statistics, sys, time
+sys.path.insert(0, "src")
+from pmscheme import symfunc
+from pmscheme.partitions import generate_partitions
+n = int(sys.argv[1])
+lams = generate_partitions(n)
+if hasattr(symfunc, "_eliminate"):
+    cols = symfunc._merge_columns(lams)
+    eliminate = lambda: symfunc._eliminate(lams, cols)
+else:
+    counts = symfunc._merge_counts(lams)
+    symfunc._merge_counts = lambda _: counts
+    eliminate = lambda: symfunc.zonal_power_sums(n)
+times = []
+for _ in range({STAGE_REPEATS}):
+    t0 = time.perf_counter()
+    eliminate()
+    times.append(time.perf_counter() - t0)
+print(statistics.median(times))
 """
 DIAMETER_TIMER = """
 import sys, time
@@ -270,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 bench/run.py --workload W --seed S --seconds 8 --trace 0",
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
-            "intersection_numbers_s, build_table_zonal_s, diameter_all_relations_s,"
+            "intersection_numbers_s, build_table_zonal_s, merge_counts_s,"
+            " elimination_s, diameter_all_relations_s,"
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
             " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s:"
             " wall-clock seconds; fixed_pass_peak_rss_mb: MB, keyed by workload"
@@ -284,6 +339,12 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "build_table_zonal_s": fresh_times(
             args.parent.resolve(), ZONAL_TIMER, ZONAL_NS, ZONAL_REPEATS
+        ),
+        "merge_counts_s": fresh_times(
+            args.parent.resolve(), MERGE_TIMER, ZONAL_NS, ZONAL_REPEATS
+        ),
+        "elimination_s": fresh_times(
+            args.parent.resolve(), ELIMINATION_TIMER, ZONAL_NS, ZONAL_REPEATS
         ),
         "diameter_all_relations_s": fresh_times(
             args.parent.resolve(), DIAMETER_TIMER, DIAMETER_NS, 1

@@ -95,6 +95,8 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.data_dir:
+            self.data_dir = _env_data_dir()
         if self.max_oracle_n < 2:
             raise ValueError("resource guards must be at least 2")
 

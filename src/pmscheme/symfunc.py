@@ -425,66 +425,69 @@ def _checked_column(n: int, col: DataColumn) -> list:
 # Zonal polynomials J_lam^(2) in the power-sum basis
 
 
-def _merge_counts(parts_list: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """R[i][j]: the number of maps f from the parts of rho_i to the parts of
-    rho_j with every part of rho_j the sum of the rho_i parts sent to it, so
-    that p_rho = sum_mu R[rho][mu] m_mu.
+def _times_p(k: int, nu: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """p_k m_nu = sum_a m_{a+k}(mu) m_mu as (mu, m_{a+k}(mu)) pairs: a runs
+    over the distinct parts of nu and 0, and mu is nu with one a raised to
+    a + k (Macdonald, Symmetric Functions and Hall Polynomials, I.6)."""
+    out = []
+    for i, a in enumerate(nu + (0,)):
+        if i and nu[i - 1] == a:
+            continue  # one raise per distinct part
+        b = a + k
+        j = i
+        while j and nu[j - 1] < b:
+            j -= 1
+        mu = nu[:j] + (b,) + nu[j:i] + nu[i + 1 :]
+        out.append((mu, mu.count(b)))
+    return out
 
-    The recursion places the parts of rho largest first into the remaining
-    capacities of mu's parts; capacities are kept sorted with zeros dropped,
-    and slots of equal capacity are counted once times their multiplicity.
-    Its memo lives only as long as this call.
+
+def _merge_columns(lams: Sequence[Partition]) -> list[list[tuple[int, int]]]:
+    """The merge counts R, p_rho = sum_mu R[rho][mu] m_mu, as the sparse
+    columns the elimination reads: column j lists the nonzero (i,
+    R[lams[i]][lams[j]]), i ascending.  R[rho][mu] is the number of maps f
+    from the parts of rho to the parts of mu with every part of mu the sum of
+    the rho parts sent to it (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.6, the transition matrix L(p, m)).
+
+    Row rho = (k) + rho' is p_k times row rho', each m_nu of it multiplied by
+    ``_times_p``.  Rows of smaller sizes and the p_k m_nu products are kept
+    only as long as this call.  At n = 14 this takes 12 ms, where the
+    capacity recursion it replaced took 59 ms (BENCH_merge.json).
     """
+    rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
+    products: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    @lru_cache(maxsize=None)
-    def count(rest: tuple[int, ...], caps: tuple[int, ...]) -> int:
-        if not rest:
-            return 0 if caps else 1
-        head, tail = rest[0], rest[1:]
-        total = 0
-        k = 0
-        while k < len(caps) and caps[k] >= head:
-            c = caps[k]
-            mult = 1
-            while k + mult < len(caps) and caps[k + mult] == c:
-                mult += 1
-            left = caps[:k] + caps[k + 1 :]
-            if c > head:
-                left = tuple(sorted(left + (c - head,), reverse=True))
-            total += mult * count(tail, left)
-            k += mult
-        return total
+    def row(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        out = rows.get(rho)
+        if out is None:
+            k, out = rho[0], {}
+            for nu, c in row(rho[1:]).items():
+                terms = products.get((k, nu))
+                if terms is None:
+                    terms = products[k, nu] = _times_p(k, nu)
+                for mu, m in terms:
+                    out[mu] = out.get(mu, 0) + c * m
+            rows[rho] = out
+        return out
 
-    return [[count(rho, mu) for mu in parts_list] for rho in parts_list]
+    index = {lam: j for j, lam in enumerate(lams)}
+    cols: list[list[tuple[int, int]]] = [[] for _ in lams]
+    for i, rho in enumerate(lams):
+        for mu, r in row(rho).items():
+            cols[index[mu]].append((i, r))
+    return cols
 
 
-def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
-    """Power-sum coefficients of every zonal polynomial J_lam^(2) of degree n.
-
-    The result maps lam to {rho: coefficient of p_rho in J_lam^(2)}, both in
-    canonical order.  With R the merge counts, g_mu = sum_rho R[rho][mu]
-    p_rho / z2(rho) is the basis dual to the m_mu under <p_rho, p_sigma> =
-    delta z2(rho).  J_lam is m_lam plus m_nu with nu < lam, and orthogonal to
-    every J_nu with nu < lam (Macdonald, Symmetric Functions and Hall
-    Polynomials, VI.4 and VII.2), so up to scale it is the one element of
-    span{g_mu : mu >= lam} with no m_nu term for any nu > lam, the order being
-    the canonical one.  Row lam starts at g_lam times the lcm of the z2;
-    for each finished row nu in canonical order it loses the multiple that
-    clears its m_nu term (the m_nu coefficient of sum_rho x_rho p_rho is
-    sum_rho x_rho R[rho][nu]), both multipliers divided by their gcd first.
-    The row is then made primitive and scaled to 1 at p_(1^n), the identity
-    column; a coefficient that is not an integer raises SchemeError.
-    """
-    lams = generate_partitions(n)
+def _eliminate(
+    lams: Sequence[Partition], cols: Sequence[Sequence[tuple[int, int]]]
+) -> list[list[int]]:
+    """The power-sum rows of the J_lam^(2), lam in lams (every partition of
+    one n, canonical order), from the merge columns ``_merge_columns`` gives;
+    see ``zonal_rows``."""
     size = len(lams)
-    merges = _merge_counts(lams)
     weights = [z2(lam) for lam in lams]
     common = lcm(*weights)
-    # column nu of R as its nonzero (rho, R[rho][nu]); R is lower triangular
-    cols = [
-        [(k, merges[k][j]) for k in range(j, size) if merges[k][j]]
-        for j in range(size)
-    ]
     rows: list[list[int]] = []
     pivots: list[int] = []  # m_lam coefficient of finished row lam
     for i, lam in enumerate(lams):
@@ -507,4 +510,36 @@ def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
         row = [x // g * unit for x in row]
         rows.append(row)
         pivots.append(sum(row[k] * r for k, r in cols[i]))
-    return {lam: dict(zip(lams, row)) for lam, row in zip(lams, rows)}
+    return rows
+
+
+def zonal_rows(n: int) -> list[list[int]]:
+    """Power-sum coefficients of every zonal polynomial J_lam^(2) of degree n.
+
+    Row lam lists the coefficient of p_rho in J_lam^(2) for each rho, both
+    in canonical order.  With R the merge counts (``_merge_columns``, built
+    by one p_k m_nu step per part, Macdonald I.6), g_mu = sum_rho
+    R[rho][mu] p_rho / z2(rho) is the basis dual to the m_mu under
+    <p_rho, p_sigma> = delta z2(rho).  J_lam is m_lam plus m_nu with nu <
+    lam, and orthogonal to every J_nu with nu < lam (Macdonald, Symmetric
+    Functions and Hall Polynomials, VI.4 and VII.2), so up to scale it is
+    the one element of span{g_mu : mu >= lam} with no m_nu term for any
+    nu > lam, the order being the canonical one.  Row lam starts at g_lam
+    times the lcm of the z2; for each finished row nu in canonical order it
+    loses the multiple that clears its m_nu term (the m_nu coefficient of
+    sum_rho x_rho p_rho is sum_rho x_rho R[rho][nu]), both multipliers
+    divided by their gcd first.  The row is then made primitive and scaled
+    to 1 at p_(1^n), the identity column; a coefficient that is not an
+    integer raises SchemeError.
+    """
+    lams = generate_partitions(n)
+    return _eliminate(lams, _merge_columns(lams))
+
+
+def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
+    """``zonal_rows(n)`` as a map lam -> {rho: coefficient of p_rho in
+    J_lam^(2)}, both in canonical order: the elimination over the merge
+    counts of the p_k m_nu recursion (Macdonald I.6, timed per stage in
+    BENCH_merge.json)."""
+    lams = generate_partitions(n)
+    return {lam: dict(zip(lams, row)) for lam, row in zip(lams, zonal_rows(n))}

@@ -471,6 +471,28 @@ def test_empty_data_dir_env_means_the_default_cache(tmp_path, capsys, monkeypatc
     assert capsys.readouterr() == (_golden(3), "")
 
 
+def test_empty_data_dir_config_means_the_default_cache(tmp_path, capsys, monkeypatch):
+    from pmscheme import cli as climod
+
+    monkeypatch.delenv("PMSCHEME_DATA_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = climod.Config(data_dir="")
+    table = climod.oracle_table_cached(config, 3)
+    cached = tmp_path / ".cache" / "pmscheme" / f"table_n3_v{__version__}.json"
+    assert cached.read_text() == table.to_json_text()
+
+    def boom(n):
+        raise AssertionError("the second call must read the cache file")
+
+    monkeypatch.setattr(climod, "build_table_zonal", boom)
+    assert climod.oracle_table_cached(config, 3).grid() == table.grid()
+    assert capsys.readouterr() == ("", "")
+    assert os.listdir(work) == []
+
+
 def test_unwritable_out_exits_2(run, tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -235,6 +236,30 @@ def test_fit_checks_the_last_value_of_the_last_column():
     data[-1][1][-1] += 1
     with pytest.raises(FitInconsistent):
         fit_e_mu(prefix, data)
+
+
+def _maps_onto_sums(rho, mu) -> int:
+    """Maps from the parts of rho to the parts of mu under which every part
+    of mu is the sum of the parts sent to it, counted one by one."""
+    count = 0
+    for f in product(range(len(mu)), repeat=len(rho)):
+        sums = [0] * len(mu)
+        for part, j in zip(rho, f):
+            sums[j] += part
+        count += sums == list(mu)
+    return count
+
+
+def test_merge_columns_count_the_maps_onto_sums():
+    from pmscheme.symfunc import _merge_columns
+
+    for n in range(1, 7):
+        lams = generate_partitions(n)
+        merges = [[0] * len(lams) for _ in lams]
+        for j, column in enumerate(_merge_columns(lams)):
+            for i, r in column:
+                merges[i][j] = r
+        assert merges == [[_maps_onto_sums(rho, mu) for mu in lams] for rho in lams]
 
 
 def test_zonal_power_sums_small():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -155,12 +156,31 @@ def test_table_copies_and_checks_its_provenance():
         EigTable.from_json_obj(obj)
 
 
+# sha256 of build_table_zonal(n).to_csv_text() for the n past the goldens,
+# as the capacity-recursion merge counts of commit 5f4d7b1 wrote them
+ZONAL_CSV_SHA256 = {
+    8: "30ac57a66832aaca179eac1f82d8431fdb1936044c5b5c3d17ca0bc41a295988",
+    9: "ddc0fac99ea9ee61409ff143593884928b1b32bd11af7ce992cfd6c214c18056",
+    10: "cfea49f1d24f6d19f13caaa109b714cc23ba69a98c867b856788147607d35ebb",
+    11: "e69f0f75c8501240deca279e3c9e43a218739d01f188c2a2822a9cccd5a3ba43",
+    12: "9ce75495328c419fd0005a0632fe1df40b9476f39e1d049c1868f28ece0fef65",
+    13: "8920f2d92375c3acd0db6a1b09642cdb2d412e83c71410bee162f62da707853b",
+    14: "e116e7e92d393d2952ca2abf2c859537b6ca09fac8a58bd04c625758a2ab7393",
+}
+
+
 def test_route_equivalence(oracle_table):
     # the closed-form cells (identity column, rows [n] and [n-1,1], catalog
-    # columns) check the oracle up to n = 6 and the zonal engine up to 14
+    # columns) check the oracle up to n = 6 and the zonal engine up to 14;
+    # past the goldens the zonal CSV keeps its bytes
+    assert set(ZONAL_CSV_SHA256) == set(range(8, DEFAULT_ZONAL_MAX_N + 1))
     for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
         formulas = build_table_formulas(n)
-        routes = [build_table_zonal(n)] + ([oracle_table(n)] if n <= 6 else [])
+        zonal = build_table_zonal(n)
+        if n in ZONAL_CSV_SHA256:
+            digest = hashlib.sha256(zonal.to_csv_text().encode()).hexdigest()
+            assert digest == ZONAL_CSV_SHA256[n], n
+        routes = [zonal] + ([oracle_table(n)] if n <= 6 else [])
         for lam in formulas.rows:
             for mu in formulas.columns:
                 v = formulas.value(lam, mu)
@@ -516,7 +536,7 @@ def test_zonal_guard_refuses_before_any_work(monkeypatch):
     def fail(n):
         raise AssertionError("the zonal algebra ran past the guard")
 
-    monkeypatch.setattr(tables, "zonal_power_sums", fail)
+    monkeypatch.setattr(tables, "zonal_rows", fail)
     with pytest.raises(GuardExceeded):
         build_table_zonal(DEFAULT_ZONAL_MAX_N + 1)
     with pytest.raises(GuardExceeded):
