@@ -14,11 +14,16 @@ that passes no ``--data-dir`` neither reads nor fills the user's cache.
 It then times the full intersection tensor, ``intersection_numbers(n).p``
 (``intersection_numbers`` itself counts nothing), for n = 5..8 once per
 checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
-checkout, the two stages of the symmetric-function route under it for
-n = 2..14 three times per checkout (the median of STAGE_REPEATS calls
-each): the merge counts, from the partitions to the sparse columns the
-elimination reads, and the elimination, from those columns to the rows,
-``tables.diameter`` over every relation of the zonal table
+checkout, and the symmetric-function route under it, ``zonal_rows(n)``:
+its first call in a fresh process (cold chain-step plans on this
+checkout) for n = 2..16 three times per checkout and n = 17..20 once on
+this checkout alone; a later call, its plans warm, so only the projector
+steps are timed (the median of STAGE_REPEATS calls after one untimed
+call), for n = 2..14 three times per checkout and n = 15..20 once on this
+checkout alone; and on this checkout alone, building the plans of
+k = 2..n cold for n = 2..20, once each.  A checkout from before the chain
+keeps nothing between calls, so its warm call repeats its whole build.
+Then ``tables.diameter`` over every relation of the zonal table
 for n = 6, 8, ..., 14 once per checkout, and the oracle route,
 ``build_table_oracle(n)`` given no intersection data, for n = 6, 7, 8 once
 per checkout (the median over seeds 0..4 of one build, each counting what
@@ -71,6 +76,10 @@ METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
 ZONAL_NS = range(2, 15)
 ZONAL_REPEATS = 3
 STAGE_REPEATS = 5
+# zonal_rows past the table guard: n up to ROWS_BOTH_MAX_N on both sides,
+# then up to ROWS_MAX_N on this checkout alone
+ROWS_BOTH_MAX_N = 16
+ROWS_MAX_N = 20
 ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
@@ -98,54 +107,40 @@ t0 = time.perf_counter()
 build_table_zonal(n)
 print(time.perf_counter() - t0)
 """
-# the merge counts of the partitions of n; a checkout from before the
-# p_k m_nu recursion times its capacity recursion and the dense-to-sparse
-# column pass that fed the elimination
-MERGE_TIMER = f"""
+# zonal_rows(n) in a fresh process: the first call, with cold plans
+ROWS_COLD_TIMER = """
+import sys, time
+sys.path.insert(0, "src")
+from pmscheme.symfunc import zonal_rows
+n = int(sys.argv[1])
+t0 = time.perf_counter()
+zonal_rows(n)
+print(time.perf_counter() - t0)
+"""
+# zonal_rows(n) after one untimed call, so its plans are warm
+ROWS_WARM_TIMER = f"""
 import statistics, sys, time
 sys.path.insert(0, "src")
-from pmscheme import symfunc
-from pmscheme.partitions import generate_partitions
-lams = generate_partitions(int(sys.argv[1]))
-if hasattr(symfunc, "_merge_columns"):
-    merge = symfunc._merge_columns
-else:
-    def merge(lams):
-        counts, size = symfunc._merge_counts(lams), len(lams)
-        return [
-            [(k, counts[k][j]) for k in range(j, size) if counts[k][j]]
-            for j in range(size)
-        ]
+from pmscheme.symfunc import zonal_rows
+n = int(sys.argv[1])
+zonal_rows(n)
 times = []
 for _ in range({STAGE_REPEATS}):
     t0 = time.perf_counter()
-    merge(lams)
+    zonal_rows(n)
     times.append(time.perf_counter() - t0)
 print(statistics.median(times))
 """
-# the elimination of n, its merge counts made beforehand; a checkout from
-# before the p_k m_nu recursion times zonal_power_sums fed the merge matrix,
-# so its column pass and its dict result are timed with it
-ELIMINATION_TIMER = f"""
-import statistics, sys, time
+# the chain-step plans of k = 2..n, built cold
+PLAN_TIMER = """
+import sys, time
 sys.path.insert(0, "src")
-from pmscheme import symfunc
-from pmscheme.partitions import generate_partitions
+from pmscheme.symfunc import _plan
 n = int(sys.argv[1])
-lams = generate_partitions(n)
-if hasattr(symfunc, "_eliminate"):
-    cols = symfunc._merge_columns(lams)
-    eliminate = lambda: symfunc._eliminate(lams, cols)
-else:
-    counts = symfunc._merge_counts(lams)
-    symfunc._merge_counts = lambda _: counts
-    eliminate = lambda: symfunc.zonal_power_sums(n)
-times = []
-for _ in range({STAGE_REPEATS}):
-    t0 = time.perf_counter()
-    eliminate()
-    times.append(time.perf_counter() - t0)
-print(statistics.median(times))
+t0 = time.perf_counter()
+for k in range(2, n + 1):
+    _plan(k)
+print(time.perf_counter() - t0)
 """
 DIAMETER_TIMER = """
 import sys, time
@@ -286,14 +281,19 @@ def compare(parent: Path, workloads: list[str], seeds: list[int]) -> dict:
 
 
 def fresh_times(
-    parent: Path, timer: str, ns: range, repeats: int, unit: str = "s"
+    parent: Path | None, timer: str, ns: range, repeats: int, unit: str = "s"
 ) -> dict:
     """What the timer reports (in unit, seconds by default) for each n, one
     fresh process per side, n and repeat, alternating which side runs
-    first, each with its own empty PMSCHEME_DATA_DIR; medians per side."""
-    runs: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    first, each with its own empty PMSCHEME_DATA_DIR; medians per side.
+    With parent None only this checkout runs."""
+    runs: dict[str, dict[str, list[float]]] = {"change": {}}
+    if parent is not None:
+        runs["parent"] = {}
     for k, n in enumerate([n for n in ns for _ in range(repeats)]):
-        sides = [("parent", parent), ("change", ROOT)]
+        sides = [("change", ROOT)]
+        if parent is not None:
+            sides.insert(0, ("parent", parent))
         for side, checkout in sides if k % 2 == 0 else reversed(sides):
             with tempfile.TemporaryDirectory(prefix="pmscheme-bench-") as data_dir:
                 done = subprocess.run(
@@ -324,8 +324,9 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 bench/run.py --workload W --seed S --seconds 8 --trace 0",
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
-            "intersection_numbers_s, build_table_zonal_s, merge_counts_s,"
-            " elimination_s, diameter_all_relations_s,"
+            "intersection_numbers_s, build_table_zonal_s, zonal_rows_cold_s,"
+            " zonal_rows_cold_past_s, zonal_rows_warm_s, zonal_rows_warm_past_s,"
+            " plan_build_s, diameter_all_relations_s,"
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
             " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s:"
             " wall-clock seconds; fixed_pass_peak_rss_mb: MB, keyed by workload"
@@ -340,11 +341,21 @@ def main(argv: list[str] | None = None) -> int:
         "build_table_zonal_s": fresh_times(
             args.parent.resolve(), ZONAL_TIMER, ZONAL_NS, ZONAL_REPEATS
         ),
-        "merge_counts_s": fresh_times(
-            args.parent.resolve(), MERGE_TIMER, ZONAL_NS, ZONAL_REPEATS
+        "zonal_rows_cold_s": fresh_times(
+            args.parent.resolve(), ROWS_COLD_TIMER,
+            range(2, ROWS_BOTH_MAX_N + 1), ZONAL_REPEATS,
         ),
-        "elimination_s": fresh_times(
-            args.parent.resolve(), ELIMINATION_TIMER, ZONAL_NS, ZONAL_REPEATS
+        "zonal_rows_cold_past_s": fresh_times(
+            None, ROWS_COLD_TIMER, range(ROWS_BOTH_MAX_N + 1, ROWS_MAX_N + 1), 1
+        ),
+        "zonal_rows_warm_s": fresh_times(
+            args.parent.resolve(), ROWS_WARM_TIMER, ZONAL_NS, ZONAL_REPEATS
+        ),
+        "zonal_rows_warm_past_s": fresh_times(
+            None, ROWS_WARM_TIMER, range(ZONAL_NS.stop, ROWS_MAX_N + 1), 1
+        ),
+        "plan_build_s": fresh_times(
+            None, PLAN_TIMER, range(2, ROWS_MAX_N + 1), 1
         ),
         "diameter_all_relations_s": fresh_times(
             args.parent.resolve(), DIAMETER_TIMER, DIAMETER_NS, 1

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd, lcm, prod
-from typing import Mapping, Sequence
+from functools import lru_cache
+from math import lcm, prod
+from operator import mul
+from typing import Mapping, NamedTuple, Sequence
 
 from . import exactalg
 from .errors import FitInconsistent, FitUnderdetermined, SchemeError
@@ -33,7 +34,6 @@ from .partitions import (
     generate_partitions,
     parse_partition,
     successors,
-    z2,
 )
 
 
@@ -424,122 +424,205 @@ def _checked_column(n: int, col: DataColumn) -> list:
 # --------------------------------------------------------------------------
 # Zonal polynomials J_lam^(2) in the power-sum basis
 
+# The most chain-step plans ``_plan`` keeps: every k = 2..n of a chain up to
+# n = 17, so a second table of the largest guarded n reads only cached plans.
+PLAN_CACHE_SIZE = 16
 
-def _times_p(k: int, nu: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """p_k m_nu = sum_a m_{a+k}(mu) m_mu as (mu, m_{a+k}(mu)) pairs: a runs
-    over the distinct parts of nu and 0, and mu is nu with one a raised to
-    a + k (Macdonald, Symmetric Functions and Hall Polynomials, I.6)."""
-    out = []
-    for i, a in enumerate(nu + (0,)):
-        if i and nu[i - 1] == a:
-            continue  # one raise per distinct part
-        b = a + k
-        j = i
-        while j and nu[j - 1] < b:
-            j -= 1
-        mu = nu[:j] + (b,) + nu[j:i] + nu[i + 1 :]
-        out.append((mu, mu.count(b)))
+
+def _flip_eigenvalue(lam: Partition) -> int:
+    """sum_i lam_i (lam_i - i): the eigenvalue of the flip relation
+    [2,1^(n-2)] on eigenspace lam (Diaconis and Holmes, Random walks on
+    trees and matchings, 2002), so row . N = theta_lam row for the row of
+    J_lam^(2) and the flip class matrix N of ``_flip_counts``."""
+    return sum(part * (part - i) for i, part in enumerate(lam, start=1))
+
+
+def _flip_counts(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Row rho of the flip class matrix N: of the n(n-1) flip neighbours of
+    a matching at relation rho to a fixed one, how many are at each
+    relation.  Each pair of cycles a, b (half-lengths) gives 2ab neighbours
+    where the two merge; a cycle c gives C(c,2) in its own class and c
+    where it splits into (t, c-t) for each t < c/2, c/2 for t = c/2 (the
+    cut-and-join counts: Goulden and Jackson, Transitive factorizations
+    into transpositions and holomorphic mappings on the sphere, 1997)."""
+    out: dict[tuple[int, ...], int] = {}
+
+    def add(drop: tuple[int, ...], put: tuple[int, ...], count: int) -> None:
+        parts = list(rho)
+        for x in drop:
+            parts.remove(x)
+        mu = tuple(sorted(parts + list(put), reverse=True))
+        out[mu] = out.get(mu, 0) + count
+
+    own = sum(c * (c - 1) // 2 for c in rho)
+    if own:
+        out[rho] = own
+    for i, a in enumerate(rho):
+        for b in rho[i + 1 :]:
+            add((a, b), (a + b,), 2 * a * b)
+        for t in range(1, a // 2 + 1):
+            add((a,), (t, a - t), a if 2 * t < a else t)
     return out
 
 
-def _merge_columns(lams: Sequence[Partition]) -> list[list[tuple[int, int]]]:
-    """The merge counts R, p_rho = sum_mu R[rho][mu] m_mu, as the sparse
-    columns the elimination reads: column j lists the nonzero (i,
-    R[lams[i]][lams[j]]), i ascending.  R[rho][mu] is the number of maps f
-    from the parts of rho to the parts of mu with every part of mu the sum of
-    the rho parts sent to it (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.6, the transition matrix L(p, m)).
+class _Plan(NamedTuple):
+    """What the chain step from T(k-1) to T(k) reads, a fact of k alone.
 
-    Row rho = (k) + rho' is p_k times row rho', each m_nu of it multiplied by
-    ``_times_p``.  Rows of smaller sizes and the p_k m_nu products are kept
-    only as long as this call.  At n = 14 this takes 12 ms, where the
-    capacity recursion it replaced took 59 ms (BENCH_merge.json).
+    ``flips`` is N: row c lists the (d, N[c][d]) with N[c][d] nonzero.  ``lift`` maps column nu of T(k-1) to column nu + [1] of
+    T(k), and ``raises`` lists, per column nu of T(k-1), the (d, 2 c m_c)
+    with d the column of nu with one part c raised to c + 1, for each
+    distinct part c (m_c times in nu).  ``sources`` holds, per source row
+    mu of T(k-1) in first use, (its index, theta_mu, and per row lam of
+    T(k) it feeds, (the index of lam, the coefficients, lowest degree
+    first, of the product of (x - theta_lam') over the other shapes lam'
+    of mu + box))).
     """
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
-    products: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    def row(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        out = rows.get(rho)
-        if out is None:
-            k, out = rho[0], {}
-            for nu, c in row(rho[1:]).items():
-                terms = products.get((k, nu))
-                if terms is None:
-                    terms = products[k, nu] = _times_p(k, nu)
-                for mu, m in terms:
-                    out[mu] = out.get(mu, 0) + c * m
-            rows[rho] = out
-        return out
-
-    index = {lam: j for j, lam in enumerate(lams)}
-    cols: list[list[tuple[int, int]]] = [[] for _ in lams]
-    for i, rho in enumerate(lams):
-        for mu, r in row(rho).items():
-            cols[index[mu]].append((i, r))
-    return cols
+    flips: tuple[tuple[tuple[int, int], ...], ...]
+    lift: tuple[int, ...]
+    raises: tuple[tuple[tuple[int, int], ...], ...]
+    sources: tuple[tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
 
 
-def _eliminate(
-    lams: Sequence[Partition], cols: Sequence[Sequence[tuple[int, int]]]
-) -> list[list[int]]:
-    """The power-sum rows of the J_lam^(2), lam in lams (every partition of
-    one n, canonical order), from the merge columns ``_merge_columns`` gives;
-    see ``zonal_rows``."""
-    size = len(lams)
-    weights = [z2(lam) for lam in lams]
-    common = lcm(*weights)
-    rows: list[list[int]] = []
-    pivots: list[int] = []  # m_lam coefficient of finished row lam
-    for i, lam in enumerate(lams):
-        row = [0] * size
-        for k, r in cols[i]:
-            row[k] = r * (common // weights[k])
-        for j in range(i):
-            c = sum(row[k] * r for k, r in cols[j])
-            if c:
-                g = gcd(c, pivots[j])
-                a, b = pivots[j] // g, c // g
-                row = [a * x - b * y for x, y in zip(row, rows[j])]
-        g = reduce(gcd, row)
-        unit = row[-1] // g
-        if unit not in (1, -1):
-            raise SchemeError(
-                f"zonal polynomial J_{lam}^(2) has a non-integer power-sum"
-                f" coefficient: its primitive row is {unit} at p_{lams[-1]}"
+def _grown(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The shapes mu + box, one per addable corner, top row first."""
+    return [
+        mu[:i] + (part + 1,) + mu[i + 1 :]
+        for i, part in enumerate(mu + (0,))
+        if i == 0 or mu[i - 1] > part
+    ]
+
+
+def _shrunk(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The shapes lam - box, one per removable corner, top row first."""
+    return [
+        lam[:i] + (part - 1,) * (part > 1) + lam[i + 1 :]
+        for i, part in enumerate(lam)
+        if i + 1 == len(lam) or lam[i + 1] < part
+    ]
+
+
+def _vanishing_at(thetas: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients, lowest degree first, of the product of (x - theta)."""
+    coeffs = [1]
+    for theta in thetas:
+        coeffs = [a - theta * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(k: int) -> _Plan:
+    """The plan of the chain step to k >= 2; see ``zonal_rows``.  Row lam
+    comes from the mu = lam - box with the fewest addable corners (the
+    topmost such corner on a tie), so its projector has the least degree."""
+    lams = generate_partitions(k)
+    at = {lam: d for d, lam in enumerate(lams)}
+    prev = generate_partitions(k - 1)
+    sources: dict[tuple[int, ...], list] = {}
+    for r, lam in enumerate(lams):
+        mu = min(_shrunk(lam), key=lambda mu: len(set(mu)))
+        others = [_flip_eigenvalue(o) for o in _grown(mu) if o != lam]
+        sources.setdefault(mu, []).append((r, _vanishing_at(others)))
+    source_at = {mu: j for j, mu in enumerate(prev)}
+    return _Plan(
+        flips=tuple(
+            tuple((at[mu], count) for mu, count in _flip_counts(rho).items())
+            for rho in lams
+        ),
+        lift=tuple(at[nu + (1,)] for nu in prev),
+        raises=tuple(
+            tuple(
+                (at[nu[:i] + (c + 1,) + nu[i + 1 :]], 2 * c * nu.count(c))
+                for i, c in enumerate(nu)
+                if i == 0 or nu[i - 1] > c
             )
-        row = [x // g * unit for x in row]
-        rows.append(row)
-        pivots.append(sum(row[k] * r for k, r in cols[i]))
-    return rows
+            for nu in prev
+        ),
+        sources=tuple(
+            (source_at[mu], _flip_eigenvalue(mu), tuple(targets))
+            for mu, targets in sources.items()
+        ),
+    )
 
 
 def zonal_rows(n: int) -> list[list[int]]:
     """Power-sum coefficients of every zonal polynomial J_lam^(2) of degree n.
 
     Row lam lists the coefficient of p_rho in J_lam^(2) for each rho, both
-    in canonical order.  With R the merge counts (``_merge_columns``, built
-    by one p_k m_nu step per part, Macdonald I.6), g_mu = sum_rho
-    R[rho][mu] p_rho / z2(rho) is the basis dual to the m_mu under
-    <p_rho, p_sigma> = delta z2(rho).  J_lam is m_lam plus m_nu with nu <
-    lam, and orthogonal to every J_nu with nu < lam (Macdonald, Symmetric
-    Functions and Hall Polynomials, VI.4 and VII.2), so up to scale it is
-    the one element of span{g_mu : mu >= lam} with no m_nu term for any
-    nu > lam, the order being the canonical one.  Row lam starts at g_lam
-    times the lcm of the z2; for each finished row nu in canonical order it
-    loses the multiple that clears its m_nu term (the m_nu coefficient of
-    sum_rho x_rho p_rho is sum_rho x_rho R[rho][nu]), both multipliers
-    divided by their gcd first.  The row is then made primitive and scaled
-    to 1 at p_(1^n), the identity column; a coefficient that is not an
-    integer raises SchemeError.
+    in canonical order; J_lam^(2) is 1 at p_(1^n), the identity column.
+    The rows of T(k) are built from those of T(k-1), starting at T(1) =
+    [[1]], by two classical facts:
+
+    - the Pieri rule, p_1 J_mu = sum of c_lam J_lam over lam = mu + box,
+      with every c_lam nonzero (Stanley, Some combinatorial properties of
+      Jack symmetric functions, 1989; Macdonald, Symmetric Functions and
+      Hall Polynomials, VI (6.24));
+    - the cut-and-join eigen-equation row . N = theta_lam row, with N the
+      flip class matrix (``_flip_counts``, Goulden and Jackson 1997) and
+      theta_lam = ``_flip_eigenvalue(lam)``.
+
+    The row v of p_1 J_mu holds J_mu's coefficient of p_nu at column
+    nu + [1].  Adding a box in row r of mu raises theta by 2 mu_r + 1 - r,
+    which falls strictly with r, so the shapes mu + box have distinct
+    theta, and v times the product of (N - theta' I) over the other shapes
+    lam' is a nonzero multiple of J_lam.  Dividing by its p_(1^n) entry
+    gives the row; an entry of 0 there, or one that does not divide every
+    entry, raises SchemeError.
+
+    The product is applied as a polynomial in N to the powers v N^d, which
+    every row from the same mu shares.  The first costs no product by N: a
+    relation nu + [1] has the flip neighbours of nu's cycles, plus 2c where
+    the part 1 merges into a part c, so v N = theta_mu v + the raise of
+    J_mu (``_Plan.raises``).  The per-k plan (``_plan``) is cached; no rows
+    are kept across calls.
     """
-    lams = generate_partitions(n)
-    return _eliminate(lams, _merge_columns(lams))
+    rows = [[1]]
+    for k in range(2, n + 1):
+        rows = _chain_step(_plan(k), rows, generate_partitions(k))
+    return rows
+
+
+def _chain_step(
+    plan: _Plan, prev: Sequence[Sequence[int]], lams: Sequence[Partition]
+) -> list[list[int]]:
+    """T(k) from T(k-1) by the plan of k; see ``zonal_rows``."""
+    out: list[list[int]] = [[]] * len(lams)  # every row is replaced
+    for src, theta, targets in plan.sources:
+        v = [0] * len(lams)
+        for d, x in zip(plan.lift, prev[src]):
+            v[d] = x
+        # v N = theta_mu v + the raise of J_mu; each later power is one
+        # product by N, up to the projector's degree
+        vn = [theta * x for x in v]
+        for x, raised in zip(prev[src], plan.raises):
+            for d, m in raised:
+                vn[d] += m * x
+        powers = [v, vn]
+        while len(powers) < len(targets[0][1]):
+            last, power = powers[-1], [0] * len(lams)
+            for x, flips in zip(last, plan.flips):
+                if x:
+                    for d, m in flips:
+                        power[d] += m * x
+            powers.append(power)
+        columns = list(zip(*powers))
+        for r, coeffs in targets:
+            row = [sum(map(mul, coeffs, column)) for column in columns]
+            unit = row[-1]
+            if not unit or any(x % unit for x in row):
+                raise SchemeError(
+                    f"zonal polynomial J_{lams[r]}^(2) is not an integer row:"
+                    f" its projected row is {unit} at p_{lams[-1]}, which is 0"
+                    " or does not divide every entry"
+                )
+            out[r] = [x // unit for x in row]
+    return out
 
 
 def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
     """``zonal_rows(n)`` as a map lam -> {rho: coefficient of p_rho in
-    J_lam^(2)}, both in canonical order: the elimination over the merge
-    counts of the p_k m_nu recursion (Macdonald I.6, timed per stage in
-    BENCH_merge.json)."""
+    J_lam^(2)}, both in canonical order: the chain from T(1) by the Pieri
+    rule (Stanley 1989; Macdonald VI) and the cut-and-join projector
+    (Goulden and Jackson 1997)."""
     lams = generate_partitions(n)
     return {lam: dict(zip(lams, row)) for lam, row in zip(lams, zonal_rows(n))}

@@ -52,15 +52,17 @@ from .partitions import (
 from .spectra import conjecture_applies, family_mu, phi_n11, valency
 from .symfunc import (
     CATALOG_PREFIXES,
+    _flip_eigenvalue,
     e_catalog,
     eval_expr,
     zonal_rows,
 )
 
-# The largest n timed in BENCH_merge.json, where it builds in about 0.36 s:
-# 12 ms of merge counts by the p_k m_nu recursion (Macdonald, Symmetric
-# Functions and Hall Polynomials, I.6), then 0.32 s of elimination; larger
-# n are untimed.
+# The largest n served as a table.  The chain from T(n-1) by the Pieri rule
+# (Stanley 1989; Macdonald VI) and the cut-and-join projector (Goulden and
+# Jackson 1997) builds it in about 0.1 s in a fresh process, and n = 20 in
+# about 3 s (BENCH_pieri.json).  The bound stays until tables past 14 have a
+# check of their own and row keys that tell every row apart.
 DEFAULT_ZONAL_MAX_N = 14
 # build_table_formulas fills a p(n) x p(n) grid: at n = 24 that takes
 # 0.4-0.6 s and 75 MB peak RSS (Python 3.11, 2 cores); at n = 40 the grid
@@ -357,8 +359,8 @@ def build_table_zonal(n: int) -> EigTable:
 
 
 def _zonal_grid(n: int) -> list[list[int]]:
-    """The zonal rows x columns grid, guarded before any work: the
-    elimination's rows, each reversed into column order."""
+    """The zonal rows x columns grid, guarded before any work: the rows of
+    ``zonal_rows``, each reversed into column order."""
     guard("zonal table", n, DEFAULT_ZONAL_MAX_N, lo=2)
     return [row[::-1] for row in zonal_rows(n)]
 
@@ -453,13 +455,6 @@ def _separating_set(
             )
         seen[key] = lam
     return chosen
-
-
-def _flip_eigenvalue(lam: Partition) -> int:
-    """sum_i lam_i (lam_i - i): the eigenvalue of the flip relation
-    [2,1^(n-2)] on eigenspace lam (Diaconis and Holmes, Random walks on
-    trees and matchings, 2002)."""
-    return sum(part * (part - i) for i, part in enumerate(lam, start=1))
 
 
 def build_table_formulas(n: int) -> EigTable:

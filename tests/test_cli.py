@@ -681,6 +681,20 @@ def test_checked_table_memo_is_bounded():
     assert climod._checked_table.cache_info().maxsize == FRAME_CACHE_SIZE
 
 
+def test_zonal_plan_cache_holds_every_step_of_the_largest_chain():
+    # the chain to n reads the plans of k = 2..n in order, so a bounded
+    # cache smaller than that chain would miss on every step of every build
+    from pmscheme import symfunc
+
+    assert symfunc._plan.cache_info().maxsize == symfunc.PLAN_CACHE_SIZE
+    assert symfunc.PLAN_CACHE_SIZE >= DEFAULT_ZONAL_MAX_N - 1
+    symfunc._plan.cache_clear()
+    symfunc.zonal_rows(DEFAULT_ZONAL_MAX_N)
+    symfunc.zonal_rows(DEFAULT_ZONAL_MAX_N)
+    info = symfunc._plan.cache_info()
+    assert (info.misses, info.hits) == (DEFAULT_ZONAL_MAX_N - 1,) * 2
+
+
 def test_cached_cells_traded_between_rows_of_one_dimension_are_rebuilt(run):
     # the [2,2,1^4] cells of [4,4] and [1^8] (138 and 210), both rows of
     # dimension 1430: every trace identity holds, the multiplicity does not

@@ -1,6 +1,6 @@
+import hashlib
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -20,6 +20,7 @@ from pmscheme import (
     monomial_basis,
     parse_power_sum_expr,
     successors,
+    symfunc,
     zonal_power_sums,
 )
 from pmscheme.errors import FitInconsistent, FitUnderdetermined, SchemeError
@@ -238,28 +239,92 @@ def test_fit_checks_the_last_value_of_the_last_column():
         fit_e_mu(prefix, data)
 
 
-def _maps_onto_sums(rho, mu) -> int:
-    """Maps from the parts of rho to the parts of mu under which every part
-    of mu is the sum of the parts sent to it, counted one by one."""
-    count = 0
-    for f in product(range(len(mu)), repeat=len(rho)):
-        sums = [0] * len(mu)
-        for part, j in zip(rho, f):
-            sums[j] += part
-        count += sums == list(mu)
-    return count
+def _flip_matrix(n):
+    """The dense flip class matrix N of n, from the chain-step plan."""
+    flips = symfunc._plan(n).flips
+    dense = [[0] * len(flips) for _ in flips]
+    for row, entries in zip(dense, flips):
+        for d, count in entries:
+            row[d] = count
+    return dense
 
 
-def test_merge_columns_count_the_maps_onto_sums():
-    from pmscheme.symfunc import _merge_columns
+def test_flip_matrix_is_the_brute_force_flip_class_matrix(idata):
+    for n in range(2, 8):
+        data = idata(n)
+        brute = data.b_matrix(data.index(P([2] + [1] * (n - 2))))
+        at = [data.index(lam) for lam in generate_partitions(n)]
+        assert _flip_matrix(n) == [[brute[c][d] for d in at] for c in at], n
 
-    for n in range(1, 7):
-        lams = generate_partitions(n)
-        merges = [[0] * len(lams) for _ in lams]
-        for j, column in enumerate(_merge_columns(lams)):
-            for i, r in column:
-                merges[i][j] = r
-        assert merges == [[_maps_onto_sums(rho, mu) for mu in lams] for rho in lams]
+
+def test_flip_matrix_rows_sum_to_the_flip_valency():
+    for n in range(2, 17):
+        assert {sum(row) for row in _flip_matrix(n)} == {n * (n - 1)}, n
+
+
+def test_zonal_rows_are_left_eigenvectors_of_the_flip_matrix():
+    # row . N = theta_lam row, the cut-and-join eigen-equation, past the guard
+    for n in range(2, 17):
+        flips = symfunc._plan(n).flips
+        for lam, row in zip(generate_partitions(n), symfunc.zonal_rows(n)):
+            image = [0] * len(row)
+            for x, entries in zip(row, flips):
+                for d, count in entries:
+                    image[d] += x * count
+            theta = symfunc._flip_eigenvalue(lam)
+            assert image == [theta * x for x in row], (n, lam)
+
+
+# sha256 of the rows of zonal_rows(n), each row's integers joined by commas
+# on one line, as the integer elimination over the p_k m_nu merge counts
+# (commit 0e9c7ee) wrote them: the first n past DEFAULT_ZONAL_MAX_N
+ZONAL_ROWS_SHA256 = {
+    15: "d0314b155f510d4e8ed0387a1222cefd0f8242bcef2cd0c5191b3045499b76ff",
+    16: "3a4813684617f036b717fe50589e6aee2da3b5739cacea567f9f2c3897fc0572",
+}
+
+
+def test_zonal_rows_past_the_guard_match_the_elimination():
+    for n, want in ZONAL_ROWS_SHA256.items():
+        text = "".join(",".join(map(str, row)) + "\n" for row in symfunc.zonal_rows(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, n
+
+
+@pytest.fixture
+def fresh_plans():
+    """Chain-step plans dropped before and after the test, so a plan made
+    from a doctored count reaches no other test."""
+    symfunc._plan.cache_clear()
+    yield
+    symfunc._plan.cache_clear()
+
+
+def test_zonal_refuses_a_doctored_flip_eigenvalue(monkeypatch, fresh_plans):
+    # with theta_[1,1] = 0 the projector of J_[2] keeps v N alone, which is
+    # 2 p_2 and 0 at p_1^2
+    real = symfunc._flip_eigenvalue
+    monkeypatch.setattr(
+        symfunc, "_flip_eigenvalue", lambda lam: 0 if lam == (1, 1) else real(lam)
+    )
+    with pytest.raises(SchemeError, match=r"J_\[2\]\^\(2\)"):
+        symfunc.zonal_rows(2)
+
+
+def test_zonal_refuses_a_doctored_flip_count(monkeypatch, fresh_plans):
+    # N[[2,1,1]][[2,1,1]] raised from 1 to 2: J_[2,2], the one row of n = 4
+    # whose projector multiplies by N itself, comes out -2 at p_1^4 and
+    # that does not divide its other entries
+    real = symfunc._flip_counts
+
+    def doctored(rho):
+        counts = real(rho)
+        if rho == (2, 1, 1):
+            counts[rho] += 1
+        return counts
+
+    monkeypatch.setattr(symfunc, "_flip_counts", doctored)
+    with pytest.raises(SchemeError, match=r"J_\[2,2\]\^\(2\)"):
+        symfunc.zonal_rows(4)
 
 
 def test_zonal_power_sums_small():
@@ -275,14 +340,3 @@ def test_zonal_power_sums_small():
     assert z[P([1] * 5)][P([3, 2])] == -120 // 6
 
 
-def test_zonal_non_integer_coefficient_raises(monkeypatch):
-    from pmscheme import symfunc
-
-    # with z2([2]) = 3 instead of 4, the row of [2] is proportional to
-    # 8 p_2 + 3 p_1^2, so scaling it to 1 at p_1^2 leaves 8/3 at p_2
-    real_z2 = symfunc.z2
-    monkeypatch.setattr(
-        symfunc, "z2", lambda mu: 3 if mu == P([2]) else real_z2(mu)
-    )
-    with pytest.raises(SchemeError, match=r"J_\[2\]\^\(2\)"):
-        zonal_power_sums(2)
