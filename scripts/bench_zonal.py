@@ -15,14 +15,15 @@ It then times the full intersection tensor, ``intersection_numbers(n).p``
 (``intersection_numbers`` itself counts nothing), for n = 5..8 once per
 checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
 checkout, and the symmetric-function route under it, ``zonal_rows(n)``:
-its first call in a fresh process (cold chain-step plans on this
-checkout) for n = 2..16 three times per checkout and n = 17..20 once on
-this checkout alone; a later call, its plans warm, so only the projector
-steps are timed (the median of STAGE_REPEATS calls after one untimed
-call), for n = 2..14 three times per checkout and n = 15..20 once on this
-checkout alone; and on this checkout alone, building the plans of
-k = 2..n cold for n = 2..20, once each.  A checkout from before the chain
-keeps nothing between calls, so its warm call repeats its whole build.
+its first call in a fresh process (cold chain-step plans) and a later
+call, its plans warm, so only the chain steps are timed (the median of
+STAGE_REPEATS calls after one untimed call), each for n = 2..20 three
+times per checkout and n = 21..22 once on this checkout alone; the peak
+RSS of a fresh process that makes the first call, for n = 20 and 22
+three times per checkout; and on this checkout alone, building the plans
+of k = 2..n cold for n = 2..22, once each.  A checkout from before the
+chain keeps nothing between calls, so its warm call repeats its whole
+build.
 Then ``tables.diameter`` over every relation of the zonal table
 for n = 6, 8, ..., 14 once per checkout, and the oracle route,
 ``build_table_oracle(n)`` given no intersection data, for n = 6, 7, 8 once
@@ -76,10 +77,11 @@ METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
 ZONAL_NS = range(2, 15)
 ZONAL_REPEATS = 3
 STAGE_REPEATS = 5
-# zonal_rows past the table guard: n up to ROWS_BOTH_MAX_N on both sides,
-# then up to ROWS_MAX_N on this checkout alone
-ROWS_BOTH_MAX_N = 16
-ROWS_MAX_N = 20
+# zonal_rows: n up to ROWS_BOTH_MAX_N on both sides, then up to ROWS_MAX_N
+# on this checkout alone; peak RSS at ROWS_RSS_NS on both sides
+ROWS_BOTH_MAX_N = 20
+ROWS_MAX_N = 22
+ROWS_RSS_NS = range(20, ROWS_MAX_N + 1, 2)
 ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
@@ -116,6 +118,14 @@ n = int(sys.argv[1])
 t0 = time.perf_counter()
 zonal_rows(n)
 print(time.perf_counter() - t0)
+"""
+# the peak RSS, in MB, of a fresh process after zonal_rows(n)
+ROWS_RSS_TIMER = """
+import resource, sys
+sys.path.insert(0, "src")
+from pmscheme.symfunc import zonal_rows
+zonal_rows(int(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 # zonal_rows(n) after one untimed call, so its plans are warm
 ROWS_WARM_TIMER = f"""
@@ -330,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
             " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s:"
             " wall-clock seconds; fixed_pass_peak_rss_mb: MB, keyed by workload"
-            " and pass count"
+            " and pass count; zonal_rows_peak_rss_mb: MB"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -349,10 +359,15 @@ def main(argv: list[str] | None = None) -> int:
             None, ROWS_COLD_TIMER, range(ROWS_BOTH_MAX_N + 1, ROWS_MAX_N + 1), 1
         ),
         "zonal_rows_warm_s": fresh_times(
-            args.parent.resolve(), ROWS_WARM_TIMER, ZONAL_NS, ZONAL_REPEATS
+            args.parent.resolve(), ROWS_WARM_TIMER,
+            range(2, ROWS_BOTH_MAX_N + 1), ZONAL_REPEATS,
         ),
         "zonal_rows_warm_past_s": fresh_times(
-            None, ROWS_WARM_TIMER, range(ZONAL_NS.stop, ROWS_MAX_N + 1), 1
+            None, ROWS_WARM_TIMER, range(ROWS_BOTH_MAX_N + 1, ROWS_MAX_N + 1), 1
+        ),
+        "zonal_rows_peak_rss_mb": fresh_times(
+            args.parent.resolve(), ROWS_RSS_TIMER, ROWS_RSS_NS, ZONAL_REPEATS,
+            unit="mb",
         ),
         "plan_build_s": fresh_times(
             None, PLAN_TIMER, range(2, ROWS_MAX_N + 1), 1

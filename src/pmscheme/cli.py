@@ -72,7 +72,9 @@ EXIT_AMBIGUOUS = 3
 
 
 def _env_max_oracle_n() -> int:
-    text = os.environ.get("PMSCHEME_MAX_ORACLE_N", str(DEFAULT_ORACLE_MAX_N))
+    """PMSCHEME_MAX_ORACLE_N, or ``DEFAULT_ORACLE_MAX_N`` when it is unset
+    or empty, as an empty PMSCHEME_DATA_DIR means the default too."""
+    text = os.environ.get("PMSCHEME_MAX_ORACLE_N") or str(DEFAULT_ORACLE_MAX_N)
     try:
         return int(text)
     except ValueError:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
@@ -31,9 +31,11 @@ from . import exactalg
 from .errors import FitInconsistent, FitUnderdetermined, SchemeError
 from .partitions import (
     Partition,
+    dim_hook,
     generate_partitions,
     parse_partition,
     successors,
+    z2,
 )
 
 
@@ -444,7 +446,9 @@ def _flip_counts(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     where the two merge; a cycle c gives C(c,2) in its own class and c
     where it splits into (t, c-t) for each t < c/2, c/2 for t = c/2 (the
     cut-and-join counts: Goulden and Jackson, Transitive factorizations
-    into transpositions and holomorphic mappings on the sphere, 1997)."""
+    into transpositions and holomorphic mappings on the sphere, 1997).
+    The chain of ``zonal_rows`` never reads N; it is the reference its
+    rows are checked against."""
     out: dict[tuple[int, ...], int] = {}
 
     def add(drop: tuple[int, ...], put: tuple[int, ...], count: int) -> None:
@@ -468,20 +472,23 @@ def _flip_counts(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 class _Plan(NamedTuple):
     """What the chain step from T(k-1) to T(k) reads, a fact of k alone.
 
-    ``flips`` is N: row c lists the (d, N[c][d]) with N[c][d] nonzero.  ``lift`` maps column nu of T(k-1) to column nu + [1] of
-    T(k), and ``raises`` lists, per column nu of T(k-1), the (d, 2 c m_c)
-    with d the column of nu with one part c raised to c + 1, for each
-    distinct part c (m_c times in nu).  ``sources`` holds, per source row
-    mu of T(k-1) in first use, (its index, theta_mu, and per row lam of
-    T(k) it feeds, (the index of lam, the coefficients, lowest degree
-    first, of the product of (x - theta_lam') over the other shapes lam'
-    of mu + box))).
+    ``lift`` maps column nu of T(k-1) to column nu + [1] of T(k), and
+    ``raises`` lists, per column nu of T(k-1), the (d, 2 c m_c) with d the
+    column of nu with one part c raised to c + 1, for each distinct part c
+    (m_c times in nu).  ``weights`` holds z2(rho) = <p_rho, p_rho> per
+    column rho of T(k), and ``norms`` <J_lam, J_lam> per row lam, the hook
+    product of 2 lam (Macdonald VI.10), (2k)! / ``dim_hook(lam)``.
+    ``steps`` holds, per row lam of T(k), (the index in T(k-1) of mu, lam
+    less the last box of its last row; theta_mu - theta_lam'' for lam'' =
+    mu + [1], or None when lam ends in a part 1; the indices of the shapes
+    mu + box before lam, all earlier rows).
     """
 
-    flips: tuple[tuple[tuple[int, int], ...], ...]
     lift: tuple[int, ...]
     raises: tuple[tuple[tuple[int, int], ...], ...]
-    sources: tuple[tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
+    weights: tuple[int, ...]
+    norms: tuple[int, ...]
+    steps: tuple[tuple[int, int | None, tuple[int, ...]], ...]
 
 
 def _grown(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -493,42 +500,23 @@ def _grown(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def _shrunk(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The shapes lam - box, one per removable corner, top row first."""
-    return [
-        lam[:i] + (part - 1,) * (part > 1) + lam[i + 1 :]
-        for i, part in enumerate(lam)
-        if i + 1 == len(lam) or lam[i + 1] < part
-    ]
-
-
-def _vanishing_at(thetas: Sequence[int]) -> tuple[int, ...]:
-    """Coefficients, lowest degree first, of the product of (x - theta)."""
-    coeffs = [1]
-    for theta in thetas:
-        coeffs = [a - theta * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return tuple(coeffs)
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(k: int) -> _Plan:
-    """The plan of the chain step to k >= 2; see ``zonal_rows``.  Row lam
-    comes from the mu = lam - box with the fewest addable corners (the
-    topmost such corner on a tie), so its projector has the least degree."""
+    """The plan of the chain step to k >= 2; see ``zonal_rows``."""
     lams = generate_partitions(k)
     at = {lam: d for d, lam in enumerate(lams)}
     prev = generate_partitions(k - 1)
-    sources: dict[tuple[int, ...], list] = {}
-    for r, lam in enumerate(lams):
-        mu = min(_shrunk(lam), key=lambda mu: len(set(mu)))
-        others = [_flip_eigenvalue(o) for o in _grown(mu) if o != lam]
-        sources.setdefault(mu, []).append((r, _vanishing_at(others)))
     source_at = {mu: j for j, mu in enumerate(prev)}
+    steps = []
+    for lam in lams:
+        mu = lam[:-1] + (lam[-1] - 1,) * (lam[-1] > 1)
+        grown = _grown(mu)
+        shift = None
+        if lam[-1] > 1:
+            shift = _flip_eigenvalue(mu) - _flip_eigenvalue(mu + (1,))
+        built = tuple(at[o] for o in grown[: grown.index(lam)])
+        steps.append((source_at[mu], shift, built))
     return _Plan(
-        flips=tuple(
-            tuple((at[mu], count) for mu, count in _flip_counts(rho).items())
-            for rho in lams
-        ),
         lift=tuple(at[nu + (1,)] for nu in prev),
         raises=tuple(
             tuple(
@@ -538,10 +526,9 @@ def _plan(k: int) -> _Plan:
             )
             for nu in prev
         ),
-        sources=tuple(
-            (source_at[mu], _flip_eigenvalue(mu), tuple(targets))
-            for mu, targets in sources.items()
-        ),
+        weights=tuple(map(z2, lams)),
+        norms=tuple(factorial(2 * k) // dim_hook(lam) for lam in lams),
+        steps=tuple(steps),
     )
 
 
@@ -551,30 +538,33 @@ def zonal_rows(n: int) -> list[list[int]]:
     Row lam lists the coefficient of p_rho in J_lam^(2) for each rho, both
     in canonical order; J_lam^(2) is 1 at p_(1^n), the identity column.
     The rows of T(k) are built from those of T(k-1), starting at T(1) =
-    [[1]], by two classical facts:
+    [[1]], by three classical facts:
 
     - the Pieri rule, p_1 J_mu = sum of c_lam J_lam over lam = mu + box,
       with every c_lam nonzero (Stanley, Some combinatorial properties of
       Jack symmetric functions, 1989; Macdonald, Symmetric Functions and
       Hall Polynomials, VI (6.24));
-    - the cut-and-join eigen-equation row . N = theta_lam row, with N the
+    - the cut-and-join eigen-equation J_lam N = theta_lam J_lam, with N the
       flip class matrix (``_flip_counts``, Goulden and Jackson 1997) and
-      theta_lam = ``_flip_eigenvalue(lam)``.
+      theta_lam = ``_flip_eigenvalue(lam)``;
+    - the orthogonality of the J_lam under <p_rho, p_sigma> = delta z2(rho)
+      (Macdonald VI.10).
 
-    The row v of p_1 J_mu holds J_mu's coefficient of p_nu at column
-    nu + [1].  Adding a box in row r of mu raises theta by 2 mu_r + 1 - r,
-    which falls strictly with r, so the shapes mu + box have distinct
-    theta, and v times the product of (N - theta' I) over the other shapes
-    lam' is a nonzero multiple of J_lam.  Dividing by its p_(1^n) entry
-    gives the row; an entry of 0 there, or one that does not divide every
-    entry, raises SchemeError.
-
-    The product is applied as a polynomial in N to the powers v N^d, which
-    every row from the same mu shares.  The first costs no product by N: a
-    relation nu + [1] has the flip neighbours of nu's cycles, plus 2c where
-    the part 1 merges into a part c, so v N = theta_mu v + the raise of
-    J_mu (``_Plan.raises``).  The per-k plan (``_plan``) is cached; no rows
-    are kept across calls.
+    Row lam, in canonical order, comes from mu, lam less the last box of
+    its last row.  Every shape mu + box but lam and lam'' = mu + [1] adds a
+    box to a higher row, so its row comes earlier and is built.  The row v
+    of p_1 J_mu holds J_mu's coefficient of p_nu at column nu + [1].  If
+    lam ends in a part 1, lam'' = lam and x = v.  Otherwise x = v (N -
+    theta_lam''), which drops J_lam'' and keeps J_lam, as adding a box in
+    row r of mu raises theta by 2 mu_r + 1 - r, which falls strictly with
+    r.  x costs no product by N: a relation nu + [1] has the flip
+    neighbours of nu's cycles, plus 2c where the part 1 merges into a part
+    c, so v N = theta_mu v + the raise of J_mu (``_Plan.raises``).  Less
+    its projection <x, J'> / <J', J'> J' on each built row J' among mu +
+    box, times the least common denominator, x is a multiple of J_lam.
+    Dividing by its p_(1^n) entry gives the row; an entry of 0 there, or
+    one that does not divide every entry, raises SchemeError.
+    The per-k plan (``_plan``) is cached; no rows are kept across calls.
     """
     rows = [[1]]
     for k in range(2, n + 1):
@@ -586,43 +576,47 @@ def _chain_step(
     plan: _Plan, prev: Sequence[Sequence[int]], lams: Sequence[Partition]
 ) -> list[list[int]]:
     """T(k) from T(k-1) by the plan of k; see ``zonal_rows``."""
-    out: list[list[int]] = [[]] * len(lams)  # every row is replaced
-    for src, theta, targets in plan.sources:
-        v = [0] * len(lams)
-        for d, x in zip(plan.lift, prev[src]):
-            v[d] = x
-        # v N = theta_mu v + the raise of J_mu; each later power is one
-        # product by N, up to the projector's degree
-        vn = [theta * x for x in v]
-        for x, raised in zip(prev[src], plan.raises):
-            for d, m in raised:
-                vn[d] += m * x
-        powers = [v, vn]
-        while len(powers) < len(targets[0][1]):
-            last, power = powers[-1], [0] * len(lams)
-            for x, flips in zip(last, plan.flips):
-                if x:
-                    for d, m in flips:
-                        power[d] += m * x
-            powers.append(power)
-        columns = list(zip(*powers))
-        for r, coeffs in targets:
-            row = [sum(map(mul, coeffs, column)) for column in columns]
-            unit = row[-1]
-            if not unit or any(x % unit for x in row):
-                raise SchemeError(
-                    f"zonal polynomial J_{lams[r]}^(2) is not an integer row:"
-                    f" its projected row is {unit} at p_{lams[-1]}, which is 0"
-                    " or does not divide every entry"
-                )
-            out[r] = [x // unit for x in row]
+    out: list[list[int]] = []
+    for lam, (src, shift, built) in zip(lams, plan.steps):
+        x = [0] * len(lams)
+        if shift is None:
+            for d, c in zip(plan.lift, prev[src]):
+                x[d] = c
+        else:
+            for d, c, raised in zip(plan.lift, prev[src], plan.raises):
+                x[d] += shift * c
+                for e, m in raised:
+                    x[e] += m * c
+        # x less its projection on each built row, times the least common
+        # denominator of the projections' coefficients (the first
+        # subtraction scales x by it)
+        weighted = list(map(mul, x, plan.weights))
+        projections = []
+        for j in built:
+            dot = sum(map(mul, weighted, out[j]))
+            if dot:
+                g = gcd(dot, plan.norms[j])
+                projections.append((dot // g, plan.norms[j] // g, out[j]))
+        lcd = scale = lcm(*(den for _, den, _ in projections))
+        for num, den, row in projections:
+            m = num * (lcd // den)
+            x = [scale * c - m * b for c, b in zip(x, row)]
+            scale = 1
+        unit = x[-1]
+        if not unit or any(c % unit for c in x):
+            raise SchemeError(
+                f"zonal polynomial J_{lam}^(2) is not an integer row:"
+                f" its projected row is {unit} at p_{lams[-1]}, which is 0"
+                " or does not divide every entry"
+            )
+        out.append([c // unit for c in x])
     return out
 
 
 def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
     """``zonal_rows(n)`` as a map lam -> {rho: coefficient of p_rho in
     J_lam^(2)}, both in canonical order: the chain from T(1) by the Pieri
-    rule (Stanley 1989; Macdonald VI) and the cut-and-join projector
-    (Goulden and Jackson 1997)."""
+    rule (Stanley 1989; Macdonald VI), the cut-and-join eigen-equation
+    (Goulden and Jackson 1997) and the orthogonality of the J_lam."""
     lams = generate_partitions(n)
     return {lam: dict(zip(lams, row)) for lam, row in zip(lams, zonal_rows(n))}

@@ -59,10 +59,11 @@ from .symfunc import (
 )
 
 # The largest n served as a table.  The chain from T(n-1) by the Pieri rule
-# (Stanley 1989; Macdonald VI) and the cut-and-join projector (Goulden and
-# Jackson 1997) builds it in about 0.1 s in a fresh process, and n = 20 in
-# about 3 s (BENCH_pieri.json).  The bound stays until tables past 14 have a
-# check of their own and row keys that tell every row apart.
+# (Stanley 1989; Macdonald VI), the cut-and-join eigen-equation (Goulden and
+# Jackson 1997) and the orthogonality of the zonal polynomials builds it in
+# about 0.07 s in a fresh process, and n = 20 in about 1.1 s
+# (BENCH_ortho.json).  The bound stays until tables past 14 have a check of
+# their own and row keys that tell every row apart.
 DEFAULT_ZONAL_MAX_N = 14
 # build_table_formulas fills a p(n) x p(n) grid: at n = 24 that takes
 # 0.4-0.6 s and 75 MB peak RSS (Python 3.11, 2 cores); at n = 40 the grid

@@ -309,6 +309,18 @@ def test_bad_env_guard_names_the_variable(tmp_path, capsys, monkeypatch):
     assert out.err == "error: bad PMSCHEME_MAX_ORACLE_N 'x': want an integer\n"
 
 
+def test_empty_env_guard_means_the_default(tmp_path, capsys, monkeypatch):
+    # gap never reads the oracle, so an empty variable must not stop it
+    from pmscheme.cli import Config
+    from pmscheme.matchings import DEFAULT_ORACLE_MAX_N
+
+    monkeypatch.setenv("PMSCHEME_MAX_ORACLE_N", "")
+    monkeypatch.setenv("PMSCHEME_DATA_DIR", str(tmp_path / "c4"))
+    assert Config().max_oracle_n == DEFAULT_ORACLE_MAX_N
+    assert main(["gap", "--mu", "[2,1]"]) == 0
+    assert capsys.readouterr() == ("5\n", "")
+
+
 def test_gap_hook_exception_reads_the_table(run):
     # n = 4 is the conjecture's exception: the hook product would say 28
     code, out, err = run("gap", "--mu", "[3,1]", "--verbose")

@@ -239,9 +239,20 @@ def test_fit_checks_the_last_value_of_the_last_column():
         fit_e_mu(prefix, data)
 
 
+def _flips(n):
+    """The flip class matrix N of n, counted by cut and join: row c lists
+    the (d, N[c][d]) with N[c][d] nonzero."""
+    lams = generate_partitions(n)
+    at = {lam: d for d, lam in enumerate(lams)}
+    return [
+        [(at[mu], count) for mu, count in symfunc._flip_counts(rho).items()]
+        for rho in lams
+    ]
+
+
 def _flip_matrix(n):
-    """The dense flip class matrix N of n, from the chain-step plan."""
-    flips = symfunc._plan(n).flips
+    """The dense flip class matrix N of n."""
+    flips = _flips(n)
     dense = [[0] * len(flips) for _ in flips]
     for row, entries in zip(dense, flips):
         for d, count in entries:
@@ -263,9 +274,10 @@ def test_flip_matrix_rows_sum_to_the_flip_valency():
 
 
 def test_zonal_rows_are_left_eigenvectors_of_the_flip_matrix():
-    # row . N = theta_lam row, the cut-and-join eigen-equation, past the guard
+    # row . N = theta_lam row, the cut-and-join eigen-equation, past the
+    # guard; the chain never reads N, so this checks it independently
     for n in range(2, 17):
-        flips = symfunc._plan(n).flips
+        flips = _flips(n)
         for lam, row in zip(generate_partitions(n), symfunc.zonal_rows(n)):
             image = [0] * len(row)
             for x, entries in zip(row, flips):
@@ -276,11 +288,15 @@ def test_zonal_rows_are_left_eigenvectors_of_the_flip_matrix():
 
 
 # sha256 of the rows of zonal_rows(n), each row's integers joined by commas
-# on one line, as the integer elimination over the p_k m_nu merge counts
-# (commit 0e9c7ee) wrote them: the first n past DEFAULT_ZONAL_MAX_N
+# on one line: the first n past DEFAULT_ZONAL_MAX_N as the integer
+# elimination over the p_k m_nu merge counts (commit 0e9c7ee) wrote them,
+# and 17 and 18 as the chain by the cut-and-join projector (commit
+# d66c4ed) wrote them
 ZONAL_ROWS_SHA256 = {
     15: "d0314b155f510d4e8ed0387a1222cefd0f8242bcef2cd0c5191b3045499b76ff",
     16: "3a4813684617f036b717fe50589e6aee2da3b5739cacea567f9f2c3897fc0572",
+    17: "37b3464b395d273e50a47706fcace95f75336c15823c6077a15f72f10d56a86c",
+    18: "7aa8d3196a2c0bdfed4093e4260f4bf42f84b6360cb9b5c68addbb3aa3100cd9",
 }
 
 
@@ -293,15 +309,15 @@ def test_zonal_rows_past_the_guard_match_the_elimination():
 @pytest.fixture
 def fresh_plans():
     """Chain-step plans dropped before and after the test, so a plan made
-    from a doctored count reaches no other test."""
+    from a doctored eigenvalue reaches no other test."""
     symfunc._plan.cache_clear()
     yield
     symfunc._plan.cache_clear()
 
 
 def test_zonal_refuses_a_doctored_flip_eigenvalue(monkeypatch, fresh_plans):
-    # with theta_[1,1] = 0 the projector of J_[2] keeps v N alone, which is
-    # 2 p_2 and 0 at p_1^2
+    # with theta_[1,1] = 0 the step of J_[2] keeps the raise of J_[1] alone,
+    # which is 2 p_2 and 0 at p_1^2
     real = symfunc._flip_eigenvalue
     monkeypatch.setattr(
         symfunc, "_flip_eigenvalue", lambda lam: 0 if lam == (1, 1) else real(lam)
@@ -310,21 +326,46 @@ def test_zonal_refuses_a_doctored_flip_eigenvalue(monkeypatch, fresh_plans):
         symfunc.zonal_rows(2)
 
 
-def test_zonal_refuses_a_doctored_flip_count(monkeypatch, fresh_plans):
-    # N[[2,1,1]][[2,1,1]] raised from 1 to 2: J_[2,2], the one row of n = 4
-    # whose projector multiplies by N itself, comes out -2 at p_1^4 and
-    # that does not divide its other entries
-    real = symfunc._flip_counts
+def _one_off(plan, field):
+    """Copies of the plan with one raise count, z2 weight or theta shift
+    (field ``raises``, ``weights`` or ``steps``) moved by +1 or -1."""
+    entries = getattr(plan, field)
+    for delta in (1, -1):
+        for r, entry in enumerate(entries):
+            if field == "weights":
+                edited = [entry + delta]
+            elif field == "steps":
+                src, shift, built = entry
+                edited = [] if shift is None else [(src, shift + delta, built)]
+            else:
+                edited = [
+                    entry[:i] + ((d, m + delta),) + entry[i + 1 :]
+                    for i, (d, m) in enumerate(entry)
+                ]
+            for new in edited:
+                yield plan._replace(**{field: entries[:r] + (new,) + entries[r + 1 :]})
 
-    def doctored(rho):
-        counts = real(rho)
-        if rho == (2, 1, 1):
-            counts[rho] += 1
-        return counts
 
-    monkeypatch.setattr(symfunc, "_flip_counts", doctored)
-    with pytest.raises(SchemeError, match=r"J_\[2,2\]\^\(2\)"):
-        symfunc.zonal_rows(4)
+# per plan field, the first k whose edits are all refused and the number of
+# edits for k up to 8.  At k = 2 and 3 no step reads the weight of p_[k]:
+# each step there that projects ends in a part 1, so its x is the lift,
+# 0 at p_[k]
+OFF_BY_ONE = {"raises": (2, 150), "weights": (4, 120), "steps": (2, 42)}
+
+
+@pytest.mark.parametrize("field", list(OFF_BY_ONE))
+def test_zonal_refuses_a_plan_entry_off_by_one(field):
+    # every such edit leaves a row that is 0 at p_(1^k) or not divisible
+    # by it
+    lo, edits = OFF_BY_ONE[field]
+    refused = 0
+    for k in range(lo, 9):
+        prev, lams = symfunc.zonal_rows(k - 1), generate_partitions(k)
+        for plan in _one_off(symfunc._plan(k), field):
+            with pytest.raises(SchemeError, match=r"J_\[[0-9,]+\]\^\(2\)"):
+                symfunc._chain_step(plan, prev, lams)
+            refused += 1
+    assert refused == edits
 
 
 def test_zonal_power_sums_small():
