@@ -43,7 +43,12 @@ check every cache load runs: in one fresh subprocess per checkout and n
 same way it times, for n = 2..14, one ``cli.oracle_table_cached`` load of
 a cache file the process has not loaded before, and a later load of the
 same unchanged file, after one untimed load (the file is written before
-either, in a fresh temporary data directory).  Last, for each workload of
+either, in a fresh temporary data directory).  It times, once per checkout
+in a fresh subprocess, writing the table of n = 14, 16, 18 and 20 (built
+from ``zonal_rows(n)`` as ``build_table_zonal`` builds it, past its guard
+too) as a cache file, ``to_json_text`` plus ``cli._atomic_write``, and
+records the file's size; and ``build_table_oracle(n)`` with the guard
+raised to 14 for n = 9..13.  Last, for each workload of
 RSS_PASSES it runs ``bench/run.py`` with its ``run_passes`` replaced by
 one that runs exactly that workload's fixed number of passes (seed 1,
 each run with its own empty ``PMSCHEME_DATA_DIR``), RSS_REPEATS times per
@@ -85,6 +90,9 @@ ROWS_RSS_NS = range(20, ROWS_MAX_N + 1, 2)
 ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
+ORACLE_BIG_NS = range(9, 14)
+ORACLE_BIG_MAX_N = 14
+WRITE_NS = range(14, 21, 2)
 CHECK_REPEATS = 31
 GUARD_REPEATS = 3
 LOAD_REPEATS = 21
@@ -219,6 +227,39 @@ with tempfile.TemporaryDirectory() as data_dir:
     print(time.perf_counter() - t0)
 """
 
+# the cache write of the table of n, built from zonal_rows(n) past the
+# guard too: prints the seconds of to_json_text plus _atomic_write, or with
+# {what} = "size" the file's size in bytes
+WRITE_TIMER = """
+import os, sys, tempfile, time
+sys.path.insert(0, "src")
+from pmscheme.cli import _atomic_write
+from pmscheme.partitions import generate_partitions
+from pmscheme.symfunc import zonal_rows
+from pmscheme.tables import EigTable
+n = int(sys.argv[1])
+grid = [row[::-1] for row in zonal_rows(n)]
+table = EigTable(n, grid, dict.fromkeys(generate_partitions(n), "zonal"))
+with tempfile.TemporaryDirectory() as data_dir:
+    path = os.path.join(data_dir, "table.json")
+    t0 = time.perf_counter()
+    _atomic_write(path, table.to_json_text())
+    seconds = time.perf_counter() - t0
+    print(os.path.getsize(path) if "{what}" == "size" else seconds)
+"""
+# build_table_oracle(n) with the guard raised to ORACLE_BIG_MAX_N, its
+# intersection data counted on demand inside the timer
+ORACLE_BIG_TIMER = f"""
+import sys, time
+sys.path.insert(0, "src")
+from pmscheme.matchings import intersection_numbers
+from pmscheme.tables import build_table_oracle
+n = int(sys.argv[1])
+t0 = time.perf_counter()
+build_table_oracle(n, data=intersection_numbers(n, max_n={ORACLE_BIG_MAX_N}))
+print(time.perf_counter() - t0)
+"""
+
 # the CLI command {argv} + ["--n", n], its stdout discarded; a refusal
 # (nonzero exit) fails the run instead of timing it
 CLI_TIMER = """
@@ -338,8 +379,9 @@ def main(argv: list[str] | None = None) -> int:
             " zonal_rows_cold_past_s, zonal_rows_warm_s, zonal_rows_warm_past_s,"
             " plan_build_s, diameter_all_relations_s,"
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
-            " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s:"
-            " wall-clock seconds; fixed_pass_peak_rss_mb: MB, keyed by workload"
+            " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s,"
+            " cache_write_s, build_table_oracle_past_guard_s: wall-clock seconds;"
+            " cache_file_bytes: bytes; fixed_pass_peak_rss_mb: MB, keyed by workload"
             " and pass count; zonal_rows_peak_rss_mb: MB"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
@@ -395,6 +437,16 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "later_load_s": fresh_times(
             args.parent.resolve(), CACHED_LOAD_TIMER.format(loads_before=1), ZONAL_NS, 1
+        ),
+        "cache_write_s": fresh_times(
+            args.parent.resolve(), WRITE_TIMER.format(what="seconds"), WRITE_NS, 1
+        ),
+        "cache_file_bytes": fresh_times(
+            args.parent.resolve(), WRITE_TIMER.format(what="size"), WRITE_NS, 1,
+            unit="bytes",
+        ),
+        "build_table_oracle_past_guard_s": fresh_times(
+            args.parent.resolve(), ORACLE_BIG_TIMER, ORACLE_BIG_NS, 1
         ),
         "fixed_pass_peak_rss_mb": {
             workload: fresh_times(

@@ -324,9 +324,13 @@ def _union_counts(
     relation(refs[t], r) = relations[j], relations in canonical order.
     With ``target`` given only row i = target of each ``counts[t]`` is
     complete: a branch stops once the base's closed cycles are not a
-    sub-multiset of relations[target], or once an open base path holds more
-    base edges than its largest part, since no completion of it can end in
-    that relation.
+    sub-multiset of relations[target], once an open base path holds more
+    base edges than its largest part, or once more base edges are bound for
+    cycles longer than 1 than its parts above 1 hold, since no completion
+    of it can end in that relation; six free vertices are not counted when
+    no completion of the base's paths ends in it.  Without ``target``
+    nothing is pruned.  ``first_edge`` and ``target`` are not given
+    together: the walk starts with no base edge bound to a longer cycle.
 
     For each reference q, the union of q with the partial matching is a set
     of closed cycles plus open paths whose two ends are the free vertices.
@@ -351,11 +355,12 @@ def _union_counts(
     rows = list(zip(tracks, counts))
     base_ends, base_qcount = tracks[-1]
     if target is None:
-        fits, largest = [True] * len(states), m
+        fits, largest, budget = [True] * len(states), m, m
     else:
         want = Counter(states[target])
         fits = [not Counter(t) - want for t in states]
         largest = states[target][0]
+        budget = sum(h for h in states[target] if h > 1)
     at = [0] * m  # at[f]: where free vertex f stands among the last six
 
     def place(u: int, v: int) -> None:
@@ -379,7 +384,9 @@ def _union_counts(
                 ends[a], ends[b] = u, v
                 qcount[a], qcount[b] = qcount[u], qcount[v]
 
-    def walk(free: tuple[int, ...]) -> None:
+    def walk(free: tuple[int, ...], spent: int) -> None:
+        """spent counts the base edges bound for base cycles longer than 1:
+        those on closed ones and on open paths that hold two or more."""
         if len(free) == 6:
             for k, f in enumerate(free):
                 at[f] = k
@@ -397,6 +404,8 @@ def _union_counts(
                     close[grow[h0 + h2]], close[grow[h1 + h2]], close[c],
                 ))
             base, q = shuts[-1], 15 * keys[-1]
+            if target is not None and target not in base:
+                return  # no completion ends in the target
             for p, shut, pk in zip(keys, shuts, counts):
                 for b, r, k in leaf[q + p]:
                     pk[base[b]][shut[r]] += k
@@ -408,23 +417,29 @@ def _union_counts(
             return
         u = free[0]
         rest = free[1:]
+        hu = base_qcount[u]
         for k, v in enumerate(rest):
-            # skip (u, v) when it closes a base cycle outside the target or
-            # joins two base paths into one too long for it
+            # skip (u, v) when it closes a base cycle outside the target, or
+            # joins two base paths into one too long for it or binds more
+            # base edges to cycles longer than 1 than the target has
             if base_ends[u] == v:
-                if not fits[add[base_qcount[m]][base_qcount[u]]]:
+                if not fits[add[base_qcount[m]][hu]]:
                     continue
-            elif base_qcount[u] + base_qcount[v] > largest:
-                continue
+                grown = spent
+            else:
+                hv = base_qcount[v]
+                grown = spent + (hu == 1) + (hv == 1)
+                if hu + hv > largest or grown > budget:
+                    continue
             place(u, v)
-            walk(rest[:k] + rest[k + 1:])
+            walk(rest[:k] + rest[k + 1:], grown)
             unplace(u, v)
 
     free = tuple(range(m))
     if first_edge is not None:
         place(*first_edge)
         free = tuple(w for w in free if w not in first_edge)
-    walk(free)
+    walk(free, 0)
     return counts
 
 

@@ -228,9 +228,11 @@ class EigTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lambda\\mu", *frame.column_labels, "Dim"])
-        for label, dim, row in zip(frame.row_labels, frame.dims, self._grid):
-            cells = ["" if v is None else v for v in row]
-            writer.writerow([label] + cells + [dim])
+        # csv writes None as an empty field
+        writer.writerows(
+            [label, *row, dim]
+            for label, dim, row in zip(frame.row_labels, frame.dims, self._grid)
+        )
         return buf.getvalue()
 
     def to_json_obj(self) -> dict:
@@ -249,7 +251,9 @@ class EigTable:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        """``to_json_obj`` on one line, with no spaces: the C encoder, which
+        ``json.dumps`` skips when given an indent, writes it."""
+        return json.dumps(self.to_json_obj(), separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EigTable":

@@ -897,6 +897,34 @@ def test_table_json_out_is_a_cache_file(run, tmp_path):
     assert _read(path) == written
 
 
+def test_table_json_is_one_compact_line(run):
+    for n in range(2, 9):
+        code, out, _ = run("table", "--n", str(n), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+        assert json.loads(out) == build_table_zonal(n).to_json_obj()
+
+
+def test_indented_cache_file_is_served_as_it_is(run):
+    # the layout before the compact one: the same document, indent=2
+    path = _cache_file(run, 5)
+    os.makedirs(run.data_dir)
+    indented = json.dumps(build_table_zonal(5).to_json_obj(), indent=2) + "\n"
+    with open(path, "w") as fh:
+        fh.write(indented)
+    code, out, err = run("table", "--n", "5", "--format", "csv")
+    assert (code, out, err) == (0, _golden(5), "")
+    assert _read(path) == indented
+
+
+def test_missing_data_dir_parents_are_made_on_first_write(tmp_path, capsys):
+    data_dir = tmp_path / "missing" / "deeper" / "cache"
+    argv = ["--data-dir", str(data_dir), "table", "--n", "4", "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (_golden(4), "")
+    assert (data_dir / f"table_n4_v{__version__}.json").is_file()
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

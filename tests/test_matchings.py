@@ -139,13 +139,12 @@ def test_intersection_numbers_small(idata):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_b_matrix_alone_is_the_slice_of_p(n, idata):
-    """b_matrix(i), counted on its own walk, equals the slice p[.][i][.] of
-    the full tensor: every relation for n <= 6; at n = 7 the flip and
-    [2,2,1^3], the relations the character check multiplies by."""
+    """b_matrix(i), counted on its own pruned walk, equals the slice
+    p[.][i][.] of the full tensor for every relation."""
     full = idata(n).p
     d = len(full)
     alone = intersection_numbers(n)
-    for i in range(d) if n <= 6 else (d - 2, d - 3):
+    for i in range(d):
         assert alone.b_matrix(i) == [[full[k][i][j] for j in range(d)] for k in range(d)]
 
 

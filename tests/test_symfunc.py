@@ -17,6 +17,7 @@ from pmscheme import (
     eval_expr,
     fit_e_mu,
     generate_partitions,
+    intersection_numbers,
     monomial_basis,
     parse_power_sum_expr,
     successors,
@@ -261,8 +262,8 @@ def _flip_matrix(n):
 
 
 def test_flip_matrix_is_the_brute_force_flip_class_matrix(idata):
-    for n in range(2, 8):
-        data = idata(n)
+    for n in range(2, 11):
+        data = idata(n) if n <= 8 else intersection_numbers(n, max_n=10)
         brute = data.b_matrix(data.index(P([2] + [1] * (n - 2))))
         at = [data.index(lam) for lam in generate_partitions(n)]
         assert _flip_matrix(n) == [[brute[c][d] for d in at] for c in at], n
