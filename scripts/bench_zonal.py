@@ -17,11 +17,10 @@ checkout and ``build_table_zonal(n)`` for n = 2..14 three times per
 checkout, and the symmetric-function route under it, ``zonal_rows(n)``:
 its first call in a fresh process (cold chain-step plans) and a later
 call, its plans warm, so only the chain steps are timed (the median of
-STAGE_REPEATS calls after one untimed call), each for n = 2..20 three
-times per checkout and n = 21..22 once on this checkout alone; the peak
-RSS of a fresh process that makes the first call, for n = 20 and 22
-three times per checkout; and on this checkout alone, building the plans
-of k = 2..n cold for n = 2..22, once each.  A checkout from before the
+STAGE_REPEATS calls after one untimed call), each for n = 2..22 three
+times per checkout; the peak RSS of a fresh process that makes the first
+call, for n = 20 and 22 three times per checkout; and building the plans
+of k = 2..n cold for n = 2..22, once per checkout.  A checkout from before the
 chain keeps nothing between calls, so its warm call repeats its whole
 build.
 Then ``tables.diameter`` over every relation of the zonal table
@@ -43,10 +42,13 @@ check every cache load runs: in one fresh subprocess per checkout and n
 same way it times, for n = 2..14, one ``cli.oracle_table_cached`` load of
 a cache file the process has not loaded before, and a later load of the
 same unchanged file, after one untimed load (the file is written before
-either, in a fresh temporary data directory).  It times, once per checkout
-in a fresh subprocess, writing the table of n = 14, 16, 18 and 20 (built
-from ``zonal_rows(n)`` as ``build_table_zonal`` builds it, past its guard
-too) as a cache file, ``to_json_text`` plus ``cli._atomic_write``, and
+either, in a fresh temporary data directory); ``tables._check_table``
+alone on the zonal table of n, the median of CHECK_REPEATS checks after
+one untimed check; and, FRAME_REPEATS times per checkout for n in
+FRAME_NS, ``tables._frame(n)``'s first call in a fresh process.  It
+times, once per checkout in a fresh subprocess, writing the table of n =
+14, 16, 18 and 20 (built from ``zonal_rows(n)`` as ``build_table_zonal``
+builds it, past its guard too) as a cache file, ``to_json_text`` plus ``cli._atomic_write``, and
 records the file's size; and ``build_table_oracle(n)`` with the guard
 raised to 14 for n = 9..13.  Last, for each workload of
 RSS_PASSES it runs ``bench/run.py`` with its ``run_passes`` replaced by
@@ -68,6 +70,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,9 +85,7 @@ METRICS = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
 ZONAL_NS = range(2, 15)
 ZONAL_REPEATS = 3
 STAGE_REPEATS = 5
-# zonal_rows: n up to ROWS_BOTH_MAX_N on both sides, then up to ROWS_MAX_N
-# on this checkout alone; peak RSS at ROWS_RSS_NS on both sides
-ROWS_BOTH_MAX_N = 20
+# zonal_rows: n up to ROWS_MAX_N, peak RSS at ROWS_RSS_NS
 ROWS_MAX_N = 22
 ROWS_RSS_NS = range(20, ROWS_MAX_N + 1, 2)
 ORACLE_NS = range(5, 9)
@@ -94,6 +95,8 @@ ORACLE_BIG_NS = range(9, 14)
 ORACLE_BIG_MAX_N = 14
 WRITE_NS = range(14, 21, 2)
 CHECK_REPEATS = 31
+FRAME_NS = (14, 22, 30)
+FRAME_REPEATS = 5
 GUARD_REPEATS = 3
 LOAD_REPEATS = 21
 # the fixed pass count of each workload's peak RSS reading
@@ -210,6 +213,30 @@ for _ in range({LOAD_REPEATS}):
     EigTable.from_json_obj(obj)
     times.append(time.perf_counter() - t0)
 print(statistics.median(times))
+"""
+# _check_table alone on the zonal table of n, after one untimed check
+CHECK_TABLE_TIMER = f"""
+import statistics, sys, time
+sys.path.insert(0, "src")
+from pmscheme.tables import _check_table, build_table_zonal
+table = build_table_zonal(int(sys.argv[1]))
+_check_table(table)
+times = []
+for _ in range({CHECK_REPEATS}):
+    t0 = time.perf_counter()
+    _check_table(table)
+    times.append(time.perf_counter() - t0)
+print(statistics.median(times))
+"""
+# the frame of n, built cold
+FRAME_TIMER = """
+import sys, time
+sys.path.insert(0, "src")
+from pmscheme.tables import _frame
+n = int(sys.argv[1])
+t0 = time.perf_counter()
+_frame(n)
+print(time.perf_counter() - t0)
 """
 # one cache load, after {loads_before} untimed loads of the same file
 CACHED_LOAD_TIMER = """
@@ -332,19 +359,14 @@ def compare(parent: Path, workloads: list[str], seeds: list[int]) -> dict:
 
 
 def fresh_times(
-    parent: Path | None, timer: str, ns: range, repeats: int, unit: str = "s"
+    parent: Path, timer: str, ns: Sequence[int], repeats: int, unit: str = "s"
 ) -> dict:
     """What the timer reports (in unit, seconds by default) for each n, one
     fresh process per side, n and repeat, alternating which side runs
-    first, each with its own empty PMSCHEME_DATA_DIR; medians per side.
-    With parent None only this checkout runs."""
-    runs: dict[str, dict[str, list[float]]] = {"change": {}}
-    if parent is not None:
-        runs["parent"] = {}
+    first, each with its own empty PMSCHEME_DATA_DIR; medians per side."""
+    runs: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     for k, n in enumerate([n for n in ns for _ in range(repeats)]):
-        sides = [("change", ROOT)]
-        if parent is not None:
-            sides.insert(0, ("parent", parent))
+        sides = [("parent", parent), ("change", ROOT)]
         for side, checkout in sides if k % 2 == 0 else reversed(sides):
             with tempfile.TemporaryDirectory(prefix="pmscheme-bench-") as data_dir:
                 done = subprocess.run(
@@ -376,10 +398,11 @@ def main(argv: list[str] | None = None) -> int:
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
             "intersection_numbers_s, build_table_zonal_s, zonal_rows_cold_s,"
-            " zonal_rows_cold_past_s, zonal_rows_warm_s, zonal_rows_warm_past_s,"
+            " zonal_rows_warm_s,"
             " plan_build_s, diameter_all_relations_s,"
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
             " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s,"
+            " check_table_s, frame_s,"
             " cache_write_s, build_table_oracle_past_guard_s: wall-clock seconds;"
             " cache_file_bytes: bytes; fixed_pass_peak_rss_mb: MB, keyed by workload"
             " and pass count; zonal_rows_peak_rss_mb: MB"
@@ -395,24 +418,18 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "zonal_rows_cold_s": fresh_times(
             args.parent.resolve(), ROWS_COLD_TIMER,
-            range(2, ROWS_BOTH_MAX_N + 1), ZONAL_REPEATS,
-        ),
-        "zonal_rows_cold_past_s": fresh_times(
-            None, ROWS_COLD_TIMER, range(ROWS_BOTH_MAX_N + 1, ROWS_MAX_N + 1), 1
+            range(2, ROWS_MAX_N + 1), ZONAL_REPEATS,
         ),
         "zonal_rows_warm_s": fresh_times(
             args.parent.resolve(), ROWS_WARM_TIMER,
-            range(2, ROWS_BOTH_MAX_N + 1), ZONAL_REPEATS,
-        ),
-        "zonal_rows_warm_past_s": fresh_times(
-            None, ROWS_WARM_TIMER, range(ROWS_BOTH_MAX_N + 1, ROWS_MAX_N + 1), 1
+            range(2, ROWS_MAX_N + 1), ZONAL_REPEATS,
         ),
         "zonal_rows_peak_rss_mb": fresh_times(
             args.parent.resolve(), ROWS_RSS_TIMER, ROWS_RSS_NS, ZONAL_REPEATS,
             unit="mb",
         ),
         "plan_build_s": fresh_times(
-            None, PLAN_TIMER, range(2, ROWS_MAX_N + 1), 1
+            args.parent.resolve(), PLAN_TIMER, range(2, ROWS_MAX_N + 1), 1
         ),
         "diameter_all_relations_s": fresh_times(
             args.parent.resolve(), DIAMETER_TIMER, DIAMETER_NS, 1
@@ -437,6 +454,12 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "later_load_s": fresh_times(
             args.parent.resolve(), CACHED_LOAD_TIMER.format(loads_before=1), ZONAL_NS, 1
+        ),
+        "check_table_s": fresh_times(
+            args.parent.resolve(), CHECK_TABLE_TIMER, ZONAL_NS, 1
+        ),
+        "frame_s": fresh_times(
+            args.parent.resolve(), FRAME_TIMER, FRAME_NS, FRAME_REPEATS
         ),
         "cache_write_s": fresh_times(
             args.parent.resolve(), WRITE_TIMER.format(what="seconds"), WRITE_NS, 1

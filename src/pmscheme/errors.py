@@ -78,7 +78,7 @@ def guard(
 
 
 class AmbiguousRowAssignment(SchemeError):
-    """A complete table row's multiplicity or flip entry is not its label's;
+    """A complete table row's multiplicity or stratum sums are not its label's;
     ``tables._check_table`` raises it for every table built or loaded."""
 
 

@@ -23,19 +23,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
-from operator import mul
+from math import gcd, lcm, prod
 from typing import Mapping, NamedTuple, Sequence
 
 from . import exactalg
 from .errors import FitInconsistent, FitUnderdetermined, SchemeError
 from .partitions import (
     Partition,
-    dim_hook,
     generate_partitions,
     parse_partition,
     successors,
-    z2,
 )
 
 
@@ -469,26 +466,36 @@ def _flip_counts(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return out
 
 
-class _Plan(NamedTuple):
-    """What the chain step from T(k-1) to T(k) reads, a fact of k alone.
+def _content_strata(lams: Sequence[Partition]) -> list[tuple[int, ...]]:
+    """For each lam of n >= 1 in lams, the partitions of n in canonical
+    order: e_0, ..., e_(n-1) of the alpha = 2 contents 2(j-1) - (i-1) of its
+    cells (i, j), the coefficients, highest power first, of the product of
+    (t + 2(j-1) - (i-1)) over its cells other than (1,1).
 
-    ``lift`` maps column nu of T(k-1) to column nu + [1] of T(k), and
-    ``raises`` lists, per column nu of T(k-1), the (d, 2 c m_c) with d the
-    column of nu with one part c raised to c + 1, for each distinct part c
-    (m_c times in nu).  ``weights`` holds z2(rho) = <p_rho, p_rho> per
-    column rho of T(k), and ``norms`` <J_lam, J_lam> per row lam, the hook
-    product of 2 lam (Macdonald VI.10), (2k)! / ``dim_hook(lam)``.
-    ``steps`` holds, per row lam of T(k), (the index in T(k-1) of mu, lam
-    less the last box of its last row; theta_mu - theta_lam'' for lam'' =
-    mu + [1], or None when lam ends in a part 1; the indices of the shapes
-    mu + box before lam, all earlier rows).
+    t times that product is J_lam^(2)(1^t) (Macdonald, Symmetric Functions
+    and Hall Polynomials, VI (10.20)) and p_rho(1^t) = t^len(rho), so e_k is
+    the sum of J_lam^(2)'s coefficients over the rho of stratum k = n -
+    len(rho).  Each lam but [n] is an earlier partition, lam with its last
+    box moved to the end of row 1, times (t + c) over (t + a), c and a the
+    contents of the two boxes: one pass of synthetic division per row.
     """
-
-    lift: tuple[int, ...]
-    raises: tuple[tuple[tuple[int, int], ...], ...]
-    weights: tuple[int, ...]
-    norms: tuple[int, ...]
-    steps: tuple[tuple[int, int | None, tuple[int, ...]], ...]
+    done: dict[tuple[int, ...], list[int]] = {}
+    for lam in lams:
+        first, last, height = lam[0], lam[-1], len(lam)
+        if height == 1:
+            q = [1]
+            for j in range(1, first):
+                q = [x + 2 * j * y for x, y in zip(q + [0], [0] + q)]
+        else:
+            # q = parent + (c - a) parent / (t + a), d the quotient so far
+            a = 2 * first
+            s = 2 * (last - 1) - (height - 1) - a
+            q, d = [], 0
+            for x in done[(first + 1,) + lam[1:-1] + (last - 1,) * (last > 1)]:
+                q.append(x + s * d)
+                d = x - a * d
+        done[lam] = q
+    return [tuple(q) for q in done.values()]
 
 
 def _grown(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -500,6 +507,57 @@ def _grown(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
+def _pieri(mu: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The a_lam of p_1 J_mu^(2) = sum of a_lam J_lam^(2), one per shape of
+    ``_grown(mu)`` (mu nonempty), each as a (numerator, denominator) pair:
+    all positive, summing to 1.  Adding a box in row r, a_lam is the product
+    of (h+1)/(h+3) over the cells of row r of mu and of (h+2)/(h+3) over the
+    cells of mu above the new box, with h = 2 arm + leg in mu (the Pieri
+    rule at alpha = 2: Stanley, Some combinatorial properties of Jack
+    symmetric functions, 1989; Macdonald VI (6.24))."""
+    # heights[j]: how many parts of mu exceed j, the cells of column j + 1
+    heights: list[int] = []
+    for i in range(len(mu), 0, -1):
+        heights += [i] * (mu[i - 1] - (mu[i] if i < len(mu) else 0))
+    out = []
+    for r, part in enumerate(mu + (0,)):
+        if r and mu[r - 1] == part:
+            continue
+        num = den = 1
+        for j in range(part):
+            h = 2 * (part - 1 - j) + heights[j] - 1 - r
+            num *= h + 1
+            den *= h + 3
+        for i in range(r):
+            h = 2 * (mu[i] - 1 - part) + r - 1 - i
+            num *= h + 2
+            den *= h + 3
+        out.append((num, den))
+    return out
+
+
+class _Plan(NamedTuple):
+    """What the chain step from T(k-1) to T(k) reads, a fact of k alone.
+
+    ``lift`` maps column nu of T(k-1) to column nu + [1] of T(k), and
+    ``raises`` lists, per column nu of T(k-1), the (d, 2 c m_c) with d the
+    column of nu with one part c raised to c + 1, for each distinct part c
+    (m_c times in nu).  ``steps`` holds, per row lam of T(k): the index in
+    T(k-1) of mu, lam less the last box of its last row; theta_mu -
+    theta_lam'' for lam'' = mu + [1], or None when lam ends in a part 1; the
+    (index, multiplier) of each shape mu + box before lam, all earlier rows;
+    the multipliers' common denominator L; and the expected p_(1^k) entry.
+    ``strata`` holds each column's stratum k - len(rho) and ``contents``
+    each row's ``_content_strata``.
+    """
+
+    lift: tuple[int, ...]
+    raises: tuple[tuple[tuple[int, int], ...], ...]
+    steps: tuple[tuple[int, int | None, tuple[tuple[int, int], ...], int, int], ...]
+    strata: tuple[int, ...]
+    contents: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(k: int) -> _Plan:
     """The plan of the chain step to k >= 2; see ``zonal_rows``."""
@@ -507,15 +565,30 @@ def _plan(k: int) -> _Plan:
     at = {lam: d for d, lam in enumerate(lams)}
     prev = generate_partitions(k - 1)
     source_at = {mu: j for j, mu in enumerate(prev)}
+    pieri: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     steps = []
     for lam in lams:
         mu = lam[:-1] + (lam[-1] - 1,) * (lam[-1] > 1)
         grown = _grown(mu)
+        i = grown.index(lam)
+        if mu not in pieri:
+            pieri[mu] = _pieri(mu)
+        coeffs = pieri[mu][: i + 1]
         shift = None
         if lam[-1] > 1:
-            shift = _flip_eigenvalue(mu) - _flip_eigenvalue(mu + (1,))
-        built = tuple(at[o] for o in grown[: grown.index(lam)])
-        steps.append((source_at[mu], shift, built))
+            theta = _flip_eigenvalue(mu + (1,))
+            shift = _flip_eigenvalue(mu) - theta
+            coeffs = [
+                (num * (_flip_eigenvalue(o) - theta), den)
+                for (num, den), o in zip(coeffs, grown)
+            ]
+        # each coefficient in lowest terms, then over their least common
+        # denominator
+        gcds = [gcd(num, den) for num, den in coeffs]
+        lcd = lcm(*(den // g for (_, den), g in zip(coeffs, gcds)))
+        *multipliers, unit = (num * lcd // den for num, den in coeffs)
+        built = tuple(zip([at[o] for o in grown[:i]], multipliers))
+        steps.append((source_at[mu], shift, built, lcd, unit))
     return _Plan(
         lift=tuple(at[nu + (1,)] for nu in prev),
         raises=tuple(
@@ -526,9 +599,9 @@ def _plan(k: int) -> _Plan:
             )
             for nu in prev
         ),
-        weights=tuple(map(z2, lams)),
-        norms=tuple(factorial(2 * k) // dim_hook(lam) for lam in lams),
         steps=tuple(steps),
+        strata=tuple(k - len(rho) for rho in lams),
+        contents=tuple(_content_strata(lams)),
     )
 
 
@@ -540,31 +613,36 @@ def zonal_rows(n: int) -> list[list[int]]:
     The rows of T(k) are built from those of T(k-1), starting at T(1) =
     [[1]], by three classical facts:
 
-    - the Pieri rule, p_1 J_mu = sum of c_lam J_lam over lam = mu + box,
-      with every c_lam nonzero (Stanley, Some combinatorial properties of
-      Jack symmetric functions, 1989; Macdonald, Symmetric Functions and
-      Hall Polynomials, VI (6.24));
+    - the Pieri rule, p_1 J_mu = sum of a_lam J_lam over lam = mu + box,
+      with a_lam > 0 in closed form (``_pieri``; Stanley, Some combinatorial
+      properties of Jack symmetric functions, 1989; Macdonald, Symmetric
+      Functions and Hall Polynomials, VI (6.24));
     - the cut-and-join eigen-equation J_lam N = theta_lam J_lam, with N the
       flip class matrix (``_flip_counts``, Goulden and Jackson 1997) and
       theta_lam = ``_flip_eigenvalue(lam)``;
-    - the orthogonality of the J_lam under <p_rho, p_sigma> = delta z2(rho)
-      (Macdonald VI.10).
+    - the principal specialization J_lam(1^t) = prod over the cells (i, j)
+      of lam of (t + 2(j-1) - (i-1)) (Macdonald VI (10.20)), which fixes
+      the row's sum over each stratum (``_content_strata``).
 
     Row lam, in canonical order, comes from mu, lam less the last box of
     its last row.  Every shape mu + box but lam and lam'' = mu + [1] adds a
     box to a higher row, so its row comes earlier and is built.  The row v
     of p_1 J_mu holds J_mu's coefficient of p_nu at column nu + [1].  If
-    lam ends in a part 1, lam'' = lam and x = v.  Otherwise x = v (N -
-    theta_lam''), which drops J_lam'' and keeps J_lam, as adding a box in
-    row r of mu raises theta by 2 mu_r + 1 - r, which falls strictly with
-    r.  x costs no product by N: a relation nu + [1] has the flip
+    lam ends in a part 1, lam'' = lam and x = v = sum of a_lam' J_lam'.
+    Otherwise x = v (N - theta_lam'') = sum of a_lam' (theta_lam' -
+    theta_lam'') J_lam', which drops J_lam'' and keeps J_lam, as adding a
+    box in row r of mu raises theta by 2 mu_r + 1 - r, which falls strictly
+    with r.  x costs no product by N: a relation nu + [1] has the flip
     neighbours of nu's cycles, plus 2c where the part 1 merges into a part
-    c, so v N = theta_mu v + the raise of J_mu (``_Plan.raises``).  Less
-    its projection <x, J'> / <J', J'> J' on each built row J' among mu +
-    box, times the least common denominator, x is a multiple of J_lam.
-    Dividing by its p_(1^n) entry gives the row; an entry of 0 there, or
-    one that does not divide every entry, raises SchemeError.
-    The per-k plan (``_plan``) is cached; no rows are kept across calls.
+    c, so v N = theta_mu v + the raise of J_mu (``_Plan.raises``).  So L x
+    less the fixed integer multiple L a_lam' (theta_lam' - theta_lam'') of
+    each built row, with L the common denominator, is u J_lam for the
+    expected u = L a_lam (theta_lam - theta_lam'') (L a_lam when lam ends
+    in a part 1), and no step takes an inner product.  The step raises
+    SchemeError naming J_lam^(2) unless that row's p_(1^k) entry is u != 0,
+    u divides every entry, and the quotient's sum over each stratum is the
+    one its contents give.  The per-k plan (``_plan``) is cached; no rows
+    are kept across calls.
     """
     rows = [[1]]
     for k in range(2, n + 1):
@@ -577,7 +655,9 @@ def _chain_step(
 ) -> list[list[int]]:
     """T(k) from T(k-1) by the plan of k; see ``zonal_rows``."""
     out: list[list[int]] = []
-    for lam, (src, shift, built) in zip(lams, plan.steps):
+    for lam, (src, shift, built, lcd, unit), contents in zip(
+        lams, plan.steps, plan.contents
+    ):
         x = [0] * len(lams)
         if shift is None:
             for d, c in zip(plan.lift, prev[src]):
@@ -587,36 +667,46 @@ def _chain_step(
                 x[d] += shift * c
                 for e, m in raised:
                     x[e] += m * c
-        # x less its projection on each built row, times the least common
-        # denominator of the projections' coefficients (the first
-        # subtraction scales x by it)
-        weighted = list(map(mul, x, plan.weights))
-        projections = []
-        for j in built:
-            dot = sum(map(mul, weighted, out[j]))
-            if dot:
-                g = gcd(dot, plan.norms[j])
-                projections.append((dot // g, plan.norms[j] // g, out[j]))
-        lcd = scale = lcm(*(den for _, den, _ in projections))
-        for num, den, row in projections:
-            m = num * (lcd // den)
-            x = [scale * c - m * b for c, b in zip(x, row)]
+        # L x less the multiple of each built row (the first subtraction
+        # scales x by L)
+        scale = lcd
+        for j, m in built:
+            x = [scale * c - m * b for c, b in zip(x, out[j])]
             scale = 1
-        unit = x[-1]
-        if not unit or any(c % unit for c in x):
+        if scale != 1:
+            x = [scale * c for c in x]
+        if not unit or x[-1] != unit:
             raise SchemeError(
-                f"zonal polynomial J_{lam}^(2) is not an integer row:"
-                f" its projected row is {unit} at p_{lams[-1]}, which is 0"
-                " or does not divide every entry"
+                f"zonal polynomial J_{lam}^(2) does not follow from the Pieri"
+                f" rule: its row is {x[-1]} at p_{lams[-1]}, where the rule"
+                f" gives {unit}, which must be nonzero"
             )
-        out.append([c // unit for c in x])
+        if any(c % unit for c in x):
+            raise SchemeError(
+                f"zonal polynomial J_{lam}^(2) is not an integer row: {unit}"
+                " does not divide every entry"
+            )
+        row = [c // unit for c in x]
+        sums = [0] * len(contents)
+        for s, c in zip(plan.strata, row):
+            sums[s] += c
+        if tuple(sums) != contents:
+            s = next(
+                s for s, (got, want) in enumerate(zip(sums, contents)) if got != want
+            )
+            raise SchemeError(
+                f"zonal polynomial J_{lam}^(2) is not J(1^t) = prod (t + content):"
+                f" its stratum {s} sums to {sums[s]}, not {contents[s]}"
+            )
+        out.append(row)
     return out
 
 
 def zonal_power_sums(n: int) -> dict[Partition, dict[Partition, int]]:
     """``zonal_rows(n)`` as a map lam -> {rho: coefficient of p_rho in
     J_lam^(2)}, both in canonical order: the chain from T(1) by the Pieri
-    rule (Stanley 1989; Macdonald VI), the cut-and-join eigen-equation
-    (Goulden and Jackson 1997) and the orthogonality of the J_lam."""
+    rule (Stanley 1989; Macdonald VI (6.24)), the cut-and-join
+    eigen-equation (Goulden and Jackson 1997) and the principal
+    specialization (Macdonald VI (10.20))."""
     lams = generate_partitions(n)
     return {lam: dict(zip(lams, row)) for lam, row in zip(lams, zonal_rows(n))}

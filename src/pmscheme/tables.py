@@ -13,15 +13,15 @@ The formula route fills whatever closed forms cover.  Each route fills one
 rows x columns grid, None marking a cell it left unfilled, and
 ``EigTable`` holds that grid.  Every table built or
 loaded from JSON passes ``_check_table`` or raises SchemeError; that check
-also holds each complete row to its label's multiplicity and flip entry,
+also holds each complete row to its label's multiplicity and stratum sums,
 so cells traded between rows, or rows in the wrong order, are a hard
 error.  A complete table also gives the intersection numbers and the
 relation-graph diameters; no other module reads an ``EigTable``.
 
 What depends on n alone (the labels, their ``str`` spellings, dimensions,
-valencies, multiplicity weights, flip eigenvalues and the conjecture's
-scope) is derived once per process by ``_frame(n)``, a small bounded cache
-of immutable frames that every table of n shares.  A process that handles
+valencies, multiplicity weights, stratum sums and the conjecture's scope)
+is derived once per process by ``_frame(n)``, a small bounded cache of
+immutable frames that every table of n shares.  A process that handles
 tables of one n more than once (a library caller, ``cli.main`` in a loop,
 the test suite) derives them once; every build, load, check and rendering
 reads them from the frame.
@@ -52,7 +52,7 @@ from .partitions import (
 from .spectra import conjecture_applies, family_mu, phi_n11, valency
 from .symfunc import (
     CATALOG_PREFIXES,
-    _flip_eigenvalue,
+    _content_strata,
     e_catalog,
     eval_expr,
     zonal_rows,
@@ -60,10 +60,10 @@ from .symfunc import (
 
 # The largest n served as a table.  The chain from T(n-1) by the Pieri rule
 # (Stanley 1989; Macdonald VI), the cut-and-join eigen-equation (Goulden and
-# Jackson 1997) and the orthogonality of the zonal polynomials builds it in
-# about 0.07 s in a fresh process, and n = 20 in about 1.1 s
-# (BENCH_ortho.json).  The bound stays until tables past 14 have a check of
-# their own and row keys that tell every row apart.
+# Jackson 1997) and the principal specialization builds it in about 0.05 s
+# in a fresh process, and n = 20 in about 0.75 s (BENCH_chain.json).  The
+# row keys tell every row apart at every n; the bound stays until tables
+# past 14 have a check of their own.
 DEFAULT_ZONAL_MAX_N = 14
 # build_table_formulas fills a p(n) x p(n) grid: at n = 24 that takes
 # 0.4-0.6 s and 75 MB peak RSS (Python 3.11, 2 cores); at n = 40 the grid
@@ -83,10 +83,11 @@ class _Frame(NamedTuple):
     [1^n].  ``row_labels``/``column_labels`` spell them as ``str`` does and
     ``by_label`` maps a label back to its partition; ``row_at``/``col_at``
     give a partition's index.  Per row: ``dims`` (``dim_hook``) and
-    ``flips``, the flip eigenvalue; per column: ``valencies`` v_mu,
-    ``weights`` 2^n n! / v_mu and ``applies`` (``conjecture_applies``).
-    ``total`` is (2n-1)!!, ``scaled`` is (2n-1)!! 2^n n!, and ``flip_col``
-    the index of the flip relation [2,1^(n-2)], None below n = 2.
+    ``strata``, the sums e_0, ..., e_(n-1) its strata must have
+    (``_content_strata``); per column: ``valencies`` v_mu, ``weights``
+    2^n n! / v_mu, ``col_strata``, its stratum n - len(mu), and ``applies``
+    (``conjecture_applies``).  ``total`` is (2n-1)!! and ``scaled`` is
+    (2n-1)!! 2^n n!.
     """
 
     rows: tuple[Partition, ...]
@@ -101,8 +102,8 @@ class _Frame(NamedTuple):
     total: int
     weights: tuple[int, ...]
     scaled: int
-    flips: tuple[int, ...]
-    flip_col: int | None
+    strata: tuple[tuple[int, ...], ...]
+    col_strata: tuple[int, ...]
     applies: tuple[bool, ...]
 
 
@@ -131,9 +132,8 @@ def _frame(n: int) -> _Frame:
         total=total,
         weights=tuple(scale // v for v in valencies),
         scaled=total * scale,
-        flips=tuple(map(_flip_eigenvalue, rows)),
-        # below n = 2 there is no flip relation, so no column is found
-        flip_col=col_at.get(Partition((2,) + (1,) * (n - 2))),
+        strata=tuple(_content_strata(rows)),
+        col_strata=tuple(n - len(mu) for mu in columns),
         applies=tuple(map(conjecture_applies, columns)),
     )
 
@@ -297,29 +297,41 @@ def _check_table(table: EigTable) -> None:
     unfilled cell on its own label (AmbiguousRowAssignment otherwise), that
     is with multiplicity (2n-1)!! / sum_mu phi(mu)^2 / v_mu equal to
     dim_hook(lam), by the row orthogonality relation (Bannai and Ito,
-    Algebraic Combinatorics I: Association Schemes, 1984), and flip entry
-    ``_flip_eigenvalue(lam)``, keys that tell every lam apart for n <= 22
-    (they first coincide at n = 23, for [5,5,2,2,1^9] and [3^6,2,1^3]);
-    top row the valencies; and the trace identity on every complete column.
-    Dimensions, valencies, weights and flip eigenvalues are read from the
-    table's frame, derived from n, never from a file; only the grid is
-    walked.  A grid whose rows are permuted is refused at its first wrong
-    row."""
+    Algebraic Combinatorics I: Association Schemes, 1984), and with sum
+    e_k(A_lam) over the relations mu of each stratum k = n - len(mu), A_lam
+    the alpha = 2 contents of lam: the row is J_lam^(2) in power sums,
+    J_lam^(2)(1^t) = prod over A_lam of (t + c) (Macdonald VI (10.20)) and
+    p_mu(1^t) = t^len(mu).  Stratum 1 is the flip entry; e_1, ..., e_(n-1)
+    fix A_lam, which fixes lam, so these keys tell every lam apart at every
+    n, and a trade of two cells in one column changes two rows' sums in its
+    stratum.  Then top row the valencies; and the trace identity on every
+    complete column.  Dimensions, valencies, weights and strata are read
+    from the table's frame, derived from n, never from a file; only the grid
+    is walked.  A grid whose rows are permuted is refused at its first wrong
+    row, named with its first failing stratum."""
     frame = table._frame
     for lam, v in zip(frame.rows, table._cols[0]):
         if v is not None and v != 1:
             raise SchemeError(f"identity column must be all ones, bad at {lam}")
-    weights, scaled, flip_col = frame.weights, frame.scaled, frame.flip_col
-    for lam, dim, flip, phi in zip(frame.rows, frame.dims, frame.flips, table._grid):
+    n, weights, scaled = table.n, frame.weights, frame.scaled
+    col_strata = frame.col_strata
+    for lam, dim, want, phi in zip(frame.rows, frame.dims, frame.strata, table._grid):
         if None in phi:
             continue
         norm = sum(map(mul, weights, map(mul, phi, phi)))
-        entry = flip if flip_col is None else phi[flip_col]
-        if dim * norm != scaled or entry != flip:
+        sums = [0] * n
+        for k, v in zip(col_strata, phi):
+            sums[k] += v
+        if dim * norm != scaled or tuple(sums) != want:
+            got = expected = ""
+            for k, (s, e) in enumerate(zip(sums, want)):
+                if s != e:
+                    got = f" and stratum {k} sum {s}"
+                    expected = f" and stratum {k} sum {e}"
+                    break
             raise AmbiguousRowAssignment(
-                f"row {lam} has multiplicity {Fraction(scaled, norm)} and flip"
-                f" entry {entry}, but eigenspace {lam} has dimension {dim} and"
-                f" flip eigenvalue {flip}"
+                f"row {lam} has multiplicity {Fraction(scaled, norm)}{got}, but"
+                f" eigenspace {lam} has dimension {dim}{expected}"
             )
     for mu, v, valency_mu in zip(frame.columns, table._grid[0], frame.valencies):
         if v is not None and v != valency_mu:

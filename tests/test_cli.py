@@ -373,8 +373,9 @@ def test_table_sources_zonal_and_oracle(run):
 
 
 def test_oracle_product_failure_exits_1_with_one_error_line(run, monkeypatch):
-    # the [3,1] cells of [2,2] and [1^4] (-8 and 8) traded: both rows keep
-    # their labels' keys, so only a product refuses, as a plain SchemeError
+    # the [3,1] cells of [2,2] and [1^4] (-8 and 8) traded: the row strata
+    # of _check_table refuse it (exit 3), so with that check stubbed out
+    # only a product refuses, as a plain SchemeError
     from pmscheme import Partition, tables
 
     table = build_table_zonal(4)
@@ -384,6 +385,7 @@ def test_oracle_product_failure_exits_1_with_one_error_line(run, monkeypatch):
     grid = table.grid()
     grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
     monkeypatch.setattr(tables, "_zonal_grid", lambda n: grid)
+    monkeypatch.setattr(tables, "_check_table", lambda table: None)
     code, out, err = run("table", "--n", "4", "--source", "oracle")
     assert (code, out) == (1, "")
     assert err == (

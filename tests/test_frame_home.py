@@ -12,7 +12,7 @@ PER_N = {
     "valency",
     "double_factorial",
     "dim_hook",
-    "_flip_eigenvalue",
+    "_content_strata",
     "conjecture_applies",
 }
 

@@ -25,6 +25,7 @@ from pmscheme import (
     zonal_power_sums,
 )
 from pmscheme.errors import FitInconsistent, FitUnderdetermined, SchemeError
+from pmscheme.partitions import dim_hook, z2
 
 P = Partition
 P1 = PowerSumExpr({P([1]): [1]})
@@ -328,45 +329,112 @@ def test_zonal_refuses_a_doctored_flip_eigenvalue(monkeypatch, fresh_plans):
 
 
 def _one_off(plan, field):
-    """Copies of the plan with one raise count, z2 weight or theta shift
-    (field ``raises``, ``weights`` or ``steps``) moved by +1 or -1."""
-    entries = getattr(plan, field)
+    """Copies of the plan with one entry moved by +1 or -1: a raise count
+    (field ``raises``), or in one step its theta shift (``shifts``), the
+    multiplier of one built row (``multipliers``), the common denominator L
+    (``lcd``) or the expected p_(1^k) entry (``unit``)."""
     for delta in (1, -1):
-        for r, entry in enumerate(entries):
-            if field == "weights":
-                edited = [entry + delta]
-            elif field == "steps":
-                src, shift, built = entry
-                edited = [] if shift is None else [(src, shift + delta, built)]
-            else:
+        if field == "raises":
+            for r, entry in enumerate(plan.raises):
+                for i, (d, m) in enumerate(entry):
+                    new = entry[:i] + ((d, m + delta),) + entry[i + 1 :]
+                    raises = plan.raises[:r] + (new,) + plan.raises[r + 1 :]
+                    yield plan._replace(raises=raises)
+            continue
+        for r, (src, shift, built, lcd, unit) in enumerate(plan.steps):
+            if field == "shifts":
+                edited = [] if shift is None else [(src, shift + delta, built, lcd, unit)]
+            elif field == "multipliers":
                 edited = [
-                    entry[:i] + ((d, m + delta),) + entry[i + 1 :]
-                    for i, (d, m) in enumerate(entry)
+                    (src, shift, built[:i] + ((j, m + delta),) + built[i + 1 :])
+                    + (lcd, unit)
+                    for i, (j, m) in enumerate(built)
                 ]
+            elif field == "lcd":
+                edited = [(src, shift, built, lcd + delta, unit)]
+            else:
+                edited = [(src, shift, built, lcd, unit + delta)]
             for new in edited:
-                yield plan._replace(**{field: entries[:r] + (new,) + entries[r + 1 :]})
+                yield plan._replace(steps=plan.steps[:r] + (new,) + plan.steps[r + 1 :])
 
 
-# per plan field, the first k whose edits are all refused and the number of
-# edits for k up to 8.  At k = 2 and 3 no step reads the weight of p_[k]:
-# each step there that projects ends in a part 1, so its x is the lift,
-# 0 at p_[k]
-OFF_BY_ONE = {"raises": (2, 150), "weights": (4, 120), "steps": (2, 42)}
+# per kind of plan entry, the number of its +-1 edits for k = 2..8
+OFF_BY_ONE = {"raises": 150, "shifts": 42, "multipliers": 182, "lcd": 130, "unit": 130}
 
 
 @pytest.mark.parametrize("field", list(OFF_BY_ONE))
 def test_zonal_refuses_a_plan_entry_off_by_one(field):
-    # every such edit leaves a row that is 0 at p_(1^k) or not divisible
-    # by it
-    lo, edits = OFF_BY_ONE[field]
+    # every such edit leaves a row whose p_(1^k) entry is not the expected
+    # one, which does not divide it, or whose strata miss its contents
     refused = 0
-    for k in range(lo, 9):
+    for k in range(2, 9):
         prev, lams = symfunc.zonal_rows(k - 1), generate_partitions(k)
         for plan in _one_off(symfunc._plan(k), field):
             with pytest.raises(SchemeError, match=r"J_\[[0-9,]+\]\^\(2\)"):
                 symfunc._chain_step(plan, prev, lams)
             refused += 1
-    assert refused == edits
+    assert refused == OFF_BY_ONE[field]
+
+
+def test_pieri_coefficients_are_the_projections_of_p1_times_j_mu():
+    # a_lam = <p_1 J_mu, J_lam> / <J_lam, J_lam> under <p_rho, p_sigma> =
+    # delta z2(rho), the inner-product route the chain no longer takes
+    for k in range(2, 13):
+        lams, prev = generate_partitions(k), generate_partitions(k - 1)
+        rows = dict(zip(lams, symfunc.zonal_rows(k)))
+        at = {lam: d for d, lam in enumerate(lams)}
+        weights = [z2(lam) for lam in lams]
+        for mu, row in zip(prev, symfunc.zonal_rows(k - 1)):
+            lifted = [0] * len(lams)
+            for nu, c in zip(prev, row):
+                lifted[at[nu + (1,)]] = c
+            coeffs = [Fraction(num, den) for num, den in symfunc._pieri(mu)]
+            assert all(a > 0 for a in coeffs) and sum(coeffs) == 1, mu
+            for lam, a in zip(symfunc._grown(mu), coeffs):
+                j = rows[lam]
+                dot = sum(x * y * w for x, y, w in zip(lifted, j, weights))
+                norm = sum(y * y * w for y, w in zip(j, weights))
+                assert a == Fraction(dot, norm), (mu, lam)
+
+
+def _contents_product(lam):
+    """prod (t + 2(j-1) - (i-1)) over the cells (i, j) != (1,1) of lam,
+    highest power first, one cell at a time."""
+    q = [1]
+    for i, part in enumerate(lam):
+        for j in range(part):
+            if (i, j) != (0, 0):
+                q = [x + (2 * j - i) * y for x, y in zip(q + [0], [0] + q)]
+    return tuple(q)
+
+
+def test_content_strata_are_the_content_products_and_the_row_strata():
+    for n in range(1, 13):
+        lams = generate_partitions(n)
+        strata = symfunc._content_strata(lams)
+        assert strata == [_contents_product(lam) for lam in lams], n
+        for lam, row, want in zip(lams, symfunc.zonal_rows(n), strata):
+            sums = [0] * n
+            for rho, c in zip(lams, row):
+                sums[n - len(rho)] += c
+            assert tuple(sums) == want, (n, lam)
+
+
+def test_content_strata_tell_every_row_apart():
+    # e_1..e_(n-1) fix the contents, which fix lam, so the keys of
+    # _check_table stay distinct where multiplicity and flip entry do not
+    for n in range(1, 31):
+        strata = symfunc._content_strata(generate_partitions(n))
+        assert len(set(strata)) == len(strata), n
+
+
+def test_plans_read_no_dimension():
+    symfunc._plan.cache_clear()
+    before = dim_hook.cache_info()
+    for k in range(2, 15):
+        symfunc._plan(k)
+    after = dim_hook.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_zonal_power_sums_small():

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from itertools import permutations
+from operator import add
 
 import pytest
 
@@ -287,6 +288,17 @@ def test_frame_cache_stays_bounded():
     assert 0 < info.currsize <= info.maxsize
 
 
+def test_closed_forms_give_every_row_its_stratum_two_sum():
+    # stratum 2 is the catalog columns [3,1^(n-3)] and [2,2,1^(n-4)], so
+    # the closed forms alone hold every row to e_2 of its contents
+    for n in range(6, FORMULAS_MAX_N + 1):
+        table = build_table_formulas(n)
+        threes = table.column(P([3] + [1] * (n - 3)))
+        twos = table.column(P([2, 2] + [1] * (n - 4)))
+        want = [strata[2] for strata in table._frame.strata]
+        assert list(map(add, threes, twos)) == want, n
+
+
 def test_json_roundtrip(oracle_table):
     for n in (3, 5):
         table = oracle_table(n)
@@ -324,13 +336,14 @@ def test_row_assignment_ambiguity_is_hard_error(idata):
 
 
 def test_row_assignment_refuses_a_wrong_flip_entry(idata, monkeypatch):
-    # [2,2] and [1^4] both have dimension 14: only the flip entry tells them
-    # apart, and the swap keeps every trace identity
+    # [2,2] and [1^4] both have dimension 14: only the strata tell them
+    # apart, first the flip entry (stratum 1), and the swap keeps every
+    # trace identity
     swapped = [P([4]), P([3, 1]), P([1, 1, 1, 1]), P([2, 1, 1]), P([2, 2])]
     table = _n4_with_rows(swapped)
     message = (
-        "row [2,2] has multiplicity 14 and flip entry -6, but eigenspace [2,2]"
-        " has dimension 14 and flip eigenvalue 2"
+        "row [2,2] has multiplicity 14 and stratum 1 sum -6, but eigenspace"
+        " [2,2] has dimension 14 and stratum 1 sum 2"
     )
     with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
         tables._check_table(table)
@@ -341,9 +354,10 @@ def test_row_assignment_refuses_a_wrong_flip_entry(idata, monkeypatch):
         build_table_oracle(4, data=idata(4))
 
 
-def test_character_check_refuses_a_traded_cell(idata):
+def test_character_check_refuses_a_traded_cell(idata, monkeypatch):
     # the [3,1] cells of [2,2] and [1^4] (-8 and 8): equal dimensions and
-    # equal squares keep the trace identity and both row keys
+    # equal squares keep the trace identity, the multiplicities and the flip
+    # entries, but not the stratum-2 sums of the two rows
     table = build_table_zonal(4)
     a, b = table.rows.index(P([2, 2])), table.rows.index(P([1, 1, 1, 1]))
     c = table.columns.index(P([3, 1]))
@@ -351,7 +365,14 @@ def test_character_check_refuses_a_traded_cell(idata):
     assert (grid[a][c], grid[b][c]) == (-8, 8)
     grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
     traded = EigTable(4, grid, table.provenance)
-    tables._check_table(traded)
+    message = (
+        "row [2,2] has multiplicity 14 and stratum 2 sum 15, but eigenspace"
+        " [2,2] has dimension 14 and stratum 2 sum -1"
+    )
+    with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
+        tables._check_table(traded)
+    # the products refuse it on their own
+    monkeypatch.setattr(tables, "_check_table", lambda table: None)
     with pytest.raises(SchemeError) as exc:
         tables._check_characters(traded, idata(4))
     assert type(exc.value) is SchemeError
@@ -366,7 +387,7 @@ def test_character_check_refuses_a_repeated_row_and_a_bad_identity(idata):
     table = build_table_zonal(4)
     grid = table.grid()
     grid[-1] = grid[-3]  # [1^4] repeats the [2,2] row, flip entry and all
-    message = "row [1,1,1,1] has multiplicity 14 and flip entry 2"
+    message = "row [1,1,1,1] has multiplicity 14 and stratum 1 sum 2"
     with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
         tables._check_characters(EigTable(4, grid, {}), idata(4))
     grid = table.grid()
@@ -389,7 +410,7 @@ def test_character_check_refuses_the_doctored_n8_cache_table(idata):
     assert (grid[a][c], grid[b][c]) == (138, 210)
     grid[a][c], grid[b][c] = grid[b][c], grid[a][c]
     doctored = EigTable(8, grid, table.provenance)
-    message = "row [4,4] has multiplicity 15765750/11257 and flip entry 20"
+    message = "row [4,4] has multiplicity 15765750/11257 and stratum 2 sum 226"
     with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
         tables._check_table(doctored)
     with pytest.raises(AmbiguousRowAssignment, match=re.escape(message)):
@@ -454,6 +475,18 @@ def test_character_check_agrees_with_every_product(idata):
         assert _verdict(_check_every_product, table, idata(n)) is None
 
 
+def test_check_table_refuses_every_trade_and_every_edit():
+    # the stratum sums refuse a trade within a column, which changes two
+    # rows' sums in its stratum, as the multiplicity refuses a +-1 edit
+    refused = 0
+    for n in (4, 5, 6):
+        for table in _doctored_tables(n):
+            with pytest.raises(SchemeError):
+                tables._check_table(table)
+            refused += 1
+    assert refused == 1082
+
+
 def test_separating_set_is_the_flip_and_at_most_one_more_relation():
     for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
         table = build_table_zonal(n)
@@ -478,7 +511,7 @@ def test_separating_set_refuses_two_equal_rows():
 
 def test_row_keys_are_distinct_and_give_the_flip_column():
     from pmscheme.partitions import eigenspace_dim, iter_partitions
-    from pmscheme.tables import _flip_eigenvalue
+    from pmscheme.symfunc import _flip_eigenvalue
 
     for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
         table = build_table_zonal(n)
@@ -496,8 +529,6 @@ def test_row_keys_are_distinct_and_give_the_flip_column():
             assert shared == [], n
         else:
             assert shared == [[P([5, 5, 2, 2] + [1] * 9), P([3] * 6 + [2, 1, 1, 1])]]
-    # a guard past 22 needs row keys that still tell the rows apart
-    assert DEFAULT_ZONAL_MAX_N <= 22
 
 
 def test_gap_scan_picks_flip_family(oracle_table):
@@ -559,10 +590,12 @@ from pmscheme import EigTable
 from pmscheme.errors import SchemeError
 from pmscheme.tables import _check_table, build_table_zonal
 
-# the [3,1] cell of row [2,2], sign flipped: squares and the flip column
-# stay, so only the trace identity refuses it
+# the [3,1] cell of row [2,2], sign flipped, and its [4] cell unfilled:
+# the row keys skip the incomplete row, so only the trace identity of the
+# complete column [3,1] refuses it
 grid = build_table_zonal(4).grid()
 grid[2][3] = -grid[2][3]
+grid[2][-1] = None
 try:
     _check_table(EigTable(4, grid, {}))
 except SchemeError as exc:

@@ -66,6 +66,8 @@ matchings.representative = wrong_representative
 partitions.frobenius_dim = wrong_frobenius
 spectra.phi_n11 = lambda mu: 0
 tables._zonal_grid = lambda n: grid4
+# the row strata refuse the trade first; without them a product refuses it
+tables._check_table = lambda table: None
 for name, call in cases:
     try:
         call()
