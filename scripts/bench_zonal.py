@@ -35,7 +35,12 @@ timing in a fresh subprocess of its checkout (alternating which side runs
 first), and records every run and the median per side.  The same way it times
 ``verify induction --family 5`` at n = INDUCTION_MAX_N and ``verify
 ratios`` at n = RATIOS_MAX_N, this checkout's guards, three times per
-checkout, so each guard's cost at its limit is on record.  Last, it times
+checkout, so each guard's cost at its limit is on record, and ``fit
+--prefix 5 --n-range 5:14`` on a warm cache (the median of FIT_REPEATS
+commands after one untimed command that builds and writes the tables)
+three times per checkout.  For n = 18 and 20 it times the second call of
+``zonal_rows(n)`` in a fresh process, three times per checkout, and counts
+the step plans that call misses, once per checkout.  Last, it times
 ``EigTable.from_json_obj`` on the zonal table's JSON for n = 2..14, the
 check every cache load runs: in one fresh subprocess per checkout and n
 (alternating which side runs first), the median of LOAD_REPEATS loads.  The
@@ -98,6 +103,10 @@ CHECK_REPEATS = 31
 FRAME_NS = (14, 22, 30)
 FRAME_REPEATS = 5
 GUARD_REPEATS = 3
+FIT_REPEATS = 5
+# zonal_rows(n)'s second call: past the guard, and past the 16 plans the
+# plan cache once kept
+SECOND_CALL_NS = (18, 20)
 LOAD_REPEATS = 21
 # the fixed pass count of each workload's peak RSS reading
 RSS_PASSES = {"diameters": 2000, "warm_queries": 20, "table_assembly": 250}
@@ -151,6 +160,20 @@ for _ in range({STAGE_REPEATS}):
     zonal_rows(n)
     times.append(time.perf_counter() - t0)
 print(statistics.median(times))
+"""
+# zonal_rows(n)'s second call in a fresh process: its seconds, or with
+# {what} = "misses" the number of step plans it missed
+ROWS_SECOND_TIMER = """
+import sys, time
+sys.path.insert(0, "src")
+from pmscheme.symfunc import _plan, zonal_rows
+n = int(sys.argv[1])
+zonal_rows(n)
+before = _plan.cache_info().misses
+t0 = time.perf_counter()
+zonal_rows(n)
+seconds = time.perf_counter() - t0
+print(_plan.cache_info().misses - before if "{what}" == "misses" else seconds)
 """
 # the chain-step plans of k = 2..n, built cold
 PLAN_TIMER = """
@@ -314,6 +337,23 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     run.main(["--workload", "{workload}", "--seed", "1", "--seconds", "0", "--trace", "0"])
 print(json.loads(out.getvalue().splitlines()[-1])["metrics"]["peak_rss_mb"]["value"])
 """
+# fit --prefix 5 --n-range 5:N on a warm cache: the median of FIT_REPEATS
+# commands after one untimed command, which builds and writes the tables
+FIT_TIMER = f"""
+import contextlib, io, statistics, sys, time
+sys.path.insert(0, "src")
+from pmscheme.cli import main
+argv = ["fit", "--prefix", "5", "--n-range", "5:" + sys.argv[1]]
+times = []
+for _ in range({FIT_REPEATS} + 1):
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code:
+        sys.exit(code)
+    times.append(time.perf_counter() - t0)
+print(statistics.median(times[1:]))
+"""
 INDUCTION_TIMER = CLI_TIMER.format(argv=["verify", "induction", "--family", "5"])
 RATIOS_TIMER = CLI_TIMER.format(argv=["verify", "ratios"])
 
@@ -401,11 +441,13 @@ def main(argv: list[str] | None = None) -> int:
             " zonal_rows_warm_s,"
             " plan_build_s, diameter_all_relations_s,"
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
-            " verify_ratios_s, from_json_obj_s, first_load_s, later_load_s,"
+            " verify_ratios_s, fit_warm_s, zonal_rows_second_call_s,"
+            " from_json_obj_s, first_load_s, later_load_s,"
             " check_table_s, frame_s,"
             " cache_write_s, build_table_oracle_past_guard_s: wall-clock seconds;"
             " cache_file_bytes: bytes; fixed_pass_peak_rss_mb: MB, keyed by workload"
-            " and pass count; zonal_rows_peak_rss_mb: MB"
+            " and pass count; zonal_rows_peak_rss_mb: MB;"
+            " zonal_rows_second_call_plan_misses: count"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
@@ -447,6 +489,17 @@ def main(argv: list[str] | None = None) -> int:
         "verify_ratios_s": fresh_times(
             args.parent.resolve(), RATIOS_TIMER,
             range(RATIOS_MAX_N, RATIOS_MAX_N + 1), GUARD_REPEATS,
+        ),
+        "fit_warm_s": fresh_times(
+            args.parent.resolve(), FIT_TIMER, range(14, 15), GUARD_REPEATS
+        ),
+        "zonal_rows_second_call_s": fresh_times(
+            args.parent.resolve(), ROWS_SECOND_TIMER.format(what="seconds"),
+            SECOND_CALL_NS, GUARD_REPEATS,
+        ),
+        "zonal_rows_second_call_plan_misses": fresh_times(
+            args.parent.resolve(), ROWS_SECOND_TIMER.format(what="misses"),
+            SECOND_CALL_NS, 1, unit="misses",
         ),
         "from_json_obj_s": fresh_times(args.parent.resolve(), LOAD_TIMER, ZONAL_NS, 1),
         "first_load_s": fresh_times(

@@ -1,8 +1,9 @@
 """Exact eigenvalue theory of the perfect matching association scheme.
 
-Eigenvalue tables from zonal polynomials, closed-form and interpolated
-columns, spectral gaps, merge-ratio laws and quotient/diameter analyses, all
-cross-checked against a brute-force oracle over perfect matchings of K_{2n}.
+Eigenvalue tables from zonal polynomials, closed-form columns, expressions
+interpolated from table columns, spectral gaps, merge-ratio laws and
+quotient/diameter analyses, all cross-checked against a brute-force oracle
+over perfect matchings of K_{2n}.
 """
 
 __version__ = "0.1.0"

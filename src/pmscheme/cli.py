@@ -48,7 +48,7 @@ from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition
 from .ratios import RATIOS_MAX_N, all_merges, gap_ratio_report
 from .spectra import family_mu, gap_report, verify_induction_step
-from .symfunc import fit_e_mu, monomial_basis
+from .symfunc import fit_e_mu
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
     FRAME_CACHE_SIZE,
@@ -416,7 +416,8 @@ def cmd_fit(args, config: Config) -> int:
         raise ValueError(
             f"range {lo}:{hi} invalid for prefix {prefix} (min n {prefix.n})"
         )
-    monomial_basis(prefix)  # refuses a prefix it cannot fit before any table
+    if not prefix or min(prefix) < 2:  # as monomial_basis, before any table
+        raise ValueError("family prefix needs all parts >= 2")
     guard("zonal table", hi, DEFAULT_ZONAL_MAX_N)
     data = []
     for n in range(lo, hi + 1):

@@ -29,7 +29,10 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _integer_row(row: list) -> list[int]:
-    """The row (ints or Fractions) times the lcm of its denominators."""
+    """The row (ints or Fractions) times the lcm of its denominators; a
+    row of ints as it is."""
+    if all(type(x) is int for x in row):
+        return row
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
 

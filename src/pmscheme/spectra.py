@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial
+from itertools import compress, product
+from math import comb, factorial, prod
+from operator import mul
 
 from .errors import SchemeError, count_text, guard, ln_factorial
 from .matchings import base_matching, relation, representative
 from .partitions import (
     Partition,
-    addable_rows,
     double_factorial,
     eigenspace_dim,
     generate_partitions,
@@ -32,6 +33,7 @@ from .partitions import (
 )
 from .symfunc import (
     CATALOG_PREFIXES,
+    PowerSumExpr,
     catalog_entry,
     combine,
     content_power_sums,
@@ -376,25 +378,72 @@ class InductionReport:
     witness: tuple[Partition, int]
 
 
-def _growth_increments(expr, lam: Partition, here, grown) -> list[tuple[int, int]]:
-    """(row i, den * (f(lam grown in row i) - f(lam))) for each addable row.
+class _GrowthIncrements:
+    """den * (f(lam grown in row i) - f(lam)) for the partitions lam of n.
 
-    here and grown are ``expr.at_t`` at t = 2n and 2n + 2.  Growing row i
-    of lam adds the boxes of contents c = 2 lam_i - i + 1 and c + 1 to 2*lam,
-    so each p_k of the grown shape is p_k(lam) + c^k + (c + 1)^k.
+    Growing row i of lam adds the boxes of contents c = 2 lam_i - i + 1 and
+    c + 1 to 2*lam, so each p_k of the grown shape is s_k + d_k(c), with s
+    lam's power sums and d_k(c) = c^k + (c + 1)^k.  Expanding each monomial
+    of f at t = 2n + 2 over the factors that take d(c),
+
+        f_(2n+2)(s + d(c)) - f_(2n)(s)
+            = (f_(2n+2) - f_(2n))(s) + sum over sigma of C_sigma(c) p_sigma(s),
+
+    with sigma over the proper sub-monomials of f's monomials and
+    C_sigma(c) the sum, over each monomial rho and each choice of the
+    factors of rho that keep s_k and form sigma, of rho's coefficient times
+    the product of d_k(c) over the other factors.  C(c) is filled on first
+    use of each content c, so a growth costs one short dot product in
+    integers.
     """
-    sums = content_power_sums(lam, expr.kmax)
-    base = combine(here, sums)
-    parts = lam + (0,)
-    out = []
-    for i in addable_rows(lam):
-        c = 2 * parts[i - 1] - i + 1
-        bigger = [s + c**k + (c + 1) ** k for k, s in enumerate(sums)]
-        out.append((i, combine(grown, bigger) - base))
-    return out
+
+    def __init__(self, expr: PowerSumExpr, n: int):
+        here, grown = expr.at_t(2 * n), expr.at_t(2 * n + 2)
+        # a monomial whose coefficient is constant in t leaves the difference
+        self.diff = [
+            (g - h, parts) for (h, parts), (g, _) in zip(here, grown) if g != h
+        ]
+        subs: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        for g, parts in grown:
+            for keep in product((True, False), repeat=len(parts)):
+                if not all(keep):
+                    sigma = tuple(compress(parts, keep))
+                    rest = tuple(k for k, kept in zip(parts, keep) if not kept)
+                    subs.setdefault(sigma, []).append((g, rest))
+        self.sigmas = list(subs)
+        self.terms = list(subs.values())
+        self.by_content: dict[int, list[int]] = {}
+        self.dmax = expr.kmax
+        # the largest p_k of lam that the difference or a sigma reads
+        self.kmax = max(
+            (m[0] for m in [*(parts for _, parts in self.diff), *self.sigmas] if m),
+            default=0,
+        )
+
+    def __call__(self, lam: Partition) -> list[tuple[int, int]]:
+        """(row i, increment) for each row i where lam can grow, ascending
+        (``addable_rows``)."""
+        sums = content_power_sums(lam, self.kmax)
+        base = combine(self.diff, sums)
+        monos = [prod([sums[k] for k in sigma]) for sigma in self.sigmas]
+        by_content = self.by_content
+        out = []
+        above = 0
+        for i, part in enumerate(lam + (0,), start=1):
+            if part == above:  # row i - 1 is as long, so row i cannot grow
+                continue
+            above = part
+            c = 2 * part - i + 1
+            coeffs = by_content.get(c)
+            if coeffs is None:
+                d = [c**k + (c + 1) ** k for k in range(self.dmax + 1)]
+                coeffs = by_content[c] = [combine(t, d) for t in self.terms]
+            out.append((i, base + sum(map(mul, coeffs, monos))))
+        return out
 
 
-# One scan of the partitions of n: 1.4 s at n = 40 (BENCH_catalog.json).
+# One scan of the partitions of n: 0.45 s at n = 40 for family [5], as a
+# command in a fresh process (BENCH_scans.json, Python 3.11, 2 cores).
 INDUCTION_MAX_N = 40
 
 
@@ -405,23 +454,23 @@ def verify_induction_step(prefix: Partition, n: int) -> InductionReport:
     The right-hand side is the increment at lam = [n-1,1], i = 1; the scan
     covers every partition of n except [n] and every admissible row, in
     canonical order and rows ascending, and the witness is the first
-    minimum.  Each lam is evaluated once and each growth from lam's power
-    sums plus the two new contents; slacks are compared as integers over
-    the expression's common denominator.  GuardExceeded above
-    INDUCTION_MAX_N, before any partition is made.
+    minimum.  Each lam's power sums are summed once, and each growth is
+    read off them and the two new contents by ``_GrowthIncrements``; slacks
+    are compared as integers over the expression's common denominator.
+    GuardExceeded above INDUCTION_MAX_N, before any partition is made.
     """
     if n < max(prefix.n, 2):
         raise ValueError(f"induction step needs n >= {max(prefix.n, 2)}")
     guard("induction step", n, INDUCTION_MAX_N)
     expr = catalog_entry(prefix).expr
-    here, grown = expr.at_t(2 * n), expr.at_t(2 * n + 2)
-    rhs = dict(_growth_increments(expr, Partition((n - 1, 1)), here, grown))[1]
+    increments = _GrowthIncrements(expr, n)
+    rhs = dict(increments(Partition((n - 1, 1))))[1]
     best: tuple[int, Partition, int] | None = None
     top = Partition((n,))
     for lam in generate_partitions(n):
         if lam == top:
             continue
-        for i, inc in _growth_increments(expr, lam, here, grown):
+        for i, inc in increments(lam):
             slack = rhs - inc
             if best is None or slack < best[0]:
                 best = (slack, lam, i)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm, prod
 from typing import Mapping, NamedTuple, Sequence
 
@@ -148,7 +148,7 @@ def parse_power_sum_expr(text: str) -> PowerSumExpr:
     return PowerSumExpr(terms)
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _row_power_sums(i: int, length: int, kmax: int) -> tuple[int, ...]:
     """Sums of c^k, k = 0..kmax, over the contents c of row i (1-based) of
     a doubled shape whose row i has 2 * length boxes."""
@@ -163,11 +163,8 @@ def _row_power_sums(i: int, length: int, kmax: int) -> tuple[int, ...]:
 
 def content_power_sums(lam: Partition, kmax: int) -> list[int]:
     """[p_0, ..., p_kmax] of the contents of 2*lam (p_0 = 2n), row by row."""
-    sums = [0] * (kmax + 1)
-    for i, part in enumerate(lam, start=1):
-        for k, s in enumerate(_row_power_sums(i, part, kmax)):
-            sums[k] += s
-    return sums
+    rows = [_row_power_sums(i, part, kmax) for i, part in enumerate(lam, start=1)]
+    return list(map(sum, zip((0,) * (kmax + 1), *rows)))
 
 
 def combine(terms: Sequence[tuple[int, tuple[int, ...]]], sums: Sequence[int]) -> int:
@@ -423,11 +420,6 @@ def _checked_column(n: int, col: DataColumn) -> list:
 # --------------------------------------------------------------------------
 # Zonal polynomials J_lam^(2) in the power-sum basis
 
-# The most chain-step plans ``_plan`` keeps: every k = 2..n of a chain up to
-# n = 17, so a second table of the largest guarded n reads only cached plans.
-PLAN_CACHE_SIZE = 16
-
-
 def _flip_eigenvalue(lam: Partition) -> int:
     """sum_i lam_i (lam_i - i): the eigenvalue of the flip relation
     [2,1^(n-2)] on eigenspace lam (Diaconis and Holmes, Random walks on
@@ -558,7 +550,7 @@ class _Plan(NamedTuple):
     contents: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
+@cache
 def _plan(k: int) -> _Plan:
     """The plan of the chain step to k >= 2; see ``zonal_rows``."""
     lams = generate_partitions(k)
@@ -641,9 +633,12 @@ def zonal_rows(n: int) -> list[list[int]]:
     in a part 1), and no step takes an inner product.  The step raises
     SchemeError naming J_lam^(2) unless that row's p_(1^k) entry is u != 0,
     u divides every entry, and the quotient's sum over each stratum is the
-    one its contents give.  The per-k plan (``_plan``) is cached; no rows
-    are kept across calls.
+    one its contents give.  The plan of every k (``_plan``) is cached; no
+    rows are kept across calls.  T(0) is [[1]], J of the empty partition;
+    ValueError for n < 0.
     """
+    if n < 0:
+        raise ValueError(f"zonal polynomials need n >= 0, got {n}")
     rows = [[1]]
     for k in range(2, n + 1):
         rows = _chain_step(_plan(k), rows, generate_partitions(k))

@@ -70,7 +70,7 @@ DEFAULT_ZONAL_MAX_N = 14
 # alone would be about 1.4e9 list slots, roughly 11 GB.
 FORMULAS_MAX_N = 24
 # The tags a column's provenance may hold, one per way its cells were filled.
-PROVENANCE_TAGS = ("zonal", "oracle", "closed-form", "interpolated")
+PROVENANCE_TAGS = ("zonal", "oracle", "closed-form")
 # The most frames ``_frame`` keeps: every n the zonal engine builds fits.
 FRAME_CACHE_SIZE = 16
 

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 from pmscheme import Partition
 from pmscheme.exactalg import kernel_basis, rref, solve_unique
 from pmscheme.partitions import content, generate_partitions, successors
-from pmscheme.spectra import verify_induction_step
-from pmscheme.symfunc import CATALOG_PREFIXES, PowerSumExpr, e_catalog, eval_expr
+from pmscheme.spectra import _GrowthIncrements, verify_induction_step
+from pmscheme.symfunc import (
+    CATALOG_PREFIXES,
+    PowerSumExpr,
+    delta_eval,
+    e_catalog,
+    eval_expr,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -165,3 +171,22 @@ def test_induction_step_matches_successor_scan(prefix):
         assert report.min_slack == slack and type(report.min_slack) is Fraction
         assert report.passed == (slack >= 0)
         assert report.witness == (lam, i)
+
+
+def test_growth_increments_expand_monomials_past_two_factors():
+    # the catalog's monomials have at most two factors; these have three,
+    # with repeated parts, so sub-monomials of one and two factors occur
+    f = PowerSumExpr(
+        {
+            Partition([2, 1, 1]): [Fraction(1, 3), Fraction(-1, 5)],
+            Partition([2, 2]): [Fraction(-3, 4)],
+            Partition([1, 1, 1]): [Fraction(2, 7), 0, Fraction(1, 9)],
+            Partition([3]): [1],
+            Partition([]): [0, Fraction(1, 2)],
+        }
+    )
+    for n in range(1, 9):
+        increments = _GrowthIncrements(f, n)
+        for lam in generate_partitions(n):
+            want = [(i, f.den * delta_eval(f, lam, i)) for _, i in successors(lam)]
+            assert increments(lam) == want, lam

@@ -437,6 +437,13 @@ def test_plans_read_no_dimension():
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+def test_zonal_rows_start_at_the_empty_partition_and_refuse_negative_n():
+    assert symfunc.zonal_rows(0) == symfunc.zonal_rows(1) == [[1]]
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="n >= 0"):
+            symfunc.zonal_rows(n)
+
+
 def test_zonal_power_sums_small():
     # J_2 = p_1^2 + 2 p_2 and J_11 = p_1^2 - p_2
     assert zonal_power_sums(2) == {

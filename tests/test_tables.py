@@ -148,7 +148,13 @@ def test_table_copies_and_checks_its_provenance():
     table = EigTable(3, grid, prov)
     prov.clear()
     assert table.provenance == {P([1, 1, 1]): "zonal"}
-    for bad in ({P([9]): "zonal"}, {P([3]): 5}, {P([2, 1]): "made-up"}):
+    # interpolated: a tag no route wrote, dropped from the schema
+    for bad in (
+        {P([9]): "zonal"},
+        {P([3]): 5},
+        {P([2, 1]): "made-up"},
+        {P([2, 1]): "interpolated"},
+    ):
         with pytest.raises(SchemeError, match="bad provenance"):
             EigTable(3, grid, bad)
     obj = build_table_zonal(3).to_json_obj()
