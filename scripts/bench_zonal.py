@@ -3,6 +3,7 @@
     python3 scripts/bench_zonal.py --parent DIR --out BENCH_name.json
                                    [--seeds 1 2 ... 10]
                                    [--workloads cold_tables ...]
+                                   [--only workloads zonal_rows_sweep_s ...]
 
 DIR is a source checkout of the commit to compare against (for example one
 unpacked with ``git archive``).  For every seed and workload the script runs
@@ -55,7 +56,12 @@ times, once per checkout in a fresh subprocess, writing the table of n =
 14, 16, 18 and 20 (built from ``zonal_rows(n)`` as ``build_table_zonal``
 builds it, past its guard too) as a cache file, ``to_json_text`` plus ``cli._atomic_write``, and
 records the file's size; and ``build_table_oracle(n)`` with the guard
-raised to 14 for n = 9..13.  Last, for each workload of
+raised to 14 for n = 9..14.  It times an ascending sweep,
+``zonal_rows(k)`` for k = 2..N in one fresh process, and records that
+process's peak RSS, for N in SWEEP_NS, three times per checkout: a
+checkout that keeps the last table continues each call from the one
+before, and one that keeps none climbs the whole chain each time.  Last,
+for each workload of
 RSS_PASSES it runs ``bench/run.py`` with its ``run_passes`` replaced by
 one that runs exactly that workload's fixed number of passes (seed 1,
 each run with its own empty ``PMSCHEME_DATA_DIR``), RSS_REPEATS times per
@@ -63,6 +69,9 @@ checkout, and records the run's ``peak_rss_mb``: at a fixed pass count the
 per-op timings the benchmark keeps are the same on both sides, so the two
 readings compare the program's own memory, which an 8 s run, whose
 faster side keeps more timings, does not.
+
+``--only`` runs just the named measurements, the keys of the report (the
+workload pairs are ``workloads``); the default runs them all.
 """
 
 from __future__ import annotations
@@ -96,7 +105,7 @@ ROWS_RSS_NS = range(20, ROWS_MAX_N + 1, 2)
 ORACLE_NS = range(5, 9)
 DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
-ORACLE_BIG_NS = range(9, 14)
+ORACLE_BIG_NS = range(9, 15)
 ORACLE_BIG_MAX_N = 14
 WRITE_NS = range(14, 21, 2)
 CHECK_REPEATS = 31
@@ -104,6 +113,8 @@ FRAME_NS = (14, 22, 30)
 FRAME_REPEATS = 5
 GUARD_REPEATS = 3
 FIT_REPEATS = 5
+# the last n of each ascending zonal_rows sweep
+SWEEP_NS = (14, 20, 22)
 # zonal_rows(n)'s second call: past the guard, and past the 16 plans the
 # plan cache once kept
 SECOND_CALL_NS = (18, 20)
@@ -174,6 +185,20 @@ t0 = time.perf_counter()
 zonal_rows(n)
 seconds = time.perf_counter() - t0
 print(_plan.cache_info().misses - before if "{what}" == "misses" else seconds)
+"""
+# zonal_rows(k) for k = 2..n in a fresh process: the seconds of the sweep,
+# or with {what} = "rss" the process's peak RSS in MB after it
+SWEEP_TIMER = """
+import resource, sys, time
+sys.path.insert(0, "src")
+from pmscheme.symfunc import zonal_rows
+n = int(sys.argv[1])
+t0 = time.perf_counter()
+for k in range(2, n + 1):
+    zonal_rows(k)
+seconds = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(rss if "{what}" == "rss" else seconds)
 """
 # the chain-step plans of k = 2..n, built cold
 PLAN_TIMER = """
@@ -425,20 +450,117 @@ def fresh_times(
     }
 
 
+def measurements(parent: Path, args: argparse.Namespace) -> dict:
+    """Each measurement of the report by its key, run when called."""
+    return {
+        "workloads": lambda: compare(parent, args.workloads, args.seeds),
+        "intersection_numbers_s": lambda: fresh_times(
+            parent, ORACLE_TIMER, ORACLE_NS, 1
+        ),
+        "build_table_zonal_s": lambda: fresh_times(
+            parent, ZONAL_TIMER, ZONAL_NS, ZONAL_REPEATS
+        ),
+        "zonal_rows_cold_s": lambda: fresh_times(
+            parent, ROWS_COLD_TIMER, range(2, ROWS_MAX_N + 1), ZONAL_REPEATS
+        ),
+        "zonal_rows_warm_s": lambda: fresh_times(
+            parent, ROWS_WARM_TIMER, range(2, ROWS_MAX_N + 1), ZONAL_REPEATS
+        ),
+        "zonal_rows_peak_rss_mb": lambda: fresh_times(
+            parent, ROWS_RSS_TIMER, ROWS_RSS_NS, ZONAL_REPEATS, unit="mb"
+        ),
+        "zonal_rows_sweep_s": lambda: fresh_times(
+            parent, SWEEP_TIMER.format(what="seconds"), SWEEP_NS, ZONAL_REPEATS
+        ),
+        "zonal_rows_sweep_peak_rss_mb": lambda: fresh_times(
+            parent, SWEEP_TIMER.format(what="rss"), SWEEP_NS, ZONAL_REPEATS,
+            unit="mb",
+        ),
+        "plan_build_s": lambda: fresh_times(
+            parent, PLAN_TIMER, range(2, ROWS_MAX_N + 1), 1
+        ),
+        "diameter_all_relations_s": lambda: fresh_times(
+            parent, DIAMETER_TIMER, DIAMETER_NS, 1
+        ),
+        "build_table_oracle_s": lambda: fresh_times(
+            parent, ORACLE_TABLE_TIMER, ORACLE_TABLE_NS, 1
+        ),
+        "check_characters_s": lambda: fresh_times(
+            parent, CHECK_TIMER, ORACLE_TABLE_NS, 1
+        ),
+        "verify_induction_s": lambda: fresh_times(
+            parent, INDUCTION_TIMER,
+            range(INDUCTION_MAX_N, INDUCTION_MAX_N + 1), GUARD_REPEATS,
+        ),
+        "verify_ratios_s": lambda: fresh_times(
+            parent, RATIOS_TIMER,
+            range(RATIOS_MAX_N, RATIOS_MAX_N + 1), GUARD_REPEATS,
+        ),
+        "fit_warm_s": lambda: fresh_times(
+            parent, FIT_TIMER, range(14, 15), GUARD_REPEATS
+        ),
+        "zonal_rows_second_call_s": lambda: fresh_times(
+            parent, ROWS_SECOND_TIMER.format(what="seconds"),
+            SECOND_CALL_NS, GUARD_REPEATS,
+        ),
+        "zonal_rows_second_call_plan_misses": lambda: fresh_times(
+            parent, ROWS_SECOND_TIMER.format(what="misses"),
+            SECOND_CALL_NS, 1, unit="misses",
+        ),
+        "from_json_obj_s": lambda: fresh_times(parent, LOAD_TIMER, ZONAL_NS, 1),
+        "first_load_s": lambda: fresh_times(
+            parent, CACHED_LOAD_TIMER.format(loads_before=0), ZONAL_NS, 1
+        ),
+        "later_load_s": lambda: fresh_times(
+            parent, CACHED_LOAD_TIMER.format(loads_before=1), ZONAL_NS, 1
+        ),
+        "check_table_s": lambda: fresh_times(
+            parent, CHECK_TABLE_TIMER, ZONAL_NS, 1
+        ),
+        "frame_s": lambda: fresh_times(
+            parent, FRAME_TIMER, FRAME_NS, FRAME_REPEATS
+        ),
+        "cache_write_s": lambda: fresh_times(
+            parent, WRITE_TIMER.format(what="seconds"), WRITE_NS, 1
+        ),
+        "cache_file_bytes": lambda: fresh_times(
+            parent, WRITE_TIMER.format(what="size"), WRITE_NS, 1, unit="bytes"
+        ),
+        "build_table_oracle_past_guard_s": lambda: fresh_times(
+            parent, ORACLE_BIG_TIMER, ORACLE_BIG_NS, 1
+        ),
+        "fixed_pass_peak_rss_mb": lambda: {
+            workload: fresh_times(
+                parent, RSS_TIMER.format(workload=workload),
+                range(passes, passes + 1), RSS_REPEATS, unit="mb",
+            )
+            for workload, passes in RSS_PASSES.items()
+        },
+    }
+
+
+MEASUREMENTS = tuple(measurements(Path(), argparse.Namespace()))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument(
+        "--only", nargs="+", choices=MEASUREMENTS, default=list(MEASUREMENTS),
+        metavar="KEY", help="report keys to measure (default: all)",
+    )
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    chosen = measurements(args.parent.resolve(), args)
     report = {
         "command": "python3 bench/run.py --workload W --seed S --seconds 8 --trace 0",
         "units": (
             "setup_s, wall_s: reference seconds; op_*: reference ms; peak_rss_mb: MB; "
             "intersection_numbers_s, build_table_zonal_s, zonal_rows_cold_s,"
-            " zonal_rows_warm_s,"
+            " zonal_rows_warm_s, zonal_rows_sweep_s,"
             " plan_build_s, diameter_all_relations_s,"
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
             " verify_ratios_s, fit_warm_s, zonal_rows_second_call_s,"
@@ -446,91 +568,12 @@ def main(argv: list[str] | None = None) -> int:
             " check_table_s, frame_s,"
             " cache_write_s, build_table_oracle_past_guard_s: wall-clock seconds;"
             " cache_file_bytes: bytes; fixed_pass_peak_rss_mb: MB, keyed by workload"
-            " and pass count; zonal_rows_peak_rss_mb: MB;"
-            " zonal_rows_second_call_plan_misses: count"
+            " and pass count; zonal_rows_peak_rss_mb, zonal_rows_sweep_peak_rss_mb:"
+            " MB; zonal_rows_second_call_plan_misses: count"
         ),
         "env": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "seeds": args.seeds,
-        "workloads": compare(args.parent.resolve(), args.workloads, args.seeds),
-        "intersection_numbers_s": fresh_times(
-            args.parent.resolve(), ORACLE_TIMER, ORACLE_NS, 1
-        ),
-        "build_table_zonal_s": fresh_times(
-            args.parent.resolve(), ZONAL_TIMER, ZONAL_NS, ZONAL_REPEATS
-        ),
-        "zonal_rows_cold_s": fresh_times(
-            args.parent.resolve(), ROWS_COLD_TIMER,
-            range(2, ROWS_MAX_N + 1), ZONAL_REPEATS,
-        ),
-        "zonal_rows_warm_s": fresh_times(
-            args.parent.resolve(), ROWS_WARM_TIMER,
-            range(2, ROWS_MAX_N + 1), ZONAL_REPEATS,
-        ),
-        "zonal_rows_peak_rss_mb": fresh_times(
-            args.parent.resolve(), ROWS_RSS_TIMER, ROWS_RSS_NS, ZONAL_REPEATS,
-            unit="mb",
-        ),
-        "plan_build_s": fresh_times(
-            args.parent.resolve(), PLAN_TIMER, range(2, ROWS_MAX_N + 1), 1
-        ),
-        "diameter_all_relations_s": fresh_times(
-            args.parent.resolve(), DIAMETER_TIMER, DIAMETER_NS, 1
-        ),
-        "build_table_oracle_s": fresh_times(
-            args.parent.resolve(), ORACLE_TABLE_TIMER, ORACLE_TABLE_NS, 1
-        ),
-        "check_characters_s": fresh_times(
-            args.parent.resolve(), CHECK_TIMER, ORACLE_TABLE_NS, 1
-        ),
-        "verify_induction_s": fresh_times(
-            args.parent.resolve(), INDUCTION_TIMER,
-            range(INDUCTION_MAX_N, INDUCTION_MAX_N + 1), GUARD_REPEATS,
-        ),
-        "verify_ratios_s": fresh_times(
-            args.parent.resolve(), RATIOS_TIMER,
-            range(RATIOS_MAX_N, RATIOS_MAX_N + 1), GUARD_REPEATS,
-        ),
-        "fit_warm_s": fresh_times(
-            args.parent.resolve(), FIT_TIMER, range(14, 15), GUARD_REPEATS
-        ),
-        "zonal_rows_second_call_s": fresh_times(
-            args.parent.resolve(), ROWS_SECOND_TIMER.format(what="seconds"),
-            SECOND_CALL_NS, GUARD_REPEATS,
-        ),
-        "zonal_rows_second_call_plan_misses": fresh_times(
-            args.parent.resolve(), ROWS_SECOND_TIMER.format(what="misses"),
-            SECOND_CALL_NS, 1, unit="misses",
-        ),
-        "from_json_obj_s": fresh_times(args.parent.resolve(), LOAD_TIMER, ZONAL_NS, 1),
-        "first_load_s": fresh_times(
-            args.parent.resolve(), CACHED_LOAD_TIMER.format(loads_before=0), ZONAL_NS, 1
-        ),
-        "later_load_s": fresh_times(
-            args.parent.resolve(), CACHED_LOAD_TIMER.format(loads_before=1), ZONAL_NS, 1
-        ),
-        "check_table_s": fresh_times(
-            args.parent.resolve(), CHECK_TABLE_TIMER, ZONAL_NS, 1
-        ),
-        "frame_s": fresh_times(
-            args.parent.resolve(), FRAME_TIMER, FRAME_NS, FRAME_REPEATS
-        ),
-        "cache_write_s": fresh_times(
-            args.parent.resolve(), WRITE_TIMER.format(what="seconds"), WRITE_NS, 1
-        ),
-        "cache_file_bytes": fresh_times(
-            args.parent.resolve(), WRITE_TIMER.format(what="size"), WRITE_NS, 1,
-            unit="bytes",
-        ),
-        "build_table_oracle_past_guard_s": fresh_times(
-            args.parent.resolve(), ORACLE_BIG_TIMER, ORACLE_BIG_NS, 1
-        ),
-        "fixed_pass_peak_rss_mb": {
-            workload: fresh_times(
-                args.parent.resolve(), RSS_TIMER.format(workload=workload),
-                range(passes, passes + 1), RSS_REPEATS, unit="mb",
-            )
-            for workload, passes in RSS_PASSES.items()
-        },
+        **{name: chosen[name]() for name in MEASUREMENTS if name in args.only},
         "default_zonal_max_n": DEFAULT_ZONAL_MAX_N,
         "induction_max_n": INDUCTION_MAX_N,
         "ratios_max_n": RATIOS_MAX_N,

@@ -597,6 +597,13 @@ def _plan(k: int) -> _Plan:
     )
 
 
+# (n, rows as tuples) of T(1), where every chain starts, and of the last
+# table zonal_rows returned: one binding, replaced whole, so a reader sees
+# the old table or the new one
+_T1: tuple[int, tuple[tuple[int, ...], ...]] = (1, ((1,),))
+_last = _T1
+
+
 def zonal_rows(n: int) -> list[list[int]]:
     """Power-sum coefficients of every zonal polynomial J_lam^(2) of degree n.
 
@@ -633,15 +640,26 @@ def zonal_rows(n: int) -> list[list[int]]:
     in a part 1), and no step takes an inner product.  The step raises
     SchemeError naming J_lam^(2) unless that row's p_(1^k) entry is u != 0,
     u divides every entry, and the quotient's sum over each stratum is the
-    one its contents give.  The plan of every k (``_plan``) is cached; no
-    rows are kept across calls.  T(0) is [[1]], J of the empty partition;
-    ValueError for n < 0.
+    one its contents give.  The plan of every k (``_plan``) is cached.
+
+    The last table a call returned is kept, as tuples, in ``_last``: a call
+    for n past it, T(k) with k < n, continues from T(k) with the steps k+1..n;
+    any other call, the same n again included, starts at T(1).  Every call
+    runs at least its own last step with all its checks, and the kept table
+    changes only when a call succeeds; the rows returned are new lists.
+    T(0) and T(1) are [[1]], J of the empty partition and J_[1], and leave
+    ``_last`` as it was; ValueError for n < 0.
     """
+    global _last
     if n < 0:
         raise ValueError(f"zonal polynomials need n >= 0, got {n}")
-    rows = [[1]]
-    for k in range(2, n + 1):
+    if n <= 1:
+        return [[1]]
+    last = _last
+    start, rows = last if last[0] < n else _T1
+    for k in range(start + 1, n + 1):
         rows = _chain_step(_plan(k), rows, generate_partitions(k))
+    _last = n, tuple(map(tuple, rows))
     return rows
 
 

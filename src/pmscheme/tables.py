@@ -6,9 +6,9 @@ computed exactly in ``symfunc``.  The oracle route is that table confirmed
 by the brute-force intersection numbers, which owe nothing to symmetric
 functions: its rows must also be characters of the Bose-Mesner algebra the
 numbers count, checked as row . B_g = phi_g row against the class matrices
-B_g of a few relations g that tell the rows apart, the flip first, each
-from a walk pruned to the branches that can end in its relation
-(``_check_characters``).
+B_g of a few relations g that tell the rows apart, the smallest classes
+first, each from a walk pruned to the branches that can end in its
+relation (``_check_characters``).
 The formula route fills whatever closed forms cover.  Each route fills one
 rows x columns grid, None marking a cell it left unfilled, and
 ``EigTable`` holds that grid.  Every table built or
@@ -409,11 +409,12 @@ def _check_characters(table: EigTable, data: IntersectionData) -> None:
     must satisfy phi_g phi_j = sum_k p^k_gj phi_k, that is row . B_g =
     phi_g row, for every g in S and every non-identity j (zero p skipped),
     which costs O(|S| d^2) where all pairs cost O(d^3).  S is {flip} for
-    n in {2, 3, 4, 5, 7} and {flip, [2,2,1^(n-4)]} for n = 6 and 8..14.
-    Only those class matrices are read (``data.b_matrix(g)``); each walk
-    prunes every branch that cannot end in relation g, so its cost follows
-    that class's size (n(n-1) for the flip, 12 C(n,4) for [2,2,1^(n-4)])
-    rather than (2n-1)!!, and the full tensor is never counted.
+    n in {2, 3, 4, 5, 7}, {flip, [2,2,2]} for n = 6 and {flip,
+    [3,1^(n-3)]} for n = 8..14.  Only those class matrices are read
+    (``data.b_matrix(g)``); each walk prunes every branch that cannot end in
+    relation g, so its cost follows that class's size (n(n-1) for the flip,
+    120 for [2,2,2], 8 C(n,3) for [3,1^(n-3)]) rather than (2n-1)!!, and
+    the full tensor is never counted.
 
     This is as strong as checking every pair.  Write a row as phi = sum_s
     a_s chi_s over the d true characters.  Applying phi to A_g E_s, with
@@ -454,11 +455,15 @@ def _separating_set(
 ) -> list[int]:
     """A separating set S of relations for the rows of lams: rows lists each
     row in relation order (descending, the identity last), and S holds
-    indices into it, walked from the flip [2,1^(n-2)], the relation before
-    the identity, upward until the rows' values on S are pairwise distinct.
+    indices into it, taken smallest class first until the rows' values on S
+    are pairwise distinct.  The top row [n] holds each relation's valency
+    (``_check_table`` has held it there), and classes of one size are taken
+    from the flip [2,1^(n-2)], the relation before the identity, upward.
     SchemeError naming two equal rows when no set separates."""
+    valencies = rows[0]
+    order = sorted(range(len(valencies) - 2, -1, -1), key=valencies.__getitem__)
     chosen, keys = [], [()] * len(rows)
-    for g in range(len(rows[0]) - 2, -1, -1):
+    for g in order:
         if len(set(keys)) == len(keys):
             break
         chosen.append(g)

@@ -14,6 +14,7 @@ from pmscheme import (
     CATALOG_PREFIXES,
     DEFAULT_ZONAL_MAX_N,
     FORMULAS_MAX_N,
+    Partition,
     __version__,
     build_table_zonal,
     e_catalog,
@@ -208,6 +209,27 @@ def test_fit_command(run):
     assert out.strip() == "(1/2)*p[1] + (-1/4*t)*p[]"
     code, _, err = run("fit", "--prefix", "2", "--n-range", "4")
     assert code == 2
+
+
+def test_fit_on_an_empty_cache_climbs_one_chain(run, monkeypatch):
+    # the tables of n = 5..9 are built in order, each from the one before,
+    # so the command runs the steps to 2..9 once: 8 steps, not 4 + 5 + 6 +
+    # 7 + 8
+    from pmscheme import symfunc
+
+    steps = []
+    real = symfunc._chain_step
+
+    def step(plan, prev, lams):
+        steps.append(lams[0].n)
+        return real(plan, prev, lams)
+
+    monkeypatch.setattr(symfunc, "_last", symfunc._T1)
+    monkeypatch.setattr(symfunc, "_chain_step", step)
+    code, out, err = run("fit", "--prefix", "3", "--n-range", "5:9")
+    assert (code, err) == (0, "")
+    assert out == e_catalog(Partition([3])).to_text() + "\n"
+    assert steps == list(range(2, 10))
 
 
 @pytest.mark.parametrize("prefix", CATALOG_PREFIXES, ids=str)
@@ -698,10 +720,12 @@ def test_checked_table_memo_is_bounded():
 def test_zonal_plan_cache_holds_every_step_of_the_largest_chain():
     # the chain to n reads the plans of k = 2..n in order, so a bounded
     # cache smaller than that chain would miss on every step of every build;
-    # 18 is past the guard and past the 16 plans an earlier bound kept
+    # 18 is past the guard and past the 16 plans an earlier bound kept.  The
+    # kept table is dropped first, so the first call reads every plan
     from pmscheme import symfunc
 
     symfunc._plan.cache_clear()
+    symfunc._last = symfunc._T1
     symfunc.zonal_rows(18)
     symfunc.zonal_rows(18)
     info = symfunc._plan.cache_info()

@@ -159,7 +159,7 @@ def test_intersection_data_counts_on_first_read(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(matchings, "_union_counts", counted)
-    for n, separating in ((6, [9, 8]), (7, [13])):
+    for n, separating in ((6, [9, 7]), (7, [13])):
         walks.clear()
         data = intersection_numbers(n)
         assert walks == []

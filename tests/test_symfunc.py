@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -310,11 +312,125 @@ def test_zonal_rows_past_the_guard_match_the_elimination():
 
 @pytest.fixture
 def fresh_plans():
-    """Chain-step plans dropped before and after the test, so a plan made
-    from a doctored eigenvalue reaches no other test."""
+    """Chain-step plans and the kept table dropped before and after the
+    test, so a plan made from a doctored eigenvalue, or a table built from
+    one, reaches no other test."""
     symfunc._plan.cache_clear()
+    symfunc._last = symfunc._T1
     yield
     symfunc._plan.cache_clear()
+    symfunc._last = symfunc._T1
+
+
+def _reference_chain(top):
+    """T(k) for k = 1..top, each step from the one before, from T(1)."""
+    rows = {1: [[1]]}
+    for k in range(2, top + 1):
+        rows[k] = symfunc._chain_step(symfunc._plan(k), rows[k - 1], generate_partitions(k))
+    return rows
+
+
+@pytest.fixture
+def plans_read(fresh_plans, monkeypatch):
+    """The k of every plan the chain reads, in order, from fresh plans and
+    no kept table."""
+    read = []
+    real = symfunc._plan
+
+    def plan(k):
+        read.append(k)
+        return real(k)
+
+    monkeypatch.setattr(symfunc, "_plan", plan)
+    return read
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        list(range(2, 13)),
+        list(range(12, 1, -1)),
+        [7, 7, 7, 12, 12, 1, 12],
+        [5, 9, 3, 12, 6, 7, 0, 12, 2, 11, 10],
+    ],
+    ids=["ascending", "descending", "repeated", "mixed"],
+)
+def test_zonal_rows_resumed_or_not_match_the_chain_from_t1(order, fresh_plans):
+    reference = _reference_chain(12)
+    for n in order:
+        assert symfunc.zonal_rows(n) == reference[max(n, 1)], (order, n)
+
+
+def test_zonal_rows_hand_out_rows_the_next_call_does_not_read(fresh_plans):
+    reference = _reference_chain(9)
+    rows = symfunc.zonal_rows(8)
+    rows[0][0] += 1
+    rows[-1].append(5)
+    rows.pop(3)
+    assert symfunc.zonal_rows(9) == reference[9]
+    symfunc.zonal_rows(9)[2][1] = 0
+    assert symfunc.zonal_rows(9) == reference[9]
+
+
+def test_zonal_rows_resume_from_the_last_table_only_past_it(plans_read):
+    symfunc.zonal_rows(10)
+    plans_read.clear()
+    symfunc.zonal_rows(12)
+    assert plans_read == [11, 12]
+    plans_read.clear()
+    # the same n again rebuilds from T(1), so a doctored plan is read
+    symfunc.zonal_rows(12)
+    assert plans_read == list(range(2, 13))
+    plans_read.clear()
+    symfunc.zonal_rows(1)
+    symfunc.zonal_rows(0)
+    symfunc.zonal_rows(13)
+    assert plans_read == [13]
+
+
+def test_zonal_rows_from_threads_each_match_the_chain_from_t1(fresh_plans):
+    # each call reads the kept table once and replaces it whole, so a call
+    # racing another resumes from one table or the other, never a mixture
+    reference = _reference_chain(9)
+    orders = [random.Random(seed).choices(range(2, 10), k=40) for seed in range(4)]
+    wrong = []
+
+    def work(order):
+        for n in order:
+            if symfunc.zonal_rows(n) != reference[n]:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_zonal_rows_keep_their_table_when_a_step_fails(plans_read, monkeypatch):
+    reference = _reference_chain(8)
+    symfunc.zonal_rows(6)
+    real = symfunc._chain_step
+
+    def step(plan, prev, lams):
+        if lams[0].n == 8:
+            raise SchemeError("doctored step")
+        return real(plan, prev, lams)
+
+    monkeypatch.setattr(symfunc, "_chain_step", step)
+    with pytest.raises(SchemeError, match="doctored step"):
+        symfunc.zonal_rows(8)
+    assert symfunc._last == (6, tuple(map(tuple, reference[6])))
+    plans_read.clear()
+    assert symfunc.zonal_rows(7) == reference[7]
+    assert plans_read == [7]
 
 
 def test_zonal_refuses_a_doctored_flip_eigenvalue(monkeypatch, fresh_plans):

@@ -494,6 +494,8 @@ def test_check_table_refuses_every_trade_and_every_edit():
 
 
 def test_separating_set_is_the_flip_and_at_most_one_more_relation():
+    # smallest class first: the flip, then [2,2,2] (120 matchings) at n = 6
+    # and [3,1^(n-3)] (8 C(n,3)) past it
     for n in range(2, DEFAULT_ZONAL_MAX_N + 1):
         table = build_table_zonal(n)
         rels = generate_partitions(n)
@@ -502,8 +504,10 @@ def test_separating_set_is_the_flip_and_at_most_one_more_relation():
         flip = P([2] + [1] * (n - 2))
         if n in (2, 3, 4, 5, 7):
             assert got == [flip], n
+        elif n == 6:
+            assert got == [flip, P([2, 2, 2])], n
         else:
-            assert got == [flip, P([2, 2] + [1] * (n - 4))], n
+            assert got == [flip, P([3] + [1] * (n - 3))], n
 
 
 def test_separating_set_refuses_two_equal_rows():
