@@ -51,7 +51,9 @@ same unchanged file, after one untimed load (the file is written before
 either, in a fresh temporary data directory); ``tables._check_table``
 alone on the zonal table of n, the median of CHECK_REPEATS checks after
 one untimed check; and, FRAME_REPEATS times per checkout for n in
-FRAME_NS, ``tables._frame(n)``'s first call in a fresh process.  It
+FRAME_NS, ``tables._frame(n)``'s first call in a fresh process, and for
+n in DIMS_NS the dimensions alone, ``dim_hook`` over every partition of
+n (listed untimed first), in a fresh process.  It
 times, once per checkout in a fresh subprocess, writing the table of n =
 14, 16, 18 and 20 (built from ``zonal_rows(n)`` as ``build_table_zonal``
 builds it, past its guard too) as a cache file, ``to_json_text`` plus ``cli._atomic_write``, and
@@ -109,8 +111,9 @@ ORACLE_BIG_NS = range(9, 15)
 ORACLE_BIG_MAX_N = 14
 WRITE_NS = range(14, 21, 2)
 CHECK_REPEATS = 31
-FRAME_NS = (14, 22, 30)
+FRAME_NS = (24, 30, 40)
 FRAME_REPEATS = 5
+DIMS_NS = (40,)
 GUARD_REPEATS = 3
 FIT_REPEATS = 5
 # the last n of each ascending zonal_rows sweep
@@ -284,6 +287,16 @@ from pmscheme.tables import _frame
 n = int(sys.argv[1])
 t0 = time.perf_counter()
 _frame(n)
+print(time.perf_counter() - t0)
+"""
+# the dimensions of every partition of n, cold, the partitions listed first
+DIMS_TIMER = """
+import sys, time
+sys.path.insert(0, "src")
+from pmscheme.partitions import dim_hook, generate_partitions
+rows = generate_partitions(int(sys.argv[1]))
+t0 = time.perf_counter()
+list(map(dim_hook, rows))
 print(time.perf_counter() - t0)
 """
 # one cache load, after {loads_before} untimed loads of the same file
@@ -520,6 +533,7 @@ def measurements(parent: Path, args: argparse.Namespace) -> dict:
         "frame_s": lambda: fresh_times(
             parent, FRAME_TIMER, FRAME_NS, FRAME_REPEATS
         ),
+        "dims_s": lambda: fresh_times(parent, DIMS_TIMER, DIMS_NS, FRAME_REPEATS),
         "cache_write_s": lambda: fresh_times(
             parent, WRITE_TIMER.format(what="seconds"), WRITE_NS, 1
         ),
@@ -565,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
             " build_table_oracle_s, check_characters_s, verify_induction_s,"
             " verify_ratios_s, fit_warm_s, zonal_rows_second_call_s,"
             " from_json_obj_s, first_load_s, later_load_s,"
-            " check_table_s, frame_s,"
+            " check_table_s, frame_s, dims_s,"
             " cache_write_s, build_table_oracle_past_guard_s: wall-clock seconds;"
             " cache_file_bytes: bytes; fixed_pass_peak_rss_mb: MB, keyed by workload"
             " and pass count; zonal_rows_peak_rss_mb, zonal_rows_sweep_peak_rss_mb:"

@@ -51,7 +51,6 @@ from .spectra import family_mu, gap_report, verify_induction_step
 from .symfunc import fit_e_mu
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
-    FRAME_CACHE_SIZE,
     EigTable,
     build_table_formulas,
     build_table_oracle,
@@ -124,7 +123,8 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-@lru_cache(maxsize=FRAME_CACHE_SIZE)
+# one checked text for each n = 2..DEFAULT_ZONAL_MAX_N that a cache file serves
+@lru_cache(maxsize=DEFAULT_ZONAL_MAX_N - 1)
 def _checked_table(n: int, text: str) -> EigTable:
     """The table a cache file for n holds, given the file's text: parsed
     and served only if its ``n`` is n, ``EigTable.from_json_obj`` accepts

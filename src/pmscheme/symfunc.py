@@ -599,7 +599,7 @@ def _plan(k: int) -> _Plan:
 
 # (n, rows as tuples) of T(1), where every chain starts, and of the last
 # table zonal_rows returned: one binding, replaced whole, so a reader sees
-# the old table or the new one
+# a whole table, T(1) or a kept one
 _T1: tuple[int, tuple[tuple[int, ...], ...]] = (1, ((1,),))
 _last = _T1
 
@@ -645,8 +645,10 @@ def zonal_rows(n: int) -> list[list[int]]:
     The last table a call returned is kept, as tuples, in ``_last``: a call
     for n past it, T(k) with k < n, continues from T(k) with the steps k+1..n;
     any other call, the same n again included, starts at T(1).  Every call
-    runs at least its own last step with all its checks, and the kept table
-    changes only when a call succeeds; the rows returned are new lists.
+    runs at least its own last step with all its checks.  A call that fails
+    leaves the kept table as it was; one that succeeds drops it, falling
+    back to T(1) while it copies its own table in, and then keeps that
+    table.  The rows returned are new lists.
     T(0) and T(1) are [[1]], J of the empty partition and J_[1], and leave
     ``_last`` as it was; ValueError for n < 0.
     """
@@ -655,10 +657,13 @@ def zonal_rows(n: int) -> list[list[int]]:
         raise ValueError(f"zonal polynomials need n >= 0, got {n}")
     if n <= 1:
         return [[1]]
-    last = _last
-    start, rows = last if last[0] < n else _T1
+    start, rows = _last
+    if start >= n:
+        start, rows = _T1
     for k in range(start + 1, n + 1):
         rows = _chain_step(_plan(k), rows, generate_partitions(k))
+    # drop the table resumed from before copying the new one
+    _last = _T1
     _last = n, tuple(map(tuple, rows))
     return rows
 

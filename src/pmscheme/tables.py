@@ -20,11 +20,11 @@ relation-graph diameters; no other module reads an ``EigTable``.
 
 What depends on n alone (the labels, their ``str`` spellings, dimensions,
 valencies, multiplicity weights, stratum sums and the conjecture's scope)
-is derived once per process by ``_frame(n)``, a small bounded cache of
-immutable frames that every table of n shares.  A process that handles
-tables of one n more than once (a library caller, ``cli.main`` in a loop,
-the test suite) derives them once; every build, load, check and rendering
-reads them from the frame.
+is derived once per process by ``_frame(n)``, a bounded cache of immutable
+frames that every table of n shares.  A process that handles tables of one
+n more than once (a library caller, ``cli.main`` in a loop, the test suite)
+derives them once; every build, load, check and rendering reads them from
+the frame.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .partitions import (
     dim_hook,
     double_factorial,
     generate_partitions,
+    partition_count,
 )
 from .spectra import conjecture_applies, family_mu, phi_n11, valency
 from .symfunc import (
@@ -71,8 +72,6 @@ DEFAULT_ZONAL_MAX_N = 14
 FORMULAS_MAX_N = 24
 # The tags a column's provenance may hold, one per way its cells were filled.
 PROVENANCE_TAGS = ("zonal", "oracle", "closed-form")
-# The most frames ``_frame`` keeps: every n the zonal engine builds fits.
-FRAME_CACHE_SIZE = 16
 
 
 class _Frame(NamedTuple):
@@ -107,10 +106,12 @@ class _Frame(NamedTuple):
     applies: tuple[bool, ...]
 
 
-@lru_cache(maxsize=FRAME_CACHE_SIZE)
+# a frame for each n from 2 to the larger guard of the zonal and formula builders
+@lru_cache(maxsize=max(DEFAULT_ZONAL_MAX_N, FORMULAS_MAX_N) - 1)
 def _frame(n: int) -> _Frame:
     """The frame of n, derived once per process while it stays cached; the
-    only place in this module that computes a per-n fact."""
+    only place in this module that computes a per-n fact.  A wrong
+    dimension fails ``_check_table`` on every complete row of n."""
     rows = tuple(generate_partitions(n))
     columns = rows[::-1]
     labels = tuple(map(str, columns))
@@ -144,8 +145,9 @@ class EigTable:
 
     The cells are one rows x columns grid of ``int`` (not ``bool`` or
     ``float``), None marking an unfilled cell; any other grid, an n that is
-    not an ``int``, or a provenance entry whose key is not a column or whose
-    tag is not in PROVENANCE_TAGS raises SchemeError.  The labels,
+    not an ``int`` or is below 2, or a provenance entry whose key is not a
+    column or whose tag is not in PROVENANCE_TAGS raises SchemeError (n and
+    the grid's shape are checked before the frame is looked up).  The labels,
     dimensions, valencies and the other facts of n alone come from the
     shared ``_frame(n)``, so a second table of n derives none of them; the
     table keeps its own copies of the grid and the provenance and its own
@@ -162,14 +164,17 @@ class EigTable:
     ):
         if type(n) is not int:
             raise SchemeError(f"table n must be an int, got {n!r}")
+        if n < 2:
+            raise SchemeError(f"tables need n >= 2, got {n}")
+        # p(n) x p(n), and p(n) >= n: fewer rows than n are refused uncounted
+        size = len(grid)
+        if size < n or size != partition_count(n) or any(len(r) != size for r in grid):
+            raise SchemeError("values grid is not rows x columns")
         frame = self._frame = _frame(n)
         self.n = n
         self.rows: list[Partition] = list(frame.rows)
         self.columns: list[Partition] = list(frame.columns)
         self.dims: list[int] = list(frame.dims)
-        width = len(frame.columns)
-        if len(grid) != len(frame.rows) or any(len(row) != width for row in grid):
-            raise SchemeError("values grid is not rows x columns")
         if not set(map(type, chain.from_iterable(grid))) <= {int, type(None)}:
             raise SchemeError("values grid holds a cell that is not an int")
         self._grid = [list(row) for row in grid]

@@ -710,11 +710,23 @@ def test_unparsable_cache_is_refused_on_every_load(run):
         assert _read(path) == good
 
 
-def test_checked_table_memo_is_bounded():
+def test_checked_table_memo_is_bounded(run):
     from pmscheme import cli as climod
-    from pmscheme.tables import FRAME_CACHE_SIZE
 
-    assert climod._checked_table.cache_info().maxsize == FRAME_CACHE_SIZE
+    climod._checked_table.cache_clear()
+    config = climod.Config(data_dir=run.data_dir)
+    ns = range(2, DEFAULT_ZONAL_MAX_N + 1)
+    for n in ns:
+        climod.oracle_table_cached(config, n)  # builds and writes the file
+    for n in ns:
+        climod.oracle_table_cached(config, n)  # checks and keeps its text
+    info = climod._checked_table.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize == len(ns) <= info.maxsize
+    # a third load of every file is a hit: no n pushed another one out
+    for n in ns:
+        climod.oracle_table_cached(config, n)
+    assert climod._checked_table.cache_info().misses == info.misses
 
 
 def test_zonal_plan_cache_holds_every_step_of_the_largest_chain():

@@ -18,6 +18,7 @@ from pmscheme import (
     successors,
     unrank,
 )
+from pmscheme.partitions import _frobenius, eigenspace_dim, iter_partitions
 
 P = Partition
 
@@ -197,7 +198,7 @@ def test_dim_routes_agree_and_sum():
         total = 0
         for lam in generate_partitions(n):
             f = dim_hook(lam)
-            assert f == frobenius_dim(lam)
+            assert f == frobenius_dim(lam) == eigenspace_dim(lam)
             if n <= 6:
                 assert f == irr_char(lam.double(), P([1] * (2 * n)))
             total += f
@@ -205,6 +206,22 @@ def test_dim_routes_agree_and_sum():
         assert sum(dim_hook(lam) ** 2 for lam in generate_partitions(n)) <= factorial(
             2 * n
         )
+
+
+def test_hook_formula_matches_frobenius_up_to_30():
+    # the frame computes each dimension by the hook length formula alone;
+    # the Frobenius determinant holds it to account here, for all 28 629
+    # partitions of n <= 30, uncached on both sides so the sweep keeps nothing
+    count = 0
+    for n in range(0, 31):
+        total = 0
+        for lam in iter_partitions(n):
+            f = eigenspace_dim(lam)
+            assert f == _frobenius(lam), lam
+            total += f
+            count += 1
+        assert total == double_factorial(2 * n - 1), n
+    assert count == 28629
 
 
 def test_irr_char_examples():

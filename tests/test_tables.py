@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from itertools import permutations
 from operator import add
 
@@ -130,6 +131,25 @@ def test_table_refuses_a_grid_that_is_not_rows_by_columns():
     for grid in (good[:-1], good + [good[0]], [good[0], good[1][:-1], good[2]]):
         with pytest.raises(SchemeError, match="not rows x columns"):
             EigTable(3, grid, {})
+
+
+def test_table_refuses_a_small_n_or_a_wrong_size_before_its_frame():
+    for n in (1, 0, -3):
+        with pytest.raises(SchemeError, match="n >= 2"):
+            EigTable(n, [[1]], {})
+    obj = build_table_zonal(3).to_json_obj()
+    misses = tables._frame.cache_info().misses
+    for n in (200, 10**9):
+        t0 = time.perf_counter()
+        with pytest.raises(SchemeError, match="not rows x columns"):
+            EigTable(n, [[1]], {})
+        with pytest.raises(SchemeError, match="not rows x columns"):
+            EigTable.from_json_obj({**obj, "n": n})
+        assert time.perf_counter() - t0 < 0.1, n
+    # p(4) = 5 rows, each of the wrong width
+    with pytest.raises(SchemeError, match="not rows x columns"):
+        EigTable(4, [[1]] * 5, {})
+    assert tables._frame.cache_info().misses == misses
 
 
 def test_table_refuses_an_n_or_cell_that_is_not_an_int():
@@ -285,13 +305,18 @@ def test_tables_of_one_n_share_the_frame_but_keep_their_own_lists():
 
 
 def test_frame_cache_stays_bounded():
-    for n in range(2, FORMULAS_MAX_N + 1):
-        build_table_formulas(n)
+    # the formula builder serves 2..FORMULAS_MAX_N, the zonal one
+    # 2..DEFAULT_ZONAL_MAX_N; the larger range covers both
+    ns = range(2, max(FORMULAS_MAX_N, DEFAULT_ZONAL_MAX_N) + 1)
+    for n in ns:
+        tables._frame(n)
     info = tables._frame.cache_info()
-    assert info.maxsize == tables.FRAME_CACHE_SIZE
-    # every n of the zonal engine, 2..DEFAULT_ZONAL_MAX_N, fits
-    assert tables.FRAME_CACHE_SIZE >= DEFAULT_ZONAL_MAX_N - 1
-    assert 0 < info.currsize <= info.maxsize
+    assert info.maxsize is not None
+    assert len(ns) <= info.currsize <= info.maxsize
+    # every frame is still kept: reading them all again misses none
+    for n in ns:
+        tables._frame(n)
+    assert tables._frame.cache_info().misses == info.misses
 
 
 def test_closed_forms_give_every_row_its_stratum_two_sum():

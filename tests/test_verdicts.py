@@ -48,14 +48,21 @@ def wrong_representative(mu):
     return real_representative(P([1] * mu.n) if mu.parts[0] > 1 else P([mu.n]))
 
 
-def wrong_frobenius(lam):
-    return 0
+def doctored_dim_hook(lam):
+    # the hook length formula with (2n)! read as 1, which no hook product
+    # above 1 divides
+    real = partitions.factorial
+    partitions.factorial = lambda m: 1
+    try:
+        return partitions.dim_hook(lam)
+    finally:
+        partitions.factorial = real
 
 
 cases = [
     ("charpoly", lambda: charpoly([[Fraction(1, 2)]])),
     ("representative", lambda: matchings.intersection_numbers(3)),
-    ("dim_hook", lambda: partitions.dim_hook(P([5, 3]))),
+    ("dim_hook", lambda: doctored_dim_hook(P([5, 3]))),
     ("family_second_eig", lambda: spectra.family_second_eig(P([2]), 9)),
     ("gap_report", lambda: spectra.GapReport(4, P([2, 1, 1]), 12, 5, 8, "t")),
     ("hook_gap", lambda: spectra.hook_gap(5, 2)),
@@ -63,7 +70,6 @@ cases = [
     ("oracle_check", lambda: tables.build_table_oracle(4, data=data4)),
 ]
 matchings.representative = wrong_representative
-partitions.frobenius_dim = wrong_frobenius
 spectra.phi_n11 = lambda mu: 0
 tables._zonal_grid = lambda n: grid4
 # the row strata refuse the trade first; without them a product refuses it
