@@ -86,17 +86,18 @@ from .spectra import (
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
     FORMULAS_MAX_N,
+    ColumnClaim,
     ConjectureVerdict,
     DiameterResult,
     EigTable,
     build_table_formulas,
     build_table_oracle,
     build_table_zonal,
+    column_claim,
     derangement_spectrum,
     diameter,
     gap_scan,
     intersection_matrix,
-    second_largest,
     trace_identity_check,
     verify_column_orthogonality,
     verify_conjecture,

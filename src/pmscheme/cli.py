@@ -55,9 +55,9 @@ from .tables import (
     build_table_formulas,
     build_table_oracle,
     build_table_zonal,
+    column_claim,
     diameter,
     gap_scan,
-    second_largest,
     trace_identity_check,
     verify_column_orthogonality,
     verify_conjecture,
@@ -248,11 +248,10 @@ def cmd_table(args, config: Config) -> int:
 def _verify_conjecture(args, config: Config) -> tuple[dict, str]:
     verdict = verify_conjecture(oracle_table_cached(config, args.n))
     lines = []
-    for entry in verdict.per_column:
-        if entry["applicable"]:
-            mark = "ok" if entry["holds"] else "FAIL"
-            rows = ", ".join(str(l) for l in entry["rows"])
-            lines.append(f"  {entry['mu']}: second largest on {{{rows}}} [{mark}]")
+    for c in verdict.claims:
+        if c.holds is not None:
+            rows, mark = ", ".join(map(str, c.rows)), "ok" if c.holds else "FAIL"
+            lines.append(f"  {c.mu}: second largest on {{{rows}}} [{mark}]")
     lines.append(f"conjecture n={args.n}: {'PASS' if verdict.overall else 'FAIL'}")
     return verdict.to_json_obj(), "\n".join(lines)
 
@@ -379,8 +378,7 @@ def _gap_for(config: Config, mu: Partition) -> tuple[int, str]:
     except ValueError:
         pass  # no closed form; read the gap off the full table
     table = oracle_table_cached(config, mu.n)
-    top = table.rows[0]  # a checked table's top row holds the valencies
-    return table.value(top, mu) - second_largest(table, mu)[0], "table"
+    return column_claim(mu, table.column(mu)).gap, "table"
 
 
 def cmd_gap(args, config: Config) -> int:
@@ -428,15 +426,13 @@ def cmd_fit(args, config: Config) -> int:
 
 def cmd_scan(args, config: Config) -> int:
     table = oracle_table_cached(config, args.n)
-    gaps = gap_scan(table)
-    top = table.rows[0]  # a checked table's top row holds the valencies
-    for mu in table.columns:
-        if mu in gaps:
-            print(f"  {mu}: valency {table.value(top, mu)}, gap {gaps[mu]}")
-    best = min(gaps, key=lambda m: (gaps[m], m))
-    print(f"smallest gap: {best} ({gaps[best]})")
+    claims = gap_scan(table)
+    for c in claims.values():
+        print(f"  {c.mu}: valency {c.top}, gap {c.gap}")
+    best = min(claims.values(), key=lambda c: (c.gap, c.mu))
+    print(f"smallest gap: {best.mu} ({best.gap})")
     if args.with_diameters:
-        results = [diameter(table, mu) for mu in gaps]
+        results = [diameter(table, mu) for mu in claims]
         connected = {r.mu: r.diameter for r in results if r.connected}
         if connected:
             worst = max(connected.values())

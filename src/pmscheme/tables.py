@@ -16,7 +16,7 @@ loaded from JSON passes ``_check_table`` or raises SchemeError; that check
 also holds each complete row to its label's multiplicity and stratum sums,
 so cells traded between rows, or rows in the wrong order, are a hard
 error.  A complete table also gives the intersection numbers and the
-relation-graph diameters; no other module reads an ``EigTable``.
+relation-graph diameters; ``column_claim`` reads one column, from any source.
 
 What depends on n alone (the labels, their ``str`` spellings, dimensions,
 valencies, multiplicity weights, stratum sums and the conjecture's scope)
@@ -521,57 +521,63 @@ def build_table_formulas(n: int) -> EigTable:
     return table
 
 
-def second_largest(table: EigTable, mu: Partition) -> tuple[int, list[Partition]]:
-    """Largest column entry off the top row, with every row attaining it."""
-    values = table._column(mu)[1:]
-    best = max(values)
-    return best, [lam for lam, v in zip(table._frame.rows[1:], values) if v == best]
+class ColumnClaim(NamedTuple):
+    """What column mu says: ``top`` its top cell (the valency), ``second``
+    the largest value off the top row, ``rows`` every row that reaches it,
+    ``gap`` top - second, and ``holds`` whether [n-1,1] is among those rows
+    (ties count), None where ``conjecture_applies`` is false."""
+
+    mu: Partition
+    top: int
+    second: int
+    rows: tuple[Partition, ...]
+    gap: int
+    holds: bool | None
 
 
-class ConjectureVerdict:
-    """Per-column second-largest-eigenvalue verdicts for one table."""
+def column_claim(mu: Partition, column: Sequence[int]) -> ColumnClaim:
+    """The claim of column mu, given its values over ``_frame(mu.n).rows``
+    from any source; SchemeError unless it holds p(n) values and its top
+    cell is mu's valency."""
+    if mu.n < 2:
+        raise SchemeError(f"{mu} has no second eigenvalue")
+    frame = _frame(mu.n)
+    c = frame.col_at[mu]
+    top = frame.valencies[c]
+    if len(column) != len(frame.rows) or column[0] != top:
+        raise SchemeError(f"column {mu} needs {len(frame.rows)} values led by {top}")
+    second = max(column[1:])
+    rows = tuple(lam for lam, v in zip(frame.rows[1:], column[1:]) if v == second)
+    holds = frame.rows[1] in rows if frame.applies[c] else None
+    return ColumnClaim(mu, top, second, rows, top - second, holds)
 
-    def __init__(self, n: int, per_column: list[dict], overall: bool):
-        self.n = n
-        self.per_column = per_column
-        self.overall = overall
+
+class ConjectureVerdict(NamedTuple):
+    """The claim of every column of one table; ``overall``: none fails."""
+
+    n: int
+    claims: tuple[ColumnClaim, ...]
+    overall: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "overall": self.overall,
-            "columns": [
-                {
-                    "mu": str(entry["mu"]),
-                    "applicable": entry["applicable"],
-                    "second_largest_rows": [str(l) for l in entry["rows"]],
-                    "holds": entry["holds"],
-                }
-                for entry in self.per_column
-            ],
-        }
+        columns = [
+            {
+                "mu": str(c.mu),
+                "applicable": c.holds is not None,
+                "second_largest_rows": [str(r) for r in c.rows if c.holds is not None],
+                "holds": c.holds,
+            }
+            for c in self.claims
+        ]
+        return {"n": self.n, "overall": self.overall, "columns": columns}
 
 
 def verify_conjecture(table: EigTable) -> ConjectureVerdict:
-    """Check, per column the conjecture applies to
-    (``spectra.conjecture_applies``), that [n-1,1] attains the second
-    largest eigenvalue.  Ties count as attaining."""
-    if not table.is_complete():
-        raise IncompleteTable("conjecture verification needs a complete table")
-    n = table.n
-    hook = Partition((n - 1, 1))
-    per_column = []
-    overall = True
-    frame = table._frame
-    for mu, applicable in zip(frame.columns, frame.applies):
-        entry = {"mu": mu, "applicable": applicable, "rows": [], "holds": None}
-        if applicable:
-            value, rows = second_largest(table, mu)
-            entry["rows"] = rows
-            entry["holds"] = hook in rows
-            overall = overall and entry["holds"]
-        per_column.append(entry)
-    return ConjectureVerdict(n, per_column, overall)
+    """``column_claim`` of every column; IncompleteTable, worded as
+    ``EigTable.column`` words it, on a partial table."""
+    claims = tuple(map(column_claim, table._frame.columns, table._columns()))
+    overall = all(c.holds is not False for c in claims)
+    return ConjectureVerdict(table.n, claims, overall)
 
 
 def derangement_spectrum(table: EigTable) -> list[int]:
@@ -614,15 +620,11 @@ def verify_column_orthogonality(table: EigTable) -> bool:
         return False
 
 
-def gap_scan(table: EigTable) -> dict[Partition, int]:
-    """Spectral gap of every non-identity column of a complete table."""
-    frame = table._frame
-    out = {}
-    # column 0 is the identity relation, which has no gap
-    for mu, valency_mu in zip(frame.columns[1:], frame.valencies[1:]):
-        value, _ = second_largest(table, mu)
-        out[mu] = valency_mu - value
-    return out
+def gap_scan(table: EigTable) -> dict[Partition, ColumnClaim]:
+    """``column_claim`` of every non-identity column of a complete table, by
+    relation; IncompleteTable as ``verify_conjecture`` raises it."""
+    pairs = zip(table._frame.columns[1:], table._columns()[1:])
+    return {mu: column_claim(mu, col) for mu, col in pairs}
 
 
 def _weighted(weights: Sequence[int], column: Sequence[int]) -> list[int]:

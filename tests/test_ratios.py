@@ -98,14 +98,14 @@ def test_family_pair_gap_ratios():
 
 def test_gap_report_with_table(oracle_table):
     # the n = 4 merge where the second eigenvalue is off [n-1,1]
-    gaps = gap_scan(oracle_table(4))
+    gaps = {mu: claim.gap for mu, claim in gap_scan(oracle_table(4)).items()}
     assert F(gaps[P([4])], gaps[P([2, 2])]) == F(44, 5)
     report = gap_ratio_report(MergeSpec(P([2, 2]), 1, 2))
     assert report.gap_ratio is None  # [2,2] is in no closed-form family
     assert report.valency_ratio == 4
     assert report.formula_constant == 2
     assert not report.consistent
-    gaps6 = gap_scan(oracle_table(6))
+    gaps6 = {mu: claim.gap for mu, claim in gap_scan(oracle_table(6)).items()}
     assert F(gaps6[P([4, 1, 1])], gaps6[P([2, 2, 1, 1])]) == 4
     report6 = gap_ratio_report(MergeSpec(P([2, 2, 1, 1]), 1, 2))
     assert report6.valency_ratio == 4 and report6.ratios_agree

@@ -14,6 +14,7 @@ STATED = {
     "verify_conjecture(table).overall": True,
     "build_table_oracle(5).grid() == table.grid()": True,
     "valency(mu), phi_n11(mu)": (20, 11),
+    "column_claim(mu, table.column(mu)).gap": 9,
     "family_second_eig(Partition([2]), 5)": (11, 9),
     "hook_gap(5, 2)": 54,
     "diameter(table, Partition([2, 1, 1, 1])).diameter": 4,

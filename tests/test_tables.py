@@ -11,6 +11,7 @@ from operator import add
 import pytest
 
 from pmscheme import (
+    CATALOG_PREFIXES,
     DEFAULT_ZONAL_MAX_N,
     FORMULAS_MAX_N,
     EigTable,
@@ -18,14 +19,17 @@ from pmscheme import (
     build_table_formulas,
     build_table_oracle,
     build_table_zonal,
+    column_claim,
     derangement_spectrum,
     diameter,
     dim_hook,
     double_factorial,
+    family_mu,
+    family_second_eig,
+    family_threshold,
     gap_scan,
     generate_partitions,
     intersection_matrix,
-    second_largest,
     trace_identity_check,
     valency,
     verify_column_orthogonality,
@@ -216,25 +220,62 @@ def test_route_equivalence(oracle_table):
                         assert v == table.value(lam, mu), (n, lam, mu)
 
 
-def test_second_largest_examples(oracle_table):
-    assert second_largest(oracle_table(6), P([2, 2, 2])) == (
-        30,
-        [P([4, 2]), P([2, 2, 2])],
+def _claim(table, parts):
+    mu = P(parts)
+    return column_claim(mu, table.column(mu))
+
+
+def test_column_claim_examples(oracle_table):
+    # a tie at n = 6; [2,2,2] has no part 1, so the conjecture does not apply
+    assert _claim(oracle_table(6), [2, 2, 2]) == (
+        P([2, 2, 2]), 120, 30, (P([4, 2]), P([2, 2, 2])), 90, None
     )
-    assert second_largest(oracle_table(5), P([2, 1, 1, 1])) == (11, [P([4, 1])])
-    assert second_largest(oracle_table(4), P([3, 1])) == (8, [P([1, 1, 1, 1])])
+    assert _claim(oracle_table(5), [2, 1, 1, 1]) == (
+        P([2, 1, 1, 1]), 20, 11, (P([4, 1]),), 9, True
+    )
+    # the n = 4 exception peaks on [1^4]
+    assert _claim(oracle_table(4), [3, 1]) == (
+        P([3, 1]), 32, 8, (P([1, 1, 1, 1]),), 24, None
+    )
     # gap 12 - 7 = 5, as `gap --mu [2,2]` reads it off the table
-    assert second_largest(oracle_table(4), P([2, 2])) == (7, [P([2, 2])])
+    assert _claim(oracle_table(4), [2, 2]) == (P([2, 2]), 12, 7, (P([2, 2]),), 5, None)
+    # rows [3], [2,1], [1,1,1]: a column of [2,1] that peaks off [2,1] fails
+    assert column_claim(P([2, 1]), [6, -3, 1]).holds is False
+
+
+def test_column_claim_refuses_a_column_it_cannot_read():
+    flip = P([2, 1, 1])
+    with pytest.raises(SchemeError, match=r"^column \[2,1,1\] needs 5 values led by 12$"):
+        column_claim(flip, [12, 5, 2, 0])
+    with pytest.raises(SchemeError, match=r"needs 5 values led by 12"):
+        column_claim(flip, [13, 5, 2, 0, -3])
+    with pytest.raises(SchemeError, match="no second eigenvalue"):
+        column_claim(P([1]), [1])
+
+
+def test_column_claim_reads_the_six_families_past_the_zonal_guard():
+    # each catalog family's formula column, from its threshold up to n = 20
+    checked = 0
+    for n in range(2, 21):
+        table = build_table_formulas(n)
+        for prefix in CATALOG_PREFIXES:
+            if n < max(prefix.n, family_threshold(prefix)):
+                continue
+            claim = _claim(table, family_mu(prefix, n))
+            assert (claim.second, claim.gap) == family_second_eig(prefix, n)
+            assert claim.holds is True, (prefix, n)
+            checked += 1
+    assert checked == 93
 
 
 def test_verify_conjecture(oracle_table):
     for n in range(4, 7):
         assert verify_conjecture(oracle_table(n)).overall
     verdict = verify_conjecture(oracle_table(4))
-    by_mu = {entry["mu"]: entry for entry in verdict.per_column}
-    assert not by_mu[P([3, 1])]["applicable"]  # the n = 4 exception
-    assert by_mu[P([2, 1, 1])]["applicable"]
-    assert by_mu[P([2, 2])]["applicable"] is False
+    by_mu = {claim.mu: claim for claim in verdict.claims}
+    assert by_mu[P([3, 1])].holds is None  # the n = 4 exception
+    assert by_mu[P([2, 1, 1])].holds is True
+    assert by_mu[P([2, 2])].holds is None
 
 
 def test_derangement_spectrum(oracle_table):
@@ -568,7 +609,7 @@ def test_row_keys_are_distinct_and_give_the_flip_column():
 
 def test_gap_scan_picks_flip_family(oracle_table):
     for n in (5, 6):
-        gaps = gap_scan(oracle_table(n))
+        gaps = {mu: claim.gap for mu, claim in gap_scan(oracle_table(n)).items()}
         flip = P([2] + [1] * (n - 2))
         assert gaps[flip] == 2 * n - 1
         assert min(gaps.values()) == gaps[flip]
@@ -708,6 +749,9 @@ def test_relation_queries_refuse_a_partial_table():
         intersection_matrix(table, flip)
     with pytest.raises(IncompleteTable, match=r"^column \[3,2,2,2\] is not"):
         derangement_spectrum(table)
+    for claims in (verify_conjecture, gap_scan):
+        with pytest.raises(IncompleteTable, match=r"^column \[2,2,2,1,1,1\] is not"):
+            claims(table)
     assert verify_column_orthogonality(table) is False
 
 

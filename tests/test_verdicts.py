@@ -67,6 +67,8 @@ cases = [
     ("gap_report", lambda: spectra.GapReport(4, P([2, 1, 1]), 12, 5, 8, "t")),
     ("hook_gap", lambda: spectra.hook_gap(5, 2)),
     ("separating_set", lambda: tables._separating_set(data4.relations, twins4)),
+    # a flip column whose top cell is not the valency 12
+    ("column_claim", lambda: tables.column_claim(P([2, 1, 1]), [13, 5, 2, 0, -3])),
     ("oracle_check", lambda: tables.build_table_oracle(4, data=data4)),
 ]
 matchings.representative = wrong_representative
@@ -103,6 +105,7 @@ def test_verdicts_refuse_under_python_O():
         "gap_report",
         "hook_gap",
         "separating_set",
+        "column_claim",
         "oracle_check",
     ]
     assert all(": refused: " in line for line in lines), lines
