@@ -45,9 +45,16 @@ from .errors import (
     guard,
 )
 from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
-from .partitions import Partition, generate_partitions, parse_partition
-from .ratios import RATIOS_MAX_N, all_merges, gap_ratio_report
-from .spectra import family_mu, gap_report, verify_induction_step
+from .partitions import Partition, generate_partitions, parse_partition, valency
+from .ratios import RATIOS_MAX_N, all_merges, merge_constant
+from .ratios import gap_ratio_report  # noqa: F401  (bench/spans.py traces cli.gap_ratio_report)
+from .spectra import (
+    family_closed_form,
+    family_mu,
+    gap_report,
+    phi_n11,
+    verify_induction_step,
+)
 from .symfunc import fit_e_mu
 from .tables import (
     DEFAULT_ZONAL_MAX_N,
@@ -298,17 +305,36 @@ def _verify_ratios(args, config: Config) -> tuple[dict, str]:
     if n < 2:
         raise ValueError(f"ratio laws need n >= 2, got {n}")
     heads = [mu for mu in generate_partitions(n) if mu[-1:] == (1,)]
+    # (valency, phi_n11) of each partition a merge reads, once per command
+    facts: dict[Partition, tuple[int, int]] = {}
+
+    def facts_of(mu: Partition) -> tuple[int, int]:
+        known = facts.get(mu)
+        if known is None:
+            known = facts[mu] = (valency(mu), phi_n11(mu))
+            # no law reads the closed form, but a catalog partition's
+            # family checks still run, once
+            family_closed_form(mu)
+        return known
+
     failures = []
     mismatched_constant = False
     checked = 0
     for mu in heads:
-        for spec in all_merges(mu):
-            report = gap_ratio_report(spec)
-            checked += 1
-            tr = report.tau_ratio
-            if tr is not None and report.valency_ratio != tr:
+        merges = all_merges(mu)
+        if not merges:
+            continue
+        checked += len(merges)
+        v_mu, t_mu = facts_of(mu)
+        for spec in merges:
+            v_new, t_new = facts_of(spec.merged)
+            c = merge_constant(spec)
+            # gap_ratio_report's two laws in integers: valency ratio == tau
+            # ratio where the tau ratio exists (t_mu != 0), and valency
+            # ratio == merge constant; no valency is 0
+            if t_mu != 0 and v_new * t_mu != t_new * v_mu:
                 failures.append(spec)
-            if not report.matches_formula:
+            if v_new * c.denominator != c.numerator * v_mu:
                 mismatched_constant = True
     if failures:
         text = f"ratio laws n={n}: FAIL ({len(failures)} merges disagree)"

@@ -16,8 +16,11 @@ from pmscheme import (
     FORMULAS_MAX_N,
     Partition,
     __version__,
+    all_merges,
     build_table_zonal,
     e_catalog,
+    gap_ratio_report,
+    generate_partitions,
     hook_gap,
 )
 from pmscheme.cli import main
@@ -161,6 +164,71 @@ def test_verify_ratios_notes_discrepancy(run):
     code, out, _ = run("verify", "ratios", "--n", "5")
     assert code == 0
     assert "PASS" in out and "NOTE" in out
+
+
+def _ratio_recount(n):
+    """verify ratios' --json fields, recounted one merge at a time through
+    gap_ratio_report over the same heads and merges."""
+    merges, failed, constant_matches = 0, [], True
+    for mu in generate_partitions(n):
+        if mu[-1] != 1:
+            continue
+        for spec in all_merges(mu):
+            report = gap_ratio_report(spec)
+            merges += 1
+            tr = report.tau_ratio
+            if tr is not None and report.valency_ratio != tr:
+                failed.append(f"{spec.mu} parts {spec.i},{spec.j}")
+            constant_matches = constant_matches and report.matches_formula
+    return {"merges": merges, "failed": failed, "merge_constant_matches": constant_matches}
+
+
+def _ratio_fields(run, n):
+    code, out, _ = run("verify", "ratios", "--n", str(n), "--json")
+    obj = json.loads(out)
+    return code, {key: obj[key] for key in ("merges", "failed", "merge_constant_matches")}
+
+
+def test_verify_ratios_matches_the_one_merge_reports(run):
+    for n in range(2, 17):
+        assert _ratio_fields(run, n) == (0, _ratio_recount(n)), n
+
+
+def test_verify_ratios_fails_a_doctored_merge(run, monkeypatch):
+    from pmscheme import cli, ratios
+
+    real = ratios.phi_n11
+
+    def doctored(mu):
+        return real(mu) + (mu == Partition([4, 1, 1]))
+
+    # both routes read phi_n11 off their own module
+    monkeypatch.setattr(cli, "phi_n11", doctored)
+    monkeypatch.setattr(ratios, "phi_n11", doctored)
+    code, fields = _ratio_fields(run, 6)
+    assert fields == _ratio_recount(6)
+    assert code == 1 and fields["failed"] == ["[2,2,1,1] parts 1,2"]
+    code, out, _ = run("verify", "ratios", "--n", "6")
+    assert (code, out) == (1, "ratio laws n=6: FAIL (1 merges disagree)\n")
+
+
+def test_verify_ratios_reads_a_merge_constant_that_matches(run, monkeypatch):
+    from pmscheme import cli, ratios
+
+    real = ratios.merge_constant
+
+    def doubled(spec):
+        # the measured valency ratio on every merge
+        return 2 * real(spec)
+
+    monkeypatch.setattr(cli, "merge_constant", doubled)
+    monkeypatch.setattr(ratios, "merge_constant", doubled)
+    for n in (5, 9):
+        code, fields = _ratio_fields(run, n)
+        assert (code, fields) == (0, _ratio_recount(n))
+        assert fields["merge_constant_matches"]
+        code, out, _ = run("verify", "ratios", "--n", str(n))
+        assert code == 0 and "NOTE" not in out
 
 
 def test_verify_scheme_axioms(run):

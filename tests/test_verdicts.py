@@ -1,7 +1,7 @@
 """Checks that carry verdicts raise SchemeError; none is a bare assert.
 
 ``python -O`` strips assert statements, so a verdict resting on one would
-silently pass there.
+silently pass there; ``verify ratios`` must still fail a doctored merge.
 """
 
 import ast
@@ -26,9 +26,11 @@ def test_no_assert_in_oracle_modules():
 
 
 _DOCTORED_VERDICTS = """
+import contextlib
+import io
 from fractions import Fraction
 
-from pmscheme import Partition, matchings, partitions, spectra, tables
+from pmscheme import Partition, cli, matchings, partitions, ratios, spectra, tables
 from pmscheme.errors import SchemeError
 from pmscheme.exactalg import charpoly
 
@@ -59,6 +61,20 @@ def doctored_dim_hook(lam):
         partitions.factorial = real
 
 
+def doctored_ratios():
+    # phi_n11 one off at [4,1,1] where cli and ratios read it: the merge
+    # [2,2,1,1] -> [4,1,1] breaks the tau law
+    real = ratios.phi_n11
+    cli.phi_n11 = ratios.phi_n11 = lambda mu: real(mu) + (mu == P([4, 1, 1]))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "ratios", "--n", "6"])
+    finally:
+        cli.phi_n11 = ratios.phi_n11 = real
+    return f"exit {code}: {out.getvalue().strip()}"
+
+
 cases = [
     ("charpoly", lambda: charpoly([[Fraction(1, 2)]])),
     ("representative", lambda: matchings.intersection_numbers(3)),
@@ -71,6 +87,9 @@ cases = [
     ("column_claim", lambda: tables.column_claim(P([2, 1, 1]), [13, 5, 2, 0, -3])),
     ("oracle_check", lambda: tables.build_table_oracle(4, data=data4)),
 ]
+# a failed verdict, not a refusal; the family checks it runs read the real
+# spectra.phi_n11, so it runs before the patches below
+print(f"verify_ratios: {doctored_ratios()}")
 matchings.representative = wrong_representative
 spectra.phi_n11 = lambda mu: 0
 tables._zonal_grid = lambda n: grid4
@@ -98,6 +117,7 @@ def test_verdicts_refuse_under_python_O():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
+        "verify_ratios",
         "charpoly",
         "representative",
         "dim_hook",
@@ -108,5 +128,6 @@ def test_verdicts_refuse_under_python_O():
         "column_claim",
         "oracle_check",
     ]
-    assert all(": refused: " in line for line in lines), lines
+    assert lines[0] == "verify_ratios: exit 1: ratio laws n=6: FAIL (1 merges disagree)"
+    assert all(": refused: " in line for line in lines[1:]), lines
     assert "row [2,2] fails phi_i phi_j" in lines[-1], lines[-1]
