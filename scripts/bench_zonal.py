@@ -28,14 +28,19 @@ Then ``tables.diameter`` over every relation of the zonal table
 for n = 6, 8, ..., 14 once per checkout, and the oracle route,
 ``build_table_oracle(n)`` given no intersection data, for n = 6, 7, 8 once
 per checkout (the median over seeds 0..4 of one build, each counting what
-its check reads) and ``tables._check_characters`` alone for n = 6, 7, 8
+its check reads) and ``tables._check_characters`` alone for n = 6..14
 once per checkout (the median of CHECK_REPEATS checks of the zonal table;
-the intersection data and the table are built, and one untimed check
-counts the class matrices the check reads, before the timer starts), each
-timing in a fresh subprocess of its checkout (alternating which side runs
-first), and records every run and the median per side.  The same way it times
-``verify induction --family 5`` at n = INDUCTION_MAX_N and ``verify
-ratios`` at n = RATIOS_MAX_N, this checkout's guards, three times per
+the intersection data, guarded to ORACLE_BIG_MAX_N, and the table are
+built, and one untimed check counts the class matrices the check reads,
+before the timer starts), each timing in a fresh subprocess of its
+checkout (alternating which side runs first), and records every run and
+the median per side.  The same way it times the two commands that read
+the oracle, ``table --source oracle`` and ``verify scheme-axioms``, each
+with ``--max-oracle-n 14`` (which both sides accept), for n = 9..14,
+GUARD_REPEATS times per checkout: one ``cli.main`` call in a fresh
+process, its imports untimed.  The same way it times ``verify induction
+--family 5`` at n = INDUCTION_MAX_N and ``verify ratios`` at n =
+RATIOS_MAX_N, this checkout's guards, three times per
 checkout, so each guard's cost at its limit is on record, and ``fit
 --prefix 5 --n-range 5:14`` on a warm cache (the median of FIT_REPEATS
 commands after one untimed command that builds and writes the tables)
@@ -109,6 +114,7 @@ DIAMETER_NS = range(6, 15, 2)
 ORACLE_TABLE_NS = range(6, 9)
 ORACLE_BIG_NS = range(9, 15)
 ORACLE_BIG_MAX_N = 14
+CHECK_NS = range(6, ORACLE_BIG_MAX_N + 1)
 WRITE_NS = range(14, 21, 2)
 CHECK_REPEATS = 31
 FRAME_NS = (24, 30, 40)
@@ -242,7 +248,7 @@ sys.path.insert(0, "src")
 from pmscheme.matchings import intersection_numbers
 from pmscheme.tables import _check_characters, build_table_zonal
 n = int(sys.argv[1])
-data = intersection_numbers(n)
+data = intersection_numbers(n, max_n={ORACLE_BIG_MAX_N})
 table = build_table_zonal(n)
 _check_characters(table, data)
 times = []
@@ -393,6 +399,13 @@ for _ in range({FIT_REPEATS} + 1):
 print(statistics.median(times[1:]))
 """
 INDUCTION_TIMER = CLI_TIMER.format(argv=["verify", "induction", "--family", "5"])
+ORACLE_CLI_ARGV = ["--max-oracle-n", str(ORACLE_BIG_MAX_N)]
+TABLE_ORACLE_TIMER = CLI_TIMER.format(
+    argv=[*ORACLE_CLI_ARGV, "table", "--source", "oracle", "--format", "csv"]
+)
+SCHEME_AXIOMS_TIMER = CLI_TIMER.format(
+    argv=[*ORACLE_CLI_ARGV, "verify", "scheme-axioms"]
+)
 RATIOS_TIMER = CLI_TIMER.format(argv=["verify", "ratios"])
 
 
@@ -499,7 +512,13 @@ def measurements(parent: Path, args: argparse.Namespace) -> dict:
             parent, ORACLE_TABLE_TIMER, ORACLE_TABLE_NS, 1
         ),
         "check_characters_s": lambda: fresh_times(
-            parent, CHECK_TIMER, ORACLE_TABLE_NS, 1
+            parent, CHECK_TIMER, CHECK_NS, 1
+        ),
+        "table_oracle_cli_s": lambda: fresh_times(
+            parent, TABLE_ORACLE_TIMER, ORACLE_BIG_NS, GUARD_REPEATS
+        ),
+        "verify_scheme_axioms_s": lambda: fresh_times(
+            parent, SCHEME_AXIOMS_TIMER, ORACLE_BIG_NS, GUARD_REPEATS
         ),
         "verify_induction_s": lambda: fresh_times(
             parent, INDUCTION_TIMER,
@@ -576,7 +595,8 @@ def main(argv: list[str] | None = None) -> int:
             "intersection_numbers_s, build_table_zonal_s, zonal_rows_cold_s,"
             " zonal_rows_warm_s, zonal_rows_sweep_s,"
             " plan_build_s, diameter_all_relations_s,"
-            " build_table_oracle_s, check_characters_s, verify_induction_s,"
+            " build_table_oracle_s, check_characters_s, table_oracle_cli_s,"
+            " verify_scheme_axioms_s, verify_induction_s,"
             " verify_ratios_s, fit_warm_s, zonal_rows_second_call_s,"
             " from_json_obj_s, first_load_s, later_load_s,"
             " check_table_s, frame_s, dims_s,"

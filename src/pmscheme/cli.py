@@ -8,8 +8,9 @@ unsupported request or parse error (``GuardExceeded``, ``ValueError``,
 ``FitInconsistent``, ``FitUnderdetermined``), 3 a mislabelled row
 (``AmbiguousRowAssignment``); a refusal prints one ``error: {exc}`` line
 on stderr; ``table`` adds to its guard's refusal the option that gets past
-the guard.  The console script (``main_entry``) ends by SIGPIPE, silently,
-when stdout closes.
+the guard: ``--max-oracle-n`` for the oracle source up to the zonal guard,
+``--source formulas`` past it.  The console script (``main_entry``) ends
+by SIGPIPE, silently, when stdout closes.
 
 Every command that reads a full table gets the zonal table, cached on disk
 keyed by (n, code version) as its ``--format json`` text; cache writes are
@@ -22,7 +23,11 @@ from that table.  The brute-force intersection numbers only check it, in
 ``verify scheme-axioms`` and ``table --source oracle`` (uncached; ``--seed``
 is accepted and changes nothing), which count only the class matrices of
 the relations that check multiplies by, each by a walk pruned to the
-branches that can end in its relation.
+branches that can end in its relation.  Both run for every n the zonal
+table serves: ``--max-oracle-n`` (or PMSCHEME_MAX_ORACLE_N) defaults to
+``DEFAULT_ZONAL_MAX_N`` and can only lower what they reach, since the zonal
+guard still holds above it.  The library's ``intersection_numbers`` keeps
+its own default, ``DEFAULT_ORACLE_MAX_N``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .errors import (
     SchemeError,
     guard,
 )
-from .matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
+from .matchings import intersection_numbers
 from .partitions import Partition, generate_partitions, parse_partition, valency
 from .ratios import RATIOS_MAX_N, all_merges, merge_constant
 from .ratios import gap_ratio_report  # noqa: F401  (bench/spans.py traces cli.gap_ratio_report)
@@ -78,9 +83,11 @@ EXIT_AMBIGUOUS = 3
 
 
 def _env_max_oracle_n() -> int:
-    """PMSCHEME_MAX_ORACLE_N, or ``DEFAULT_ORACLE_MAX_N`` when it is unset
-    or empty, as an empty PMSCHEME_DATA_DIR means the default too."""
-    text = os.environ.get("PMSCHEME_MAX_ORACLE_N") or str(DEFAULT_ORACLE_MAX_N)
+    """PMSCHEME_MAX_ORACLE_N, or ``DEFAULT_ZONAL_MAX_N`` when it is unset
+    or empty, as an empty PMSCHEME_DATA_DIR means the default too: the
+    commands that read the oracle check the zonal table, so they run as far
+    as it does unless this lowers their limit."""
+    text = os.environ.get("PMSCHEME_MAX_ORACLE_N") or str(DEFAULT_ZONAL_MAX_N)
     try:
         return int(text)
     except ValueError:
@@ -225,7 +232,7 @@ def cmd_table(args, config: Config) -> int:
     except GuardExceeded as exc:
         if args.source == "formulas":
             raise
-        if args.source == "oracle":
+        if args.source == "oracle" and n <= DEFAULT_ZONAL_MAX_N:
             hint = "raise --max-oracle-n to override"
         else:
             hint = "--source formulas prints the closed-form cells"
@@ -485,7 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=0, help="accepted and ignored"
     )
-    parser.add_argument("--max-oracle-n", type=int, help="oracle guard override")
+    parser.add_argument(
+        "--max-oracle-n",
+        type=int,
+        help="largest n of table --source oracle and verify scheme-axioms"
+        f" (default {DEFAULT_ZONAL_MAX_N})",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="build and print an eigenvalue table")

@@ -14,7 +14,8 @@ Intersection numbers are counted when first read: the walk for the class
 matrix of one relation prunes every branch that cannot end in that relation
 to the base, so its cost follows that class's size rather than (2n-1)!!,
 and the full tensor, all (2n-1)!! matchings, is counted only when
-``IntersectionData.p`` is read.
+``IntersectionData.p`` is read.  A class matrix is also kept column by
+column (``IntersectionData.columns``), the form the character check reads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from decimal import Decimal, localcontext
 from functools import cache
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .errors import PI, SchemeError, count_text, guard, ln_factorial
 from .partitions import (
@@ -452,12 +454,13 @@ class IntersectionData:
     class i.  Nothing is counted until it is read: ``b_matrix(i)`` walks
     once, pruning every branch that cannot end in relation i to the base,
     so its cost follows that class's size rather than (2n-1)!!; ``p`` walks
-    all (2n-1)!! matchings once.  Every row of a result must sum to its
-    class's valency, or SchemeError.  Each result is kept and shared with
-    every later reader, which must not modify it.
+    all (2n-1)!! matchings once; ``columns(i)`` holds ``b_matrix(i)`` column
+    by column, its nonzero entries and a getter of their rows.  Every row of
+    a result must sum to its class's valency, or SchemeError.  Each result
+    is kept and shared with every later reader, which must not modify it.
     """
 
-    __slots__ = ("n", "relations", "reps", "valencies", "_p", "_b")
+    __slots__ = ("n", "relations", "reps", "valencies", "_p", "_b", "_columns")
 
     def __init__(self, n: int, relations: list[Partition], reps: list[Matching]):
         self.n = n
@@ -466,6 +469,7 @@ class IntersectionData:
         self.valencies = [valency(mu) for mu in relations]
         self._p = None
         self._b: dict[int, list[list[int]]] = {}
+        self._columns: dict[int, list[tuple[tuple[int, ...], Callable]]] = {}
 
     def index(self, mu: Partition) -> int:
         return self.relations.index(mu)
@@ -495,6 +499,25 @@ class IntersectionData:
                     )
             self._b[i] = [pk[i] for pk in counts]
         return self._b[i]
+
+    def columns(self, i: int) -> list[tuple[tuple[int, ...], Callable]]:
+        """``b_matrix(i)`` column by column, for each non-identity relation
+        j in order: the nonzero p[k][i][j], k ascending, and one getter of
+        entries k of a sequence, which returns a tuple even for one k, so
+        that ``sum(map(mul, coefficients, getter(phi)))`` is sum_k
+        p[k][i][j] phi[k].  Read off ``b_matrix(i)`` on first call."""
+        if i not in self._columns:
+            b = self.b_matrix(i)
+            out = []
+            for j in range(len(self.relations) - 1):
+                ks = tuple(k for k, bk in enumerate(b) if bk[j])
+                getter = (
+                    itemgetter(*ks) if len(ks) > 1
+                    else lambda phi, k=ks[0]: (phi[k],)
+                )
+                out.append((tuple(b[k][j] for k in ks), getter))
+            self._columns[i] = out
+        return self._columns[i]
 
 
 def intersection_numbers(n: int, max_n: int = DEFAULT_ORACLE_MAX_N) -> IntersectionData:

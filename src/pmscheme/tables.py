@@ -415,11 +415,15 @@ def _check_characters(table: EigTable, data: IntersectionData) -> None:
     phi_g row, for every g in S and every non-identity j (zero p skipped),
     which costs O(|S| d^2) where all pairs cost O(d^3).  S is {flip} for
     n in {2, 3, 4, 5, 7}, {flip, [2,2,2]} for n = 6 and {flip,
-    [3,1^(n-3)]} for n = 8..14.  Only those class matrices are read
-    (``data.b_matrix(g)``); each walk prunes every branch that cannot end in
-    relation g, so its cost follows that class's size (n(n-1) for the flip,
-    120 for [2,2,2], 8 C(n,3) for [3,1^(n-3)]) rather than (2n-1)!!, and
-    the full tensor is never counted.
+    [3,1^(n-3)]} for n = 8..14.  Only those class matrices are read, column
+    by column as ``data.columns(g)`` keeps them: each product is one
+    ``sum(map(mul, coefficients, getter(phi)))`` over the nonzero p^k_gj,
+    and no call scans a class matrix again.  Each is counted by a walk that
+    prunes every branch that cannot end in relation g, so its cost follows
+    that class's size (n(n-1) for the flip, 120 for [2,2,2], 8 C(n,3) for
+    [3,1^(n-3)]) rather than (2n-1)!!, and the full tensor is never counted.
+    Rows are checked in order, each at (g, j) in S order and j ascending,
+    and the first failure is named.
 
     This is as strong as checking every pair.  Write a row as phi = sum_s
     a_s chi_s over the d true characters.  Applying phi to A_g E_s, with
@@ -442,13 +446,13 @@ def _check_characters(table: EigTable, data: IntersectionData) -> None:
     # relations descend and the columns ascend, so each row is reversed
     rows = [r[::-1] for r in table._grid]
     products = [
-        (g, j, [(k, bk[j]) for k, bk in enumerate(data.b_matrix(g)) if bk[j]])
+        (g, j, coefficients, getter)
         for g in _separating_set(lams, rows)
-        for j in range(len(rels) - 1)
+        for j, (coefficients, getter) in enumerate(data.columns(g))
     ]
     for lam, phi in zip(lams, rows):
-        for g, j, terms in products:
-            if phi[g] * phi[j] != sum(p * phi[k] for k, p in terms):
+        for g, j, coefficients, getter in products:
+            if phi[g] * phi[j] != sum(map(mul, coefficients, getter(phi))):
                 raise SchemeError(
                     f"row {lam} fails phi_i phi_j = sum_k p^k_ij phi_k at the"
                     f" pair ({rels[g]}, {rels[j]})"

@@ -74,20 +74,38 @@ def test_table_out_file_and_cache_reuse(run, tmp_path):
 
 
 def test_table_guard_exit_2(run):
-    code, _, err = run("table", "--n", "12", "--source", "oracle")
+    # the oracle commands run up to the zonal guard; past it, raising
+    # --max-oracle-n cannot help, so the refusal does not suggest it
+    code, _, err = run("table", "--n", "15", "--source", "oracle")
     assert code == 2
     assert err == (
-        "error: intersection numbers guarded to n <= 8 (asked 12)"
-        " (316234143225 matchings x 77 relations);"
-        " raise --max-oracle-n to override\n"
+        "error: intersection numbers guarded to n <= 14 (asked 15)"
+        " (6190283353629375 matchings x 176 relations);"
+        " --source formulas prints the closed-form cells\n"
     )
     # the same guard without a hint: the estimate still follows the message
-    code, _, err = run("verify", "scheme-axioms", "--n", "9")
+    code, _, err = run("verify", "scheme-axioms", "--n", "15")
     assert code == 2
     assert err == (
-        "error: intersection numbers guarded to n <= 8 (asked 9)"
-        " (34459425 matchings x 30 relations)\n"
+        "error: intersection numbers guarded to n <= 14 (asked 15)"
+        " (6190283353629375 matchings x 176 relations)\n"
     )
+    # a raised oracle guard meets the zonal guard, and the refusal names it
+    code, _, err = run("--max-oracle-n", "20", "table", "--n", "15", "--source", "oracle")
+    assert code == 2
+    assert err == (
+        "error: zonal table guarded to n <= 14 (asked 15);"
+        " --source formulas prints the closed-form cells\n"
+    )
+    code, _, err = run("--max-oracle-n", "20", "verify", "scheme-axioms", "--n", "15")
+    assert (code, err) == (2, "error: zonal table guarded to n <= 14 (asked 15)\n")
+
+
+def test_oracle_table_past_the_library_guard_is_the_zonal_table(run):
+    # n = 9 is past DEFAULT_ORACLE_MAX_N, which still guards the library
+    code, oracle, err = run("table", "--n", "9", "--source", "oracle", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert run("table", "--n", "9", "--format", "csv") == (0, oracle, "")
 
 
 def _cli_process(tmp_path, *argv, timeout=60):
@@ -113,7 +131,7 @@ def test_guard_refusal_at_huge_n_is_one_short_line(tmp_path):
     )
     elapsed = time.perf_counter() - start
     assert done.returncode == 2 and done.stdout == ""
-    prefix = "error: intersection numbers guarded to n <= 8 (asked 100000) ("
+    prefix = "error: intersection numbers guarded to n <= 14 (asked 100000) ("
     assert done.stderr.startswith(prefix) and done.stderr.endswith(")\n")
     assert done.stderr.count("\n") == 1 and len(done.stderr) < 200
     assert elapsed < 1.0
@@ -124,7 +142,7 @@ def test_guard_refusal_past_the_float_range(run):
     huge = "1" + "0" * 310
     code, out, err = run("verify", "scheme-axioms", "--n", huge)
     assert code == 2 and out == ""
-    prefix = f"error: intersection numbers guarded to n <= 8 (asked {huge}) (about 10^"
+    prefix = f"error: intersection numbers guarded to n <= 14 (asked {huge}) (about 10^"
     assert err.startswith(prefix) and err.endswith(" relations)\n")
     assert err.count("\n") == 1
 
@@ -400,13 +418,19 @@ def test_bad_env_guard_names_the_variable(tmp_path, capsys, monkeypatch):
 
 
 def test_empty_env_guard_means_the_default(tmp_path, capsys, monkeypatch):
-    # gap never reads the oracle, so an empty variable must not stop it
+    # gap never reads the oracle, so an empty variable must not stop it;
+    # the oracle commands default to the zonal guard, and the library keeps
+    # its own guard
     from pmscheme.cli import Config
-    from pmscheme.matchings import DEFAULT_ORACLE_MAX_N
+    from pmscheme.matchings import DEFAULT_ORACLE_MAX_N, intersection_numbers
 
     monkeypatch.setenv("PMSCHEME_MAX_ORACLE_N", "")
     monkeypatch.setenv("PMSCHEME_DATA_DIR", str(tmp_path / "c4"))
-    assert Config().max_oracle_n == DEFAULT_ORACLE_MAX_N
+    assert Config().max_oracle_n == DEFAULT_ZONAL_MAX_N
+    assert DEFAULT_ORACLE_MAX_N == 8
+    refusal = r"^intersection numbers guarded to n <= 8 \(asked 9\)"
+    with pytest.raises(pmscheme.GuardExceeded, match=refusal):
+        intersection_numbers(9)
     assert main(["gap", "--mu", "[2,1]"]) == 0
     assert capsys.readouterr() == ("5\n", "")
 

@@ -148,6 +148,27 @@ def test_b_matrix_alone_is_the_slice_of_p(n, idata):
         assert alone.b_matrix(i) == [[full[k][i][j] for j in range(d)] for k in range(d)]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_columns_are_the_nonzero_entries_of_b_matrix(n, idata):
+    """columns(g) holds, for each non-identity j, the nonzero entries of
+    column j of b_matrix(g), rows ascending, and a getter of those rows;
+    it is kept and shared."""
+    data = idata(n)
+    d = len(data.relations)
+    for g in range(d):
+        b = data.b_matrix(g)
+        columns = data.columns(g)
+        assert len(columns) == d - 1
+        for j, (coefficients, getter) in enumerate(columns):
+            rows = getter(range(d))
+            assert type(rows) is tuple and list(rows) == sorted(rows)
+            assert dict(zip(rows, coefficients)) == {
+                k: b[k][j] for k in range(d) if b[k][j]
+            }
+            assert len(coefficients) == len(rows)
+        assert data.columns(g) is columns
+
+
 def test_intersection_data_counts_on_first_read(monkeypatch):
     """intersection_numbers counts nothing; an oracle build walks once per
     separating relation and keeps what it counted."""

@@ -547,6 +547,65 @@ def test_character_check_agrees_with_every_product(idata):
         assert _verdict(_check_every_product, table, idata(n)) is None
 
 
+def _check_by_generator(table, data):
+    """The reference: the character check as it read the class matrices
+    before they were kept column by column, each b_matrix(g) scanned for
+    its nonzeros and each product summed by a generator."""
+    tables._check_table(table)
+    rels = data.relations
+    lams = table._frame.rows
+    rows = [r[::-1] for r in table._grid]
+    products = [
+        (g, j, [(k, bk[j]) for k, bk in enumerate(data.b_matrix(g)) if bk[j]])
+        for g in tables._separating_set(lams, rows)
+        for j in range(len(rels) - 1)
+    ]
+    for lam, phi in zip(lams, rows):
+        for g, j, terms in products:
+            if phi[g] * phi[j] != sum(p * phi[k] for k, p in terms):
+                raise SchemeError(
+                    f"row {lam} fails phi_i phi_j = sum_k p^k_ij phi_k at the"
+                    f" pair ({rels[g]}, {rels[j]})"
+                )
+
+
+def _refusal(check, table, data):
+    """None when check accepts, else the type and text of its refusal."""
+    try:
+        check(table, data)
+    except SchemeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _one_cell_edits(n):
+    """Every +-1 edit of one cell of the zonal table of n, built without
+    ``_check_table``."""
+    table = build_table_zonal(n)
+    for r, row in enumerate(table.grid()):
+        for c in range(len(row)):
+            for step in (1, -1):
+                grid = table.grid()
+                grid[r][c] += step
+                yield EigTable(n, grid, {})
+
+
+def test_character_check_refuses_as_the_generator_loop_did(idata, monkeypatch):
+    edits = [(n, t) for n in (4, 5, 6, 7) for t in _one_cell_edits(n)]
+    assert len(edits) == 840
+    for n, table in edits:
+        want = _refusal(_check_by_generator, table, idata(n))
+        assert want is not None
+        assert _refusal(tables._check_characters, table, idata(n)) == want
+    # without _check_table, which refuses every edit first, the products
+    # alone refuse every edit, at the same row and pair with the same text
+    monkeypatch.setattr(tables, "_check_table", lambda table: None)
+    for n, table in edits:
+        want = _refusal(_check_by_generator, table, idata(n))
+        assert want is not None and "fails phi_i phi_j" in want[1]
+        assert _refusal(tables._check_characters, table, idata(n)) == want
+
+
 def test_check_table_refuses_every_trade_and_every_edit():
     # the stratum sums refuse a trade within a column, which changes two
     # rows' sums in its stratum, as the multiplicity refuses a +-1 edit
